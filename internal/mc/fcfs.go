@@ -116,16 +116,16 @@ func CheckFCFS(p *gcl.Prog, first, second int, opts Options) (*FCFSResult, error
 
 	// The product loop probes the store through a per-head key slab instead
 	// of the allocating Prepare path: successors are generated into a
-	// reusable SuccBuf, each probe key (pinned-canonical under symmetry,
-	// concrete otherwise, plus the phase word) is packed into the slab, and
-	// only keys of FRESH product nodes are promoted to stable arena storage
-	// for the store to retain. Duplicates — the vast majority in a dense
-	// product — cost no allocation at all.
+	// reusable SuccBuf, and each probe key (pinned-canonical under symmetry,
+	// concrete otherwise, plus the phase word) is packed into the slab —
+	// Insert copies the keys of FRESH product nodes, and only their states
+	// are copied out, into nodeStates. Duplicates — the vast majority in a
+	// dense product — cost no allocation at all.
 	var (
-		buf     gcl.SuccBuf
-		scratch gcl.KeySlab
-		stable  retainArena
-		canon   *gcl.Canonicalizer
+		buf        gcl.SuccBuf
+		scratch    gcl.KeySlab
+		nodeStates keySlab
+		canon      *gcl.Canonicalizer
 	)
 	if plan.Pinned != nil {
 		canon = p.NewCanonicalizer()
@@ -184,9 +184,9 @@ func CheckFCFS(p *gcl.Prog, first, second int, opts Options) (*FCFSResult, error
 			if _, dup := seen.Lookup(fp, key); dup {
 				continue
 			}
-			seen.Insert(fp, stable.retain(key), int32(len(nodes)))
+			seen.Insert(fp, key, int32(len(nodes)))
 			nodes = append(nodes, node{
-				st: stable.retain(sc.State), phase: phase, parent: head,
+				st: nodeStates.at(nodeStates.append(sc.State)), phase: phase, parent: head,
 				byPid: int8(sc.Pid), label: sc.Label(p),
 			})
 		}

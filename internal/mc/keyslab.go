@@ -1,0 +1,81 @@
+package mc
+
+import (
+	"fmt"
+
+	"bakerypp/internal/gcl"
+)
+
+// keySlab is append-only storage for state vectors: the exact in-heap
+// stores' keys and, in the default exact tier, the engine's numbered
+// states. Vectors are length-prefixed and packed into blocks of
+// keySlabBlock words (1 MiB), and addressed by a uint32 word reference —
+// block index in the high bits, word offset in the low ones — so whoever
+// holds references (table slots, the engine's state numbering) holds no Go
+// pointers, and the collector sees one pointer per block instead of one
+// per vector. A vector never straddles blocks and a full block never moves,
+// so at() slices stay valid for the slab's lifetime.
+//
+// Only the first block starts small (keySlabFirst words) and doubles up to
+// the full block size, so the many short-lived stores of the refinement
+// search cost kilobytes, not a megabyte each. A doubling copies the block,
+// but slices returned by at() keep aliasing the old, unchanged copy, so
+// they stay valid across growth too.
+//
+// Not goroutine-safe: an append needs exclusive access; concurrent at()
+// readers need only be ordered after the appends they read (the engines'
+// phase barriers, or the store's mutex).
+type keySlab struct {
+	blocks [][]int32
+}
+
+const (
+	// keySlabBlockLog2 sizes a full block: 2^18 words = 1 MiB.
+	keySlabBlockLog2 = 18
+	keySlabBlock     = 1 << keySlabBlockLog2
+	// keySlabMaxBlocks is the block count a uint32 reference can address:
+	// 2^32 words (16 GiB).
+	keySlabMaxBlocks = 1 << (32 - keySlabBlockLog2)
+	// keySlabFirst is the first block's initial capacity in words.
+	keySlabFirst = 1 << 10
+)
+
+// append copies v into the slab and returns its reference. It panics past
+// the 2^32-word address space or on a vector longer than a block.
+func (s *keySlab) append(v gcl.State) uint32 {
+	need := len(v) + 1
+	if need > keySlabBlock {
+		panic(fmt.Sprintf("mc: key of %d words exceeds the %d-word slab block", len(v), keySlabBlock))
+	}
+	last := len(s.blocks) - 1
+	if last < 0 || len(s.blocks[last])+need > keySlabBlock {
+		if len(s.blocks) == keySlabMaxBlocks {
+			panic(fmt.Sprintf("mc: key slab full: %d blocks (2^32 words) are addressable by a uint32 reference", keySlabMaxBlocks))
+		}
+		size := keySlabBlock
+		if last < 0 {
+			size = keySlabFirst
+		}
+		s.blocks = append(s.blocks, make([]int32, 0, size))
+		last++
+	}
+	blk := s.blocks[last]
+	if len(blk)+need > cap(blk) {
+		grown := make([]int32, len(blk), min(max(2*cap(blk), len(blk)+need), keySlabBlock))
+		copy(grown, blk)
+		blk = grown
+	}
+	ref := uint32(last)<<keySlabBlockLog2 | uint32(len(blk))
+	blk = append(blk, int32(len(v)))
+	s.blocks[last] = append(blk, v...)
+	return ref
+}
+
+// at returns the vector stored at ref, aliasing the slab: callers must not
+// modify it.
+func (s *keySlab) at(ref uint32) gcl.State {
+	blk := s.blocks[ref>>keySlabBlockLog2]
+	off := ref & (keySlabBlock - 1)
+	end := off + 1 + uint32(blk[off])
+	return gcl.State(blk[off+1 : end : end])
+}

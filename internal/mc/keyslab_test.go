@@ -1,0 +1,216 @@
+package mc
+
+import (
+	"reflect"
+	"strings"
+	"testing"
+
+	"bakerypp/internal/gcl"
+	"bakerypp/internal/specs"
+)
+
+// hasPointers reports whether values of type t hold any Go pointer the
+// collector would have to scan.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return false
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	}
+	return true
+}
+
+// TestFpEntryLayout pins the table slot at 16 bytes (four per cache line)
+// with no Go pointers, so the slot array is never scanned by the collector.
+func TestFpEntryLayout(t *testing.T) {
+	typ := reflect.TypeOf(fpEntry{})
+	if typ.Size() != 16 {
+		t.Errorf("fpEntry is %d bytes, want 16", typ.Size())
+	}
+	if hasPointers(typ) {
+		t.Error("fpEntry holds a Go pointer")
+	}
+	if !hasPointers(reflect.TypeOf(gcl.State(nil))) {
+		t.Fatal("hasPointers misses slices")
+	}
+}
+
+// slabKey builds a deterministic test key of n words.
+func slabKey(i, n int) gcl.State {
+	k := make(gcl.State, n)
+	for j := range k {
+		k[j] = int32(i*131 + j)
+	}
+	return k
+}
+
+// TestKeySlabRoundTrip appends keys of mixed lengths, including empty ones,
+// and reads every one back — also after the first block has doubled
+// several times, through slices taken before the growth.
+func TestKeySlabRoundTrip(t *testing.T) {
+	var s keySlab
+	var refs []uint32
+	var early []gcl.State
+	for i := 0; i < 2000; i++ {
+		refs = append(refs, s.append(slabKey(i, i%23)))
+		if i < 10 {
+			early = append(early, s.at(refs[i]))
+		}
+	}
+	if len(s.blocks) != 1 || cap(s.blocks[0]) <= keySlabFirst {
+		t.Fatalf("expected one grown first block, got %d blocks (cap %d)", len(s.blocks), cap(s.blocks[0]))
+	}
+	for i, ref := range refs {
+		if got := s.at(ref); !got.Equal(slabKey(i, i%23)) {
+			t.Fatalf("key %d: got %v", i, got)
+		}
+	}
+	for i, k := range early {
+		if !k.Equal(slabKey(i, i%23)) {
+			t.Fatalf("key %d read before growth changed to %v", i, k)
+		}
+	}
+}
+
+// TestKeySlabBlockBoundary fills past several full blocks: a key that does
+// not fit the rest of a block starts the next one, so none straddles, and
+// references address the right block.
+func TestKeySlabBlockBoundary(t *testing.T) {
+	var s keySlab
+	const n = 37
+	var refs []uint32
+	for i := 0; len(s.blocks) < 3; i++ {
+		refs = append(refs, s.append(slabKey(i, n)))
+	}
+	for i, ref := range refs {
+		if off := int(ref & (keySlabBlock - 1)); off+n+1 > keySlabBlock {
+			t.Fatalf("key %d straddles its block (offset %d)", i, off)
+		}
+		if got := s.at(ref); !got.Equal(slabKey(i, n)) {
+			t.Fatalf("key %d: got %v", i, got)
+		}
+	}
+	if blk := refs[len(refs)-1] >> keySlabBlockLog2; blk != 2 {
+		t.Fatalf("last key in block %d, want 2", blk)
+	}
+	for _, b := range s.blocks[:2] {
+		if cap(b) != keySlabBlock {
+			t.Fatalf("full block has capacity %d, want %d", cap(b), keySlabBlock)
+		}
+	}
+}
+
+// TestKeySlabFullPanics presets a slab whose every addressable block is
+// taken (sharing one full block, so the test allocates 1 MiB, not 16 GiB):
+// the next append must panic clearly rather than wrap the reference.
+func TestKeySlabFullPanics(t *testing.T) {
+	full := make([]int32, keySlabBlock)
+	s := keySlab{blocks: make([][]int32, keySlabMaxBlocks)}
+	for i := range s.blocks {
+		s.blocks[i] = full
+	}
+	defer func() {
+		r := recover()
+		msg, _ := r.(string)
+		if !strings.Contains(msg, "key slab full") {
+			t.Fatalf("append past 2^32 words: recovered %v, want a key-slab-full panic", r)
+		}
+	}()
+	s.append(gcl.State{1, 2, 3})
+}
+
+// warmTable returns a sequential store's table holding keys and their
+// fingerprints.
+func warmTable(keys []gcl.State, fps []uint64) *fpTable {
+	st := newSeqStore(nil, Plan{})
+	for i, k := range keys {
+		st.t.insert(fps[i], k, int32(i))
+	}
+	return &st.t
+}
+
+func tableKeys(n int) ([]gcl.State, []uint64) {
+	keys := make([]gcl.State, n)
+	fps := make([]uint64, n)
+	for i := range keys {
+		keys[i] = slabKey(i, 12)
+		fps[i] = keys[i].Fingerprint()
+	}
+	return keys, fps
+}
+
+// TestFpTableLookupAllocFree: a warmed table answers hits and misses
+// without allocating.
+func TestFpTableLookupAllocFree(t *testing.T) {
+	keys, fps := tableKeys(20000)
+	tab := warmTable(keys[:10000], fps[:10000])
+	allocs := testing.AllocsPerRun(20, func() {
+		for i := range keys {
+			if _, ok := tab.lookup(fps[i], keys[i]); ok != (i < 10000) {
+				t.Fatalf("key %d: present %v", i, ok)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warmed lookups allocate %.1f objects per sweep, want 0", allocs)
+	}
+}
+
+// TestFpTableInsertAmortized: filling a fresh table — slot growth plus key
+// copies into the slab — costs well under 0.01 allocations per key.
+func TestFpTableInsertAmortized(t *testing.T) {
+	keys, fps := tableKeys(100000)
+	allocs := testing.AllocsPerRun(5, func() { warmTable(keys, fps) })
+	if perKey := allocs / float64(len(keys)); perKey >= 0.01 {
+		t.Errorf("inserts allocate %.4f objects per key (%.0f per fill), want < 0.01", perKey, allocs)
+	}
+}
+
+// TestExactTierSharesOneSlab pins the residency of the default exact tier:
+// no per-state vectors in explorer.states, and — when the store keys on the
+// concrete state — one slab holding each vector once, for both engines.
+// Under symmetry the store keeps canonical keys in a slab of its own.
+func TestExactTierSharesOneSlab(t *testing.T) {
+	p := specs.BakeryPP(specs.Config{N: 3, M: 2})
+	for _, workers := range []int{0, 2} {
+		g, err := BuildGraph(p, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := g.expl
+		if e.states != nil {
+			t.Fatalf("workers=%d: exact tier kept %d per-state slices", workers, len(e.states))
+		}
+		ss := e.store.(slabStore)
+		if e.byRef == nil || e.slab != ss.keys() {
+			t.Fatalf("workers=%d: the store does not share the engine's slab", workers)
+		}
+		words := 0
+		for _, b := range e.slab.blocks {
+			words += len(b)
+		}
+		if want := e.numStates() * (p.StateLen() + 1); words > want+keySlabBlock {
+			t.Fatalf("workers=%d: slab holds %d words for %d states of %d words — vectors stored twice?",
+				workers, words, e.numStates(), p.StateLen())
+		}
+
+		g, err = BuildGraph(p, Options{Workers: workers, Symmetry: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e = g.expl
+		if !e.trackPerms || e.byRef != nil || e.slab == e.store.(slabStore).keys() {
+			t.Fatalf("workers=%d: symmetry-reduced run must keep concrete states apart from canonical keys", workers)
+		}
+	}
+}

@@ -347,44 +347,6 @@ type wctx struct {
 	preps []prep
 }
 
-// retainArena is append-only bump storage for data that must live for the
-// whole exploration: numbered state vectors and the canonical keys the
-// exact stores retain. Blocks are never moved or freed, so returned slices
-// stay valid forever; compared with one heap allocation per state this
-// drops both allocator traffic and GC scan cost (a few large blocks instead
-// of millions of tiny pointers).
-type retainArena struct {
-	blocks [][]int32
-	off    int
-}
-
-// retainBlock is the arena block size in int32 words (1 MiB).
-const retainBlock = 1 << 18
-
-// retain copies s into the arena and returns the stable copy.
-func (a *retainArena) retain(s gcl.State) gcl.State {
-	n := len(s)
-	if len(a.blocks) == 0 || a.off+n > len(a.blocks[len(a.blocks)-1]) {
-		sz := retainBlock
-		if n > sz {
-			sz = n
-		}
-		a.blocks = append(a.blocks, make([]int32, sz))
-		a.off = 0
-	}
-	blk := a.blocks[len(a.blocks)-1]
-	out := blk[a.off : a.off+n : a.off+n]
-	a.off += n
-	copy(out, s)
-	return out
-}
-
-// sameSlice reports whether two states share the same backing array cell 0
-// (i.e. key IS s, not a copy) — the promote-on-fresh alias check.
-func sameSlice(a, b gcl.State) bool {
-	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
-}
-
 // explorer is the shared BFS engine behind Check and BuildGraph. Its
 // visited set is a StateStore (store.go): fingerprint-keyed, Equal- (or,
 // under symmetry, canonical-)confirmed, so the sequential engine shares
@@ -420,13 +382,21 @@ type explorer struct {
 	// chaseCap bounds local-chain compression so a cycle of local actions
 	// (a local spin) cannot chase forever.
 	chaseCap int
-	// State-vector residency (stateAt/appendState/releaseState). With the
-	// default stores every numbered state's vector sits in states. Under
-	// Spill the vectors live in the mmap arena ar instead, offs holding one
-	// offset per state, and states stays empty. Under a lossy store without
-	// spill, vectors are kept only until their state is expanded (release
-	// true) — the visited set holds fingerprints, the frontier holds the
-	// only live vectors, and traces are gone (traceable false).
+	// State-vector residency (stateAt/appendState/releaseState). In the
+	// default exact tier every numbered state's vector sits in slab, refs
+	// holding one word reference per state — no per-state Go pointers.
+	// When the plan keys the store on the concrete state, slab IS the
+	// store's key slab and byRef its insert-by-reference hook, so each
+	// vector is stored once as both state and key; under symmetry the store
+	// keeps canonical keys in a slab of its own. Under Spill the vectors
+	// live in the mmap arena ar instead, offs holding one offset per state.
+	// Under a lossy store without spill, vectors are kept in states only
+	// until their state is expanded (release true) — the visited set holds
+	// fingerprints, the frontier holds the only live vectors, and traces
+	// are gone (traceable false).
+	slab      *keySlab
+	refs      []uint32
+	byRef     slabStore
 	ar        *arena
 	offs      []int64
 	release   bool
@@ -439,14 +409,8 @@ type explorer struct {
 	crashers  []int
 	// wc is the sequential engine's expansion context; the parallel engine
 	// carries its own per-worker contexts and leaves this one to the merge
-	// pass. ret is the retained-state arena backing states (and, for the
-	// exact stores, promoted canonical keys); stableKeys marks store tiers
-	// that retain the Insert key slice (seq/sharded exact stores), requiring
-	// keys to be promoted out of the per-chunk scratch buffers before
-	// insertion.
-	wc         wctx
-	ret        retainArena
-	stableKeys bool
+	// pass.
+	wc wctx
 }
 
 // newExplorer builds the engine state for one exploration executing the
@@ -486,53 +450,67 @@ func newExplorer(p *gcl.Prog, opts Options, sharded bool, plan Plan) *explorer {
 		}
 		e.chaseCap = p.N*len(p.Labels()) + 8
 	}
-	e.stableKeys = !plan.Store.Lossy() && !plan.Store.Spill
 	if plan.Symmetry || plan.TrackPerms {
 		e.wc.canon = p.NewCanonicalizer()
 	}
 	e.store = newStateStore(p, sharded, plan, e.ar)
+	if e.ar == nil && !e.release {
+		ss, exact := e.store.(slabStore)
+		if exact && !plan.Symmetry && !plan.TrackPerms && plan.Pinned == nil {
+			e.slab, e.byRef = ss.keys(), ss
+		} else {
+			e.slab = &keySlab{}
+		}
+	}
 	return e
 }
 
 // numStates is the count of numbered states, independent of where their
 // vectors live.
 func (e *explorer) numStates() int {
-	if e.ar != nil {
+	switch {
+	case e.ar != nil:
 		return len(e.offs)
+	case e.release:
+		return len(e.states)
 	}
-	return len(e.states)
+	return len(e.refs)
 }
 
-// stateAt returns state i's vector: the in-heap slice, or a fresh decode
-// from the spill arena. Under a lossy non-spill store the vector is only
-// valid until releaseState(i) runs (after i's expansion).
+// stateAt returns state i's vector: a slice aliasing the slab (callers
+// must not modify it), the in-heap clone, or a fresh decode from the spill
+// arena. Under a lossy non-spill store the vector is only valid until
+// releaseState(i) runs (after i's expansion).
 func (e *explorer) stateAt(i int32) gcl.State {
-	if e.ar != nil {
+	switch {
+	case e.ar != nil:
 		return e.ar.state(e.offs[i])
+	case e.release:
+		return e.states[i]
 	}
-	return e.states[i]
+	return e.slab.at(e.refs[i])
 }
 
 // appendState numbers a fresh state and stores its vector per the
 // residency mode; returns the new index. The incoming vector may live in a
 // worker's recycled scratch buffer, so every residency mode copies: spill
 // into the mmap arena, release mode into a short-lived heap clone (freed at
-// expansion), and the default exact mode into the retained arena.
+// expansion), and the default exact mode into the slab.
 func (e *explorer) appendState(s gcl.State) int32 {
-	if e.ar != nil {
+	switch {
+	case e.ar != nil:
 		off, err := e.ar.append(s)
 		if err != nil {
 			panic(err) // disk exhaustion mid-exploration: nothing sound to do
 		}
 		e.offs = append(e.offs, off)
 		return int32(len(e.offs) - 1)
-	}
-	if e.release {
+	case e.release:
 		e.states = append(e.states, append(gcl.State(nil), s...))
-	} else {
-		e.states = append(e.states, e.ret.retain(s))
+		return int32(len(e.states) - 1)
 	}
-	return int32(len(e.states) - 1)
+	e.refs = append(e.refs, e.slab.append(s))
+	return int32(len(e.refs) - 1)
 }
 
 // releaseState drops state i's vector once it has been expanded — the
@@ -608,8 +586,8 @@ type prep struct {
 // scratch buffer (the canonicalizer's own scratch is overwritten by its
 // next call, and POR keeps a batch of probes alive across one head's ample
 // check), so the key stays valid until the context resets — long enough for
-// the single-threaded insertion pass to promote fresh keys to stable
-// storage. Under permutation tracking it additionally ranks the canonical
+// the single-threaded insertion pass, whose Insert copies fresh keys into
+// the store. Under permutation tracking it additionally ranks the canonical
 // witnessing permutation, sharing the single canonicalization pass.
 func (e *explorer) prepareProbe(w *wctx, s gcl.State) (uint64, gcl.State, int32) {
 	if w.canon == nil {
@@ -671,24 +649,21 @@ func growPreps(buf []prep, n int) []prep {
 
 // addPrepared is add with the store probe already computed — the reduced
 // expansion path prepares each ample candidate once in ampleOK and must
-// not pay a second canonicalization here. The exact stores retain the
-// Insert key slice, and both s and key may point into recycled scratch, so
-// a fresh insertion promotes the key to stable storage first: when the key
-// IS the state (no symmetry), the just-retained numbered vector serves as
-// the key for free; a distinct canonical key gets its own arena copy.
+// not pay a second canonicalization here. Both s and key may point into
+// recycled scratch; appendState and Insert each copy what they keep. When
+// the store shares the engine's slab (byRef), key IS s, and the vector
+// appendState just numbered is inserted by reference instead of being
+// copied a second time.
 func (e *explorer) addPrepared(fp uint64, key gcl.State, perm int32, s gcl.State, parent int32, byPid int32, labelIdx int32) (int32, bool) {
 	if idx, ok := e.store.Lookup(fp, key); ok {
 		return idx, false
 	}
 	idx := e.appendState(s)
-	if e.stableKeys {
-		if sameSlice(key, s) {
-			key = e.states[idx]
-		} else {
-			key = e.ret.retain(key)
-		}
+	if e.byRef != nil {
+		e.byRef.insertRef(fp, e.refs[idx], idx)
+	} else {
+		e.store.Insert(fp, key, idx)
 	}
-	e.store.Insert(fp, key, idx)
 	if e.traceable {
 		e.parent = append(e.parent, parent)
 		e.parentBy = append(e.parentBy, byPid)
@@ -997,7 +972,7 @@ func Check(p *gcl.Prog, opts Options) *Result {
 		}
 		// One head, one buffer generation: every successor vector, canonical
 		// key, chase intermediate, and slab-packed probe below lives in
-		// e.wc's scratch and is recycled here. Fresh states were promoted
+		// e.wc's scratch and is recycled here. Fresh states were copied
 		// out by addPrepared.
 		e.wc.buf.Reset()
 		e.wc.slab.Reset()

@@ -118,8 +118,8 @@ type pexplorer struct {
 	// arenas: worker w batch-canonicalizes into wcs[w].slab and allocates
 	// candidate records from cslabs[w]. Both are recycled at each chunk
 	// boundary — by then the previous chunk's candidates have all been
-	// merged (fresh keys promoted to stable storage by addPrepared), so
-	// nothing references the scratch anymore.
+	// merged (fresh states and keys copied out by addPrepared), so nothing
+	// references the scratch anymore.
 	wcs    []wctx
 	cslabs []candSlab
 	// exps is the chunk's expansion-slot buffer, reused across chunks.
@@ -226,12 +226,15 @@ func (pe *pexplorer) addNumbered(c *candidate, parent int32) (int32, bool) {
 	return pe.e.addPrepared(c.fp, c.key, c.perm, c.state, parent, c.pid, c.labelIdx)
 }
 
-// addInit numbers the initial state (index 0).
+// addInit numbers the initial state (index 0). No worker runs yet, so it
+// inserts like a merge pass.
 func (pe *pexplorer) addInit(init gcl.State) {
 	fp, key, perm := pe.e.prepareProbe(&pe.e.wc, init)
 	c := candidate{state: init, key: key, fp: fp, perm: perm, pid: -1,
 		labelIdx: crashLabelIdx, seen: -1, violated: candInvNone}
+	pe.beginMerge()
 	pe.addNumbered(&c, -1)
+	pe.endMerge()
 }
 
 // maxChunk is how many queued states one expansion phase covers. Chunks
@@ -380,7 +383,7 @@ func (pe *pexplorer) drainOwner(o, workers int, checkInv bool) {
 			var idx int32
 			var ok bool
 			if pe.sst != nil {
-				idx, ok = pe.sst.shards[c.fp&(shardCount-1)].t.lookup(c.fp, c.key)
+				idx, ok = pe.sst.shard(c.fp).lookup(c.fp, c.key)
 			} else {
 				idx, ok = e.store.Lookup(c.fp, c.key)
 			}

@@ -14,13 +14,19 @@ package mc
 //     table (fpTable), no locking — the sequential engine and the
 //     monitor/memo searches.
 //   - sharded-parallel (newShardedStore): the same table striped over 64
-//     shards selected by fingerprint. The parallel engine partitions the
-//     shards over its workers (owner-computes): each shard is read by
-//     exactly one drain goroutine per phase, through direct unlocked table
-//     access, while the single-threaded merge pass remains the only writer
-//     — phases are separated by chunk barriers, and the locked
-//     Lookup/Insert path (elided between BeginMerge/EndMerge) stays as the
-//     generic interface for callers outside that protocol.
+//     shards selected by fingerprint, all keyed into one shared slab. The
+//     parallel engine partitions the shards over its workers
+//     (owner-computes): each shard is read by exactly one drain goroutine
+//     per phase, through direct unlocked table access, while the
+//     single-threaded merge pass remains the only writer — phases are
+//     separated by chunk barriers, and the store-wide locked Lookup/Insert
+//     path (elided between BeginMerge/EndMerge) stays as the generic
+//     interface for callers outside that protocol.
+//
+// Both keep their key vectors in a keySlab (keyslab.go) and their table
+// slots free of Go pointers; when the plan keys on the concrete state the
+// engines number their states in the same slab, so each vector is stored
+// once.
 //   - symmetry-aware (either of the above with Plan.Symmetry): Prepare
 //     canonicalizes the state before probing, so all states of one
 //     process-permutation orbit collapse onto a single entry. The store
@@ -55,8 +61,9 @@ type StateStore interface {
 	Prepare(s gcl.State, extra ...int32) (uint64, gcl.State)
 	// Lookup returns the value stored under key, if present.
 	Lookup(fp uint64, key gcl.State) (int32, bool)
-	// Insert stores val under key, replacing any previous value. The key
-	// must not be mutated afterwards.
+	// Insert stores val under key, replacing any previous value. Stores
+	// that keep keys copy them, so the caller may reuse or overwrite key
+	// as soon as Insert returns.
 	Insert(fp uint64, key gcl.State, val int32)
 }
 
@@ -90,20 +97,19 @@ func newStateStore(p *gcl.Prog, sharded bool, plan Plan, ar *arena) StateStore {
 	return newSeqStore(p, plan)
 }
 
-// kv is one stored entry: the key vector (concrete or canonical) and its
-// value. For the engines' non-symmetric stores the key aliases the state
-// already retained in the numbered-state array, so the entry costs one
-// slice header beyond the value.
+// kv is one entry of a small fingerprint-bucket index (the quotient
+// product's supplementary orbit table): a key vector and its value.
 type kv struct {
 	key gcl.State
 	val int32
 }
 
-// prepare implements Prepare's key derivation for both store variants.
-// The canonical key is an owned allocation by design: the parallel
-// engine's candidates carry their keys from the expand phase across the
-// chunk barrier into the merge pass, so a pooled probe buffer (copying
-// only on Insert) would be overwritten while still referenced.
+// prepare implements Prepare's key derivation for every store tier. A
+// derived key (canonical, or carrying extra words) is a fresh allocation,
+// so callers may hold several prepared keys at once (graph edge
+// identification compares two). The engines' hot paths do not come here:
+// they prepare probes in batches into per-worker scratch (prepSuccs), which
+// is safe because Insert copies whatever it keeps.
 func prepare(p *gcl.Prog, plan Plan, s gcl.State, extra []int32) (uint64, gcl.State) {
 	switch {
 	case plan.Symmetry:
@@ -146,29 +152,29 @@ func bucketInsert(bucket []kv, key gcl.State, val int32) []kv {
 	return append(bucket, kv{key: key, val: val})
 }
 
-// fpEntry packs the probe-relevant words of one fpTable slot — fingerprint
-// and value — into 16 bytes, four slots per cache line, so a probe walks a
-// single scalar array and only touches the pointer-carrying (GC-scanned)
-// keys array on a fingerprint match. fp == 0 marks an empty slot; the one
-// real fingerprint equal to 0 is remapped to 1 on entry (the full key
+// fpEntry is one fpTable slot: fingerprint, value and the key's keySlab
+// reference, 16 bytes with no Go pointers — four slots per cache line, and
+// nothing for the collector to scan. A probe compares the key in the slab
+// only on a fingerprint match. fp == 0 marks an empty slot; the one real
+// fingerprint equal to 0 is remapped to 1 on entry (the full key
 // comparison disambiguates the two colliding fingerprints, so exactness is
 // unchanged).
 type fpEntry struct {
 	fp  uint64
 	val int32
+	ref uint32
 }
 
 // fpTable is the exact stores' hash table: open addressing with linear
-// probing over flat arrays, replacing the historical map[uint64][]kv
-// buckets. A probe matches on fingerprint first (one integer compare) and
-// confirms with the full key comparison, so exactness is unchanged. The
-// flat layout wins twice on the hot path: a probe is one
-// cache-line-friendly array walk instead of a map access plus a
-// bucket-slice chase, and growth rehashes in place with zero per-entry
-// allocations. NOT goroutine-safe; callers lock (or run single-threaded).
+// probing over one flat slot array, its keys held in a keySlab that
+// several tables may share (the 64 shards of shardedStore do). A probe
+// matches on fingerprint first (one integer compare) and confirms against
+// the key in the slab, so membership is exact. Growth rehashes the slots
+// alone — keys never move. NOT goroutine-safe; callers lock (or run
+// single-threaded).
 type fpTable struct {
 	ents []fpEntry
-	keys []gcl.State
+	slab *keySlab
 	n    int
 	mask uint64
 	// limit is the occupancy at which the table grows (0.7 load factor —
@@ -195,71 +201,92 @@ func (t *fpTable) homeSlot(fp uint64) uint64 { return (fp >> fpShardBits) & t.ma
 
 func (t *fpTable) init(size int) {
 	t.ents = make([]fpEntry, size)
-	t.keys = make([]gcl.State, size)
 	t.mask = uint64(size - 1)
 	t.limit = size * 7 / 10
 	t.n = 0
 }
 
-func (t *fpTable) lookup(fp uint64, key gcl.State) (int32, bool) {
+// find returns the slot holding (fp, key), if any; fp must already be
+// remapped away from 0.
+func (t *fpTable) find(fp uint64, key gcl.State) (uint64, bool) {
 	if t.ents == nil {
-		return -1, false
-	}
-	if fp == 0 {
-		fp = 1
+		return 0, false
 	}
 	for i := t.homeSlot(fp); ; i = (i + 1) & t.mask {
-		e := t.ents[i]
+		e := &t.ents[i]
 		if e.fp == 0 {
-			return -1, false
+			return i, false
 		}
-		if e.fp == fp && t.keys[i].Equal(key) {
-			return e.val, true
+		if e.fp == fp && t.slab.at(e.ref).Equal(key) {
+			return i, true
 		}
 	}
 }
 
+func (t *fpTable) lookup(fp uint64, key gcl.State) (int32, bool) {
+	if fp == 0 {
+		fp = 1
+	}
+	if i, ok := t.find(fp, key); ok {
+		return t.ents[i].val, true
+	}
+	return -1, false
+}
+
 // insert stores val under (fp, key), replacing the value if the key is
-// already present. The key slice is retained.
+// already present; a fresh key is copied into the slab, so the caller keeps
+// ownership of key.
 func (t *fpTable) insert(fp uint64, key gcl.State, val int32) {
+	if fp == 0 {
+		fp = 1
+	}
+	if i, ok := t.find(fp, key); ok {
+		t.ents[i].val = val
+		return
+	}
+	t.place(fpEntry{fp: fp, val: val, ref: t.slab.append(key)})
+}
+
+// insertRef stores val under a key already in the table's slab, which must
+// not be in the table yet — the engines call it right after a missed
+// Lookup, so the vector they just numbered doubles as the key.
+func (t *fpTable) insertRef(fp uint64, ref uint32, val int32) {
+	if fp == 0 {
+		fp = 1
+	}
+	t.place(fpEntry{fp: fp, val: val, ref: ref})
+}
+
+// place puts a new entry into the first free slot of its probe sequence,
+// growing the table first when it is at its load limit.
+func (t *fpTable) place(e fpEntry) {
 	if t.ents == nil {
 		t.init(fpTableMinSize)
 	} else if t.n >= t.limit {
 		t.grow()
 	}
-	if fp == 0 {
-		fp = 1
-	}
-	for i := t.homeSlot(fp); ; i = (i + 1) & t.mask {
-		e := &t.ents[i]
-		if e.fp == 0 {
-			e.fp = fp
-			e.val = val
-			t.keys[i] = key
+	for i := t.homeSlot(e.fp); ; i = (i + 1) & t.mask {
+		if t.ents[i].fp == 0 {
+			t.ents[i] = e
 			t.n++
-			return
-		}
-		if e.fp == fp && t.keys[i].Equal(key) {
-			e.val = val
 			return
 		}
 	}
 }
 
-// grow quadruples the table: rehashing copies every live entry, so fewer,
+// grow quadruples the table: rehashing copies every live slot, so fewer,
 // larger steps cost less total zeroing and probing than doubling would; the
 // transient low load factor after a step is cheap by comparison.
 func (t *fpTable) grow() {
-	oldEnts, oldKeys := t.ents, t.keys
-	t.init(len(oldEnts) * 4)
-	for i, e := range oldEnts {
+	old := t.ents
+	t.init(len(old) * 4)
+	for _, e := range old {
 		if e.fp == 0 {
 			continue
 		}
 		for j := t.homeSlot(e.fp); ; j = (j + 1) & t.mask {
 			if t.ents[j].fp == 0 {
 				t.ents[j] = e
-				t.keys[j] = oldKeys[i]
 				t.n++
 				break
 			}
@@ -267,15 +294,29 @@ func (t *fpTable) grow() {
 	}
 }
 
+// slabStore is implemented by the exact in-heap stores, whose keys live in
+// a keySlab. When the plan keys on the concrete state, the engines number
+// their states in that same slab and insert by reference, so each vector
+// is stored once and serves as both state and key.
+type slabStore interface {
+	keys() *keySlab
+	// insertRef stores val under the key at ref in keys(); the key must be
+	// absent, and the caller must have exclusive access to the store.
+	insertRef(fp uint64, ref uint32, val int32)
+}
+
 // seqStore is the unsharded implementation: one table, no locks.
 type seqStore struct {
 	p    *gcl.Prog
 	plan Plan
+	slab keySlab
 	t    fpTable
 }
 
 func newSeqStore(p *gcl.Prog, plan Plan) *seqStore {
-	return &seqStore{p: p, plan: plan}
+	st := &seqStore{p: p, plan: plan}
+	st.t.slab = &st.slab
+	return st
 }
 
 func (st *seqStore) Prepare(s gcl.State, extra ...int32) (uint64, gcl.State) {
@@ -290,38 +331,39 @@ func (st *seqStore) Insert(fp uint64, key gcl.State, val int32) {
 	st.t.insert(fp, key, val)
 }
 
-// shardCount is the number of stripes in the sharded store; a power of two
-// so shard selection is a mask. 64 stripes keep lock contention negligible
-// up to far more workers than any current machine provides.
-const shardCount = 64
+func (st *seqStore) keys() *keySlab { return &st.slab }
 
-// storeShard is one stripe: an fpTable guarded by a read-write mutex.
-// The parallel engine's drain pass bypasses the mutex entirely — under
-// owner-computes sharding each shard's table is read by exactly one owner
-// goroutine per phase, and the sole writer (the merge pass) runs strictly
-// between phases — so the lock only serializes the generic Lookup/Insert
-// interface for callers outside the engine's barrier protocol (the
-// monitor and memo searches, tests).
-type storeShard struct {
-	mu sync.RWMutex
-	t  fpTable
+func (st *seqStore) insertRef(fp uint64, ref uint32, val int32) {
+	st.t.insertRef(fp, ref, val)
 }
 
-// shardedStore stripes the tables over shardCount shards selected by
-// fingerprint.
+// shardCount is the number of stripes in the sharded store; a power of two
+// so shard selection is a mask. The parallel engine partitions the shards
+// over its workers, so 64 leaves every worker of any current machine a
+// share.
+const shardCount = 64
+
+// shardedStore stripes its tables over shardCount shards selected by
+// fingerprint, all keyed into one shared slab. The parallel engine's drain
+// pass reads the tables directly — under owner-computes sharding each
+// shard's table is read by exactly one owner goroutine per phase — and its
+// merge pass is the sole writer, running strictly between phases. The
+// store-wide mutex therefore only serializes the generic Lookup/Insert
+// interface for callers outside the engine's barrier protocol (the monitor
+// and memo searches, tests); one lock suffices there, and any write may
+// append to the shared slab.
 type shardedStore struct {
 	p    *gcl.Prog
 	plan Plan
+	mu   sync.RWMutex
 	// merging marks the single-threaded merge pass: BeginMerge/EndMerge
-	// bracket it, and while set, Insert and Lookup skip the shard mutexes
-	// entirely — the per-insert lock/unlock pair was pure overhead there,
-	// and batching the whole chunk's insertions into one unlocked pass
-	// amortizes synchronization to two flag writes per chunk. The flag
-	// flips only while workers are quiescent (between expansion phases),
-	// and goroutine spawn/join edges order it against worker reads, so
-	// the default locked behavior outside merges is unchanged.
+	// bracket it, and while set, Insert and Lookup skip the mutex entirely.
+	// The flag flips only while workers are quiescent (between expansion
+	// phases), and goroutine spawn/join edges order it against worker
+	// reads, so the default locked behavior outside merges is unchanged.
 	merging bool
-	shards  [shardCount]storeShard
+	slab    keySlab
+	tabs    [shardCount]fpTable
 }
 
 // mergeBatcher is implemented by stores whose Insert path can batch under
@@ -333,41 +375,51 @@ type mergeBatcher interface {
 }
 
 func newShardedStore(p *gcl.Prog, plan Plan) *shardedStore {
-	return &shardedStore{p: p, plan: plan}
+	st := &shardedStore{p: p, plan: plan}
+	for i := range st.tabs {
+		st.tabs[i].slab = &st.slab
+	}
+	return st
 }
 
 func (st *shardedStore) Prepare(s gcl.State, extra ...int32) (uint64, gcl.State) {
 	return prepare(st.p, st.plan, s, extra)
 }
 
-// BeginMerge enters the single-threaded merge pass: shard mutexes are
-// elided until EndMerge. Callers must guarantee no concurrent access.
+// BeginMerge enters the single-threaded merge pass: the mutex is elided
+// until EndMerge. Callers must guarantee no concurrent access.
 func (st *shardedStore) BeginMerge() { st.merging = true }
 
-// EndMerge re-enables shard locking before workers resume.
+// EndMerge re-enables locking before workers resume.
 func (st *shardedStore) EndMerge() { st.merging = false }
 
+// shard returns the table owning fp.
+func (st *shardedStore) shard(fp uint64) *fpTable { return &st.tabs[fp&(shardCount-1)] }
+
 func (st *shardedStore) Lookup(fp uint64, key gcl.State) (int32, bool) {
-	sh := &st.shards[fp&(shardCount-1)]
 	if st.merging {
-		return sh.t.lookup(fp, key)
+		return st.shard(fp).lookup(fp, key)
 	}
-	sh.mu.RLock()
-	idx, ok := sh.t.lookup(fp, key)
-	sh.mu.RUnlock()
+	st.mu.RLock()
+	idx, ok := st.shard(fp).lookup(fp, key)
+	st.mu.RUnlock()
 	return idx, ok
 }
 
-// Insert must only be called from the single-threaded merge pass.
 func (st *shardedStore) Insert(fp uint64, key gcl.State, val int32) {
-	sh := &st.shards[fp&(shardCount-1)]
 	if st.merging {
-		sh.t.insert(fp, key, val)
+		st.shard(fp).insert(fp, key, val)
 		return
 	}
-	sh.mu.Lock()
-	sh.t.insert(fp, key, val)
-	sh.mu.Unlock()
+	st.mu.Lock()
+	st.shard(fp).insert(fp, key, val)
+	st.mu.Unlock()
+}
+
+func (st *shardedStore) keys() *keySlab { return &st.slab }
+
+func (st *shardedStore) insertRef(fp uint64, ref uint32, val int32) {
+	st.shard(fp).insertRef(fp, ref, val)
 }
 
 // hiSeedBase seeds the compact store's second fingerprint word; xor-ing the
@@ -479,11 +531,7 @@ func (st *compactStore) Insert(fp uint64, key gcl.State, val int32) {
 	}
 	sh.mu.Unlock()
 	if st.shadow != nil {
-		// The exact shadow retains its key slice, but engines hand lossy
-		// tiers transient scratch keys (recycled per chunk) — copy before
-		// forwarding. Shadow mode is a validation tool; the allocation is
-		// acceptable there.
-		st.shadow.Insert(fp, append(gcl.State(nil), key...), val)
+		st.shadow.Insert(fp, key, val)
 	}
 }
 

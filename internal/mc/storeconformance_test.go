@@ -4,10 +4,11 @@ package mc
 // newStateStore — seq, sharded, symmetry-keyed, pinned-keyed, spill,
 // compact (both widths, with and without shadow), bitstate — is pushed
 // through one shared contract (insert/lookup idempotence, value
-// stability, concurrent-insert safety under -race) and, at the engine
-// level, through a verdict-parity matrix against the exact store on
-// every registered specification. The companion fuzz targets live in
-// storefuzz_test.go, the lossy-refusal tests in storegate_test.go.
+// stability, Insert copying the caller's key, concurrent-insert safety
+// under -race) and, at the engine level, through a verdict-parity matrix
+// against the exact store on every registered specification. The
+// companion fuzz targets live in storefuzz_test.go, the lossy-refusal
+// tests in storegate_test.go.
 
 import (
 	"fmt"
@@ -117,10 +118,10 @@ func dedupeByKey(st StateStore, states []gcl.State) []gcl.State {
 }
 
 // TestStoreConformanceContract runs the single-threaded contract clauses
-// against every variant: a fresh store misses, Prepare is a pure function
-// of the state, insert→lookup round-trips, re-insert is idempotent,
-// value replacement sticks, and extra key words open a separate key
-// space. Lossy stores must satisfy all of it too — their failure mode is
+// against every variant: a fresh store misses, Insert does not keep the
+// caller's key buffer, Prepare is a pure function of the state,
+// insert→lookup round-trips, re-insert is idempotent, value replacement
+// sticks, and extra key words open a separate key space. Lossy stores must satisfy all of it too — their failure mode is
 // false HITS across distinct states (covered probabilistically by the
 // parity matrix and the fuzz targets), never a false miss of an inserted
 // key.
@@ -139,6 +140,23 @@ func TestStoreConformanceContract(t *testing.T) {
 				fp, key := st.Prepare(s)
 				if _, ok := st.Lookup(fp, key); ok {
 					t.Fatalf("empty store reported a hit for %v", s)
+				}
+			}
+			// Insert copies the key: the caller may overwrite its buffer,
+			// after which the original content still hits and the new one
+			// misses (checked on a fresh store, so nothing else is in it).
+			{
+				own := newStateStore(p, v.sharded, v.plan, nil)
+				fpA, keyA := own.Prepare(states[0])
+				fpB, keyB := own.Prepare(states[1])
+				buf := append(gcl.State(nil), keyA...)
+				own.Insert(fpA, buf, 1)
+				copy(buf, keyB)
+				if _, ok := own.Lookup(fpA, keyA); !ok {
+					t.Fatal("overwriting the caller's key after Insert lost the entry")
+				}
+				if _, ok := own.Lookup(fpB, keyB); ok {
+					t.Fatal("overwriting the caller's key after Insert made its new content hit")
 				}
 			}
 			// Prepare is deterministic: same state, same probe.
