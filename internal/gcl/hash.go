@@ -1,10 +1,9 @@
 package gcl
 
 // State hashing for the model checker's visited sets (hash v2). The
-// sequential engine keys its flat visited table on this 64-bit fingerprint
+// exploration engine keys its flat visited table on this 64-bit fingerprint
 // and resolves the rare collisions by comparing full state vectors (Equal),
-// as does the parallel engine's sharded store — so the fingerprint needs
-// good dispersion but not injectivity.
+// so the fingerprint needs good dispersion but not injectivity.
 //
 // v2 replaces the original byte-at-a-time FNV-1a (four multiplies per int32
 // word) with a word-wise multiply-xor chain: two consecutive int32 words

@@ -179,13 +179,13 @@ func scalingWorkerSuffix(w int) string {
 	return fmt.Sprintf("w%d", w)
 }
 
-// appendScalingBench measures how the parallel engine scales with worker
-// count: an unreduced safety check of two mid-size cells — big enough that
-// the chunked expand/drain machinery dominates, small enough that four
-// worker settings stay cheap — at each scalingWorkers setting. The rows
-// feed CompareMCBench's scaling tripwire: on a multi-core machine the
-// "wmax" row should not fall behind "w1" (owner-computes sharding is
-// supposed to pay for its routing), and a regression of that ratio across
+// appendScalingBench measures how exploration scales with worker count: an
+// unreduced safety check of two mid-size cells — big enough that the
+// chunked parallel pre-pass dominates, small enough that four worker
+// settings stay cheap — at each scalingWorkers setting. The rows feed
+// CompareMCBench's scaling tripwire: on a multi-core machine the "wmax"
+// row should not fall behind "w1" (the pre-pass is supposed to pay for
+// its chunk records), and a regression of that ratio across
 // snapshots warns without failing the gate (single-core runners would
 // otherwise always fail it).
 func appendScalingBench(rep *MCBenchReport) error {

@@ -20,10 +20,10 @@ import (
 // measure; the zero value reproduces the recorded EXPERIMENTS.md settings.
 type ExpConfig struct {
 	// MCWorkers is passed through to mc.Options.Workers for every
-	// mc.Check and mc.BuildGraph call an experiment makes: 0 runs the
-	// sequential engine, a positive count the parallel engine with that
-	// many expansion goroutines, -1 one per GOMAXPROCS. Results are
-	// identical either way (the engines are deterministic); only
+	// mc.Check and mc.BuildGraph call an experiment makes: 0 and 1 expand
+	// states sequentially, a larger count on that many goroutines, -1 one
+	// per GOMAXPROCS. Results are identical either way (exploration is
+	// deterministic); only
 	// wall-clock time changes. The FCFS monitor (E6) and bounded
 	// refinement (E11) checkers have their own exploration loops and
 	// always run sequentially.

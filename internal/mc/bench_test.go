@@ -46,9 +46,9 @@ func BenchmarkBuildGraph(b *testing.B) {
 	}
 }
 
-// workerVariants are the engine configurations the comparative benchmarks
-// sweep: the sequential engine, and the parallel engine at 1 worker (engine
-// overhead), 4 workers, and GOMAXPROCS workers.
+// workerVariants are the worker counts the comparative benchmarks sweep:
+// sequential mode (0, and 1, which runs it too), 4 workers, and GOMAXPROCS
+// workers.
 func workerVariants() []struct {
 	name    string
 	workers int
@@ -99,10 +99,10 @@ func BenchmarkBuildGraphWorkers(b *testing.B) {
 // BenchmarkExploreBakery8 measures raw exploration throughput on an
 // 8-process Bakery++ model. The full space is far beyond reach, so the run
 // is bounded to the first 150k states — enough BFS levels that the frontier
-// is tens of thousands of states wide and the parallel engine's expansion
-// phase dominates. On a multi-core runner the parallel variants should beat
-// sequential well past the 1.5x mark; on a single hardware thread they
-// mostly measure engine overhead.
+// is tens of thousands of states wide and the parallel pre-pass's
+// expansion dominates. On a multi-core runner the parallel variants should
+// beat sequential mode; on a single hardware thread they mostly measure the
+// pre-pass's overhead.
 func BenchmarkExploreBakery8(b *testing.B) {
 	const bound = 150_000
 	for _, v := range workerVariants() {

@@ -59,61 +59,54 @@ func (g *Graph) State(i int) gcl.State { return g.expl.stateAt(int32(i)) }
 // its transition graph. Unlike Check it does not stop at invariant
 // violations (Summary.Violation still records the first one found); it
 // fails only if the state bound is exceeded, since an incomplete graph
-// would make cycle analysis meaningless. Options.Workers selects between
-// the sequential engine below and the parallel engine; state numbering and
-// edge order are identical either way. The reduction plan comes from the
-// pipeline's GraphAnalysis declaration: POR never applies (the graph
-// analyses — SCCs, starvation and no-progress cycles — quantify over every
-// interleaving, which a partial-order-reduced graph by design omits), but
-// symmetry does — the result is then the QUOTIENT graph, one state per
-// encountered orbit, with permutation-annotated edges the cycle analyses
-// lift concrete pid identities through (quotient.go).
+// would make cycle analysis meaningless. Options.Workers sets how many
+// goroutines expand states; state numbering and edge order do not depend
+// on it. The reduction plan comes from the pipeline's GraphAnalysis
+// declaration: POR never applies (the graph analyses — SCCs, starvation
+// and no-progress cycles — quantify over every interleaving, which a
+// partial-order-reduced graph by design omits), but symmetry does — the
+// result is then the QUOTIENT graph, one state per encountered orbit, with
+// permutation-annotated edges the cycle analyses lift concrete pid
+// identities through (quotient.go).
 func BuildGraph(p *gcl.Prog, opts Options) (*Graph, error) {
 	plan, err := planFor(p, opts, GraphAnalysis{Invariants: opts.Invariants})
 	if err != nil {
 		return nil, err
 	}
-	if opts.Workers != 0 {
-		return buildGraphParallel(p, opts, plan)
-	}
 	start := time.Now()
-	e := newExplorer(p, opts, false, plan)
+	e := newExplorer(p, opts, plan)
 	res := &Result{Prog: p, Symmetry: e.symmetry}
 	g := &Graph{Summary: res, expl: e}
 
 	init := p.InitState()
 	e.add(&e.wc, init, -1, -1, crashLabelIdx)
 	g.Adj = append(g.Adj, nil)
-	if name, bad := e.checkInvariants(init); bad {
-		t := e.trace(0)
-		res.Violation = &Violation{Invariant: name, Trace: t}
+	if v := e.checkInvariants(init); v >= 0 {
+		res.Violation = &Violation{Invariant: e.opts.Invariants[v].Name, Trace: e.trace(0)}
 	}
 
-	for head := 0; head < e.numStates(); head++ {
+	for head := int32(0); int(head) < e.numStates(); head++ {
 		if e.numStates() > e.opts.MaxStates {
 			return nil, fmt.Errorf("mc: %s: state bound %d exceeded while building graph",
 				p.Name, e.opts.MaxStates)
 		}
-		e.wc.buf.Reset()
-		e.wc.slab.Reset()
-		s := e.stateAt(int32(head))
 		res.Depth = int(e.depth[head])
-		succs, _, _, _ := e.successors(s, &e.wc)
-		e.prepBuf = growPreps(e.prepBuf, len(succs))
-		e.prepSuccs(&e.wc, succs, e.prepBuf)
-		for i, sc := range succs {
+		x := e.expansionOf(head)
+		lo, hi := e.commit(x, e.depth[head])
+		for i := lo; i < hi; i++ {
 			res.Transitions++
-			pr := &e.prepBuf[i]
-			idx, fresh := e.addPrepared(pr.fp, pr.key, pr.perm, sc.State, int32(head), int32(sc.Pid), sc.LabelIdx)
+			idx, fresh := e.addSucc(x, i, head)
 			if fresh {
 				g.Adj = append(g.Adj, nil)
-				if name, bad := e.checkInvariants(sc.State); bad && res.Violation == nil {
-					t := e.trace(idx)
-					res.Violation = &Violation{Invariant: name, Trace: t}
+				if res.Violation == nil {
+					if v := e.violation(x, i); v >= 0 {
+						res.Violation = &Violation{Invariant: e.opts.Invariants[v].Name, Trace: e.trace(idx)}
+					}
 				}
 			}
+			sc := &x.succs[i]
 			g.Adj[head] = append(g.Adj[head], Edge{To: idx, Pid: int8(sc.Pid), LabelIdx: sc.LabelIdx,
-				Perm: e.edgePermIdx(pr.perm, idx, fresh)})
+				Perm: e.edgePermIdx(x.preps[i].perm, idx, fresh)})
 		}
 	}
 	res.States = e.numStates()

@@ -128,13 +128,14 @@ type Options struct {
 	// Mode is the store semantics; model checking uses ModeUnbounded so
 	// the NoOverflow invariant can observe attempted over-stores.
 	Mode gcl.Mode
-	// Workers selects the exploration engine. 0 (the default) runs the
-	// sequential BFS; a positive count runs the chunked parallel engine
-	// (see parallel.go) with that many expansion goroutines; a negative
-	// count uses GOMAXPROCS. Both engines number states
-	// identically, so Check results, graphs, traces, and the SCC analyses
+	// Workers sets how many goroutines expand states. 0 (the default) and
+	// 1 expand one BFS head at a time on the caller's goroutine; a count of
+	// 2 or more pre-expands chunks of queued heads on that many goroutines
+	// before the single-threaded merge numbers them (see parallel.go); a
+	// negative count uses GOMAXPROCS. States are numbered identically
+	// either way, so Check results, graphs, traces, and the SCC analyses
 	// are byte-for-byte independent of this setting. Invariant predicates
-	// must be safe for concurrent use when Workers != 0 (the stock
+	// must be safe for concurrent use when Workers >= 2 (the stock
 	// invariants are pure reads and qualify).
 	Workers int
 	// Symmetry enables process-symmetry reduction: the visited store keys
@@ -327,31 +328,31 @@ const crashLabel = "CRASH"
 // renders it as crashLabel.
 const crashLabelIdx = int32(-1)
 
-// wctx is one expansion context: the per-worker scratch the hot path
-// allocates from. The sequential engine owns one; the parallel engine keeps
-// one per expansion goroutine. buf is reset once per BFS head (sequential)
-// or once per chunk (parallel), recycling every successor vector, canonical
-// key copy, and crash state generated since; canon is the reusable
-// canonicalizer (nil when the run is not symmetry-reduced).
+// wctx is one expansion context: the scratch the hot path allocates from.
+// The explorer owns one for heads it expands itself; the parallel pre-pass
+// keeps one per worker. buf is reset once per head expanded alone, or once
+// per pre-pass chunk, recycling every successor vector, canonical key copy,
+// and crash state generated since; canon is the reusable canonicalizer (nil
+// when the run is not symmetry-reduced).
 type wctx struct {
 	buf   gcl.SuccBuf
 	canon *gcl.Canonicalizer
 	// slab and fps are the batched store-probe scratch behind prepSuccs:
 	// under symmetry a whole successor run canonicalizes into the
 	// structure-of-arrays key slab in one call; otherwise only the
-	// fingerprint batch is computed (the key is the state itself). preps is
-	// the per-worker probe scratch the parallel engine's expansion fills.
-	// All recycled on the same cadence as buf.
-	slab  gcl.KeySlab
-	fps   []uint64
-	preps []prep
+	// fingerprint batch is computed (the key is the state itself). preps,
+	// seen and violated back the pre-pass's expansion records. All recycled
+	// on the same cadence as buf.
+	slab     gcl.KeySlab
+	fps      []uint64
+	preps    []prep
+	seen     []int32
+	violated []int32
 }
 
 // explorer is the shared BFS engine behind Check and BuildGraph. Its
 // visited set is a StateStore (store.go): fingerprint-keyed, Equal- (or,
-// under symmetry, canonical-)confirmed, so the sequential engine shares
-// the allocation-light scheme the parallel engine always used instead of
-// keying a map on Prog.Key strings.
+// under symmetry, canonical-)confirmed.
 type explorer struct {
 	p        *gcl.Prog
 	opts     Options
@@ -373,12 +374,6 @@ type explorer struct {
 	// shared state: while disabled, another process's write can enable
 	// them, so their process cannot be singled out (see ampleProcessOK).
 	porGuardShared [][]bool
-	// prepBuf holds the current head's prepared store probes, aligned
-	// index-for-index with its successor list: the ample segment is
-	// batch-prepared first for the C3 proviso check, the remainder only when
-	// the proviso fails, so committed reductions never canonicalize twice.
-	// Sequential engine only.
-	prepBuf []prep
 	// chaseCap bounds local-chain compression so a cycle of local actions
 	// (a local spin) cannot chase forever.
 	chaseCap int
@@ -407,10 +402,13 @@ type explorer struct {
 	parentLb  []int32 // label index of the producing action; crashLabelIdx for crashes/init
 	depth     []int32
 	crashers  []int
-	// wc is the sequential engine's expansion context; the parallel engine
-	// carries its own per-worker contexts and leaves this one to the merge
-	// pass.
-	wc wctx
+	// wc and seq expand the heads the explorer expands alone: every head in
+	// sequential mode, and in parallel mode those met while the queue is
+	// too narrow for the pre-pass. pre is parallel mode's pre-pass (nil in
+	// sequential mode).
+	wc  wctx
+	seq expansion
+	pre *prepass
 }
 
 // newExplorer builds the engine state for one exploration executing the
@@ -418,7 +416,7 @@ type explorer struct {
 // soundness for the requesting analysis, e.g. crashing only a proper
 // subset of processes distinguishes their identities and disables
 // symmetry).
-func newExplorer(p *gcl.Prog, opts Options, sharded bool, plan Plan) *explorer {
+func newExplorer(p *gcl.Prog, opts Options, plan Plan) *explorer {
 	if opts.MaxStates == 0 {
 		opts.MaxStates = DefaultMaxStates
 		if plan.Store.Lossy() || plan.Store.Spill {
@@ -453,7 +451,7 @@ func newExplorer(p *gcl.Prog, opts Options, sharded bool, plan Plan) *explorer {
 	if plan.Symmetry || plan.TrackPerms {
 		e.wc.canon = p.NewCanonicalizer()
 	}
-	e.store = newStateStore(p, sharded, plan, e.ar)
+	e.store = newStateStore(p, plan, e.ar)
 	if e.ar == nil && !e.release {
 		ss, exact := e.store.(slabStore)
 		if exact && !plan.Symmetry && !plan.TrackPerms && plan.Pinned == nil {
@@ -462,6 +460,7 @@ func newExplorer(p *gcl.Prog, opts Options, sharded bool, plan Plan) *explorer {
 			e.slab = &keySlab{}
 		}
 	}
+	e.pre = newPrepass(e)
 	return e
 }
 
@@ -581,6 +580,28 @@ type prep struct {
 	perm int32
 }
 
+// expansion is one expanded BFS head, the unit the merge step consumes: its
+// successors, their store probes (index-aligned), the ample segment
+// succs[aLo:aHi] when partial-order reduction singled out a process (empty
+// otherwise), and whether any program action was enabled (crash
+// pseudo-transitions do not count), which feeds deadlock detection.
+//
+// A head the explorer expands alone gets its probes prepared lazily by
+// commit, so a committed ample segment never prepares the complement. The
+// parallel pre-pass prepares every probe ahead (ahead set) and adds its
+// advisory per-successor verdicts: seen is the state's number if the store
+// held it at pre-pass time, else -1; violated, for those seen misses, is
+// the index of the first invariant the state breaks, else -1.
+type expansion struct {
+	succs    []gcl.Succ
+	preps    []prep
+	aLo, aHi int
+	progress bool
+	ahead    bool
+	seen     []int32
+	violated []int32
+}
+
 // prepareProbe computes the store probe for s using the expansion context's
 // reusable canonicalizer. The canonical key is copied into the context's
 // scratch buffer (the canonicalizer's own scratch is overwritten by its
@@ -638,11 +659,13 @@ func (e *explorer) prepSuccs(w *wctx, succs []gcl.Succ, dst []prep) {
 	}
 }
 
-// growPreps resizes a probe scratch buffer to hold n entries, reusing its
-// capacity.
-func growPreps(buf []prep, n int) []prep {
+// grow resizes a scratch buffer to n entries, reusing its capacity. It
+// doubles when it must reallocate and does not copy: callers only ever read
+// entries they write after growing, or through subslices that keep the old
+// backing array alive.
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]prep, n)
+		return make([]T, n, max(n, 2*cap(buf)))
 	}
 	return buf[:n]
 }
@@ -764,20 +787,9 @@ func (e *explorer) edgeSteps(parent, child gcl.State, pid int, label string) []S
 	panic("mc: cannot reconstruct reduced-graph edge as a concrete chain")
 }
 
-// checkInvariants returns the name of the first violated invariant, if any.
-func (e *explorer) checkInvariants(s gcl.State) (string, bool) {
-	for _, inv := range e.opts.Invariants {
-		if !inv.Holds(e.p, s) {
-			return inv.Name, true
-		}
-	}
-	return "", false
-}
-
-// checkInvariantsIdx returns the index into Options.Invariants of the first
-// violated invariant, or -1 — the form the parallel engine's candidate
-// records carry (an int32 instead of a name string keeps them compact).
-func (e *explorer) checkInvariantsIdx(s gcl.State) int32 {
+// checkInvariants returns the index into Options.Invariants of the first
+// invariant s violates, or -1.
+func (e *explorer) checkInvariants(s gcl.State) int32 {
 	for i := range e.opts.Invariants {
 		if !e.opts.Invariants[i].Holds(e.p, s) {
 			return int32(i)
@@ -788,22 +800,21 @@ func (e *explorer) checkInvariantsIdx(s gcl.State) int32 {
 
 // successors yields all program successors of s plus crash transitions,
 // together with the ample segment: when POR is on and some process's
-// every enabled branch is ample-eligible, aPid is the lowest such pid and
-// succs[aLo:aHi] are exactly its successors (aPid is -1 otherwise). The
+// every enabled branch is ample-eligible, succs[aLo:aHi] are exactly the
+// successors of the lowest such pid (aLo == aHi when there is none). The
 // caller commits to the segment only if every state in it is absent from
 // the visited store (the C3 proviso); the full list is always returned so
 // deadlock detection and proviso fallback need no recomputation.
-func (e *explorer) successors(s gcl.State, w *wctx) (succs []gcl.Succ, aPid, aLo, aHi int) {
+func (e *explorer) successors(s gcl.State, w *wctx) (succs []gcl.Succ, aLo, aHi int) {
 	buf := &w.buf
 	base := len(buf.Succs())
-	aPid = -1
 	for pid := 0; pid < e.p.N; pid++ {
 		start := len(buf.Succs())
 		e.p.SuccsInto(s, pid, e.opts.Mode, buf)
 		sl := buf.Succs()
-		if e.por && aPid < 0 && len(sl) > start &&
+		if e.por && aHi == aLo && len(sl) > start &&
 			e.ampleProcessOK(e.p.PC(s, pid), sl[start:]) {
-			aPid, aLo, aHi = pid, start-base, len(sl)-base
+			aLo, aHi = start-base, len(sl)-base
 		}
 	}
 	succs = buf.Succs()[base:]
@@ -830,7 +841,7 @@ func (e *explorer) successors(s gcl.State, w *wctx) (succs []gcl.Succ, aPid, aLo
 		e.p.CrashSuccInto(dst, s, pid)
 		buf.Append(gcl.Succ{State: dst, Pid: pid, LabelIdx: crashLabelIdx})
 	}
-	return buf.Succs()[base:], aPid, aLo, aHi
+	return buf.Succs()[base:], aLo, aHi
 }
 
 // ampleProcessOK reports whether a process's complete branch set at pc
@@ -911,31 +922,120 @@ func (e *explorer) chase(sc gcl.Succ, buf *gcl.SuccBuf) gcl.Succ {
 	return sc
 }
 
-// ampleOKPrep decides the BFS cycle proviso (C3) for a state at depth d
-// over already-prepared probes: a reduced expansion is allowed only if
-// every ample successor is either not yet in the visited store (it will be
-// numbered at depth d+1) or already stored at exactly depth d+1. Every edge
-// a reduced expansion keeps therefore strictly increases depth by one, and
-// depth cannot strictly increase around a cycle, so every cycle of the
-// reduced graph contains at least one fully expanded state — no enabled
-// action is ignored forever. (The classic stricter proviso — all
-// successors fresh — breaks ties the same way but refuses harmless
-// cross-edges within the next BFS level, which in diamond-shaped
-// interleaving lattices vetoes most reductions.)
-func (e *explorer) ampleOKPrep(preps []prep, d int32) bool {
-	for i := range preps {
-		if idx, ok := e.store.Lookup(preps[i].fp, preps[i].key); ok && e.depth[idx] != d+1 {
+// expansionOf expands head for the merge step. In parallel mode the head
+// comes from the chunk the pre-pass expanded; once head has passed that
+// chunk the pre-pass runs over the next maxChunk queued heads — when at
+// least minChunk are queued. Otherwise head is expanded alone into the
+// explorer's own context, recycled per head, as in sequential mode.
+func (e *explorer) expansionOf(head int32) *expansion {
+	if pp := e.pre; pp != nil {
+		if queued := int32(e.numStates()) - head; head >= pp.hi && queued >= minChunk {
+			pp.expand(e, head, head+min(queued, maxChunk))
+		}
+		if head < pp.hi {
+			return &pp.exps[head-pp.lo]
+		}
+	}
+	x := &e.seq
+	e.wc.buf.Reset()
+	e.wc.slab.Reset()
+	e.expandInto(head, x, &e.wc)
+	x.preps = grow(x.preps, len(x.succs))
+	return x
+}
+
+// expandInto generates head's successors into w and records them in x,
+// leaving the probes unprepared.
+func (e *explorer) expandInto(head int32, x *expansion, w *wctx) {
+	x.succs, x.aLo, x.aHi = e.successors(e.stateAt(head), w)
+	x.progress, x.ahead = false, false
+	for i := range x.succs {
+		if x.succs[i].LabelIdx >= 0 {
+			x.progress = true
+			break
+		}
+	}
+}
+
+// commit picks the successors a head at depth d merges, succs[lo:hi]: its
+// ample segment when the C3 proviso holds at this point of the merge (see
+// ampleOK), all of them otherwise. Probes not prepared ahead are prepared
+// here, the segment's first and the complement's only when the proviso
+// fails, so no probe is computed twice.
+func (e *explorer) commit(x *expansion, d int32) (lo, hi int) {
+	if x.aHi > x.aLo {
+		if !x.ahead {
+			e.prepSuccs(&e.wc, x.succs[x.aLo:x.aHi], x.preps[x.aLo:x.aHi])
+		}
+		if e.ampleOK(x, d) {
+			return x.aLo, x.aHi
+		}
+		if !x.ahead {
+			e.prepSuccs(&e.wc, x.succs[:x.aLo], x.preps[:x.aLo])
+			e.prepSuccs(&e.wc, x.succs[x.aHi:], x.preps[x.aHi:])
+		}
+	} else if !x.ahead {
+		e.prepSuccs(&e.wc, x.succs, x.preps)
+	}
+	return 0, len(x.succs)
+}
+
+// ampleOK decides the BFS cycle proviso (C3) for a state at depth d: a
+// reduced expansion is allowed only if every ample successor is either not
+// yet in the visited store (it will be numbered at depth d+1) or already
+// stored at exactly depth d+1. Every edge a reduced expansion keeps
+// therefore strictly increases depth by one, and depth cannot strictly
+// increase around a cycle, so every cycle of the reduced graph contains at
+// least one fully expanded state — no enabled action is ignored forever.
+// (The classic stricter proviso — all successors fresh — breaks ties the
+// same way but refuses harmless cross-edges within the next BFS level,
+// which in diamond-shaped interleaving lattices vetoes most reductions.)
+// The merge decides it in merge order, so the answer does not depend on
+// how far ahead the pre-pass ran.
+func (e *explorer) ampleOK(x *expansion, d int32) bool {
+	for i := x.aLo; i < x.aHi; i++ {
+		if idx, ok := e.lookup(x, i); ok && e.depth[idx] != d+1 {
 			return false
 		}
 	}
 	return true
 }
 
+// lookup probes the visited store for successor i of x. A pre-pass hit is
+// final (the store never deletes); a pre-pass miss is probed again, since
+// an earlier merge may have inserted the state since.
+func (e *explorer) lookup(x *expansion, i int) (int32, bool) {
+	if x.ahead && x.seen[i] >= 0 {
+		return x.seen[i], true
+	}
+	return e.store.Lookup(x.preps[i].fp, x.preps[i].key)
+}
+
+// addSucc numbers successor i of head if it is new, returning its index and
+// whether it was fresh. Only the merge calls it; the order of its calls is
+// the state numbering.
+func (e *explorer) addSucc(x *expansion, i int, head int32) (int32, bool) {
+	if x.ahead && x.seen[i] >= 0 {
+		return x.seen[i], false
+	}
+	pr, sc := &x.preps[i], &x.succs[i]
+	return e.addPrepared(pr.fp, pr.key, pr.perm, sc.State, head, int32(sc.Pid), sc.LabelIdx)
+}
+
+// violation returns the index of the first invariant fresh successor i of
+// x breaks, or -1 — evaluated here, or read from the pre-pass.
+func (e *explorer) violation(x *expansion, i int) int32 {
+	if x.ahead {
+		return x.violated[i]
+	}
+	return e.checkInvariants(x.succs[i].State)
+}
+
 // Check explores the reachable states of p breadth-first, verifying the
 // configured invariants, and returns as soon as a violation or deadlock is
 // found (the BFS order makes the returned counterexample shortest).
-// Options.Workers selects between the sequential engine below and the
-// parallel engine; both produce identical results.
+// Options.Workers sets how many goroutines expand states; the result does
+// not depend on it.
 func Check(p *gcl.Prog, opts Options) *Result {
 	plan, err := planFor(p, opts, SafetyAnalysis{Invariants: opts.Invariants})
 	if err != nil {
@@ -944,11 +1044,8 @@ func Check(p *gcl.Prog, opts Options) *Result {
 		// ParseStoreSpec).
 		panic(err)
 	}
-	if opts.Workers != 0 {
-		return checkParallel(p, opts, plan)
-	}
 	start := time.Now()
-	e := newExplorer(p, opts, false, plan)
+	e := newExplorer(p, opts, plan)
 	res := &Result{Prog: p, Symmetry: e.symmetry, POR: e.por}
 
 	finish := func() *Result {
@@ -960,68 +1057,37 @@ func Check(p *gcl.Prog, opts Options) *Result {
 
 	init := p.InitState()
 	idx, _ := e.add(&e.wc, init, -1, -1, crashLabelIdx)
-	if name, bad := e.checkInvariants(init); bad {
-		t := e.trace(idx)
-		res.Violation = &Violation{Invariant: name, Trace: t}
+	if v := e.checkInvariants(init); v >= 0 {
+		res.Violation = &Violation{Invariant: e.opts.Invariants[v].Name, Trace: e.trace(idx)}
 		return finish()
 	}
 
-	for head := 0; head < e.numStates(); head++ {
+	for head := int32(0); int(head) < e.numStates(); head++ {
 		if e.numStates() >= e.opts.MaxStates {
 			return finish()
 		}
-		// One head, one buffer generation: every successor vector, canonical
-		// key, chase intermediate, and slab-packed probe below lives in
-		// e.wc's scratch and is recycled here. Fresh states were copied
-		// out by addPrepared.
-		e.wc.buf.Reset()
-		e.wc.slab.Reset()
-		s := e.stateAt(int32(head))
 		res.Depth = int(e.depth[head])
-		succs, aPid, aLo, aHi := e.successors(s, &e.wc)
-		progress := false
-		for _, sc := range succs {
-			if sc.LabelIdx >= 0 {
-				progress = true
-				break
-			}
-		}
-		// Probes are batch-prepared into prepBuf, index-aligned with succs.
-		// A committed reduction prepares and walks only the ample segment;
-		// on proviso failure the complement is prepared too — the segment's
-		// probes are never recomputed.
-		e.prepBuf = growPreps(e.prepBuf, len(succs))
-		use, preps := succs, e.prepBuf
-		if aPid >= 0 {
-			e.prepSuccs(&e.wc, succs[aLo:aHi], e.prepBuf[aLo:aHi])
-			if e.ampleOKPrep(e.prepBuf[aLo:aHi], e.depth[head]) {
-				use, preps = succs[aLo:aHi], e.prepBuf[aLo:aHi]
-			} else {
-				e.prepSuccs(&e.wc, succs[:aLo], e.prepBuf[:aLo])
-				e.prepSuccs(&e.wc, succs[aHi:], e.prepBuf[aHi:])
-			}
-		} else {
-			e.prepSuccs(&e.wc, succs, e.prepBuf)
-		}
-		for i, sc := range use {
+		x := e.expansionOf(head)
+		lo, hi := e.commit(x, e.depth[head])
+		for i := lo; i < hi; i++ {
 			res.Transitions++
-			pr := &preps[i]
-			idx, fresh := e.addPrepared(pr.fp, pr.key, pr.perm, sc.State, int32(head), int32(sc.Pid), sc.LabelIdx)
+			idx, fresh := e.addSucc(x, i, head)
 			if !fresh {
 				continue
 			}
-			if name, bad := e.checkInvariants(sc.State); bad {
-				t := e.trace(idx)
-				res.Violation = &Violation{Invariant: name, Trace: t}
+			if v := e.violation(x, i); v >= 0 {
+				res.Violation = &Violation{Invariant: e.opts.Invariants[v].Name, Trace: e.trace(idx)}
 				return finish()
 			}
 		}
-		if opts.Deadlock && !progress {
-			t := e.trace(int32(head))
+		if opts.Deadlock && !x.progress {
+			t := e.trace(head)
 			res.Deadlock = &t
 			return finish()
 		}
-		e.releaseState(head)
+		// Safe in parallel mode too: the pre-pass only reads the heads of
+		// its chunk, none of which has been merged when it runs.
+		e.releaseState(int(head))
 	}
 	res.Complete = true
 	return finish()

@@ -198,7 +198,7 @@ func TestParallelWorkerCountsAgree(t *testing.T) {
 	}
 }
 
-// TestFingerprintBasics sanity-checks the gcl fingerprint the sharded set
+// TestFingerprintBasics sanity-checks the gcl fingerprint the visited store
 // keys on: stable for equal states, and collision-free across the reachable
 // set of a real model (not guaranteed in general, but a collision among a
 // few thousand states would indicate a broken hash).

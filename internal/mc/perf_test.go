@@ -1,9 +1,10 @@
 package mc
 
-// Hot-path performance contracts for the parallel engine's owner-computes
-// machinery: once warmed up, the expand stage's inbox routing and the
-// owners' drain pass must run essentially allocation-free — the engine
-// executes them for every generated successor, millions of times per run.
+// Hot-path performance contract for parallel mode's pre-pass: once warmed
+// up, expanding a chunk — successor generation, batched probe preparation,
+// the direct store probes and the invariant pre-checks on misses — must run
+// essentially allocation-free; it runs for every generated successor,
+// millions of times per run.
 
 import (
 	"testing"
@@ -11,65 +12,64 @@ import (
 	"bakerypp/internal/specs"
 )
 
-// TestInboxPushDrainAllocFree pins the per-candidate cost of the
-// owner-computes mesh at ~0 allocations: re-expanding a warmed chunk —
-// successor generation, batched canonical prep, inbox push, and the
-// owners' drain lookups plus invariant pre-evaluation — amortizes to less
-// than a few hundredths of an allocation per routed candidate (the
-// residue is the per-chunk goroutine spawn and pprof label plumbing, paid
-// once per thousands of candidates).
-func TestInboxPushDrainAllocFree(t *testing.T) {
+// TestPrepassAllocFree pins the pre-pass's per-successor cost at ~0
+// allocations: re-expanding a warmed chunk amortizes to less than a few
+// hundredths of an allocation per successor (the residue is the per-chunk
+// goroutine spawn and pprof label plumbing, paid once per thousands of
+// successors).
+func TestPrepassAllocFree(t *testing.T) {
 	p := specs.BakeryPP(specs.Config{N: 3, M: 2})
 	opts := Options{Workers: 2, Invariants: []Invariant{Mutex(), NoOverflow()}}
 	plan, err := planFor(p, opts, SafetyAnalysis{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pe := newPExplorer(p, opts, plan)
-	e := pe.e
-	pe.addInit(p.InitState())
-
-	// Drive the real chunked explore/merge loop far enough to number a
-	// multi-worker chunk's worth of states and populate the store.
-	for merged := 0; merged < e.numStates() && e.numStates() < 4096; {
-		lo, hi := int32(merged), int32(e.numStates())
-		if hi > lo+maxChunk {
-			hi = lo + maxChunk
-		}
-		merged = int(hi)
-		exps := pe.expandRange(lo, hi, true)
-		pe.beginMerge()
-		for i := range exps {
-			x := &exps[i]
-			for ci := range x.cands {
-				pe.addNumbered(&x.cands[ci], lo+int32(i))
-			}
-		}
-		pe.endMerge()
+	e := newExplorer(p, opts, plan)
+	if e.pre == nil {
+		t.Fatal("Workers: 2 built no pre-pass")
 	}
-	if e.numStates() < 512 {
-		t.Fatalf("state space too small to exercise the parallel path: %d states", e.numStates())
+	e.add(&e.wc, p.InitState(), -1, -1, crashLabelIdx)
+
+	// Drive the real merge loop until the store holds a few thousand states
+	// and at least a chunk's worth of heads is still queued.
+	head := int32(0)
+	for ; int(head) < e.numStates() && e.numStates()-int(head) < 1024; head++ {
+		x := e.expansionOf(head)
+		lo, hi := e.commit(x, e.depth[head])
+		for i := lo; i < hi; i++ {
+			e.addSucc(x, i, head)
+		}
+	}
+	if e.numStates()-int(head) < 512 {
+		t.Fatalf("state space too small to exercise the pre-pass: %d states, %d queued", e.numStates(), e.numStates()-int(head))
 	}
 
-	// Re-expanding an already-merged range is side-effect free (expansion
-	// and drain write only worker scratch and candidate verdicts) and hits
-	// the exact steady-state path: every slab, inbox, and expansion slot
-	// has its capacity.
-	var cands int
+	// Re-expanding queued heads is side-effect free (the pre-pass writes
+	// only worker scratch and the chunk's records) and hits the
+	// steady-state path once every buffer has its capacity. The queued
+	// heads' successors mix store hits with misses, so both the probes and
+	// the invariant pre-checks run.
+	var succs, hits int
 	sweep := func() {
-		exps := pe.expandRange(0, 512, true)
-		cands = 0
-		for i := range exps {
-			cands += len(exps[i].cands)
+		e.pre.expand(e, head, head+512)
+		succs, hits = 0, 0
+		for i := range e.pre.exps {
+			x := &e.pre.exps[i]
+			succs += len(x.succs)
+			for _, s := range x.seen {
+				if s >= 0 {
+					hits++
+				}
+			}
 		}
 	}
 	sweep() // warm remaining capacity
-	if cands < 512 {
-		t.Fatalf("expected a dense candidate load, got %d candidates", cands)
+	if succs < 512 || hits == 0 || hits == succs {
+		t.Fatalf("expected a dense mix of store hits and misses, got %d hits of %d successors", hits, succs)
 	}
 	avg := testing.AllocsPerRun(20, sweep)
-	if perCand := avg / float64(cands); perCand > 0.05 {
-		t.Errorf("inbox push/drain allocates %.3f objects per candidate (%.1f per %d-candidate sweep), want ~0",
-			perCand, avg, cands)
+	if perSucc := avg / float64(succs); perSucc > 0.05 {
+		t.Errorf("pre-pass allocates %.3f objects per successor (%.1f per %d-successor chunk), want ~0",
+			perSucc, avg, succs)
 	}
 }

@@ -186,7 +186,7 @@ type spillStore struct {
 	plan    Plan
 	ar      *arena
 	entries atomic.Int64
-	shards  [shardCount]spillShard
+	shards  [lockStripes]spillShard
 }
 
 // newSpillStore wraps arena ar (creating a private one when nil — the
@@ -210,7 +210,7 @@ func (st *spillStore) Prepare(s gcl.State, extra ...int32) (uint64, gcl.State) {
 }
 
 func (st *spillStore) Lookup(fp uint64, key gcl.State) (int32, bool) {
-	sh := &st.shards[fp&(shardCount-1)]
+	sh := &st.shards[fp&(lockStripes-1)]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	for _, e := range sh.m[fp] {
@@ -222,7 +222,7 @@ func (st *spillStore) Lookup(fp uint64, key gcl.State) (int32, bool) {
 }
 
 func (st *spillStore) Insert(fp uint64, key gcl.State, val int32) {
-	sh := &st.shards[fp&(shardCount-1)]
+	sh := &st.shards[fp&(lockStripes-1)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	bucket := sh.m[fp]

@@ -1,39 +1,30 @@
 package mc
 
 // StateStore is the visited-set abstraction every exploration loop in this
-// package — Check/BuildGraph (both engines), the FCFS monitor product, and
-// the bounded-refinement memo — routes through. All implementations share
-// one scheme: states are keyed by a 64-bit fingerprint and the rare
+// package — Check/BuildGraph, the FCFS monitor product, and the
+// bounded-refinement memo — routes through. All implementations share one
+// scheme: states are keyed by a 64-bit fingerprint and the rare
 // fingerprint collisions are resolved by comparing full key vectors, so
 // membership stays exact (unlike TLC's default trust-the-fingerprint
 // mode).
 //
-// Three implementations cover the engines' needs:
-//
-//   - sequential (newSeqStore): a single open-addressed linear-probe
-//     table (fpTable), no locking — the sequential engine and the
-//     monitor/memo searches.
-//   - sharded-parallel (newShardedStore): the same table striped over 64
-//     shards selected by fingerprint, all keyed into one shared slab. The
-//     parallel engine partitions the shards over its workers
-//     (owner-computes): each shard is read by exactly one drain goroutine
-//     per phase, through direct unlocked table access, while the
-//     single-threaded merge pass remains the only writer — phases are
-//     separated by chunk barriers, and the store-wide locked Lookup/Insert
-//     path (elided between BeginMerge/EndMerge) stays as the generic
-//     interface for callers outside that protocol.
-//
-// Both keep their key vectors in a keySlab (keyslab.go) and their table
+// The exact in-heap store (seqStore) is one open-addressed linear-probe
+// table (fpTable) with its key vectors in a keySlab (keyslab.go) and its
 // slots free of Go pointers; when the plan keys on the concrete state the
-// engines number their states in the same slab, so each vector is stored
-// once.
-//   - symmetry-aware (either of the above with Plan.Symmetry): Prepare
-//     canonicalizes the state before probing, so all states of one
-//     process-permutation orbit collapse onto a single entry. The store
-//     retains the canonical key (and the witnessing permutation is
-//     recoverable via gcl.CanonicalizeWithPerm); the *engines* keep and
-//     expand the concrete, first-encountered representative, which is what
-//     keeps counterexample traces concrete and replayable — see
+// engine numbers its states in the same slab, so each vector is stored
+// once. It takes no locks: Check and BuildGraph insert only from their
+// single-threaded merge, and the parallel pre-pass probes it only between
+// merges, when it is read-only — concurrent Lookups on a table nobody
+// writes are safe. The other tiers (spill, compact, bitstate) synchronise
+// internally. Its keying variants:
+//
+//   - symmetry-aware (Plan.Symmetry): Prepare canonicalizes the state
+//     before probing, so all states of one process-permutation orbit
+//     collapse onto a single entry. The store retains the canonical key
+//     (and the witnessing permutation is recoverable via
+//     gcl.CanonicalizeWithPerm); the engine keeps and expands the
+//     concrete, first-encountered representative, which is what keeps
+//     counterexample traces concrete and replayable — see
 //     docs/model-checking.md, "Symmetry reduction".
 //   - pinned-symmetry (Plan.Pinned): Prepare canonicalizes over the
 //     subgroup of permutations that fix the pinned pids, the keying the
@@ -59,7 +50,9 @@ type StateStore interface {
 	// orbit. Optional extra words (a monitor phase, a belief id) are
 	// appended to the key; they are rejected by symmetry-aware stores.
 	Prepare(s gcl.State, extra ...int32) (uint64, gcl.State)
-	// Lookup returns the value stored under key, if present.
+	// Lookup returns the value stored under key, if present. Lookups may
+	// run concurrently with each other; every tier but the exact in-heap
+	// one also allows them to race Insert.
 	Lookup(fp uint64, key gcl.State) (int32, bool)
 	// Insert stores val under key, replacing any previous value. Stores
 	// that keep keys copy them, so the caller may reuse or overwrite key
@@ -71,13 +64,12 @@ type StateStore interface {
 // Plan.Symmetry requires p.CanCanonicalize() and Plan.Pinned requires
 // p.CanTrackPerms(); planFor gates on those and falls back to the full
 // search otherwise. Plan.Store selects the representation tier: exact
-// in-heap (the two historical variants below), exact with arena-spilled
-// keys (spill.go), hash-compaction, or bitstate (both below); planFor has
-// already refused lossy tiers for analyses that need exactness. ar is the
-// engine's spill arena for key sharing (nil when the caller has none —
-// the monitor and memo searches — in which case a spill store makes its
-// own).
-func newStateStore(p *gcl.Prog, sharded bool, plan Plan, ar *arena) StateStore {
+// in-heap, exact with arena-spilled keys (spill.go), hash-compaction, or
+// bitstate (both below); planFor has already refused lossy tiers for
+// analyses that need exactness. ar is the engine's spill arena for key
+// sharing (nil when the caller has none — the monitor and memo searches —
+// in which case a spill store makes its own).
+func newStateStore(p *gcl.Prog, plan Plan, ar *arena) StateStore {
 	switch plan.Store.Mode {
 	case StoreCompact:
 		return newCompactStore(p, plan)
@@ -90,9 +82,6 @@ func newStateStore(p *gcl.Prog, sharded bool, plan Plan, ar *arena) StateStore {
 			panic(err) // arena creation: disk/temp-dir failure
 		}
 		return st
-	}
-	if sharded {
-		return newShardedStore(p, plan)
 	}
 	return newSeqStore(p, plan)
 }
@@ -165,13 +154,12 @@ type fpEntry struct {
 	ref uint32
 }
 
-// fpTable is the exact stores' hash table: open addressing with linear
-// probing over one flat slot array, its keys held in a keySlab that
-// several tables may share (the 64 shards of shardedStore do). A probe
+// fpTable is the exact store's hash table: open addressing with linear
+// probing over one flat slot array, its keys held in a keySlab. A probe
 // matches on fingerprint first (one integer compare) and confirms against
 // the key in the slab, so membership is exact. Growth rehashes the slots
-// alone — keys never move. NOT goroutine-safe; callers lock (or run
-// single-threaded).
+// alone — keys never move. lookup only reads, so lookups may run
+// concurrently while nothing inserts; insert needs exclusive access.
 type fpTable struct {
 	ents []fpEntry
 	slab *keySlab
@@ -185,19 +173,9 @@ type fpTable struct {
 // fpTableMinSize is the initial slot count (power of two).
 const fpTableMinSize = 1024
 
-// fpShardBits is the number of low fingerprint bits the sharded store
-// consumes for shard selection (shardCount == 1<<fpShardBits). Home slots
-// are derived from the bits ABOVE them: within one shard every fingerprint
-// agrees on its low 6 bits, so homing on fp&mask would leave only every
-// 64th slot reachable as a home position and chain insertions into long
-// probe clusters (measured ~45-slot average probes on the bakerypp n4m2
-// graph). Homing on fp>>fpShardBits restores uniform slot occupancy; the
-// unsharded stores share the derivation — fmix64-finalized fingerprints
-// are equidistributed in every bit range, so it costs them nothing.
-const fpShardBits = 6
-
-// homeSlot returns the initial probe position for a (nonzero) fingerprint.
-func (t *fpTable) homeSlot(fp uint64) uint64 { return (fp >> fpShardBits) & t.mask }
+// homeSlot returns the initial probe position for a (nonzero) fingerprint;
+// fmix64-finalized fingerprints are equidistributed in their low bits.
+func (t *fpTable) homeSlot(fp uint64) uint64 { return fp & t.mask }
 
 func (t *fpTable) init(size int) {
 	t.ents = make([]fpEntry, size)
@@ -294,7 +272,7 @@ func (t *fpTable) grow() {
 	}
 }
 
-// slabStore is implemented by the exact in-heap stores, whose keys live in
+// slabStore is implemented by the exact in-heap store, whose keys live in
 // a keySlab. When the plan keys on the concrete state, the engines number
 // their states in that same slab and insert by reference, so each vector
 // is stored once and serves as both state and key.
@@ -305,7 +283,7 @@ type slabStore interface {
 	insertRef(fp uint64, ref uint32, val int32)
 }
 
-// seqStore is the unsharded implementation: one table, no locks.
+// seqStore is the exact in-heap store: one table, no locks.
 type seqStore struct {
 	p    *gcl.Prog
 	plan Plan
@@ -337,90 +315,10 @@ func (st *seqStore) insertRef(fp uint64, ref uint32, val int32) {
 	st.t.insertRef(fp, ref, val)
 }
 
-// shardCount is the number of stripes in the sharded store; a power of two
-// so shard selection is a mask. The parallel engine partitions the shards
-// over its workers, so 64 leaves every worker of any current machine a
-// share.
-const shardCount = 64
-
-// shardedStore stripes its tables over shardCount shards selected by
-// fingerprint, all keyed into one shared slab. The parallel engine's drain
-// pass reads the tables directly — under owner-computes sharding each
-// shard's table is read by exactly one owner goroutine per phase — and its
-// merge pass is the sole writer, running strictly between phases. The
-// store-wide mutex therefore only serializes the generic Lookup/Insert
-// interface for callers outside the engine's barrier protocol (the monitor
-// and memo searches, tests); one lock suffices there, and any write may
-// append to the shared slab.
-type shardedStore struct {
-	p    *gcl.Prog
-	plan Plan
-	mu   sync.RWMutex
-	// merging marks the single-threaded merge pass: BeginMerge/EndMerge
-	// bracket it, and while set, Insert and Lookup skip the mutex entirely.
-	// The flag flips only while workers are quiescent (between expansion
-	// phases), and goroutine spawn/join edges order it against worker
-	// reads, so the default locked behavior outside merges is unchanged.
-	merging bool
-	slab    keySlab
-	tabs    [shardCount]fpTable
-}
-
-// mergeBatcher is implemented by stores whose Insert path can batch under
-// the parallel engine's chunk barrier (the sharded exact store). The merge
-// pass brackets its single-threaded insertions with BeginMerge/EndMerge.
-type mergeBatcher interface {
-	BeginMerge()
-	EndMerge()
-}
-
-func newShardedStore(p *gcl.Prog, plan Plan) *shardedStore {
-	st := &shardedStore{p: p, plan: plan}
-	for i := range st.tabs {
-		st.tabs[i].slab = &st.slab
-	}
-	return st
-}
-
-func (st *shardedStore) Prepare(s gcl.State, extra ...int32) (uint64, gcl.State) {
-	return prepare(st.p, st.plan, s, extra)
-}
-
-// BeginMerge enters the single-threaded merge pass: the mutex is elided
-// until EndMerge. Callers must guarantee no concurrent access.
-func (st *shardedStore) BeginMerge() { st.merging = true }
-
-// EndMerge re-enables locking before workers resume.
-func (st *shardedStore) EndMerge() { st.merging = false }
-
-// shard returns the table owning fp.
-func (st *shardedStore) shard(fp uint64) *fpTable { return &st.tabs[fp&(shardCount-1)] }
-
-func (st *shardedStore) Lookup(fp uint64, key gcl.State) (int32, bool) {
-	if st.merging {
-		return st.shard(fp).lookup(fp, key)
-	}
-	st.mu.RLock()
-	idx, ok := st.shard(fp).lookup(fp, key)
-	st.mu.RUnlock()
-	return idx, ok
-}
-
-func (st *shardedStore) Insert(fp uint64, key gcl.State, val int32) {
-	if st.merging {
-		st.shard(fp).insert(fp, key, val)
-		return
-	}
-	st.mu.Lock()
-	st.shard(fp).insert(fp, key, val)
-	st.mu.Unlock()
-}
-
-func (st *shardedStore) keys() *keySlab { return &st.slab }
-
-func (st *shardedStore) insertRef(fp uint64, ref uint32, val int32) {
-	st.shard(fp).insertRef(fp, ref, val)
-}
+// lockStripes is the number of independently locked stripes of the
+// compact and spill stores' maps; a power of two so stripe selection is a
+// fingerprint mask.
+const lockStripes = 64
 
 // hiSeedBase seeds the compact store's second fingerprint word; xor-ing the
 // run seed in re-rolls both words together. Matches gcl.Fingerprint128's
@@ -448,17 +346,19 @@ type compactShard struct {
 // probabilistic; Report bounds the expected omissions with the birthday
 // estimate. False MISSES cannot happen: an inserted key always probes back
 // to the same fingerprint (the fuzz target FuzzCompactStoreNoFalseMiss
-// pins this). Concurrent-safe via striped RWMutexes, so it serves either
-// engine.
+// pins this). Concurrent-safe via striped RWMutexes.
 type compactStore struct {
-	p       *gcl.Prog
-	plan    Plan
-	wide    bool // 128-bit keys
-	seed    uint64
-	shadow  StateStore // exact cross-check when Plan.Store.Shadow
-	diverge atomic.Int64
-	entries atomic.Int64
-	shards  [shardCount]compactShard
+	p    *gcl.Prog
+	plan Plan
+	wide bool // 128-bit keys
+	seed uint64
+	// shadow is the exact cross-check when Plan.Store.Shadow; shadowMu
+	// makes it as concurrent-safe as the compact maps.
+	shadow   StateStore
+	shadowMu sync.RWMutex
+	diverge  atomic.Int64
+	entries  atomic.Int64
+	shards   [lockStripes]compactShard
 }
 
 func newCompactStore(p *gcl.Prog, plan Plan) *compactStore {
@@ -468,7 +368,7 @@ func newCompactStore(p *gcl.Prog, plan Plan) *compactStore {
 		st.shards[i].m = map[uint64][]centry{}
 	}
 	if plan.Store.Shadow {
-		st.shadow = newShardedStore(p, plan)
+		st.shadow = newSeqStore(p, plan)
 	}
 	return st
 }
@@ -493,7 +393,7 @@ func (st *compactStore) slots(fp uint64, key gcl.State) (lo, hi uint64) {
 
 func (st *compactStore) Lookup(fp uint64, key gcl.State) (int32, bool) {
 	lo, hi := st.slots(fp, key)
-	sh := &st.shards[lo&(shardCount-1)]
+	sh := &st.shards[lo&(lockStripes-1)]
 	sh.mu.RLock()
 	val, ok := int32(-1), false
 	for _, e := range sh.m[lo] {
@@ -504,7 +404,9 @@ func (st *compactStore) Lookup(fp uint64, key gcl.State) (int32, bool) {
 	}
 	sh.mu.RUnlock()
 	if st.shadow != nil {
+		st.shadowMu.RLock()
 		sval, sok := st.shadow.Lookup(fp, key)
+		st.shadowMu.RUnlock()
 		if sok != ok || (ok && sval != val) {
 			st.diverge.Add(1)
 		}
@@ -514,7 +416,7 @@ func (st *compactStore) Lookup(fp uint64, key gcl.State) (int32, bool) {
 
 func (st *compactStore) Insert(fp uint64, key gcl.State, val int32) {
 	lo, hi := st.slots(fp, key)
-	sh := &st.shards[lo&(shardCount-1)]
+	sh := &st.shards[lo&(lockStripes-1)]
 	sh.mu.Lock()
 	bucket := sh.m[lo]
 	replaced := false
@@ -531,7 +433,9 @@ func (st *compactStore) Insert(fp uint64, key gcl.State, val int32) {
 	}
 	sh.mu.Unlock()
 	if st.shadow != nil {
+		st.shadowMu.Lock()
 		st.shadow.Insert(fp, key, val)
+		st.shadowMu.Unlock()
 	}
 }
 

@@ -1,11 +1,12 @@
 package mc
 
 // The store-conformance suite: every StateStore implementation behind
-// newStateStore — seq, sharded, symmetry-keyed, pinned-keyed, spill,
-// compact (both widths, with and without shadow), bitstate — is pushed
-// through one shared contract (insert/lookup idempotence, value
-// stability, Insert copying the caller's key, concurrent-insert safety
-// under -race) and, at the engine level, through a verdict-parity matrix
+// newStateStore — seq, symmetry-keyed, pinned-keyed, spill, compact (both
+// widths, with and without shadow), bitstate — is pushed through one
+// shared contract (insert/lookup idempotence, value stability, Insert
+// copying the caller's key, concurrent lookups and, for the lock-bearing
+// tiers, concurrent inserts under -race) and, at the engine level, through
+// a verdict-parity matrix
 // against the exact store on every registered specification. The
 // companion fuzz targets live in storefuzz_test.go, the lossy-refusal
 // tests in storegate_test.go.
@@ -22,17 +23,17 @@ import (
 // storeVariant is one conformance row: how to build the store and which
 // optional contract clauses apply to it.
 type storeVariant struct {
-	name    string
-	sharded bool
-	plan    Plan
+	name string
+	plan Plan
 	// values: Lookup returns the inserted value (false for bitstate,
 	// which answers membership only).
 	values bool
 	// extras: Prepare accepts extra key words (false for the full-orbit
 	// symmetry store, which panics on them by contract).
 	extras bool
-	// concurrent: Insert may race with Insert/Lookup (false only for the
-	// seq store, the one implementation without internal locking).
+	// concurrent: Insert may race with Insert/Lookup (false for the exact
+	// in-heap store and its keyings, the one implementation without
+	// internal locking; every variant takes racing Lookups).
 	concurrent bool
 }
 
@@ -50,18 +51,14 @@ func storeVariants(t *testing.T) []storeVariant {
 	t.Helper()
 	exact := mustStore(t, "exact")
 	return []storeVariant{
-		{"seq", false, Plan{Store: exact}, true, true, false},
-		{"sharded", true, Plan{Store: exact}, true, true, true},
-		// The orbit-keyed plans ride the sharded representation here — that
-		// is the pairing the parallel engine builds; their seq pairing is
-		// the same bucket code the "seq" row already covers.
-		{"symmetry", true, Plan{Symmetry: true, Store: exact}, true, false, true},
-		{"pinned", true, Plan{Pinned: []int{0, 1}, Store: exact}, true, true, true},
-		{"spill", false, Plan{Store: mustStore(t, "exact,spill")}, true, true, true},
-		{"compact", false, Plan{Store: mustStore(t, "compact")}, true, true, true},
-		{"compact64", false, Plan{Store: mustStore(t, "compact64")}, true, true, true},
-		{"compact-shadow", false, Plan{Store: mustStore(t, "compact,shadow")}, true, true, true},
-		{"bitstate", false, Plan{Store: mustStore(t, "bitstate")}, false, true, true},
+		{"seq", Plan{Store: exact}, true, true, false},
+		{"symmetry", Plan{Symmetry: true, Store: exact}, true, false, false},
+		{"pinned", Plan{Pinned: []int{0, 1}, Store: exact}, true, true, false},
+		{"spill", Plan{Store: mustStore(t, "exact,spill")}, true, true, true},
+		{"compact", Plan{Store: mustStore(t, "compact")}, true, true, true},
+		{"compact64", Plan{Store: mustStore(t, "compact64")}, true, true, true},
+		{"compact-shadow", Plan{Store: mustStore(t, "compact,shadow")}, true, true, true},
+		{"bitstate", Plan{Store: mustStore(t, "bitstate")}, false, true, true},
 	}
 }
 
@@ -133,7 +130,7 @@ func TestStoreConformanceContract(t *testing.T) {
 	}
 	for _, v := range storeVariants(t) {
 		t.Run(v.name, func(t *testing.T) {
-			st := newStateStore(p, v.sharded, v.plan, nil)
+			st := newStateStore(p, v.plan, nil)
 			states := dedupeByKey(st, allStates)
 			// Empty store: every probe misses.
 			for _, s := range states[:32] {
@@ -146,7 +143,7 @@ func TestStoreConformanceContract(t *testing.T) {
 			// after which the original content still hits and the new one
 			// misses (checked on a fresh store, so nothing else is in it).
 			{
-				own := newStateStore(p, v.sharded, v.plan, nil)
+				own := newStateStore(p, v.plan, nil)
 				fpA, keyA := own.Prepare(states[0])
 				fpB, keyB := own.Prepare(states[1])
 				buf := append(gcl.State(nil), keyA...)
@@ -227,7 +224,7 @@ func TestStoreConformanceOrbitKeying(t *testing.T) {
 	b := p.Clone(base)
 	p.SetShared(b, "number", 2, 2) // orbit-mate: process 2 holds it
 
-	sym := newStateStore(p, false, Plan{Symmetry: true, Store: StoreOptions{}}, nil)
+	sym := newStateStore(p, Plan{Symmetry: true, Store: StoreOptions{}}, nil)
 	fpA, keyA := sym.Prepare(a)
 	fpB, keyB := sym.Prepare(b)
 	if fpA != fpB || !keyA.Equal(keyB) {
@@ -236,7 +233,7 @@ func TestStoreConformanceOrbitKeying(t *testing.T) {
 
 	// Pinning 1 and 2 keeps them apart: swapping their roles is no longer
 	// in the subgroup the pinned store canonicalizes over.
-	pinned := newStateStore(p, false, Plan{Pinned: []int{1, 2}, Store: StoreOptions{}}, nil)
+	pinned := newStateStore(p, Plan{Pinned: []int{1, 2}, Store: StoreOptions{}}, nil)
 	fpA, keyA = pinned.Prepare(a)
 	fpB, keyB = pinned.Prepare(b)
 	if fpA == fpB && keyA.Equal(keyB) {
@@ -244,25 +241,55 @@ func TestStoreConformanceOrbitKeying(t *testing.T) {
 	}
 }
 
-// TestStoreConformanceConcurrent drives every lock-bearing variant with
-// racing inserts and lookups under -race: disjoint writers must all land,
-// contending writers of the same key must collapse to one entry, and
-// readers racing the writers must never see a torn value (only "absent"
-// or an inserted value). The seq store is exempt by contract — the
-// sequential engine is its only client.
+// TestStoreConformanceConcurrent drives every variant from several
+// goroutines under -race. Every variant must answer racing lookups while
+// nothing inserts — the parallel pre-pass probes the store that way
+// between merges. The lock-bearing variants must also take racing inserts:
+// disjoint writers must all land, contending writers of the same key must
+// collapse to one entry, and readers racing the writers must never see a
+// torn value (only "absent" or an inserted value). The exact in-heap store
+// is exempt from those by contract — only the single-threaded merge
+// inserts into it.
 func TestStoreConformanceConcurrent(t *testing.T) {
 	p := conformanceProg()
 	allStates := reachableStates(p, 1024)
 	const writers = 8
 	for _, v := range storeVariants(t) {
-		if !v.concurrent {
-			continue
-		}
 		t.Run(v.name, func(t *testing.T) {
-			st := newStateStore(p, v.sharded, v.plan, nil)
+			st := newStateStore(p, v.plan, nil)
 			states := dedupeByKey(st, allStates)
-			// Phase 1: disjoint slices, racing inserts plus racing reads.
+			// Phase 0: racing readers of a store nobody writes, holding the
+			// even-indexed states. Inserted states must hit with their
+			// values; the others must miss, except in the lossy tiers,
+			// whose false hits the parity matrix and fuzz targets bound.
+			for i := 0; i < len(states); i += 2 {
+				fp, key := st.Prepare(states[i])
+				st.Insert(fp, key, int32(i))
+			}
 			var wg sync.WaitGroup
+			for r := 0; r < writers; r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					for i := range states {
+						fp, key := st.Prepare(states[i])
+						val, ok := st.Lookup(fp, key)
+						if i%2 == 0 && (!ok || (v.values && val != int32(i))) {
+							t.Errorf("reader %d: inserted state %d reads (%d, %v)", r, i, val, ok)
+							return
+						}
+						if i%2 == 1 && ok && !v.plan.Store.Lossy() {
+							t.Errorf("reader %d: state %d hit before its insert", r, i)
+							return
+						}
+					}
+				}(r)
+			}
+			wg.Wait()
+			if t.Failed() || !v.concurrent {
+				return
+			}
+			// Phase 1: disjoint slices, racing inserts plus racing reads.
 			for w := 0; w < writers; w++ {
 				wg.Add(1)
 				go func(w int) {
