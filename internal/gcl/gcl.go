@@ -95,8 +95,6 @@ type Prog struct {
 	permsOnce    sync.Once
 	perms        [][]int
 	invPerms     [][]int
-	prefMasks    []uint32
-	fixMasks     []uint32
 	invIdx       []int32
 	canonPool    sync.Pool
 }

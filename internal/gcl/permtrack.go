@@ -12,9 +12,10 @@ package gcl
 // the pids the property does NOT distinguish).
 //
 // All indices refer to the lexicographic enumeration of the full symmetric
-// group on 0..N-1, the same table the cursor-aware canonicalization
-// fallback walks. The table is materialised lazily on first use and capped
-// at maxEnumProcs processes (8! = 40320 permutations).
+// group on 0..N-1. Only the index functions need the table itself
+// (canonicalization sorts columns and ranks its witness by Lehmer code);
+// it is materialised lazily on first use and capped at maxEnumProcs
+// processes (8! = 40320 permutations).
 
 import "fmt"
 
@@ -23,7 +24,7 @@ import "fmt"
 // builder's per-edge path — is a lookup rather than a Lehmer ranking.
 func (p *Prog) ensurePerms() {
 	p.permsOnce.Do(func() {
-		p.perms, p.invPerms, p.prefMasks, p.fixMasks = allPerms(p.N)
+		p.perms, p.invPerms = allPerms(p.N)
 		p.invIdx = make([]int32, len(p.perms))
 		for i := range p.perms {
 			p.invIdx[i] = int32(p.PermIndexOf(p.invPerms[i]))
@@ -65,8 +66,8 @@ func (p *Prog) InvPermAt(i int) []int {
 }
 
 // PermIndexOf returns the lexicographic index of perm via its Lehmer code;
-// no table access is needed, so it also ranks permutations returned by the
-// column-sorting canonicalization fast path.
+// no table access is needed, so it also ranks the witnesses returned by
+// canonicalization.
 func (p *Prog) PermIndexOf(perm []int) int {
 	if len(perm) != p.N {
 		panic(fmt.Sprintf("gcl: %s: PermIndexOf needs a permutation of %d ids, got %d", p.Name, p.N, len(perm)))
@@ -153,8 +154,8 @@ func factorial(k int) int {
 	return f
 }
 
-// pinnedMaskOf folds a pid list into the fixed-point bitmask pinned
-// canonicalization filters on, validating the pids.
+// pinnedMaskOf folds a pid list into the bitmask of slots pinned
+// canonicalization leaves in place, validating the pids.
 func (p *Prog) pinnedMaskOf(pinned []int) uint32 {
 	var mask uint32
 	for _, pid := range pinned {
@@ -174,67 +175,15 @@ func (p *Prog) pinnedMaskOf(pinned []int) uint32 {
 // distinguish the pinned pids but are symmetric in all others — the FCFS
 // monitor product pins its (first, second) pair and lets the remaining
 // processes collapse. The pinned pids' per-process blocks and pid-indexed
-// cells stay in place. Requires CanTrackPerms (the column-sorting fast path
-// cannot respect pins); freshly allocated, safe for concurrent use.
+// cells stay in place: the segment sort skips their slots. Requires
+// CanTrackPerms, the gate of every pinned reduction plan; freshly
+// allocated, safe for concurrent use.
 func (p *Prog) CanonicalizePinned(s State, pinned []int) State {
 	p.mustTrackPerms()
-	p.ensurePerms()
 	mask := p.pinnedMaskOf(pinned)
-	w := p.canonWorkerPinned()
+	w := p.canonWorker()
 	defer p.canonPool.Put(w)
-	c := w.canonicalizePinned(s, mask)
-	out := make(State, len(c))
-	copy(out, c)
+	out := make(State, p.StateLen())
+	w.canonicalizeInto(out, s, mask)
 	return out
-}
-
-// canonWorkerPinned hands out a scratch canonicalizer for the pinned path,
-// which needs the permutation table even for cursor-free programs.
-func (p *Prog) canonWorkerPinned() *canonicalizer {
-	if w, ok := p.canonPool.Get().(*canonicalizer); ok {
-		return w
-	}
-	return &canonicalizer{
-		p:        p,
-		buf:      make(State, p.StateLen()),
-		norm:     make(State, p.StateLen()),
-		bestPerm: make([]int, p.N),
-		order:    make([]int, p.N),
-	}
-}
-
-// canonicalizePinned is canonicalize restricted to permutations whose
-// fixed-point mask covers pinnedMask; the identity always qualifies, so
-// the enumeration's incumbent is well-defined.
-func (w *canonicalizer) canonicalizePinned(s State, pinnedMask uint32) State {
-	copy(w.norm, s)
-	w.p.normalizeCursorsInPlace(w.norm)
-	cursors := w.cursorMask(w.norm)
-	w.enumerateFiltered(w.norm, cursors, pinnedMask)
-	return w.buf
-}
-
-// enumerateFiltered is enumerate with an additional fixed-point filter:
-// only permutations fixing every pid in pinnedMask compete.
-func (w *canonicalizer) enumerateFiltered(s State, cursors, pinnedMask uint32) {
-	p := w.p
-	copy(w.buf, s)
-	for i := range w.bestPerm {
-		w.bestPerm[i] = i
-	}
-	for pi, perm := range p.perms {
-		if pi == 0 {
-			continue // identity: the incumbent
-		}
-		if cursors&^p.prefMasks[pi] != 0 {
-			continue // violates some visited prefix
-		}
-		if pinnedMask&^p.fixMasks[pi] != 0 {
-			continue // moves a pinned pid
-		}
-		if w.imageLess(w.buf, s, p.invPerms[pi]) {
-			p.permuteInto(w.buf, s, perm)
-			copy(w.bestPerm, perm)
-		}
-	}
 }

@@ -121,7 +121,7 @@ func (c *Canonicalizer) CanonicalizeBatch(succs []Succ, ks *KeySlab) int {
 	base := ks.n
 	for si := range succs {
 		_, slot := ks.alloc(stride)
-		w.canonicalizeInto(slot, succs[si].State)
+		w.canonicalizeInto(slot, succs[si].State, 0)
 	}
 	ks.fingerprintFrom(base)
 	return base
@@ -137,7 +137,7 @@ func (c *Canonicalizer) CanonicalizeBatchPerms(succs []Succ, ks *KeySlab) int {
 	base := ks.n
 	for si := range succs {
 		i, slot := ks.alloc(stride)
-		w.canonicalizeInto(slot, succs[si].State)
+		w.canonicalizeInto(slot, succs[si].State, 0)
 		ks.perms[i] = int32(p.PermIndexOf(w.bestPerm))
 	}
 	ks.fingerprintFrom(base)

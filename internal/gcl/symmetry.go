@@ -19,18 +19,22 @@ package gcl
 // state over the permutations *valid for that state*, so two states merge
 // exactly when one is a valid image of the other:
 //
-//   - With no scan cursors mid-scan, every permutation is valid and the
-//     least image is found by sorting per-process signature columns.
 //   - An active cursor value j means "this process has already checked
 //     processes 0..j-1"; a permutation respects that history only if it
 //     preserves the set {0..j-1}. Valid permutations are therefore the
-//     ones that permute within the segments delimited by the active
-//     cursor values — a subgroup that depends only on the cursor values,
-//     which relocation leaves in place, so validity is orbit-invariant
-//     and the canonical form is well-defined. These states fall back to
-//     enumerating the precomputed permutation table, skipping invalid
-//     entries by a precomputed prefix-preservation mask and rejecting
-//     losing candidates after the first differing word.
+//     ones that permute within the segments the active cursor values cut
+//     out of 0..N-1 (a Young subgroup; with no cursor mid-scan it is the
+//     whole group). It depends only on the cursor values, which relocation
+//     leaves in place, so validity is orbit-invariant and the canonical
+//     form is well-defined.
+//   - The permutation action relocates per-process columns (a process's
+//     cells of the pid-indexed arrays, then its block), and each segment's
+//     slots are permuted independently, so the least image places every
+//     segment's columns in sorted order — a stable insertion sort per
+//     segment, O(N²) column comparisons, as in Murphi's scalarset
+//     canonicalization. Stability makes the witness the lexicographically
+//     first permutation reaching that image. Pinned canonicalization
+//     (permtrack.go) is the same sort with the pinned slots left out.
 //
 // The naive alternative — remapping cursor VALUES through the permutation
 // and canonicalizing over the full group — is measurably unsound here: it
@@ -49,7 +53,9 @@ package gcl
 // ever dedups; see docs/model-checking.md.
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
 )
 
 // Symmetry identifies the process-permutation group a program declares.
@@ -77,13 +83,15 @@ func (y Symmetry) String() string {
 	return fmt.Sprintf("symmetry(%d)", uint8(y))
 }
 
-// maxEnumProcs caps the permutation-enumeration fallback: N! permutations
-// are materialised once per program, so programs with scan cursors and
-// more processes than this cannot canonicalize (CanCanonicalize reports
-// false and the model checker falls back to the full search). 8! = 40320
-// permutations is already far beyond what explicit-state exploration can
-// cover anyway.
+// maxEnumProcs caps the permutation table that permutation tracking
+// (permtrack.go) materialises: 8! = 40320 permutations, already far beyond
+// what explicit-state exploration can cover anyway. Canonicalization needs
+// no table.
 const maxEnumProcs = 8
+
+// maxCursorProcs caps the process count of programs with scan cursors:
+// canonicalization collects the active cursor values in a 32-bit mask.
+const maxCursorProcs = 32
 
 // SetSymmetry declares the program's process-permutation group. Must be
 // called before Build.
@@ -299,11 +307,11 @@ func (p *Prog) PermValid(s State, perm []int) bool {
 }
 
 // CanCanonicalize reports whether the program supports canonicalization:
-// full symmetry declared, and — when scan cursors force the enumeration
-// fallback — no more than maxEnumProcs processes.
+// full symmetry declared, and — when it has scan cursors — no more than
+// maxCursorProcs processes.
 func (p *Prog) CanCanonicalize() bool {
 	return p.built && p.sym == FullSymmetry &&
-		(len(p.pidLocalOffs) == 0 || p.N <= maxEnumProcs)
+		(len(p.pidLocalOffs) == 0 || p.N <= maxCursorProcs)
 }
 
 // Canonicalize returns the canonical representative of s's orbit: the
@@ -346,7 +354,7 @@ func (p *Prog) CanonicalizeWithPerm(s State) (State, []int) {
 }
 
 // Canonicalizer is a reusable canonicalization context: it owns the
-// normalization, incumbent, permutation and order scratch buffers that the
+// normalization, image, permutation and order scratch buffers that the
 // pooled Prog.Canonicalize variants copy out of, so a caller that holds one
 // per goroutine canonicalizes with zero heap allocations. The result of
 // every method aliases the context's scratch and is valid only until the
@@ -363,16 +371,7 @@ func (p *Prog) NewCanonicalizer() *Canonicalizer {
 		panic(fmt.Sprintf("gcl: %s: canonicalization unavailable (symmetry %v, %d scan cursors, N=%d)",
 			p.Name, p.sym, len(p.pidLocalOffs), p.N))
 	}
-	if len(p.pidLocalOffs) > 0 {
-		p.ensurePerms()
-	}
-	return &Canonicalizer{w: &canonicalizer{
-		p:        p,
-		buf:      make(State, p.StateLen()),
-		norm:     make(State, p.StateLen()),
-		bestPerm: make([]int, p.N),
-		order:    make([]int, p.N),
-	}}
+	return &Canonicalizer{w: newCanonicalizer(p)}
 }
 
 // Canonicalize returns the canonical representative of s's orbit in the
@@ -400,29 +399,29 @@ func (c *Canonicalizer) Fingerprint(s State) uint64 {
 func (c *Canonicalizer) CanonicalizePinned(s State, pinned []int) State {
 	p := c.w.p
 	p.mustTrackPerms()
-	p.ensurePerms()
-	return c.w.canonicalizePinned(s, p.pinnedMaskOf(pinned))
+	c.w.canonicalizeInto(c.w.buf, s, p.pinnedMaskOf(pinned))
+	return c.w.buf
 }
 
-// canonWorker hands out a scratch canonicalizer from the program's pool,
-// initialising the shared permutation tables on first use.
+// canonWorker hands out a scratch canonicalizer from the program's pool.
 func (p *Prog) canonWorker() *canonicalizer {
 	if !p.CanCanonicalize() {
 		panic(fmt.Sprintf("gcl: %s: canonicalization unavailable (symmetry %v, %d scan cursors, N=%d)",
 			p.Name, p.sym, len(p.pidLocalOffs), p.N))
 	}
-	if len(p.pidLocalOffs) > 0 {
-		p.ensurePerms()
-	}
 	if w, ok := p.canonPool.Get().(*canonicalizer); ok {
 		return w
 	}
+	return newCanonicalizer(p)
+}
+
+func newCanonicalizer(p *Prog) *canonicalizer {
 	return &canonicalizer{
 		p:        p,
 		buf:      make(State, p.StateLen()),
 		norm:     make(State, p.StateLen()),
 		bestPerm: make([]int, p.N),
-		order:    make([]int, p.N),
+		order:    make([]int, 0, p.N),
 	}
 }
 
@@ -440,25 +439,18 @@ type canonicalizer struct {
 // state into w.buf and returns it (valid until the worker is reused) with
 // the witnessing permutation in w.bestPerm.
 func (w *canonicalizer) canonicalize(s State) State {
-	w.canonicalizeInto(w.buf, s)
+	w.canonicalizeInto(w.buf, s, 0)
 	return w.buf
 }
 
 // canonicalizeInto is canonicalize writing the canonical image into a
 // caller-owned destination of StateLen words — the KeySlab batch path
 // (soa.go) canonicalizes straight into slab slots through it, skipping the
-// scratch-then-copy round trip. With no active cursor every permutation is
-// valid and column sorting finds the least image directly; otherwise the
-// permutation table is enumerated under the cursor mask.
-func (w *canonicalizer) canonicalizeInto(dst State, s State) {
+// scratch-then-copy round trip. Pids in pinned keep their slots.
+func (w *canonicalizer) canonicalizeInto(dst State, s State, pinned uint32) {
 	copy(w.norm, s)
 	w.p.normalizeCursorsInPlace(w.norm)
-	mask := w.cursorMask(w.norm)
-	if mask == 0 {
-		w.sortColumns(dst, w.norm)
-	} else {
-		w.enumerate(dst, w.norm, mask)
-	}
+	w.sortSegments(dst, w.norm, w.cursorMask(w.norm), pinned)
 }
 
 // cursorMask collects the active cursor values of s as a bitmask: bit j is
@@ -477,112 +469,68 @@ func (w *canonicalizer) cursorMask(s State) uint32 {
 	return mask
 }
 
-// sortColumns finds the least image when every permutation is valid: the
-// action just relocates per-process "columns" (the process's cells of each
-// pid-indexed array, in declaration order, then its block), so placing the
-// columns in sorted order yields exactly the lexicographically-least
-// flattened vector (ties order identical columns, which cannot change the
-// image). The image is written into dst.
-func (w *canonicalizer) sortColumns(dst State, s State) {
+// sortSegments writes into dst the least image of s over the permutations
+// that map every segment cut out by cursors onto itself (bit j set: slot j
+// starts a segment) and fix every pid in pinned, and leaves in w.bestPerm
+// the lexicographically first permutation reaching it. The action relocates
+// per-process columns (compareColumns order), so the least image places
+// each segment's unpinned columns in sorted order on its unpinned slots;
+// the segments are independent because each owns its own words of the
+// flattened vector. The insertion sort is stable — a column only passes a
+// strictly greater one — so identical columns keep their pid order, which
+// is exactly the lexicographically first witness.
+func (w *canonicalizer) sortSegments(dst State, s State, cursors, pinned uint32) {
 	p := w.p
-	for i := range w.order {
-		w.order[i] = i
-	}
-	// Insertion sort: N is tiny (at most a dozen processes) and sort.Slice
-	// would allocate its closure per call on the canonicalization hot path.
-	// Stable, so ties (identical columns) keep declaration order and the
-	// witnessing permutation is deterministic.
-	for i := 1; i < len(w.order); i++ {
-		for j := i; j > 0 && compareColumns(p, s, w.order[j], w.order[j-1]) < 0; j-- {
-			w.order[j], w.order[j-1] = w.order[j-1], w.order[j]
+	// order lists the unpinned pids by destination slot, sorted within
+	// each segment; start is where the current segment begins in it.
+	order := w.order[:0]
+	start, seg := 0, -1
+	for q := 0; q < p.N; q++ {
+		if pinned&(1<<uint(q)) != 0 {
+			continue
+		}
+		if sq := bits.OnesCount32(cursors & (2<<uint(q) - 1)); sq != seg {
+			start, seg = len(order), sq
+		}
+		order = append(order, q)
+		for j := len(order) - 1; j > start && compareColumns(p, s, order[j], order[j-1]) < 0; j-- {
+			order[j], order[j-1] = order[j-1], order[j]
 		}
 	}
-	// order[k] = the process whose column lands in slot k, i.e. the
-	// inverse of the witnessing permutation.
-	for k, i := range w.order {
-		w.bestPerm[i] = k
+	k := 0
+	for q := 0; q < p.N; q++ {
+		if pinned&(1<<uint(q)) != 0 {
+			w.bestPerm[q] = q
+			continue
+		}
+		w.bestPerm[order[k]] = q
+		k++
 	}
 	p.permuteInto(dst, s, w.bestPerm)
 }
 
 // compareColumns orders process columns by the state-layout word order:
 // each pid-indexed array cell in declaration order, then the block words.
+// Words are compared, not subtracted: a difference of words 2^31 or more
+// apart would wrap.
 func compareColumns(p *Prog, s State, i, j int) int {
 	for _, off := range p.pidArrayOffs {
-		if d := s[off+i] - s[off+j]; d != 0 {
-			return int(d)
+		if c := cmp.Compare(s[off+i], s[off+j]); c != 0 {
+			return c
 		}
 	}
 	bi, bj := p.sharedLen+i*p.localLen, p.sharedLen+j*p.localLen
 	for k := 0; k < p.localLen; k++ {
-		if d := s[bi+k] - s[bj+k]; d != 0 {
-			return int(d)
+		if c := cmp.Compare(s[bi+k], s[bj+k]); c != 0 {
+			return c
 		}
 	}
 	return 0
 }
 
-// enumerate walks the permutation table, skipping permutations whose
-// precomputed prefix-preservation mask does not cover the state's cursor
-// mask, and keeps the least image seen in dst. The comparison against the
-// incumbent walks the candidate image lazily in state-vector order through
-// the permutation's inverse, so a losing permutation is rejected after the
-// first differing word without materialising its image. The incumbent
-// starts as the identity image — s itself.
-func (w *canonicalizer) enumerate(dst State, s State, mask uint32) {
-	p := w.p
-	copy(dst, s)
-	for i := range w.bestPerm {
-		w.bestPerm[i] = i
-	}
-	for pi, perm := range p.perms {
-		if pi == 0 {
-			continue // identity: the incumbent
-		}
-		if mask&^p.prefMasks[pi] != 0 {
-			continue // violates some visited prefix
-		}
-		if w.imageLess(dst, s, p.invPerms[pi]) {
-			p.permuteInto(dst, s, perm)
-			copy(w.bestPerm, perm)
-		}
-	}
-}
-
-// imageLess reports whether the image of s under the permutation with
-// inverse inv is lexicographically less than the incumbent in cur,
-// comparing only pid-dependent words (all others are equal by
-// construction): the image word at slot q of a pid-indexed array is
-// s[off+inv[q]], and the image block in slot q is process inv[q]'s block.
-func (w *canonicalizer) imageLess(cur State, s State, inv []int) bool {
-	p := w.p
-	for _, off := range p.pidArrayOffs {
-		for q := 0; q < p.N; q++ {
-			if v, b := s[off+inv[q]], cur[off+q]; v != b {
-				return v < b
-			}
-		}
-	}
-	for q := 0; q < p.N; q++ {
-		src := p.sharedLen + inv[q]*p.localLen
-		dst := p.sharedLen + q*p.localLen
-		for k := 0; k < p.localLen; k++ {
-			if v, b := s[src+k], cur[dst+k]; v != b {
-				return v < b
-			}
-		}
-	}
-	return false
-}
-
 // allPerms returns every permutation of 0..n-1 (identity first, then
-// lexicographic order), the inverse of each, each permutation's
-// prefix-preservation mask — bit j set iff the permutation maps {0..j-1}
-// onto itself (computed as a running maximum) — and its fixed-point mask:
-// bit k set iff the permutation fixes k. The fixed-point masks drive
-// pinned canonicalization (permutations that must leave given pids in
-// place, see CanonicalizePinned).
-func allPerms(n int) (perms, invs [][]int, prefMasks, fixMasks []uint32) {
+// lexicographic order) and the inverse of each.
+func allPerms(n int) (perms, invs [][]int) {
 	cur := make([]int, n)
 	for i := range cur {
 		cur[i] = i
@@ -594,33 +542,15 @@ func allPerms(n int) (perms, invs [][]int, prefMasks, fixMasks []uint32) {
 		for i, v := range perm {
 			inv[v] = i
 		}
-		var mask uint32
-		cummax := -1
-		for j := 1; j < n; j++ {
-			if perm[j-1] > cummax {
-				cummax = perm[j-1]
-			}
-			if cummax == j-1 {
-				mask |= 1 << uint(j)
-			}
-		}
-		var fixed uint32
-		for k, v := range perm {
-			if v == k {
-				fixed |= 1 << uint(k)
-			}
-		}
 		perms = append(perms, perm)
 		invs = append(invs, inv)
-		prefMasks = append(prefMasks, mask)
-		fixMasks = append(fixMasks, fixed)
 		// Next lexicographic permutation.
 		i := n - 2
 		for i >= 0 && cur[i] >= cur[i+1] {
 			i--
 		}
 		if i < 0 {
-			return perms, invs, prefMasks, fixMasks
+			return perms, invs
 		}
 		j := n - 1
 		for cur[j] <= cur[i] {

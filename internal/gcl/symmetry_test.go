@@ -1,6 +1,9 @@
 package gcl
 
 import (
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -102,11 +105,37 @@ func TestPermuteGroupAction(t *testing.T) {
 	}
 }
 
-// TestCanonicalizeAgainstOracle cross-checks both canonicalization paths
-// against a brute-force oracle: the lexicographically-least image of the
-// normalized state over all valid permutations.
+// oracleCanon is the brute-force reference for canonicalization: the
+// lexicographically least image of the normalized state over every
+// permutation in the table that is valid for it and fixes the pinned pids,
+// and the lexicographically first permutation reaching that image.
+func oracleCanon(p *Prog, perms [][]int, s State, pinned []int) (State, []int) {
+	norm := p.NormalizeCursors(s)
+	var best State
+	var witness []int
+next:
+	for _, perm := range perms {
+		for _, pid := range pinned {
+			if perm[pid] != pid {
+				continue next
+			}
+		}
+		if !p.PermValid(norm, perm) {
+			continue
+		}
+		if img := p.Permute(norm, perm); best == nil || lexLess(img, best) {
+			best, witness = img, perm
+		}
+	}
+	return best, witness
+}
+
+// TestCanonicalizeAgainstOracle cross-checks canonicalization against the
+// brute-force oracle in both image and witness: unpinned on toy programs
+// with and without a scan cursor at N=3, and pinned (whose witness is
+// internal) on the cursor program at N=4 and N=5.
 func TestCanonicalizeAgainstOracle(t *testing.T) {
-	perms3, _, _, _ := allPerms(3)
+	perms3, _ := allPerms(3)
 	for _, tc := range []struct {
 		name string
 		p    *Prog
@@ -117,27 +146,118 @@ func TestCanonicalizeAgainstOracle(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p := tc.p
 			for _, s := range walkStates(p, 400) {
-				norm := p.NormalizeCursors(s)
-				var best State
-				for _, perm := range perms3 {
-					if !p.PermValid(norm, perm) {
-						continue
-					}
-					img := p.Permute(norm, perm)
-					if best == nil || lexLess(img, best) {
-						best = img
-					}
-				}
-				got := p.Canonicalize(s)
+				best, witness := oracleCanon(p, perms3, s, nil)
+				got, perm := p.CanonicalizeWithPerm(s)
 				if !got.Equal(best) {
 					t.Fatalf("canonical of %v:\n got %v\nwant %v", s, got, best)
 				}
-				if got.Fingerprint() != p.CanonicalFingerprint(s) {
-					t.Fatal("CanonicalFingerprint disagrees with Canonicalize")
+				if !slices.Equal(perm, witness) {
+					t.Fatalf("witness of %v: got %v, want %v", s, perm, witness)
+				}
+				if !p.Canonicalize(s).Equal(best) || got.Fingerprint() != p.CanonicalFingerprint(s) {
+					t.Fatal("Canonicalize/CanonicalFingerprint disagree with CanonicalizeWithPerm")
 				}
 			}
 		})
 	}
+	for _, n := range []int{4, 5} {
+		p := symProg(n)
+		perms, _ := allPerms(n)
+		c := p.NewCanonicalizer()
+		for _, s := range walkStates(p, 300) {
+			for _, pinned := range [][]int{nil, {0}, {n - 1}, {0, n - 1}} {
+				best, witness := oracleCanon(p, perms, s, pinned)
+				got := c.CanonicalizePinned(s, pinned)
+				if !got.Equal(best) {
+					t.Fatalf("N=%d pinned %v canonical of %v:\n got %v\nwant %v", n, pinned, s, got, best)
+				}
+				if !slices.Equal(c.w.bestPerm, witness) {
+					t.Fatalf("N=%d pinned %v witness of %v: got %v, want %v", n, pinned, s, c.w.bestPerm, witness)
+				}
+			}
+		}
+	}
+}
+
+// TestCompareColumnsExtremes pins the comparator on words 2^31 or more
+// apart, where a subtracting comparison wraps.
+func TestCompareColumnsExtremes(t *testing.T) {
+	p := flagProg(2)
+	s := p.InitState()
+	p.SetShared(s, "flag", 0, math.MaxInt32)
+	p.SetShared(s, "flag", 1, math.MinInt32)
+	if c := compareColumns(p, s, 0, 1); c <= 0 {
+		t.Fatalf("compareColumns(MaxInt32, MinInt32) = %d, want > 0", c)
+	}
+	if c := compareColumns(p, s, 1, 0); c >= 0 {
+		t.Fatalf("compareColumns(MinInt32, MaxInt32) = %d, want < 0", c)
+	}
+	canon := p.Canonicalize(s)
+	if p.Shared(canon, "flag", 0) != math.MinInt32 || p.Shared(canon, "flag", 1) != math.MaxInt32 {
+		t.Fatalf("canonical form does not sort extreme columns: %v", canon)
+	}
+}
+
+// TestCanonicalizeBeyondPermTable runs the cursor program at N=10, past
+// the permutation table's cap: the canonical fingerprint is invariant
+// under random permutations within the cursor segments, and the witness
+// is valid and reproduces the key.
+func TestCanonicalizeBeyondPermTable(t *testing.T) {
+	const n = 10
+	p := symProg(n)
+	if !p.CanCanonicalize() || p.CanTrackPerms() {
+		t.Fatalf("N=%d cursor program: CanCanonicalize=%v CanTrackPerms=%v, want true/false",
+			n, p.CanCanonicalize(), p.CanTrackPerms())
+	}
+	rng := rand.New(rand.NewSource(1))
+	s := p.InitState()
+	active := 0
+	for step := 0; step < 3000; step++ {
+		succs := p.AllSuccs(s, ModeUnbounded)
+		s = succs[rng.Intn(len(succs))].State
+		norm := p.NormalizeCursors(s)
+		if activeCursors(p, norm) != 0 {
+			active++
+		}
+		want := p.CanonicalFingerprint(s)
+		perm := randomSegmentPerm(p, norm, rng)
+		if !p.PermValid(norm, perm) {
+			t.Fatalf("segment permutation %v invalid for %v", perm, norm)
+		}
+		if got := p.CanonicalFingerprint(p.Permute(norm, perm)); got != want {
+			t.Fatalf("canonical fingerprint varies under %v at %v", perm, s)
+		}
+		canon, witness := p.CanonicalizeWithPerm(s)
+		if !p.PermValid(norm, witness) || !p.Permute(norm, witness).Equal(canon) {
+			t.Fatalf("witness %v invalid or does not reproduce the key at %v", witness, s)
+		}
+	}
+	if active == 0 {
+		t.Fatal("walk never reached a mid-scan state")
+	}
+}
+
+// activeCursors is the canonicalizer's active-cursor mask of s.
+func activeCursors(p *Prog, s State) uint32 {
+	return (&canonicalizer{p: p}).cursorMask(s)
+}
+
+// randomSegmentPerm draws a uniformly random permutation mapping every
+// segment cut out by the active cursors of s onto itself.
+func randomSegmentPerm(p *Prog, s State, rng *rand.Rand) []int {
+	mask := activeCursors(p, s)
+	perm := make([]int, p.N)
+	for lo := 0; lo < p.N; {
+		hi := lo + 1
+		for hi < p.N && mask&(1<<uint(hi)) == 0 {
+			hi++
+		}
+		for i, v := range rng.Perm(hi - lo) {
+			perm[lo+i] = lo + v
+		}
+		lo = hi
+	}
+	return perm
 }
 
 func lexLess(a, b State) bool {
@@ -154,7 +274,7 @@ func lexLess(a, b State) bool {
 // valid permutation image of it, and canonicalization is idempotent.
 func TestCanonicalInvariantUnderValidPerms(t *testing.T) {
 	p := symProg(3)
-	perms3, _, _, _ := allPerms(3)
+	perms3, _ := allPerms(3)
 	for _, s := range walkStates(p, 400) {
 		want := p.CanonicalFingerprint(s)
 		norm := p.NormalizeCursors(s)
@@ -275,7 +395,7 @@ func FuzzCanonicalFingerprint(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{9, 9, 9, 1, 0, 4, 2, 250, 17, 3})
 	p := symProg(3)
-	perms3, _, _, _ := allPerms(3)
+	perms3, _ := allPerms(3)
 	f.Fuzz(func(t *testing.T, choices []byte) {
 		s := p.InitState()
 		for _, b := range choices {

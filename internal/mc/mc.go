@@ -374,6 +374,12 @@ type explorer struct {
 	// shared state: while disabled, another process's write can enable
 	// them, so their process cannot be singled out (see ampleProcessOK).
 	porGuardShared [][]bool
+	// ampleNever[label] marks labels whose process can never be singled
+	// out (ampleProcessOKMask is false for every enabled mask): some branch
+	// is ineligible yet has a shared-reading guard, so it fails the check
+	// enabled or disabled, or the label has more than 64 branches.
+	// ampleSingle skips such processes before evaluating any guard.
+	ampleNever []bool
 	// chaseCap bounds local-chain compression so a cycle of local actions
 	// (a local spin) cannot chase forever.
 	chaseCap int
@@ -440,10 +446,15 @@ func newExplorer(p *gcl.Prog, opts Options, plan Plan) *explorer {
 	if e.por {
 		e.porOK = porEligibility(p, opts.Invariants)
 		e.porGuardShared = make([][]bool, len(p.Labels()))
+		e.ampleNever = make([]bool, len(p.Labels()))
 		for li := range e.porGuardShared {
 			e.porGuardShared[li] = make([]bool, p.NumBranchesAt(li))
+			e.ampleNever[li] = len(e.porGuardShared[li]) > 64
 			for bi := range e.porGuardShared[li] {
 				e.porGuardShared[li][bi] = p.BranchGuardReadsShared(li, bi)
+				if e.porGuardShared[li][bi] && !e.porOK[li][bi] {
+					e.ampleNever[li] = true
+				}
 			}
 		}
 		e.chaseCap = p.N*len(p.Labels()) + 8
@@ -887,12 +898,12 @@ func (e *explorer) ampleProcessOKMask(pc int, enabled uint64) bool {
 // materialised only when the chain actually continues.
 func (e *explorer) ampleSingle(u gcl.State, buf *gcl.SuccBuf) (gcl.Succ, bool) {
 	for pid := 0; pid < e.p.N; pid++ {
-		mask := e.p.EnabledMask(u, pid, buf)
-		if mask == 0 {
+		pc := e.p.PC(u, pid)
+		if e.ampleNever[pc] {
 			continue
 		}
-		pc := e.p.PC(u, pid)
-		if !e.ampleProcessOKMask(pc, mask) {
+		mask := e.p.EnabledMask(u, pid, buf)
+		if mask == 0 || !e.ampleProcessOKMask(pc, mask) {
 			continue
 		}
 		if mask&(mask-1) != 0 {

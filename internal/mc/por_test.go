@@ -310,3 +310,39 @@ func TestPORGainBakeryPPN4(t *testing.T) {
 	t.Logf("bakery++ N=4 M=2: symmetry %d states, symmetry+por %d (%.1fx further)",
 		sym.States, both.States, float64(sym.States)/float64(both.States))
 }
+
+// TestAmpleNeverExhaustive pins the static skip in ampleSingle: a label
+// marked ampleNever must fail ampleProcessOKMask for every enabled-branch
+// mask, checked exhaustively on every registered spec at N=3 for every
+// label with at most 12 branches.
+func TestAmpleNeverExhaustive(t *testing.T) {
+	opts := Options{Invariants: []Invariant{Mutex(), NoOverflow()}, POR: true}
+	for _, name := range specs.Names() {
+		p, err := specs.Get(name, specs.Config{N: 3, M: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := planFor(p, opts, SafetyAnalysis{Invariants: opts.Invariants})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !plan.POR {
+			t.Fatalf("%s: POR not planned", name)
+		}
+		e := newExplorer(p, opts, plan)
+		marked := 0
+		for pc, never := range e.ampleNever {
+			nb := p.NumBranchesAt(pc)
+			if !never || nb > 12 {
+				continue
+			}
+			marked++
+			for m := uint64(0); m < 1<<uint(nb); m++ {
+				if e.ampleProcessOKMask(pc, m) {
+					t.Fatalf("%s: label %s is ampleNever but mask %b passes", name, p.Labels()[pc], m)
+				}
+			}
+		}
+		t.Logf("%s: %d of %d labels never ample", name, marked, len(e.ampleNever))
+	}
+}

@@ -7,6 +7,8 @@ package specs
 // model checker's symmetry-reduced visited store).
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"bakerypp/internal/gcl"
@@ -91,25 +93,27 @@ func TestDeclaredSymmetry(t *testing.T) {
 	}
 }
 
+// symBuilds are the symmetric specs and their variants, by process count.
+var symBuilds = []struct {
+	name string
+	mk   func(n int) *gcl.Prog
+}{
+	{"bakery", func(n int) *gcl.Prog { return Bakery(Config{N: n, M: 2}) }},
+	{"bakery-fine", func(n int) *gcl.Prog { return Bakery(Config{N: n, M: 2, Fine: true}) }},
+	{"bakerypp", func(n int) *gcl.Prog { return BakeryPP(Config{N: n, M: 2}) }},
+	{"bakerypp-fine", func(n int) *gcl.Prog { return BakeryPP(Config{N: n, M: 2, Fine: true}) }},
+	{"bakerypp-safe", func(n int) *gcl.Prog { return BakeryPPSafe(n, 2) }},
+	{"modbakery", func(n int) *gcl.Prog { return ModBakery(n, 2) }},
+	{"szymanski", Szymanski},
+}
+
 // TestCanonicalFingerprintInvariance sweeps every symmetric spec at
 // N in {2, 3, 4}: for each sampled reachable state and every permutation
 // valid for its normalized form, the canonical fingerprint must not
 // change, and the witnessing permutation must map the normalized state
 // onto the canonical form.
 func TestCanonicalFingerprintInvariance(t *testing.T) {
-	builds := []struct {
-		name string
-		mk   func(n int) *gcl.Prog
-	}{
-		{"bakery", func(n int) *gcl.Prog { return Bakery(Config{N: n, M: 2}) }},
-		{"bakery-fine", func(n int) *gcl.Prog { return Bakery(Config{N: n, M: 2, Fine: true}) }},
-		{"bakerypp", func(n int) *gcl.Prog { return BakeryPP(Config{N: n, M: 2}) }},
-		{"bakerypp-fine", func(n int) *gcl.Prog { return BakeryPP(Config{N: n, M: 2, Fine: true}) }},
-		{"bakerypp-safe", func(n int) *gcl.Prog { return BakeryPPSafe(n, 2) }},
-		{"modbakery", func(n int) *gcl.Prog { return ModBakery(n, 2) }},
-		{"szymanski", Szymanski},
-	}
-	for _, b := range builds {
+	for _, b := range symBuilds {
 		for _, n := range []int{2, 3, 4} {
 			p := b.mk(n)
 			if !p.CanCanonicalize() {
@@ -140,6 +144,84 @@ func TestCanonicalFingerprintInvariance(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCanonicalizeAgainstOracle checks the column sort against brute
+// force on every symmetric spec at N=4 and N=5: for sampled reachable
+// states (breadth-first near the initial state, plus a random walk for
+// deep mid-scan states) and pin sets {}, {0}, {N-1}, {0,N-1}, the
+// canonical image must be the least valid image over the whole
+// permutation table, and the unpinned witness must be the
+// lexicographically first permutation reaching it.
+func TestCanonicalizeAgainstOracle(t *testing.T) {
+	for _, b := range symBuilds {
+		for _, n := range []int{4, 5} {
+			p := b.mk(n)
+			c := p.NewCanonicalizer()
+			states := sampleStates(p, 150)
+			rng := rand.New(rand.NewSource(int64(n)))
+			s := p.InitState()
+			for step := 0; step < 300; step++ {
+				succs := p.AllSuccs(s, gcl.ModeUnbounded)
+				s = succs[rng.Intn(len(succs))].State
+				states = append(states, s)
+			}
+			for _, s := range states {
+				for _, pinned := range [][]int{nil, {0}, {n - 1}, {0, n - 1}} {
+					best, witness := oracleCanon(p, s, pinned)
+					if got := p.CanonicalizePinned(s, pinned); !got.Equal(best) {
+						t.Fatalf("%s N=%d pinned %v: canonical of %s is %v, want %v",
+							b.name, n, pinned, p.Format(s), got, best)
+					}
+					if pinned != nil {
+						continue
+					}
+					got, perm := c.CanonicalizeWithPerm(s)
+					if !got.Equal(best) || !p.Canonicalize(s).Equal(best) {
+						t.Fatalf("%s N=%d: canonical of %s is %v, want %v", b.name, n, p.Format(s), got, best)
+					}
+					if !slices.Equal(perm, witness) {
+						t.Fatalf("%s N=%d: witness of %s is %v, want %v", b.name, n, p.Format(s), perm, witness)
+					}
+				}
+			}
+		}
+	}
+}
+
+// oracleCanon returns the least image of the normalized state over the
+// permutations in the table that are valid for it and fix every pinned
+// pid, and the first permutation in table (lexicographic) order that
+// reaches it.
+func oracleCanon(p *gcl.Prog, s gcl.State, pinned []int) (gcl.State, []int) {
+	norm := p.NormalizeCursors(s)
+	var best gcl.State
+	var witness []int
+next:
+	for i := 0; i < p.NumPerms(); i++ {
+		perm := p.PermAt(i)
+		for _, pid := range pinned {
+			if perm[pid] != pid {
+				continue next
+			}
+		}
+		if !p.PermValid(norm, perm) {
+			continue
+		}
+		if img := p.Permute(norm, perm); best == nil || lexLess(img, best) {
+			best, witness = img, perm
+		}
+	}
+	return best, witness
+}
+
+func lexLess(a, b gcl.State) bool {
+	for i := range a {
+		if a[i] != b[i] {
+			return a[i] < b[i]
+		}
+	}
+	return false
 }
 
 // TestAsymmetricSpecsDoNotCanonicalize pins the opt-outs: the declared
