@@ -195,7 +195,7 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "bakerymc: note: %s does not support symmetry reduction (declared asymmetric or too many processes); ran the full search\n", p.Name)
 	}
 	if *por && !res.POR {
-		fmt.Fprintln(os.Stderr, "bakerymc: note: -por fell back to the full search (crash transitions make no action safely independent)")
+		fmt.Fprintf(os.Stderr, "bakerymc: note: -por fell back to the full search (%s)\n", porFallbackReason(opts))
 	}
 	fmt.Println(res.String())
 	if banner := res.Store.Banner(); banner != "" {
@@ -215,4 +215,18 @@ func run() int {
 		return 1
 	}
 	return 0
+}
+
+// porFallbackReason names why the safety check dropped -por. Its stock
+// invariants declare their observations, so only crash transitions and the
+// bitstate store (which stores no depths for the ample proviso) remain.
+func porFallbackReason(opts mc.Options) string {
+	var why []string
+	if opts.Crash {
+		why = append(why, "crash transitions make no action safely independent")
+	}
+	if opts.Store.Mode == mc.StoreBitstate {
+		why = append(why, "the bitstate store keeps no depths for the ample proviso")
+	}
+	return strings.Join(why, "; ")
 }

@@ -75,6 +75,7 @@ func BuildGraph(p *gcl.Prog, opts Options) (*Graph, error) {
 	}
 	start := time.Now()
 	e := newExplorer(p, opts, plan)
+	defer e.join()
 	res := &Result{Prog: p, Symmetry: e.symmetry}
 	g := &Graph{Summary: res, expl: e}
 
@@ -90,9 +91,10 @@ func BuildGraph(p *gcl.Prog, opts Options) (*Graph, error) {
 			return nil, fmt.Errorf("mc: %s: state bound %d exceeded while building graph",
 				p.Name, e.opts.MaxStates)
 		}
-		res.Depth = int(e.depth[head])
+		d := e.depth.at(head)
+		res.Depth = int(d)
 		x := e.expansionOf(head)
-		lo, hi := e.commit(x, e.depth[head])
+		lo, hi := e.commit(x, d)
 		for i := lo; i < hi; i++ {
 			res.Transitions++
 			idx, fresh := e.addSucc(x, i, head)
@@ -313,13 +315,13 @@ func (g *Graph) FindStarvation(pred func(p *gcl.Prog, s gcl.State) bool, mustMov
 		}
 		entry := comp[0]
 		for _, v := range comp {
-			if g.expl.depth[v] < g.expl.depth[entry] {
+			if g.expl.depth.at(v) < g.expl.depth.at(entry) {
 				entry = v
 			}
 		}
 		return &StarvationReport{
 			ComponentSize: len(comp),
-			EntryLen:      int(g.expl.depth[entry]),
+			EntryLen:      int(g.expl.depth.at(entry)),
 			Entry:         g.expl.trace(entry),
 			MovesByPid:    moves,
 			Component:     comp,
@@ -402,7 +404,7 @@ func (g *Graph) FindNoProgress(mustMove []int) *NoProgressReport {
 		}
 		entry := comp[0]
 		for _, v := range comp {
-			if g.expl.depth[v] < g.expl.depth[entry] {
+			if g.expl.depth.at(v) < g.expl.depth.at(entry) {
 				entry = v
 			}
 		}

@@ -22,9 +22,10 @@ import (
 // but slices returned by at() keep aliasing the old, unchanged copy, so
 // they stay valid across growth too.
 //
-// Not goroutine-safe: an append needs exclusive access; concurrent at()
-// readers need only be ordered after the appends they read (the engines'
-// phase barriers, or the store's mutex).
+// Not goroutine-safe: append and at need exclusive access. A slice at()
+// returned is never written again, though, so it may be handed to another
+// goroutine and read there while appends continue (the parallel pre-pass
+// reads its chunk's head vectors that way).
 type keySlab struct {
 	blocks [][]int32
 }

@@ -130,13 +130,13 @@ type Options struct {
 	Mode gcl.Mode
 	// Workers sets how many goroutines expand states. 0 (the default) and
 	// 1 expand one BFS head at a time on the caller's goroutine; a count of
-	// 2 or more pre-expands chunks of queued heads on that many goroutines
-	// before the single-threaded merge numbers them (see parallel.go); a
-	// negative count uses GOMAXPROCS. States are numbered identically
-	// either way, so Check results, graphs, traces, and the SCC analyses
-	// are byte-for-byte independent of this setting. Invariant predicates
-	// must be safe for concurrent use when Workers >= 2 (the stock
-	// invariants are pure reads and qualify).
+	// 2 or more expands chunks of queued heads on that many goroutines, one
+	// chunk ahead of the single-threaded merge that numbers them (see
+	// parallel.go); a negative count uses GOMAXPROCS. States are numbered
+	// identically either way, so Check results, graphs, traces, the SCC
+	// analyses and the store report are byte-for-byte independent of this
+	// setting. Invariant predicates must be safe for concurrent use when
+	// Workers >= 2 (the stock invariants are pure reads and qualify).
 	Workers int
 	// Symmetry enables process-symmetry reduction: the visited store keys
 	// states on the canonical representative of their permutation orbit,
@@ -329,24 +329,24 @@ const crashLabel = "CRASH"
 const crashLabelIdx = int32(-1)
 
 // wctx is one expansion context: the scratch the hot path allocates from.
-// The explorer owns one for heads it expands itself; the parallel pre-pass
-// keeps one per worker. buf is reset once per head expanded alone, or once
-// per pre-pass chunk, recycling every successor vector, canonical key copy,
-// and crash state generated since; canon is the reusable canonicalizer (nil
-// when the run is not symmetry-reduced).
+// The explorer owns one for heads it expands itself; each of the parallel
+// pre-pass's two chunk buffers keeps one per worker. buf is reset once per
+// head expanded alone, or once per pre-pass chunk, recycling every
+// successor vector, canonical key copy, and crash state generated since;
+// canon is the reusable canonicalizer (nil when the run is not
+// symmetry-reduced).
 type wctx struct {
 	buf   gcl.SuccBuf
 	canon *gcl.Canonicalizer
 	// slab and fps are the batched store-probe scratch behind prepSuccs:
 	// under symmetry a whole successor run canonicalizes into the
 	// structure-of-arrays key slab in one call; otherwise only the
-	// fingerprint batch is computed (the key is the state itself). preps,
-	// seen and violated back the pre-pass's expansion records. All recycled
-	// on the same cadence as buf.
+	// fingerprint batch is computed (the key is the state itself). preps
+	// and violated back the pre-pass's expansion records. All recycled on
+	// the same cadence as buf.
 	slab     gcl.KeySlab
 	fps      []uint64
 	preps    []prep
-	seen     []int32
 	violated []int32
 }
 
@@ -365,7 +365,7 @@ type explorer struct {
 	// records, per stored state, the index of its canonical witnessing
 	// permutation (see quotient.go).
 	trackPerms bool
-	canonPerm  []int32
+	canonPerm  column[int32]
 	// porOK[label][branch] marks branches eligible to form ample sets:
 	// local-only per the gcl footprint analysis, and invisible (neither
 	// endpoint label observed by any invariant).
@@ -386,6 +386,8 @@ type explorer struct {
 	// State-vector residency (stateAt/appendState/releaseState). In the
 	// default exact tier every numbered state's vector sits in slab, refs
 	// holding one word reference per state — no per-state Go pointers.
+	// Every per-state column is a paged column (column.go), so none is
+	// copied as it grows.
 	// When the plan keys the store on the concrete state, slab IS the
 	// store's key slab and byRef its insert-by-reference hook, so each
 	// vector is stored once as both state and key; under symmetry the store
@@ -396,17 +398,17 @@ type explorer struct {
 	// fingerprints, the frontier holds the only live vectors, and traces
 	// are gone (traceable false).
 	slab      *keySlab
-	refs      []uint32
+	refs      column[uint32]
 	byRef     slabStore
 	ar        *arena
-	offs      []int64
+	offs      column[int64]
 	release   bool
 	traceable bool
 	states    []gcl.State
-	parent    []int32
-	parentBy  []int32 // pid of the action producing this state; -1 for init
-	parentLb  []int32 // label index of the producing action; crashLabelIdx for crashes/init
-	depth     []int32
+	parent    column[int32]
+	parentBy  column[int32] // pid of the action producing this state; -1 for init
+	parentLb  column[int32] // label index of the producing action; crashLabelIdx for crashes/init
+	depth     column[int32]
 	crashers  []int
 	// wc and seq expand the heads the explorer expands alone: every head in
 	// sequential mode, and in parallel mode those met while the queue is
@@ -480,11 +482,11 @@ func newExplorer(p *gcl.Prog, opts Options, plan Plan) *explorer {
 func (e *explorer) numStates() int {
 	switch {
 	case e.ar != nil:
-		return len(e.offs)
+		return e.offs.len()
 	case e.release:
 		return len(e.states)
 	}
-	return len(e.refs)
+	return e.refs.len()
 }
 
 // stateAt returns state i's vector: a slice aliasing the slab (callers
@@ -494,11 +496,11 @@ func (e *explorer) numStates() int {
 func (e *explorer) stateAt(i int32) gcl.State {
 	switch {
 	case e.ar != nil:
-		return e.ar.state(e.offs[i])
+		return e.ar.state(e.offs.at(i))
 	case e.release:
 		return e.states[i]
 	}
-	return e.slab.at(e.refs[i])
+	return e.slab.at(e.refs.at(i))
 }
 
 // appendState numbers a fresh state and stores its vector per the
@@ -513,14 +515,12 @@ func (e *explorer) appendState(s gcl.State) int32 {
 		if err != nil {
 			panic(err) // disk exhaustion mid-exploration: nothing sound to do
 		}
-		e.offs = append(e.offs, off)
-		return int32(len(e.offs) - 1)
+		return e.offs.push(off)
 	case e.release:
 		e.states = append(e.states, append(gcl.State(nil), s...))
 		return int32(len(e.states) - 1)
 	}
-	e.refs = append(e.refs, e.slab.append(s))
-	return int32(len(e.refs) - 1)
+	return e.refs.push(e.slab.append(s))
 }
 
 // releaseState drops state i's vector once it has been expanded — the
@@ -599,17 +599,16 @@ type prep struct {
 //
 // A head the explorer expands alone gets its probes prepared lazily by
 // commit, so a committed ample segment never prepares the complement. The
-// parallel pre-pass prepares every probe ahead (ahead set) and adds its
-// advisory per-successor verdicts: seen is the state's number if the store
-// held it at pre-pass time, else -1; violated, for those seen misses, is
-// the index of the first invariant the state breaks, else -1.
+// parallel pre-pass prepares every probe ahead (ahead set) and evaluates
+// the invariants on every successor: violated[i] is the index of the first
+// invariant succs[i] breaks, else -1. Whether a successor is fresh is
+// decided by the merge alone.
 type expansion struct {
 	succs    []gcl.Succ
 	preps    []prep
 	aLo, aHi int
 	progress bool
 	ahead    bool
-	seen     []int32
 	violated []int32
 }
 
@@ -694,23 +693,23 @@ func (e *explorer) addPrepared(fp uint64, key gcl.State, perm int32, s gcl.State
 	}
 	idx := e.appendState(s)
 	if e.byRef != nil {
-		e.byRef.insertRef(fp, e.refs[idx], idx)
+		e.byRef.insertRef(fp, e.refs.at(idx), idx)
 	} else {
 		e.store.Insert(fp, key, idx)
 	}
 	if e.traceable {
-		e.parent = append(e.parent, parent)
-		e.parentBy = append(e.parentBy, byPid)
-		e.parentLb = append(e.parentLb, labelIdx)
+		e.parent.push(parent)
+		e.parentBy.push(byPid)
+		e.parentLb.push(labelIdx)
 	}
 	if e.trackPerms {
-		e.canonPerm = append(e.canonPerm, perm)
+		e.canonPerm.push(perm)
 	}
-	if parent < 0 {
-		e.depth = append(e.depth, 0)
-	} else {
-		e.depth = append(e.depth, e.depth[parent]+1)
+	d := int32(0)
+	if parent >= 0 {
+		d = e.depth.at(parent) + 1
 	}
+	e.depth.push(d)
 	return idx, true
 }
 
@@ -733,7 +732,7 @@ func (e *explorer) edgePermIdx(succPerm int32, to int32, fresh bool) int32 {
 		return 0
 	}
 	return int32(e.p.ComposePermIndex(
-		e.p.InvPermIndex(int(succPerm)), int(e.canonPerm[to])))
+		e.p.InvPermIndex(int(succPerm)), int(e.canonPerm.at(to))))
 }
 
 // trace reconstructs the path from the initial state to states[idx].
@@ -747,7 +746,7 @@ func (e *explorer) trace(idx int32) Trace {
 		return Trace{Prog: e.p, Init: e.p.InitState()}
 	}
 	var rev []int32
-	for i := idx; i >= 0; i = e.parent[i] {
+	for i := idx; i >= 0; i = e.parent.at(i) {
 		rev = append(rev, i)
 	}
 	t := Trace{Prog: e.p, Init: e.stateAt(rev[len(rev)-1])}
@@ -755,12 +754,12 @@ func (e *explorer) trace(idx int32) Trace {
 		i := rev[k]
 		if e.por {
 			t.Steps = append(t.Steps,
-				e.edgeSteps(e.stateAt(e.parent[i]), e.stateAt(i), int(e.parentBy[i]), e.labelName(e.parentLb[i]))...)
+				e.edgeSteps(e.stateAt(e.parent.at(i)), e.stateAt(i), int(e.parentBy.at(i)), e.labelName(e.parentLb.at(i)))...)
 			continue
 		}
 		t.Steps = append(t.Steps, Step{
-			Pid:   int(e.parentBy[i]),
-			Label: e.labelName(e.parentLb[i]),
+			Pid:   int(e.parentBy.at(i)),
+			Label: e.labelName(e.parentLb.at(i)),
 			State: e.stateAt(i),
 		})
 	}
@@ -934,31 +933,35 @@ func (e *explorer) chase(sc gcl.Succ, buf *gcl.SuccBuf) gcl.Succ {
 }
 
 // expansionOf expands head for the merge step. In parallel mode the head
-// comes from the chunk the pre-pass expanded; once head has passed that
-// chunk the pre-pass runs over the next maxChunk queued heads — when at
-// least minChunk are queued. Otherwise head is expanded alone into the
-// explorer's own context, recycled per head, as in sequential mode.
+// comes from a chunk the pre-pass expanded (prepass.expansion). Otherwise
+// head is expanded alone into the explorer's own context, recycled per
+// head, as in sequential mode.
 func (e *explorer) expansionOf(head int32) *expansion {
-	if pp := e.pre; pp != nil {
-		if queued := int32(e.numStates()) - head; head >= pp.hi && queued >= minChunk {
-			pp.expand(e, head, head+min(queued, maxChunk))
-		}
-		if head < pp.hi {
-			return &pp.exps[head-pp.lo]
+	if e.pre != nil {
+		if x := e.pre.expansion(e, head); x != nil {
+			return x
 		}
 	}
 	x := &e.seq
 	e.wc.buf.Reset()
 	e.wc.slab.Reset()
-	e.expandInto(head, x, &e.wc)
+	e.expandInto(e.stateAt(head), x, &e.wc)
 	x.preps = grow(x.preps, len(x.succs))
 	return x
 }
 
-// expandInto generates head's successors into w and records them in x,
-// leaving the probes unprepared.
-func (e *explorer) expandInto(head int32, x *expansion, w *wctx) {
-	x.succs, x.aLo, x.aHi = e.successors(e.stateAt(head), w)
+// join waits for the pre-pass chunk in flight, if any. Check and
+// BuildGraph defer it, so no worker outlives the exploration.
+func (e *explorer) join() {
+	if e.pre != nil {
+		e.pre.join()
+	}
+}
+
+// expandInto generates the successors of head state s into w and records
+// them in x, leaving the probes unprepared.
+func (e *explorer) expandInto(s gcl.State, x *expansion, w *wctx) {
+	x.succs, x.aLo, x.aHi = e.successors(s, w)
 	x.progress, x.ahead = false, false
 	for i := range x.succs {
 		if x.succs[i].LabelIdx >= 0 {
@@ -1005,30 +1008,18 @@ func (e *explorer) commit(x *expansion, d int32) (lo, hi int) {
 // how far ahead the pre-pass ran.
 func (e *explorer) ampleOK(x *expansion, d int32) bool {
 	for i := x.aLo; i < x.aHi; i++ {
-		if idx, ok := e.lookup(x, i); ok && e.depth[idx] != d+1 {
+		pr := &x.preps[i]
+		if idx, ok := e.store.Lookup(pr.fp, pr.key); ok && e.depth.at(idx) != d+1 {
 			return false
 		}
 	}
 	return true
 }
 
-// lookup probes the visited store for successor i of x. A pre-pass hit is
-// final (the store never deletes); a pre-pass miss is probed again, since
-// an earlier merge may have inserted the state since.
-func (e *explorer) lookup(x *expansion, i int) (int32, bool) {
-	if x.ahead && x.seen[i] >= 0 {
-		return x.seen[i], true
-	}
-	return e.store.Lookup(x.preps[i].fp, x.preps[i].key)
-}
-
 // addSucc numbers successor i of head if it is new, returning its index and
 // whether it was fresh. Only the merge calls it; the order of its calls is
 // the state numbering.
 func (e *explorer) addSucc(x *expansion, i int, head int32) (int32, bool) {
-	if x.ahead && x.seen[i] >= 0 {
-		return x.seen[i], false
-	}
 	pr, sc := &x.preps[i], &x.succs[i]
 	return e.addPrepared(pr.fp, pr.key, pr.perm, sc.State, head, int32(sc.Pid), sc.LabelIdx)
 }
@@ -1057,6 +1048,7 @@ func Check(p *gcl.Prog, opts Options) *Result {
 	}
 	start := time.Now()
 	e := newExplorer(p, opts, plan)
+	defer e.join()
 	res := &Result{Prog: p, Symmetry: e.symmetry, POR: e.por}
 
 	finish := func() *Result {
@@ -1077,9 +1069,10 @@ func Check(p *gcl.Prog, opts Options) *Result {
 		if e.numStates() >= e.opts.MaxStates {
 			return finish()
 		}
-		res.Depth = int(e.depth[head])
+		d := e.depth.at(head)
+		res.Depth = int(d)
 		x := e.expansionOf(head)
-		lo, hi := e.commit(x, e.depth[head])
+		lo, hi := e.commit(x, d)
 		for i := lo; i < hi; i++ {
 			res.Transitions++
 			idx, fresh := e.addSucc(x, i, head)
@@ -1096,8 +1089,8 @@ func Check(p *gcl.Prog, opts Options) *Result {
 			res.Deadlock = &t
 			return finish()
 		}
-		// Safe in parallel mode too: the pre-pass only reads the heads of
-		// its chunk, none of which has been merged when it runs.
+		// Safe in parallel mode too: the pre-pass reads the head vectors of
+		// a chunk when it launches, before any of them is merged.
 		e.releaseState(int(head))
 	}
 	res.Complete = true

@@ -2,23 +2,27 @@ package mc
 
 // Parallel mode's expansion pre-pass. Check and BuildGraph each run one BFS
 // loop that merges one head at a time (see explorer.expansionOf and the
-// merge step in mc.go). With Options.Workers >= 2 the loop hands the next
-// chunk of queued heads to a worker pool before merging them: the workers
-// generate and batch-prepare every head's successors (the expensive,
-// embarrassingly parallel part), probe the visited store directly, and
-// evaluate the invariants on the successors the store does not hold yet.
-// The merge then walks the pre-expanded heads in queue order exactly as it
-// walks a sequentially expanded one, so state numbering, parents, edge
-// order and stop conditions — and with them every downstream analysis —
-// are identical for any worker count.
+// merge step in mc.go). With Options.Workers >= 2 a worker pool expands
+// chunks of queued heads one chunk ahead of that merge: while the merge
+// walks chunk k, the pool generates chunk k+1's successors, prepares every
+// probe (fingerprints, or canonical keys under symmetry) and evaluates the
+// invariants on every successor — the expensive, embarrassingly parallel
+// part. The merge then walks each pre-expanded head in queue order exactly
+// as it walks a sequentially expanded one, making the one authoritative
+// store lookup per successor, so state numbering, parents, edge order, stop
+// conditions and store accounting — and with them every downstream
+// analysis — are identical for any worker count.
 //
-// The direct probes need no locks: between merges the store is read-only.
-// The merge is the sole writer, and it never runs while the pool does (the
-// pool is joined before the first pre-expanded head is merged). The exact
-// in-heap store's lookup reads only its slot array and key slab; the other
-// tiers synchronise their Lookup themselves. A probe's hit is final (the
-// store never deletes), a miss is only advisory — an earlier merge in the
-// same chunk may insert the state — so the merge re-probes misses.
+// The workers touch neither the visited store nor the per-state columns the
+// merge grows. A chunk's head vectors are read on the merge goroutine when
+// the chunk launches; they are numbered states whose storage never moves
+// (keySlab.at slices stay valid, spill decodes and release-mode clones are
+// private copies). Everything else a worker writes is its chunk's own
+// scratch and records. Two chunk buffers alternate: cur, whose records the
+// merge is walking, and next, in flight on the pool. Each owns its workers'
+// scratch, so expanding next never recycles memory the merge of cur still
+// reads. The merge joins next when it reaches it, and Check and BuildGraph
+// join it on every return (explorer.join), early stops included.
 //
 // Profiling: the pool goroutines run under the runtime/pprof labels
 // "mc-stage"=expand and "mc-worker"=<index>; see the Performance section of
@@ -31,13 +35,15 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+
+	"bakerypp/internal/gcl"
 )
 
 const (
-	// maxChunk is how many queued heads one pre-pass covers: wide enough to
-	// amortise the spawn/join cost over real work, narrow enough that a
-	// bounded run (MaxStates, early violation stop) wastes at most one
-	// chunk of speculative expansion.
+	// maxChunk is how many queued heads one pre-pass chunk covers: wide
+	// enough to amortise the spawn/join cost over real work, narrow enough
+	// that a bounded run (MaxStates, early violation stop) wastes at most
+	// one chunk of speculative expansion.
 	maxChunk = 4096
 	// minChunk is the narrowest queue the pre-pass takes on; below it (the
 	// first few BFS levels) heads are expanded one at a time, as in
@@ -45,12 +51,24 @@ const (
 	minChunk = 64
 )
 
-// prepass is parallel mode's worker pool state: one expansion context per
-// worker and the records of the chunk of heads [lo, hi) expanded last.
-type prepass struct {
+// chunk is one pre-pass buffer: the heads [lo, hi), their vectors, their
+// expansion records, and the scratch of the workers that filled them. The
+// slices are sized to maxChunk once.
+type chunk struct {
 	wcs    []wctx
+	heads  []gcl.State
 	exps   []expansion
 	lo, hi int32
+	cursor atomic.Int64
+}
+
+// prepass is parallel mode's worker pool state: the chunk being merged, the
+// chunk in flight (when busy), and one pprof label context per worker.
+type prepass struct {
+	cur, next *chunk
+	busy      bool
+	wg        sync.WaitGroup
+	labels    []context.Context
 }
 
 // newPrepass returns the pre-pass for Options.Workers, or nil when the run
@@ -63,85 +81,119 @@ func newPrepass(e *explorer) *prepass {
 	if w < 2 {
 		return nil
 	}
-	pp := &prepass{wcs: make([]wctx, w)}
-	if e.plan.Symmetry || e.plan.TrackPerms {
-		for i := range pp.wcs {
-			pp.wcs[i].canon = e.p.NewCanonicalizer()
-		}
+	pp := &prepass{cur: newChunk(e, w), next: newChunk(e, w), labels: make([]context.Context, w)}
+	for i := range pp.labels {
+		pp.labels[i] = pprof.WithLabels(context.Background(),
+			pprof.Labels("mc-stage", "expand", "mc-worker", strconv.Itoa(i)))
 	}
 	return pp
 }
 
-// expand pre-expands heads [lo, hi) on the pool. Workers claim batches of
-// heads through an atomic cursor (batching keeps the cursor off the hot
-// path) and write only their own expansion context and the records of the
-// heads they claimed. Every record is complete when expand returns.
-func (pp *prepass) expand(e *explorer, lo, hi int32) {
-	n := int(hi - lo)
-	if cap(pp.exps) < n {
-		pp.exps = make([]expansion, n)
+func newChunk(e *explorer, workers int) *chunk {
+	c := &chunk{wcs: make([]wctx, workers), heads: make([]gcl.State, maxChunk), exps: make([]expansion, maxChunk)}
+	if e.plan.Symmetry || e.plan.TrackPerms {
+		for i := range c.wcs {
+			c.wcs[i].canon = e.p.NewCanonicalizer()
+		}
 	}
-	pp.exps, pp.lo, pp.hi = pp.exps[:n], lo, hi
-	// Chunk boundary: the previous chunk is fully merged (fresh states and
-	// keys were copied out), so every worker's scratch can be recycled.
-	for i := range pp.wcs {
-		w := &pp.wcs[i]
-		w.buf.Reset()
-		w.slab.Reset()
-		w.preps, w.seen, w.violated = w.preps[:0], w.seen[:0], w.violated[:0]
-	}
-	workers := min(len(pp.wcs), n)
-	batch := min(max(n/(workers*4), 1), 64)
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for wi := 0; wi < workers; wi++ {
-		wg.Add(1)
-		go func(w *wctx, label string) {
-			defer wg.Done()
-			pprof.Do(context.Background(), pprof.Labels("mc-stage", "expand", "mc-worker", label), func(context.Context) {
-				for {
-					end := cursor.Add(int64(batch))
-					start := end - int64(batch)
-					if start >= int64(n) {
-						return
-					}
-					for i := start; i < min(end, int64(n)); i++ {
-						e.expandAhead(lo+int32(i), &pp.exps[i], w)
-					}
-				}
-			})
-		}(&pp.wcs[wi], strconv.Itoa(wi))
-	}
-	wg.Wait()
+	return c
 }
 
-// expandAhead is one worker's expansion of head into x: successors, every
-// probe prepared, and the advisory verdicts — the store's answer for each
-// successor, and for each one it misses the index of the first invariant
-// the successor breaks (-1 if none). The per-successor arrays are carved
-// from the worker's scratch; a later head's growth may move that scratch,
-// but x keeps the backing array it was filled in, which nothing writes
-// again before the next chunk.
-func (e *explorer) expandAhead(head int32, x *expansion, w *wctx) {
-	e.expandInto(head, x, w)
+// expansion returns head's pre-expanded record, or nil when head is to be
+// expanded alone. Reaching the end of cur, the merge joins the chunk in
+// flight — which starts at exactly that head — or, with nothing in flight,
+// expands the next chunk synchronously when at least minChunk heads are
+// queued. Either way it then launches the chunk after cur as soon as
+// minChunk heads are queued past it, so the pool expands while the merge
+// walks cur.
+func (pp *prepass) expansion(e *explorer, head int32) *expansion {
+	if head >= pp.cur.hi {
+		if !pp.busy {
+			queued := int32(e.numStates()) - head
+			if queued < minChunk {
+				return nil
+			}
+			pp.launch(e, head, head+min(queued, maxChunk))
+		}
+		pp.join()
+		pp.cur, pp.next = pp.next, pp.cur
+	}
+	if queued := int32(e.numStates()) - pp.cur.hi; !pp.busy && queued >= minChunk {
+		pp.launch(e, pp.cur.hi, pp.cur.hi+min(queued, maxChunk))
+	}
+	return &pp.cur.exps[head-pp.cur.lo]
+}
+
+// launch starts expanding heads [lo, hi) into the next buffer on the pool
+// and returns at once; join waits for it. Workers claim batches of heads
+// through an atomic cursor (batching keeps the cursor off the hot path).
+func (pp *prepass) launch(e *explorer, lo, hi int32) {
+	c := pp.next
+	n := int(hi - lo)
+	c.lo, c.hi = lo, hi
+	for i := range n {
+		c.heads[i] = e.stateAt(lo + int32(i))
+	}
+	// The buffer's previous chunk is fully merged (fresh states and keys
+	// were copied out), so every worker's scratch can be recycled.
+	for i := range c.wcs {
+		w := &c.wcs[i]
+		w.buf.Reset()
+		w.slab.Reset()
+		w.preps, w.violated = w.preps[:0], w.violated[:0]
+	}
+	workers := min(len(c.wcs), n)
+	batch := int64(min(max(n/(workers*4), 1), 64))
+	c.cursor.Store(0)
+	pp.busy = true
+	pp.wg.Add(workers)
+	for wi := range workers {
+		go pp.work(e, c, &c.wcs[wi], pp.labels[wi], batch)
+	}
+}
+
+// work is one pool goroutine's share of chunk c.
+func (pp *prepass) work(e *explorer, c *chunk, w *wctx, labels context.Context, batch int64) {
+	defer pp.wg.Done()
+	pprof.SetGoroutineLabels(labels)
+	n := int64(c.hi - c.lo)
+	for {
+		end := c.cursor.Add(batch)
+		start := end - batch
+		if start >= n {
+			return
+		}
+		for i := start; i < min(end, n); i++ {
+			e.expandAhead(c.heads[i], &c.exps[i], w)
+		}
+	}
+}
+
+// join waits for the chunk in flight, if any; its records are complete
+// when join returns.
+func (pp *prepass) join() {
+	if pp.busy {
+		pp.wg.Wait()
+		pp.busy = false
+	}
+}
+
+// expandAhead is one worker's expansion of head state s into x: successors,
+// every probe prepared, and each successor's invariant verdict. The
+// per-successor arrays are carved from the worker's scratch; a later head's
+// growth may move that scratch, but x keeps the backing array it was
+// filled in, which nothing writes again before the buffer's next launch.
+func (e *explorer) expandAhead(s gcl.State, x *expansion, w *wctx) {
+	e.expandInto(s, x, w)
 	n := len(x.succs)
 	base := len(w.preps)
 	w.preps = grow(w.preps, base+n)
-	w.seen = grow(w.seen, base+n)
 	w.violated = grow(w.violated, base+n)
 	x.preps = w.preps[base : base+n : base+n]
-	x.seen = w.seen[base : base+n : base+n]
 	x.violated = w.violated[base : base+n : base+n]
 	x.ahead = true
 	e.prepSuccs(w, x.succs, x.preps)
-	for i := range x.preps {
-		pr := &x.preps[i]
-		idx, ok := e.store.Lookup(pr.fp, pr.key)
-		x.seen[i], x.violated[i] = -1, -1
-		if ok {
-			x.seen[i] = idx
-		} else {
-			x.violated[i] = e.checkInvariants(x.succs[i].State)
-		}
+	for i := range x.succs {
+		x.violated[i] = e.checkInvariants(x.succs[i].State)
 	}
 }

@@ -2,7 +2,10 @@ package mc
 
 import (
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"bakerypp/internal/gcl"
 	"bakerypp/internal/specs"
@@ -47,13 +50,14 @@ func requireGraphsIdentical(t *testing.T, seq, par *Graph) {
 		if !seq.State(i).Equal(par.State(i)) {
 			t.Fatalf("state %d differs:\n  sequential %v\n  parallel   %v", i, seq.State(i), par.State(i))
 		}
-		if seq.expl.parent[i] != par.expl.parent[i] ||
-			seq.expl.parentBy[i] != par.expl.parentBy[i] ||
-			seq.expl.parentLb[i] != par.expl.parentLb[i] ||
-			seq.expl.depth[i] != par.expl.depth[i] {
-			t.Fatalf("BFS tree differs at state %d: sequential (parent=%d by=%d lb=%q d=%d), parallel (parent=%d by=%d lb=%q d=%d)",
-				i, seq.expl.parent[i], seq.expl.parentBy[i], seq.expl.parentLb[i], seq.expl.depth[i],
-				par.expl.parent[i], par.expl.parentBy[i], par.expl.parentLb[i], par.expl.depth[i])
+		s, q, j := seq.expl, par.expl, int32(i)
+		if s.parent.at(j) != q.parent.at(j) ||
+			s.parentBy.at(j) != q.parentBy.at(j) ||
+			s.parentLb.at(j) != q.parentLb.at(j) ||
+			s.depth.at(j) != q.depth.at(j) {
+			t.Fatalf("BFS tree differs at state %d: sequential (parent=%d by=%d lb=%d d=%d), parallel (parent=%d by=%d lb=%d d=%d)",
+				i, s.parent.at(j), s.parentBy.at(j), s.parentLb.at(j), s.depth.at(j),
+				q.parent.at(j), q.parentBy.at(j), q.parentLb.at(j), q.depth.at(j))
 		}
 	}
 	if len(seq.Adj) != len(par.Adj) {
@@ -155,29 +159,98 @@ func TestParallelCheckMatchesSequential(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			seqOpts, parOpts := c.opts, c.opts
 			parOpts.Workers = 4
-			seq := Check(c.p(), seqOpts)
-			par := Check(c.p(), parOpts)
-			if seq.States != par.States || seq.Transitions != par.Transitions ||
-				seq.Depth != par.Depth || seq.Complete != par.Complete {
-				t.Fatalf("results differ:\nsequential: states=%d transitions=%d depth=%d complete=%v\nparallel:   states=%d transitions=%d depth=%d complete=%v",
-					seq.States, seq.Transitions, seq.Depth, seq.Complete,
-					par.States, par.Transitions, par.Depth, par.Complete)
-			}
-			if (seq.Violation == nil) != (par.Violation == nil) {
-				t.Fatalf("violation verdicts differ: sequential %v, parallel %v",
-					seq.Violation != nil, par.Violation != nil)
-			}
-			if seq.Violation != nil {
-				if seq.Violation.Invariant != par.Violation.Invariant {
-					t.Fatalf("violated invariant differs: %q vs %q",
-						seq.Violation.Invariant, par.Violation.Invariant)
+			requireResultsIdentical(t, Check(c.p(), seqOpts), Check(c.p(), parOpts))
+		})
+	}
+}
+
+// requireResultsIdentical asserts that two Check results agree on counts,
+// verdict, and the counterexample trace text.
+func requireResultsIdentical(t *testing.T, seq, par *Result) {
+	t.Helper()
+	if seq.States != par.States || seq.Transitions != par.Transitions ||
+		seq.Depth != par.Depth || seq.Complete != par.Complete {
+		t.Fatalf("results differ:\nsequential: states=%d transitions=%d depth=%d complete=%v\nparallel:   states=%d transitions=%d depth=%d complete=%v",
+			seq.States, seq.Transitions, seq.Depth, seq.Complete,
+			par.States, par.Transitions, par.Depth, par.Complete)
+	}
+	if (seq.Violation == nil) != (par.Violation == nil) {
+		t.Fatalf("violation verdicts differ: sequential %v, parallel %v",
+			seq.Violation != nil, par.Violation != nil)
+	}
+	if seq.Violation != nil {
+		if seq.Violation.Invariant != par.Violation.Invariant {
+			t.Fatalf("violated invariant differs: %q vs %q",
+				seq.Violation.Invariant, par.Violation.Invariant)
+		}
+		if seq.Violation.Trace.String() != par.Violation.Trace.String() {
+			t.Fatalf("counterexample traces differ:\nsequential:\n%s\nparallel:\n%s",
+				seq.Violation.Trace.String(), par.Violation.Trace.String())
+		}
+	}
+}
+
+// TestEarlyStopJoinsChunkInFlight: Checks that stop — at a violation, or
+// at MaxStates — while the pool is expanding the chunk after the one being
+// merged return the sequential Result, and no pool goroutine outlives
+// them. Each case stops thousands of states into a wide BFS level, where a
+// full chunk is queued past the one being merged. The parallel run's extra
+// invariant sleeps on every state the sequential run never reached — work
+// only the pre-pass does past the stop — so the chunk in flight is still
+// running when the merge stops; its evaluations must all have happened
+// before Check returns, and the goroutine count must fall back to its
+// baseline.
+func TestEarlyStopJoinsChunkInFlight(t *testing.T) {
+	cases := []struct {
+		name string
+		p    func() *gcl.Prog
+		max  int
+	}{
+		{"modbakery-N3-M3-mutex", func() *gcl.Prog { return specs.ModBakery(3, 3) }, 0},
+		{"bakery-N3-M3-overflow", func() *gcl.Prog { return specs.Bakery(specs.Config{N: 3, M: 3}) }, 0},
+		{"bakerypp-N3-M2-bounded", func() *gcl.Prog { return specs.BakeryPP(specs.Config{N: 3, M: 2}) }, 20000},
+	}
+	baseline := runtime.NumGoroutine()
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			reached := map[uint64]bool{}
+			record := Invariant{Name: "record", Holds: func(_ *gcl.Prog, s gcl.State) bool {
+				reached[s.Fingerprint()] = true
+				return true
+			}}
+			var beyond atomic.Int64
+			slow := Invariant{Name: "slow", Holds: func(_ *gcl.Prog, s gcl.State) bool {
+				if !reached[s.Fingerprint()] {
+					beyond.Add(1)
+					time.Sleep(time.Microsecond)
 				}
-				if seq.Violation.Trace.String() != par.Violation.Trace.String() {
-					t.Fatalf("counterexample traces differ:\nsequential:\n%s\nparallel:\n%s",
-						seq.Violation.Trace.String(), par.Violation.Trace.String())
-				}
+				return true
+			}}
+			opts := func(workers int, extra Invariant) Options {
+				return Options{Invariants: []Invariant{Mutex(), NoOverflow(), extra}, MaxStates: c.max, Workers: workers}
+			}
+			seq := Check(c.p(), opts(0, record))
+			if seq.Complete {
+				t.Fatalf("sequential run completed (%d states); the case must stop early", seq.States)
+			}
+			par := Check(c.p(), opts(2, slow))
+			settled := beyond.Load()
+			requireResultsIdentical(t, seq, par)
+			if settled == 0 {
+				t.Fatal("the pre-pass evaluated no state past the stop: no chunk was in flight")
+			}
+			time.Sleep(50 * time.Millisecond)
+			if n := beyond.Load(); n != settled {
+				t.Fatalf("%d invariant evaluations ran after Check returned", n-settled)
 			}
 		})
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Fatalf("%d goroutines running after the early stops, %d before", n, baseline)
 	}
 }
 

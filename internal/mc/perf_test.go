@@ -1,10 +1,10 @@
 package mc
 
 // Hot-path performance contract for parallel mode's pre-pass: once warmed
-// up, expanding a chunk — successor generation, batched probe preparation,
-// the direct store probes and the invariant pre-checks on misses — must run
-// essentially allocation-free; it runs for every generated successor,
-// millions of times per run.
+// up, expanding a chunk — successor generation, batched probe preparation
+// and the invariant verdicts on every successor — must run essentially
+// allocation-free; it runs for every generated successor, millions of times
+// per run.
 
 import (
 	"testing"
@@ -13,10 +13,10 @@ import (
 )
 
 // TestPrepassAllocFree pins the pre-pass's per-successor cost at ~0
-// allocations: re-expanding a warmed chunk amortizes to less than a few
-// hundredths of an allocation per successor (the residue is the per-chunk
-// goroutine spawn and pprof label plumbing, paid once per thousands of
-// successors).
+// allocations: relaunching a warmed chunk buffer on the pool and joining it
+// amortizes to less than a few hundredths of an allocation per successor
+// (the residue is the per-chunk goroutine spawn, paid once per thousands
+// of successors).
 func TestPrepassAllocFree(t *testing.T) {
 	p := specs.BakeryPP(specs.Config{N: 3, M: 2})
 	opts := Options{Workers: 2, Invariants: []Invariant{Mutex(), NoOverflow()}}
@@ -28,14 +28,16 @@ func TestPrepassAllocFree(t *testing.T) {
 	if e.pre == nil {
 		t.Fatal("Workers: 2 built no pre-pass")
 	}
+	defer e.join()
 	e.add(&e.wc, p.InitState(), -1, -1, crashLabelIdx)
 
-	// Drive the real merge loop until the store holds a few thousand states
-	// and at least a chunk's worth of heads is still queued.
+	// Drive the real pipelined merge loop until the store holds a few
+	// thousand states and at least a chunk's worth of heads is still
+	// queued.
 	head := int32(0)
 	for ; int(head) < e.numStates() && e.numStates()-int(head) < 1024; head++ {
 		x := e.expansionOf(head)
-		lo, hi := e.commit(x, e.depth[head])
+		lo, hi := e.commit(x, e.depth.at(head))
 		for i := lo; i < hi; i++ {
 			e.addSucc(x, i, head)
 		}
@@ -43,29 +45,27 @@ func TestPrepassAllocFree(t *testing.T) {
 	if e.numStates()-int(head) < 512 {
 		t.Fatalf("state space too small to exercise the pre-pass: %d states, %d queued", e.numStates(), e.numStates()-int(head))
 	}
+	e.join()
 
-	// Re-expanding queued heads is side-effect free (the pre-pass writes
-	// only worker scratch and the chunk's records) and hits the
-	// steady-state path once every buffer has its capacity. The queued
-	// heads' successors mix store hits with misses, so both the probes and
-	// the invariant pre-checks run.
-	var succs, hits int
+	// Relaunching the buffer the pipeline launches into is side-effect
+	// free (a chunk writes only its workers' scratch and its records) and
+	// hits the steady-state path once every buffer has its capacity.
+	var succs int
 	sweep := func() {
-		e.pre.expand(e, head, head+512)
-		succs, hits = 0, 0
-		for i := range e.pre.exps {
-			x := &e.pre.exps[i]
-			succs += len(x.succs)
-			for _, s := range x.seen {
-				if s >= 0 {
-					hits++
-				}
+		e.pre.launch(e, head, head+512)
+		e.pre.join()
+		succs = 0
+		for i := range 512 {
+			x := &e.pre.next.exps[i]
+			if !x.ahead || len(x.preps) != len(x.succs) || len(x.violated) != len(x.succs) {
+				t.Fatalf("head %d: record not fully pre-expanded", head+int32(i))
 			}
+			succs += len(x.succs)
 		}
 	}
 	sweep() // warm remaining capacity
-	if succs < 512 || hits == 0 || hits == succs {
-		t.Fatalf("expected a dense mix of store hits and misses, got %d hits of %d successors", hits, succs)
+	if succs < 512 {
+		t.Fatalf("expected a dense chunk, got %d successors of 512 heads", succs)
 	}
 	avg := testing.AllocsPerRun(20, sweep)
 	if perSucc := avg / float64(succs); perSucc > 0.05 {

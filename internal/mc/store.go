@@ -12,11 +12,12 @@ package mc
 // table (fpTable) with its key vectors in a keySlab (keyslab.go) and its
 // slots free of Go pointers; when the plan keys on the concrete state the
 // engine numbers its states in the same slab, so each vector is stored
-// once. It takes no locks: Check and BuildGraph insert only from their
-// single-threaded merge, and the parallel pre-pass probes it only between
-// merges, when it is read-only — concurrent Lookups on a table nobody
-// writes are safe. The other tiers (spill, compact, bitstate) synchronise
-// internally. Its keying variants:
+// once. It takes no locks: every exploration loop uses its store from one
+// goroutine — in Check and BuildGraph the single-threaded merge, which
+// makes every lookup and insert, also in parallel mode, whose pre-pass
+// workers never touch the store. The other tiers (spill, compact, bitstate)
+// still synchronise internally, though no engine needs it any more. Its
+// keying variants:
 //
 //   - symmetry-aware (Plan.Symmetry): Prepare canonicalizes the state
 //     before probing, so all states of one process-permutation orbit
@@ -50,9 +51,9 @@ type StateStore interface {
 	// orbit. Optional extra words (a monitor phase, a belief id) are
 	// appended to the key; they are rejected by symmetry-aware stores.
 	Prepare(s gcl.State, extra ...int32) (uint64, gcl.State)
-	// Lookup returns the value stored under key, if present. Lookups may
-	// run concurrently with each other; every tier but the exact in-heap
-	// one also allows them to race Insert.
+	// Lookup returns the value stored under key, if present. The engines
+	// call it from one goroutine; every tier but the exact in-heap one also
+	// tolerates concurrent Lookups and Inserts.
 	Lookup(fp uint64, key gcl.State) (int32, bool)
 	// Insert stores val under key, replacing any previous value. Stores
 	// that keep keys copy them, so the caller may reuse or overwrite key
@@ -158,8 +159,7 @@ type fpEntry struct {
 // probing over one flat slot array, its keys held in a keySlab. A probe
 // matches on fingerprint first (one integer compare) and confirms against
 // the key in the slab, so membership is exact. Growth rehashes the slots
-// alone — keys never move. lookup only reads, so lookups may run
-// concurrently while nothing inserts; insert needs exclusive access.
+// alone — keys never move. Not goroutine-safe: the merge is its only user.
 type fpTable struct {
 	ents []fpEntry
 	slab *keySlab

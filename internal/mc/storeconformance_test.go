@@ -13,6 +13,7 @@ package mc
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -464,6 +465,38 @@ func TestStoreEngineDeterminism(t *testing.T) {
 			if seq.RunFingerprint() != par.RunFingerprint() {
 				t.Fatalf("%s seed %d: run fingerprint %016x (sequential) != %016x (parallel)",
 					mode, seed, seq.RunFingerprint(), par.RunFingerprint())
+			}
+		}
+	}
+}
+
+// TestLossyStoreReportIndependentOfWorkers pins the whole store report of
+// the lossy tiers — entries, bits set, and the omission bound, which for
+// bitstate depends on the probe count — as identical at Workers 0, 2 and
+// 4: only the merge probes the store, once per successor, for any worker
+// count, so the verdict banner does not depend on -workers either.
+func TestLossyStoreReportIndependentOfWorkers(t *testing.T) {
+	for _, mode := range []string{"compact", "bitstate"} {
+		for _, reduce := range []bool{false, true} {
+			check := func(workers int) *Result {
+				return Check(specs.BakeryPP(specs.Config{N: 3, M: 2}), Options{
+					Invariants: []Invariant{Mutex(), NoOverflow()},
+					Workers:    workers,
+					Symmetry:   reduce,
+					POR:        reduce,
+					Store:      mustStore(t, mode),
+				})
+			}
+			seq := check(0)
+			for _, workers := range []int{2, 4} {
+				par := check(workers)
+				if !reflect.DeepEqual(*seq.Store, *par.Store) {
+					t.Fatalf("%s reduce=%v: store report at Workers %d differs from Workers 0:\n  %+v\n  %+v",
+						mode, reduce, workers, *par.Store, *seq.Store)
+				}
+				if seq.Store.Banner() != par.Store.Banner() {
+					t.Fatalf("%s reduce=%v: banner differs at Workers %d", mode, reduce, workers)
+				}
 			}
 		}
 	}

@@ -67,8 +67,9 @@ type StoreOptions struct {
 	// BitstateHashes is the per-state bit count k (0 = 3).
 	BitstateHashes int
 	// Seed perturbs the lossy modes' hash functions; runs are deterministic
-	// per seed for any Workers count (the banner fingerprint proves it).
-	// Exact modes ignore it.
+	// per seed, and the whole store report — banner, omission bound, run
+	// fingerprint — is identical for any Workers count, since only the
+	// merge probes the store. Exact modes ignore it.
 	Seed uint64
 	// Shadow, with StoreCompact, keeps a full exact store alongside and
 	// counts every membership answer on which the two diverge (a collision
