@@ -1,26 +1,25 @@
 // Command bakerybench runs the repository's experiment suite (E1–E21; see
-// docs/experiments.md for the catalogue), or — with -sweep, -des or
-// -scenario — a deterministic contention sweep or lock-service scenario.
+// docs/experiments.md for the catalogue), or — with -sweep or -scenario —
+// a deterministic contention sweep or lock-service scenario.
 //
 //	bakerybench               # run every experiment
 //	bakerybench -run E2,E9    # selected experiments
 //	bakerybench -list         # list experiments
 //	bakerybench -sweep        # 48-cell scenario grid in virtual time
 //	bakerybench -sweep -sweep-workers 4 -sweep-seed 7
-//	bakerybench -des                          # discrete-event sweep (12 cells)
-//	bakerybench -des -latency jitter:2,5      # with a latency model
-//	bakerybench -des -record sweep.deslog     # record the event log
 //	bakerybench -scenario smoke               # lock-service scenario preset
+//	bakerybench -scenario '<spec>' -latency jitter:2,5   # with a latency model
+//	bakerybench -scenario smoke -record run.scnlog       # record the event log
 //
 // The sweeps and scenarios execute deterministically in virtual time, so
 // their aggregated tables — including the printed fingerprints — are
 // identical on any machine, at any GOMAXPROCS, and for any -sweep-workers
-// value. The -des mode runs each cell as a single-threaded discrete-event
-// loop (no goroutine herd) with latency-model-priced actions, reporting
-// acquire-latency percentiles, wait histograms and reset timing; -scenario
-// runs a simulated client fleet against sharded critical sections (see
-// docs/scenarios.md and cmd/bakeryserve); a -record'ed log of either kind
-// replays byte-identically with cmd/bakeryreplay.
+// value. -scenario runs a simulated client fleet (open- or closed-loop
+// client classes) against sharded critical sections as single-threaded
+// discrete-event loops with latency-model-priced actions, reporting
+// acquire-latency percentiles, SLO attainment and reset accounting (see
+// docs/scenarios.md and cmd/bakeryserve); a -record'ed log replays
+// byte-identically with cmd/bakeryreplay.
 package main
 
 import (
@@ -64,9 +63,8 @@ func runMain() int {
 		sweepIters   = flag.Int("sweep-iters", 0, "critical sections per participant per cell run (0 = grid default)")
 		sweepCSV     = flag.Bool("sweep-csv", false, "emit the sweep table as CSV")
 
-		desMode = flag.Bool("des", false, "run the discrete-event contention sweep instead of the experiment suite (three seeds per cell: seed, seed+1, seed+2)")
-		latency = flag.String("latency", "unit", "latency model for -des and -scenario: unit, fixed:<d>, jitter:<base>,<spread>, classes:<c>=<dist>;...")
-		record  = flag.String("record", "", "with -des or -scenario: write the run's event log to this file (replay with bakeryreplay)")
+		latency = flag.String("latency", "unit", "latency model for -scenario: unit, fixed:<d>, jitter:<base>,<spread>, classes:<c>=<dist>;...")
+		record  = flag.String("record", "", "with -scenario: write the run's event log to this file (replay with bakeryreplay)")
 
 		scenarioArg = flag.String("scenario", "", "run a lock-service scenario instead of the experiment suite: a preset name (bakeryserve -list) or a full spec; honours -sweep-workers, -sweep-seed, -latency and -record")
 	)
@@ -174,45 +172,6 @@ func runMain() int {
 			}
 		}
 		fmt.Printf("fingerprint: %s\n", res.Fingerprint())
-		if logFile != nil {
-			if err := logFile.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "bakerybench:", err)
-				return 1
-			}
-			fmt.Printf("recorded event log: %s\n", *record)
-		}
-		return 0
-	}
-	if *desMode {
-		cfg := harness.DefaultDESSweep()
-		cfg.Workers = *sweepWorkers
-		cfg.Latency = *latency
-		cfg.Seeds = []int64{*sweepSeed, *sweepSeed + 1, *sweepSeed + 2}
-		if *sweepIters > 0 {
-			cfg.Iters = *sweepIters
-		}
-		var logFile *os.File
-		if *record != "" {
-			f, err := os.Create(*record)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "bakerybench:", err)
-				return 1
-			}
-			logFile = f
-			cfg.Record = f
-		}
-		res, err := harness.RunDESSweep(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bakerybench:", err)
-			return 1
-		}
-		tb := res.Table()
-		if *sweepCSV {
-			fmt.Print(tb.CSV())
-		} else {
-			fmt.Println(tb)
-		}
-		fmt.Printf("cells: %d  fingerprint: %s\n", len(res.Cells), tb.Fingerprint())
 		if logFile != nil {
 			if err := logFile.Close(); err != nil {
 				fmt.Fprintln(os.Stderr, "bakerybench:", err)

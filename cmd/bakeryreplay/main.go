@@ -1,32 +1,23 @@
-// Command bakeryreplay rebuilds the result tables of a recorded run from
-// its event log alone — no re-simulation, just the same aggregation the
-// live run used over the recorded streams — and verifies they are
-// bit-identical to the run that produced the log. It handles both log
-// kinds the repository records:
+// Command bakeryreplay rebuilds the result tables of a recorded
+// lock-service scenario run from its event log alone — no re-simulation,
+// just the same aggregation the live run used over the recorded streams —
+// and verifies they are bit-identical to the run that produced the log:
 //
-//	bakerybench -des -record sweep.deslog        # discrete-event sweep
-//	bakeryreplay sweep.deslog
-//
-//	bakeryserve -scenario smoke -record run.scnlog   # lock-service scenario
+//	bakeryserve -scenario smoke -record run.scnlog   # or bakerybench -scenario ... -record
 //	bakeryreplay run.scnlog
 //
-// The file's header line names its kind ("des-sweep" or "scenario") and
-// bakeryreplay dispatches on it. The replayed fingerprint is compared
-// against the one stored in the log's trailer; a mismatch (a truncated,
-// tampered or version-skewed log) exits nonzero. Because the recorded
+// The replayed fingerprint is compared against the one stored in the
+// log's trailer; a mismatch (a truncated, tampered or version-skewed log)
+// — or a file that is not a scenario log — exits nonzero. Because the recorded
 // log itself is byte-identical for any worker count and GOMAXPROCS,
 // record and replay can happen on different machines.
 package main
 
 import (
-	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
-	"bakerypp/internal/harness"
 	"bakerypp/internal/scenario"
 )
 
@@ -41,7 +32,7 @@ func runMain() int {
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: bakeryreplay [-csv] [-q] <file.deslog|file.scnlog>")
+		fmt.Fprintln(os.Stderr, "usage: bakeryreplay [-csv] [-q] <file.scnlog>")
 		return 2
 	}
 	f, err := os.Open(flag.Arg(0))
@@ -51,67 +42,21 @@ func runMain() int {
 	}
 	defer f.Close()
 
-	kind, err := sniffKind(f)
+	rep, err := scenario.ReplayLog(f)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bakeryreplay:", err)
 		return 1
 	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		fmt.Fprintln(os.Stderr, "bakeryreplay:", err)
-		return 1
-	}
-
-	switch kind {
-	case "des-sweep":
-		rep, err := harness.ReplayDESLog(f)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bakeryreplay:", err)
-			return 1
-		}
-		if !*quiet {
+	if !*quiet {
+		for _, tb := range rep.Result.Tables() {
 			if *csv {
-				fmt.Print(rep.Table.CSV())
+				fmt.Print(tb.CSV())
 			} else {
-				fmt.Println(rep.Table)
+				fmt.Println(tb)
 			}
 		}
-		return verdict(rep.Fingerprint, rep.Recorded, rep.OK())
-	case scenario.LogKind:
-		rep, err := scenario.ReplayLog(f)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bakeryreplay:", err)
-			return 1
-		}
-		if !*quiet {
-			for _, tb := range rep.Result.Tables() {
-				if *csv {
-					fmt.Print(tb.CSV())
-				} else {
-					fmt.Println(tb)
-				}
-			}
-		}
-		return verdict(rep.Fingerprint, rep.Recorded, rep.OK())
-	default:
-		fmt.Fprintf(os.Stderr, "bakeryreplay: unknown log kind %q (want \"des-sweep\" or %q)\n", kind, scenario.LogKind)
-		return 1
 	}
-}
-
-// sniffKind reads the log's first line — the JSON header every log kind
-// starts with — and returns its "kind" field so the replay can dispatch.
-func sniffKind(f *os.File) (string, error) {
-	first, err := bufio.NewReader(f).ReadBytes('\n')
-	if err != nil && len(first) == 0 {
-		return "", fmt.Errorf("%s: empty or unreadable log: %w", f.Name(), err)
-	}
-	var hdr struct {
-		Kind string `json:"kind"`
-	}
-	if json.Unmarshal(first, &hdr) != nil || hdr.Kind == "" {
-		return "", fmt.Errorf("%s: first line is not a recognisable log header", f.Name())
-	}
-	return hdr.Kind, nil
+	return verdict(rep.Fingerprint, rep.Recorded, rep.OK())
 }
 
 func verdict(replayed, recorded string, ok bool) int {

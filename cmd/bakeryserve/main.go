@@ -1,6 +1,6 @@
-// Command bakeryserve runs a lock-service scenario: an open-loop fleet
-// of simulated clients — heterogeneous classes with their own arrival
-// processes, hold times and latency objectives — contending for sharded
+// Command bakeryserve runs a lock-service scenario: a fleet of simulated
+// clients — heterogeneous open- or closed-loop classes with their own
+// arrival processes, hold times and latency objectives — contending for sharded
 // critical sections arbitrated by a bakery-family algorithm on the
 // discrete-event kernel. No goroutine herd: a million simulated clients
 // is a normal run.

@@ -3,9 +3,9 @@ package des
 // Arrival processes and service-time distributions for the lock-service
 // scenario layer: seeded integer-valued draws in virtual-time ticks, one
 // independent stream per (seed, stream) pair, deterministic by
-// construction — the same contract as the latency models. A Dist is both
-// halves of an open-loop workload: interarrival gaps (the arrival
-// process proper) and critical-section hold times.
+// construction — the same contract as the latency models. A Dist is
+// every draw of a scenario workload: interarrival gaps (open loop), think
+// times (closed loop) and critical-section hold times.
 
 import (
 	"fmt"

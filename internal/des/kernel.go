@@ -9,8 +9,8 @@ import (
 // determinism contract — two events scheduled for the same instant
 // always execute in (pid, insertion) order, so a run's event sequence is
 // a pure function of the schedule calls, never of map iteration or
-// goroutine timing. A Kernel is single-threaded by design: one cell of a
-// sweep owns one Kernel, and cell-level parallelism happens above it.
+// goroutine timing. A Kernel is single-threaded by design: one scenario
+// shard owns one Kernel, and shard-level parallelism happens above it.
 type Kernel struct {
 	now      int64
 	seq      uint64

@@ -5,8 +5,8 @@
 // encoding that replays bit-identically.
 //
 // The package sits below internal/preempt (the PR 2 Sequencer is a thin
-// adapter over Sim with the unit model) and beside internal/specs (the
-// harness DES sweep runs spec programs as per-cell event loops on a
+// adapter over Sim with the unit model) and below internal/scenario
+// (each scenario shard runs a spec program as an event loop on a
 // Kernel). It imports only the standard library so every other layer can
 // build on it without cycles.
 package des
@@ -29,7 +29,7 @@ const (
 	// Preempt is a voluntary yield at a preemption point.
 	Preempt
 	// Wait is a blocked wait (spin on a gate or a ticket) being
-	// re-granted, or in the event-loop sweep the wake of a process
+	// re-granted, or in a scenario event loop the wake of a worker
 	// whose guard became true.
 	Wait
 	// Spin is an elapsed stretch of busy work of `work` units.
@@ -38,19 +38,14 @@ const (
 	Step
 	// Hold is time spent inside the critical section (`work` units).
 	Hold
-	// Think is non-critical time between attempts (`work` units,
-	// e.g. a drawn interarrival gap in the open-loop pattern).
+	// Think is non-critical time between attempts (`work` units).
 	Think
-	// Block is not a cost class: it marks, in recorded event logs,
-	// the instant a process was found disabled and parked. Models
-	// never see it.
-	Block
 
-	numClasses = int(Block) + 1
+	numClasses = int(Think) + 1
 )
 
 var classNames = [numClasses]string{
-	"start", "preempt", "wait", "spin", "step", "hold", "think", "block",
+	"start", "preempt", "wait", "spin", "step", "hold", "think",
 }
 
 func (c Class) String() string {
@@ -62,7 +57,8 @@ func (c Class) String() string {
 
 // Model maps an action to its virtual-time cost. Cost must be >= 1 and
 // depend only on its arguments and the model's own (seeded) state, never
-// on wall time — the determinism contract of every sweep fingerprint.
+// on wall time — the determinism contract of every sweep and scenario
+// fingerprint.
 // Work is the size of the action in abstract units (spin iterations,
 // hold ticks, a drawn interarrival gap); classes with no natural size
 // pass 0. Models are NOT safe for concurrent use: each simulation cell
@@ -306,7 +302,7 @@ func parseClassModel(body string, seed int64) (Model, error) {
 
 func parseClass(name string) (Class, error) {
 	for i, n := range classNames {
-		if n == name && Class(i) != Block {
+		if n == name {
 			return Class(i), nil
 		}
 	}

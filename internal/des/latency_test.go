@@ -28,7 +28,7 @@ func TestParseModelRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Name() %q does not re-parse: %v", m.Name(), err)
 		}
-		for c := Start; c < Block; c++ {
+		for c := Start; c <= Think; c++ {
 			for _, work := range []int64{0, 1, 7} {
 				if cost := m.Cost(c, 0, work); cost < 1 {
 					t.Errorf("%q: Cost(%s, 0, %d) = %d < 1", spec, c, work, cost)
@@ -70,7 +70,7 @@ func TestModelDeterminism(t *testing.T) {
 		c, _ := ParseModel(spec, 8)
 		same, diff := true, false
 		for i := 0; i < 200; i++ {
-			class := Class(i % int(Block))
+			class := Class(i % numClasses)
 			pid := i % 3
 			work := int64(i % 5)
 			av := a.Cost(class, pid, work)

@@ -31,9 +31,7 @@ const LogVersion = 1
 // Rec is one recorded simulation event: at virtual time T, process Pid
 // completed an action of class Class. Tag carries the spec branch tag
 // ("try", "cs-enter", "reset", ...) when the action had one; Overflow
-// marks actions that took a ticket-overflow branch. A Class of Block is
-// a pseudo-event: the instant Pid was found disabled and parked (wait
-// histograms are the spans from a Block to the pid's next real event).
+// marks actions that took a ticket-overflow branch.
 type Rec struct {
 	T        int64
 	Pid      int

@@ -20,7 +20,6 @@ func TestLogRoundTrip(t *testing.T) {
 	recs := []Rec{
 		{T: 0, Pid: 0, Class: Start, Tag: ""},
 		{T: 3, Pid: 1, Class: Step, Tag: "try"},
-		{T: 3, Pid: 1, Class: Block},
 		{T: 9, Pid: 2, Class: Hold, Tag: "cs-enter", Overflow: true},
 		{T: 12, Pid: 0, Class: Think, Tag: "reset"},
 	}

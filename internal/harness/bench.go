@@ -54,13 +54,6 @@ type MCBenchRecord struct {
 	Complete     bool    `json:"complete"`
 	WallSeconds  float64 `json:"wall_seconds"`
 	StatesPerSec float64 `json:"states_per_sec"`
-	// DESEventsPerSec is set only on the discrete-event-kernel row: the
-	// single-threaded event-execution rate of the default DES sweep
-	// (events across all cells / wall time). For that row States counts
-	// executed events and Verdict carries the sweep table's fingerprint,
-	// so the perf trajectory and the determinism contract travel in the
-	// same record.
-	DESEventsPerSec float64 `json:"des_events_per_sec,omitempty"`
 	// EventsPerSec is the simulated-event execution rate of rows that
 	// measure an event-loop simulation (the scenario rows); for those
 	// rows it equals StatesPerSec, kept under its own honest name.
@@ -152,9 +145,6 @@ func RunMCBench(cfg ExpConfig) (*MCBenchReport, error) {
 			return nil, err
 		}
 	}
-	if err := appendDESBench(rep); err != nil {
-		return nil, err
-	}
 	if err := appendScenarioBench(rep, []string{"smoke", "overload"}); err != nil {
 		return nil, err
 	}
@@ -233,46 +223,6 @@ func RunMCBenchSmall(cfg ExpConfig) (*MCBenchReport, error) {
 		return nil, err
 	}
 	return rep, nil
-}
-
-// appendDESBench measures the discrete-event kernel: the default DES
-// sweep run single-threaded (Workers 0 — the kernel's own rate, not the
-// cell pool's), reported as executed events per wall second. The sweep
-// table's fingerprint rides along in the verdict column, so a perf
-// regression and a determinism break both show in this one row.
-func appendDESBench(rep *MCBenchReport) error {
-	sweep := DefaultDESSweep()
-	sweep.Workers = 0
-	start := time.Now()
-	res, err := RunDESSweep(sweep)
-	if err != nil {
-		return err
-	}
-	secs := time.Since(start).Seconds()
-	var events int64
-	for i := range res.Cells {
-		events += res.Cells[i].Events
-	}
-	rate := 0.0
-	if secs > 0 {
-		rate = float64(events) / secs
-	}
-	rep.Records = append(rep.Records, MCBenchRecord{
-		Name:            "des-sweep-default/unit",
-		Algo:            "des-sweep",
-		Analysis:        "des",
-		Workers:         0,
-		Reduction:       "none",
-		Store:           "exact",
-		States:          int(events),
-		Verdict:         "fingerprint:" + res.Table().Fingerprint(),
-		Complete:        true,
-		WallSeconds:     secs,
-		StatesPerSec:    rate,
-		DESEventsPerSec: rate,
-		PeakRSSKB:       peakRSSKB(),
-	})
-	return nil
 }
 
 // storeBenchCell is one store-mode row: a safety check of algo/cfg under

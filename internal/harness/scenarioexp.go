@@ -1,7 +1,8 @@
 package harness
 
-// The scenario-layer hypothesis experiments E19–E21: quantitative
-// predictions about Bakery++'s entry gate and the modulo strawman,
+// The scenario-layer hypothesis experiments E18–E21: quantitative
+// predictions about Bakery++'s acquire tail, its entry gate and the
+// modulo strawman,
 // posed before running, measured on the lock-service fleet of
 // internal/scenario, and asserted per seed both here (the printed
 // Confirmed/Refuted verdicts) and in scenarioexp_test.go (the same
@@ -19,6 +20,122 @@ import (
 // scenarioExpSeeds are the independent trials every scenario experiment
 // runs; each seed reproduces exactly from the command line.
 var scenarioExpSeeds = []int64{1, 2, 3}
+
+// E18: one single-class, one-shard scenario per (pattern, N); each
+// server process is one closed-loop client re-requesting the lock, 150
+// times.
+const (
+	e18SpecFmt = "name=e18;algo=bakerypp;shards=1;n=%d;m=7;clients=%d;class=%s/1/%s/fixed:6/1000"
+	e18Latency = "jitter:2,5"
+)
+
+// e18Patterns are the two think-time patterns: re-request one tick after
+// service, or after an exponential think time of mean 80.
+var e18Patterns = []struct{ name, arrival string }{
+	{"sustained", "closed:fixed:1"},
+	{"poisson", "closed:poisson:80"},
+}
+
+var e18Ns = []int{2, 4}
+
+func e18Spec(pattern, arrival string, n int) string {
+	return fmt.Sprintf(e18SpecFmt, n, 150*n, pattern, arrival)
+}
+
+type e18Cell struct {
+	Seed           int64
+	Pattern        string
+	N              int
+	P50, P95, P99  int64
+	GrantsPerKTime float64
+}
+
+func measureE18(cfg ExpConfig) ([]e18Cell, error) {
+	var out []e18Cell
+	for _, seed := range scenarioExpSeeds {
+		for _, pat := range e18Patterns {
+			for _, n := range e18Ns {
+				spec, err := scenario.Parse(e18Spec(pat.name, pat.arrival, n))
+				if err != nil {
+					return nil, err
+				}
+				res, err := scenario.Run(spec, scenario.Options{Seed: seed, Workers: cfg.SweepWorkers, Latency: e18Latency})
+				if err != nil {
+					return nil, err
+				}
+				if res.MaxConcurrency > 1 || res.Stranded() != 0 {
+					return nil, fmt.Errorf("E18: bakerypp %s n=%d seed %d: maxconc=%d stranded=%d, want 1 and 0",
+						pat.name, n, seed, res.MaxConcurrency, res.Stranded())
+				}
+				lat := res.Classes[0].Latency
+				out = append(out, e18Cell{
+					Seed: seed, Pattern: pat.name, N: n,
+					P50: lat.Quantile(0.5), P95: lat.Quantile(0.95), P99: lat.Quantile(0.99),
+					GrantsPerKTime: 1000 * float64(res.Grants()) / float64(res.Time),
+				})
+			}
+		}
+	}
+	return out, nil
+}
+
+type e18Key struct {
+	seed    int64
+	pattern string
+	n       int
+}
+
+// e18P99 indexes the cells' acquire p99 by (seed, pattern, N).
+func e18P99(cells []e18Cell) map[e18Key]int64 {
+	by := make(map[e18Key]int64, len(cells))
+	for _, c := range cells {
+		by[e18Key{c.Seed, c.Pattern, c.N}] = c.P99
+	}
+	return by
+}
+
+func runE18(w io.Writer, cfg ExpConfig) error {
+	fmt.Fprintln(w, "Hypotheses (posed before running; each seed is an independent trial and a refutation is a finding, not an error):")
+	fmt.Fprintln(w, "  H-a (sustained): when every client re-requests right after being served, Bakery++'s FCFS doorway queues every request behind up to N-1 ordered predecessors, so the acquire p99 at N=4 exceeds the acquire p99 at N=2.")
+	fmt.Fprintln(w, "  H-b (think time): when each client instead thinks an exponential time of mean 80 between requests, fewer requests overlap, so the poisson acquire p99 at N=4 stays below the sustained acquire p99 at N=4. Both patterns are closed loop — a client never has two requests outstanding — so neither can overload the lock.")
+	fmt.Fprintln(w)
+	cells, err := measureE18(cfg)
+	if err != nil {
+		return err
+	}
+	tb := stats.NewTable("Bakery++ acquire-latency percentiles per seed (scenario e18: 1 shard, m=7, 150 requests per closed-loop client, latency="+e18Latency+")",
+		"seed", "pattern", "N", "acq p50", "acq p95", "acq p99", "grants/ktime")
+	for _, c := range cells {
+		tb.AddRow(c.Seed, c.Pattern, c.N, c.P50, c.P95, c.P99, c.GrantsPerKTime)
+	}
+	fmt.Fprintln(w, tb)
+	fmt.Fprintf(w, "table fingerprint: %s (three independent seeds; identical on every machine and for any -sweep-workers)\n\n", tb.Fingerprint())
+
+	p99 := e18P99(cells)
+	confirmedA, confirmedB := 0, 0
+	for _, seed := range scenarioExpSeeds {
+		sus2, sus4, poi4 := p99[e18Key{seed, "sustained", 2}], p99[e18Key{seed, "sustained", 4}], p99[e18Key{seed, "poisson", 4}]
+		va, vb := "Refuted", "Refuted"
+		if sus4 > sus2 {
+			va = "Confirmed"
+			confirmedA++
+		}
+		if poi4 < sus4 {
+			vb = "Confirmed"
+			confirmedB++
+		}
+		fmt.Fprintf(w, "seed %d: H-a %s (sustained acq p99 N=2→4: %d → %d), H-b %s (poisson acq p99 %d vs sustained %d at N=4)\n",
+			seed, va, sus2, sus4, vb, poi4, sus4)
+	}
+	fmt.Fprintf(w, "Verdict over %d seeds: H-a %d/%d, H-b %d/%d. The percentiles are virtual-time, priced by the latency model, and reproduce exactly from the seed — rerun any single trial with `bakerybench -scenario '<spec>' -latency %s -sweep-seed <seed>`, where <spec> is one of:\n",
+		len(scenarioExpSeeds), confirmedA, len(scenarioExpSeeds), confirmedB, len(scenarioExpSeeds), e18Latency)
+	for _, pat := range e18Patterns {
+		for _, n := range e18Ns {
+			fmt.Fprintf(w, "  %s\n", e18Spec(pat.name, pat.arrival, n))
+		}
+	}
+	return nil
+}
 
 // E19: one saturating-burst class (CV-4 Gamma arrivals at ρ≈0.8) so busy
 // periods occasionally drive the ticket excursion to M.

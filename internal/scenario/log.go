@@ -31,14 +31,13 @@ type logTrailer struct {
 	Fingerprint string `json:"fingerprint"`
 }
 
-// LogKind is the header kind value of a recorded scenario run, the
-// token log readers dispatch on (cmd/bakeryreplay sniffs it to pick
-// this package over the harness DES sweep replayer).
-const LogKind = "scenario"
+// logKind is the header kind value of a recorded scenario run;
+// ReplayLog refuses any other kind.
+const logKind = "scenario"
 
 func writeLog(out io.Writer, spec *Spec, seed int64, latency string, shards [][]des.Rec, fingerprint string) error {
 	w := des.NewLogWriter(out)
-	w.Meta(logHeader{V: des.LogVersion, Kind: LogKind, Spec: spec.String(), Seed: seed, Latency: latency})
+	w.Meta(logHeader{V: des.LogVersion, Kind: logKind, Spec: spec.String(), Seed: seed, Latency: latency})
 	for shard, recs := range shards {
 		w.Meta(logShard{Shard: shard})
 		for _, r := range recs {
@@ -73,7 +72,7 @@ func ReplayLog(rd io.Reader) (*Replay, error) {
 		return nil, fmt.Errorf("scenario: log is empty: %w", err)
 	}
 	var hdr logHeader
-	if line.IsEvent || json.Unmarshal(line.Raw, &hdr) != nil || hdr.Kind != LogKind {
+	if line.IsEvent || json.Unmarshal(line.Raw, &hdr) != nil || hdr.Kind != logKind {
 		return nil, fmt.Errorf("scenario: not a scenario log (header %s)", line.Raw)
 	}
 	if hdr.V != des.LogVersion {

@@ -122,9 +122,9 @@ func Run(spec *Spec, opts Options) (*Result, error) {
 }
 
 // shardSim is one shard's event loop: N worker processes running the
-// arbitration protocol on a des.Kernel, fed by per-class open-loop
-// arrival streams through an optional admission gate and a FIFO request
-// queue. The whole struct is allocated up front — including one
+// arbitration protocol on a des.Kernel, fed by per-class open- or
+// closed-loop arrival streams through an optional admission gate and a
+// FIFO request queue. The whole struct is allocated up front — including one
 // scheduling closure per worker and per class — so the per-event path
 // allocates nothing once the kernel heap and request ring reach steady
 // size (pinned by TestScenarioHotPathAllocs).
@@ -145,10 +145,15 @@ type shardSim struct {
 	pendingClass []des.Class
 	execFns      []func()
 
-	// Per-class arrival machinery (kernel pids N..N+classes-1).
+	// Per-class arrival machinery (kernel pids N..N+classes-1). A
+	// closed-loop class has up to N arrivals scheduled at once, one per
+	// thinking client; pending counts them so the quota is never
+	// overspent.
 	arrivalD  []des.Dist
 	holdD     []des.Dist
 	quota     []int64
+	closed    []bool
+	pending   []int64
 	arriveFns []func()
 
 	// FIFO request queue (a growable ring).
@@ -200,6 +205,8 @@ func newShardSim(spec *Spec, shard int, quotas [][]int64, latency string, opts O
 		arrivalD:  make([]des.Dist, len(spec.Classes)),
 		holdD:     make([]des.Dist, len(spec.Classes)),
 		quota:     make([]int64, len(spec.Classes)),
+		closed:    make([]bool, len(spec.Classes)),
+		pending:   make([]int64, len(spec.Classes)),
 		arriveFns: make([]func(), len(spec.Classes)),
 
 		queue:     make([]request, 64),
@@ -208,7 +215,9 @@ func newShardSim(spec *Spec, shard int, quotas [][]int64, latency string, opts O
 	}
 	var clients int64
 	for ci, c := range spec.Classes {
-		s.arrivalD[ci], err = des.ParseDist(c.Arrival, opts.Seed, streamFor(shard, ci, 0))
+		arrival, closed := c.arrivalDist()
+		s.closed[ci] = closed
+		s.arrivalD[ci], err = des.ParseDist(arrival, opts.Seed, streamFor(shard, ci, 0))
 		if err != nil {
 			return nil, err
 		}
@@ -239,25 +248,48 @@ func newShardSim(spec *Spec, shard int, quotas [][]int64, latency string, opts O
 // quotas run out, and the kernel stops when no work remains (or the
 // event bound trips, stranding whatever is still queued).
 func (s *shardSim) run() {
-	for ci := range s.quota {
-		if s.quota[ci] > 0 {
-			s.k.At(s.spec.N+ci, s.arrivalD[ci].Draw(), s.arriveFns[ci])
-		}
-	}
+	s.start()
 	for s.k.Executed() < s.maxEvents && s.k.Step() {
 	}
 }
 
+// start schedules each class's first arrivals: one for an open-loop
+// stream, one per client (N) for a closed-loop class.
+func (s *shardSim) start() {
+	for ci := range s.quota {
+		clients := 1
+		if s.closed[ci] {
+			clients = s.spec.N
+		}
+		for i := 0; i < clients; i++ {
+			s.rearm(ci)
+		}
+	}
+}
+
+// rearm schedules class ci's next arrival one arrival draw from now,
+// unless the scheduled arrivals already cover the remaining quota.
+func (s *shardSim) rearm(ci int) {
+	if s.quota[ci] > s.pending[ci] {
+		s.pending[ci]++
+		s.k.At(s.spec.N+ci, s.arrivalD[ci].Draw(), s.arriveFns[ci])
+	}
+}
+
 // arrival fires one client arrival of class ci: count it, pass it
-// through admission, and either enqueue it or turn it away; then
-// schedule the class's next arrival if quota remains.
+// through admission, and either enqueue it or turn it away. An open-loop
+// class then schedules its next arrival; a closed-loop client thinks
+// again only once served (or right away if turned away).
 func (s *shardSim) arrival(ci int) {
 	now := s.k.Now()
 	s.acc.arrive(ci)
 	if s.recording {
 		s.rec = append(s.rec, fleetRec(now, s.spec.N, ci, "arrive:"+s.spec.Classes[ci].Name))
 	}
-	if s.admit != nil && !s.admit.Admit(now) {
+	s.quota[ci]--
+	s.pending[ci]--
+	rejected := s.admit != nil && !s.admit.Admit(now)
+	if rejected {
 		s.acc.reject(ci)
 		if s.recording {
 			s.rec = append(s.rec, fleetRec(now, s.spec.N, ci, "reject:"+s.spec.Classes[ci].Name))
@@ -265,9 +297,8 @@ func (s *shardSim) arrival(ci int) {
 	} else {
 		s.enqueue(request{class: int32(ci), arrive: now, hold: s.holdD[ci].Draw()})
 	}
-	s.quota[ci]--
-	if s.quota[ci] > 0 {
-		s.k.At(s.spec.N+ci, s.arrivalD[ci].Draw(), s.arriveFns[ci])
+	if rejected || !s.closed[ci] {
+		s.rearm(ci)
 	}
 }
 
@@ -355,8 +386,12 @@ func (s *shardSim) exec(w int) {
 	label := s.prog.PCLabel(s.state, w)
 	switch {
 	case label == "ncs":
-		// Back from the exit protocol: the request is served. Take the
-		// next one or go idle.
+		// Back from the exit protocol: the request is served, and its
+		// client thinks again if closed loop. Take the next request or
+		// go idle.
+		if ci := int(s.cur[w].class); s.closed[ci] {
+			s.rearm(ci)
+		}
 		if s.qlen > 0 {
 			s.cur[w] = s.queue[s.qhead]
 			s.qhead = (s.qhead + 1) % len(s.queue)

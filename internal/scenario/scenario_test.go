@@ -2,8 +2,12 @@ package scenario
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+
+	"bakerypp/internal/specs"
 )
 
 // testSpec is a small but non-trivial scenario: three client classes
@@ -13,6 +17,13 @@ const testSpec = "name=mix;algo=bakerypp;shards=4;n=4;m=64;clients=6000;admit=to
 	"class=gold/1/poisson:40/fixed:4/60;" +
 	"class=bulk/2/burst:60,4/poisson:9/300;" +
 	"class=batch/1/poisson:90/bimodal:4,60,10/1200"
+
+// closedSpec exercises closed-loop classes: two shards of three server
+// processes, one class re-requesting right after service and one after
+// exponential think time.
+const closedSpec = "name=closed;algo=bakerypp;shards=2;n=3;m=4;clients=144;" +
+	"class=busy/1/closed:fixed:1/fixed:3/100;" +
+	"class=think/1/closed:poisson:30/fixed:3/200"
 
 func mustParse(t testing.TB, text string) *Spec {
 	t.Helper()
@@ -24,13 +35,15 @@ func mustParse(t testing.TB, text string) *Spec {
 }
 
 func TestSpecRoundTrip(t *testing.T) {
-	s := mustParse(t, testSpec)
-	if got := s.String(); got != testSpec {
-		t.Errorf("String() = %q, want the canonical input back:\n%q", got, testSpec)
-	}
-	s2 := mustParse(t, s.String())
-	if s2.String() != s.String() {
-		t.Errorf("Parse(String()) not a fixed point")
+	for _, text := range []string{testSpec, closedSpec} {
+		s := mustParse(t, text)
+		if got := s.String(); got != text {
+			t.Errorf("String() = %q, want the canonical input back:\n%q", got, text)
+		}
+		s2 := mustParse(t, s.String())
+		if s2.String() != s.String() {
+			t.Errorf("Parse(String()) not a fixed point")
+		}
 	}
 }
 
@@ -45,6 +58,10 @@ func TestSpecParseErrors(t *testing.T) {
 		"name=x;algo=bakerypp;shards=1;n=4;m=8;clients=10",
 		"name=x;algo=bakerypp;shards=1;n=4;m=8;clients=10;class=a/0/poisson:9/fixed:2/50",
 		"name=x;algo=bakerypp;shards=1;n=4;m=8;clients=10;class=a/1/warp:9/fixed:2/50",
+		"name=x;algo=bakerypp;shards=1;n=4;m=8;clients=10;class=a/1/closed:/fixed:2/50",
+		"name=x;algo=bakerypp;shards=1;n=4;m=8;clients=10;class=a/1/closed:closed:fixed:1/fixed:2/50",
+		"name=x;algo=bakerypp;shards=1;n=4;m=8;clients=10;class=a/1/closed:poisson:09/fixed:2/50",
+		"name=x;algo=bakerypp;shards=1;n=4;m=8;clients=10;class=a/1/poisson:9/closed:fixed:2/50",
 		"name=x;algo=bakerypp;shards=1;n=4;m=8;clients=10;class=a/1/poisson:9/fixed:2/0",
 		"name=x;algo=bakerypp;shards=1;n=4;m=8;clients=10;class=a/1/poisson:9/fixed:2/50;class=a/1/poisson:9/fixed:2/50",
 		"name=x;algo=bakerypp;shards=1;n=4;m=8;clients=10;admit=leaky:3,4;class=a/1/poisson:9/fixed:2/50",
@@ -133,21 +150,25 @@ func TestAdmissionRejects(t *testing.T) {
 
 // TestWorkerCountIrrelevant is the determinism contract: the rendered
 // tables and fingerprint are byte-identical whether shards run
-// sequentially or on every core.
+// sequentially or on every core, and on one core or many.
 func TestWorkerCountIrrelevant(t *testing.T) {
 	s := mustParse(t, testSpec)
-	var reports []string
-	for _, workers := range []int{0, 1, 3, -1} {
+	run := func(workers int) string {
 		res, err := Run(s, Options{Seed: 11, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		reports = append(reports, res.String())
+		return res.String()
 	}
-	for i, rep := range reports[1:] {
-		if rep != reports[0] {
-			t.Fatalf("workers=%d report differs from sequential:\n%s\nvs\n%s", []int{1, 3, -1}[i], rep, reports[0])
+	seq := run(0)
+	for _, workers := range []int{1, 3, -1} {
+		if rep := run(workers); rep != seq {
+			t.Fatalf("workers=%d report differs from sequential:\n%s\nvs\n%s", workers, rep, seq)
 		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if rep := run(-1); rep != seq {
+		t.Fatalf("GOMAXPROCS=1 report differs from sequential:\n%s\nvs\n%s", rep, seq)
 	}
 }
 
@@ -168,31 +189,44 @@ func TestSeedMatters(t *testing.T) {
 	}
 }
 
-// TestRecordReplayRoundTrip: a recorded run must replay bit-identically
-// — same tables, same fingerprint — from the log alone, and the
-// recorded bytes themselves must not depend on the worker count.
+// TestRecordReplayRoundTrip: for every registered algorithm, open- and
+// closed-loop, a recorded run under a jittered latency model must replay
+// bit-identically — same tables, same fingerprint — from the log alone,
+// and the recorded bytes themselves must not depend on the worker count.
 func TestRecordReplayRoundTrip(t *testing.T) {
-	s := mustParse(t, testSpec)
-	var seq, par bytes.Buffer
-	res, err := Run(s, Options{Seed: 5, Record: &seq})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(s, Options{Seed: 5, Workers: -1, Record: &par}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(seq.Bytes(), par.Bytes()) {
-		t.Fatal("recorded log bytes differ between sequential and parallel runs")
-	}
-	rep, err := ReplayLog(bytes.NewReader(seq.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.OK() {
-		t.Fatalf("replay fingerprint %s != recorded %s", rep.Fingerprint, rep.Recorded)
-	}
-	if rep.Result.String() != res.String() {
-		t.Error("replayed report differs from the live run's")
+	for _, algo := range specs.Names() {
+		t.Run(algo, func(t *testing.T) {
+			for _, text := range []string{testSpec, closedSpec} {
+				s := mustParse(t, strings.Replace(text, "algo=bakerypp", "algo="+algo, 1))
+				opts := Options{Seed: 5, Latency: "jitter:1,3"}
+				var seq, par bytes.Buffer
+				opts.Record = &seq
+				res, err := Run(s, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Events == 0 || res.Grants() == 0 {
+					t.Errorf("%s: recorded run executed %d events, %d grants", s.Name, res.Events, res.Grants())
+				}
+				opts.Workers, opts.Record = -1, &par
+				if _, err := Run(s, opts); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(seq.Bytes(), par.Bytes()) {
+					t.Fatalf("%s: recorded log bytes differ between sequential and parallel runs", s.Name)
+				}
+				rep, err := ReplayLog(bytes.NewReader(seq.Bytes()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !rep.OK() {
+					t.Fatalf("%s: replay fingerprint %s != recorded %s", s.Name, rep.Fingerprint, rep.Recorded)
+				}
+				if rep.Result.String() != res.String() {
+					t.Errorf("%s: replayed report differs from the live run's", s.Name)
+				}
+			}
+		})
 	}
 }
 
@@ -209,11 +243,79 @@ func TestReplayRejectsGarbage(t *testing.T) {
 	if _, err := ReplayLog(strings.NewReader(truncated)); err == nil {
 		t.Error("replay accepted a log with no trailer")
 	}
+	for i, l := range lines {
+		if strings.HasPrefix(l, "[") && strings.Contains(l, `"cs-enter"`) {
+			tampered := strings.Join(append(lines[:i:i], lines[i+1:]...), "\n") + "\n"
+			if rep, err := ReplayLog(strings.NewReader(tampered)); err == nil && rep.OK() {
+				t.Error("replay of a log missing one cs-enter event matched the recorded fingerprint")
+			}
+			break
+		}
+	}
 	if _, err := ReplayLog(strings.NewReader(`{"v":1,"kind":"des-sweep"}` + "\n")); err == nil {
 		t.Error("replay accepted a des-sweep log")
 	}
 	if _, err := ReplayLog(strings.NewReader("")); err == nil {
 		t.Error("replay accepted an empty log")
+	}
+}
+
+// TestLatencyModelShapesTime: every latency model runs and stays
+// deterministic (same seed twice ⇒ same fingerprint), a fixed:3 clock
+// runs slower than unit on the same scenario, and an unknown model is
+// refused.
+func TestLatencyModelShapesTime(t *testing.T) {
+	s := mustParse(t, "name=lat;algo=bakerypp;shards=1;n=3;m=7;clients=90;class=c/1/closed:fixed:1/fixed:4/100")
+	run := func(latency string) *Result {
+		res, err := Run(s, Options{Seed: 5, Latency: latency})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for _, latency := range []string{"unit", "fixed:3", "jitter:2,4", "classes:step=2;hold=exp(9);think=uniform(1,5)"} {
+		if a, b := run(latency), run(latency); a.Fingerprint() != b.Fingerprint() {
+			t.Errorf("latency %q: same seed produced different fingerprints", latency)
+		}
+	}
+	if unit, fixed := run("unit"), run("fixed:3"); fixed.Time <= unit.Time {
+		t.Errorf("fixed:3 time %d not above unit time %d — the model does not price actions", fixed.Time, unit.Time)
+	}
+	if _, err := Run(s, Options{Latency: "warp:9"}); err == nil {
+		t.Error("unknown latency model did not error")
+	}
+}
+
+// TestClosedLoopThinkTime: a closed-loop client thinks between requests,
+// so exponential think time of mean 100 serves the same requests as
+// re-requesting after one tick, in well over twice the virtual time and
+// with a lighter acquire tail. A client turned away by admission thinks
+// and asks again, so the class still spends its whole quota.
+func TestClosedLoopThinkTime(t *testing.T) {
+	const specFmt = "name=cl;algo=bakerypp;shards=1;n=2;m=7;clients=100;%sclass=c/1/closed:%s/fixed:4/100"
+	run := func(admit, think string) *Result {
+		s := mustParse(t, fmt.Sprintf(specFmt, admit, think))
+		res, err := Run(s, Options{Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c := &res.Classes[0]; c.Arrivals != s.Clients || c.Stranded() != 0 {
+			t.Errorf("%s: %d arrivals, %d stranded; want %d and 0", s, c.Arrivals, c.Stranded(), s.Clients)
+		}
+		return res
+	}
+	sustained, poisson := run("", "fixed:1"), run("", "poisson:100")
+	if sustained.Grants() != poisson.Grants() {
+		t.Fatalf("think times disagree on grants: %d vs %d", sustained.Grants(), poisson.Grants())
+	}
+	if poisson.Time < 2*sustained.Time {
+		t.Errorf("poisson:100 think time %d not well above fixed:1 %d — think times are not being drawn", poisson.Time, sustained.Time)
+	}
+	if p, s := poisson.Classes[0].Latency.Quantile(0.99), sustained.Classes[0].Latency.Quantile(0.99); p > s {
+		t.Errorf("poisson:100 acq p99 %d above fixed:1 %d — thinking clients should rarely queue", p, s)
+	}
+	if rejected := run("admit=token:5,1;", "fixed:1").Classes[0].Rejected; rejected == 0 {
+		t.Error("tight token bucket rejected no closed-loop request")
 	}
 }
 
@@ -224,6 +326,7 @@ func FuzzScenarioSpec(f *testing.F) {
 	f.Add(testSpec)
 	f.Add("name=x;algo=bakery;shards=1;n=2;m=8;clients=10;class=a/1/poisson:9/fixed:2/50")
 	f.Add("name=x;algo=modbakery;shards=2;n=3;m=12;clients=99;admit=token:5,5;class=a/3/uniform:2,9/fixed:1/9;class=b/1/burst:50,3/poisson:4/70")
+	f.Add(closedSpec)
 	f.Add("name=;algo=;shards=;class=")
 	f.Add("n=2;m=3")
 	f.Fuzz(func(t *testing.T, text string) {
@@ -256,9 +359,7 @@ func TestScenarioHotPathAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for ci := range sim.quota {
-		sim.k.At(s.N+ci, sim.arrivalD[ci].Draw(), sim.arriveFns[ci])
-	}
+	sim.start()
 	// Warm up: let the queue ring, kernel heap and succ arena reach
 	// steady state.
 	for i := 0; i < 50_000 && sim.k.Step(); i++ {

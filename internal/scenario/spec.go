@@ -1,8 +1,10 @@
-// Package scenario is the lock-service scenario layer: an open-loop
-// simulation of a client fleet contending for sharded critical sections
-// arbitrated by a bakery-family algorithm, executed as discrete events
-// on the internal/des kernel — no goroutine per client, so fleets of
-// millions of simulated clients are routine.
+// Package scenario is the lock-service scenario layer: a simulation of a
+// client fleet contending for sharded critical sections arbitrated by a
+// bakery-family algorithm, executed as discrete events on the
+// internal/des kernel — no goroutine per client, so fleets of millions
+// of simulated clients are routine. Client classes arrive open loop (a
+// request stream independent of service) or closed loop (each client
+// re-requests a think time after its previous request was served).
 //
 // A scenario is described by a Spec (a canonical, round-trippable string
 // grammar), executed by Run, and reported as per-class acquire-latency
@@ -34,6 +36,10 @@ type Class struct {
 	// Arrival is the des.ParseDist spec of the inter-arrival gaps of
 	// this class's request stream, per shard (each shard draws an
 	// independent stream, so total class load scales with Shards).
+	// The form "closed:<dist>" makes the class closed loop instead:
+	// each shard keeps N clients of the class, one per server process,
+	// and each client's next request arrives a <dist> think time after
+	// its previous one was served (the first after one think draw).
 	Arrival string
 	// Hold is the des.ParseDist spec of critical-section hold times.
 	Hold string
@@ -61,7 +67,7 @@ type Spec struct {
 	// M is the algorithm's register capacity (Bakery++'s reset bound).
 	M int
 	// Clients is the total number of simulated client requests across
-	// all classes and shards (open loop: one request per client).
+	// all classes and shards (each class spends its share as its quota).
 	Clients int64
 	// Admit is the optional des.ParseAdmission spec applied per shard
 	// ("" = admit everything).
@@ -92,10 +98,12 @@ func (s *Spec) String() string {
 //	    [;admit=token:<rate>,<burst>]
 //	    ;class=<name>/<weight>/<arrival>/<hold>/<slo>[;class=...]
 //
-// where <arrival> and <hold> are des.ParseDist specs (fixed:<d>,
-// poisson:<mean>, uniform:<a>,<b>, burst:<mean>,<cv>,
-// bimodal:<a>,<b>,<pct>). Keys may appear in any order; class entries
-// keep their order. The result is Validated.
+// where <hold> is a des.ParseDist spec (fixed:<d>, poisson:<mean>,
+// uniform:<a>,<b>, burst:<mean>,<cv>, bimodal:<a>,<b>,<pct>) and
+// <arrival> is either such a spec (open loop: the inter-arrival gaps)
+// or closed:<dist> (closed loop: the think time; see Class.Arrival).
+// Keys may appear in any order; class entries keep their order. The
+// result is Validated.
 func Parse(text string) (*Spec, error) {
 	s := &Spec{}
 	seen := map[string]bool{}
@@ -205,7 +213,8 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("scenario: class %q weight %d out of range [1, 2^20]", c.Name, c.Weight)
 		}
 		totalWeight += c.Weight
-		for _, d := range []struct{ role, spec string }{{"arrival", c.Arrival}, {"hold", c.Hold}} {
+		arrival, _ := c.arrivalDist()
+		for _, d := range []struct{ role, spec string }{{"arrival", arrival}, {"hold", c.Hold}} {
 			dist, err := des.ParseDist(d.spec, 0, 0)
 			if err != nil {
 				return fmt.Errorf("scenario: class %q %s: %v", c.Name, d.role, err)
@@ -222,6 +231,12 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("scenario: class weights sum to %d, above 2^20", totalWeight)
 	}
 	return nil
+}
+
+// arrivalDist splits the class's arrival field into its des.ParseDist
+// spec and whether the class is closed loop ("closed:<dist>").
+func (c Class) arrivalDist() (spec string, closed bool) {
+	return strings.CutPrefix(c.Arrival, "closed:")
 }
 
 // quotas splits Clients across classes by weight, then across shards,
