@@ -218,6 +218,19 @@ func (p *Prog) BranchGuardReadsShared(li, bi int) bool {
 	return p.foot[li][bi].guardShared
 }
 
+// BranchWritesShared reports whether branch bi of label li may write any
+// shared variable. A branch that cannot changes only the executing
+// process's pc and locals, so it cannot flip another process's guard:
+// guards read shared cells and the evaluating process's own locals only.
+// Must be called after Build.
+func (p *Prog) BranchWritesShared(li, bi int) bool {
+	return len(p.foot[li][bi].writes) > 0
+}
+
+// BranchTag returns the statistics tag of branch bi of label li ("" when
+// the branch is untagged).
+func (p *Prog) BranchTag(li, bi int) string { return p.branches[li][bi].Tag }
+
 // BranchNext returns the label index branch bi of label li jumps to.
 func (p *Prog) BranchNext(li, bi int) int {
 	return p.labelIdx[p.branches[li][bi].Next]

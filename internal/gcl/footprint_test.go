@@ -100,6 +100,35 @@ func TestBranchLocalOnly(t *testing.T) {
 	}
 }
 
+func TestBranchWritesSharedAndTag(t *testing.T) {
+	p := bakeryLike(3, 4)
+	want := map[string][]struct {
+		writes bool
+		tag    string
+	}{
+		"ncs": {{false, "try"}},
+		"ch1": {{true, ""}},
+		"ch2": {{true, ""}},
+		"ch3": {{true, ""}}, // choosing[self] := 0 beside the local j := 0
+		"t1":  {{false, "cs-enter"}, {false, ""}},
+		"t2":  {{false, ""}}, // reads choosing[j], writes nothing shared
+		"t3":  {{false, ""}},
+		"t4":  {{false, ""}},
+		"cs":  {{true, "cs-exit"}},
+	}
+	for label, branches := range want {
+		li := p.LabelIndex(label)
+		for bi, w := range branches {
+			if got := p.BranchWritesShared(li, bi); got != w.writes {
+				t.Errorf("BranchWritesShared(%s, %d) = %v, want %v", label, bi, got, w.writes)
+			}
+			if got := p.BranchTag(li, bi); got != w.tag {
+				t.Errorf("BranchTag(%s, %d) = %q, want %q", label, bi, got, w.tag)
+			}
+		}
+	}
+}
+
 func TestBranchNext(t *testing.T) {
 	p := bakeryLike(2, 2)
 	if got := p.BranchNext(p.LabelIndex("t1"), 0); got != p.LabelIndex("cs") {

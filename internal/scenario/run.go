@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"io"
+	"math/bits"
 	"runtime"
 	"strconv"
 	"sync"
@@ -125,18 +126,23 @@ func Run(spec *Spec, opts Options) (*Result, error) {
 // arbitration protocol on a des.Kernel, fed by per-class open- or
 // closed-loop arrival streams through an optional admission gate and a
 // FIFO request queue. The whole struct is allocated up front — including one
-// scheduling closure per worker and per class — so the per-event path
-// allocates nothing once the kernel heap and request ring reach steady
-// size (pinned by TestScenarioHotPathAllocs).
+// scheduling closure per worker and per class and both state buffers —
+// so the per-event path allocates nothing once the kernel heap and
+// request ring reach steady size (pinned by TestScenarioHotPathAllocs).
 type shardSim struct {
 	spec  *Spec
 	prog  *gcl.Prog
 	k     *des.Kernel
 	model des.Model
 	admit *des.TokenBucket
-	buf   gcl.SuccBuf
+	buf   gcl.SuccBuf // guard and effect evaluation context only; never carves states
 	state gcl.State
+	next  gcl.State // the successor buffer exec applies into, then swaps with state
 	rng   uint64
+
+	// Label indices of the noncritical and critical sections, resolved
+	// once so exec compares ints.
+	ncs, cs int
 
 	// Worker processes (pids 0..N-1).
 	idle         []bool
@@ -194,7 +200,10 @@ func newShardSim(spec *Spec, shard int, quotas [][]int64, latency string, opts O
 		model: model,
 		admit: admit,
 		state: prog.InitState(),
+		next:  make(gcl.State, prog.StateLen()),
 		rng:   preempt.Seed64(opts.Seed, 0xA11CE+shard),
+		ncs:   prog.LabelIndex("ncs"),
+		cs:    prog.LabelIndex("cs"),
 
 		idle:         make([]bool, spec.N),
 		blocked:      make([]bool, spec.N),
@@ -338,8 +347,11 @@ func (s *shardSim) enabled(pid int) bool {
 }
 
 // wake re-schedules, in pid order, every parked worker whose guard
-// became true; called after every state change so blocked spans end at
-// the earliest enabling action, deterministically.
+// became true, so blocked spans end at the earliest enabling action,
+// deterministically. exec calls it only after a branch that may write a
+// shared cell: a parked worker's guard was false when it parked and
+// reads only shared cells and that worker's own (unchanged) locals, so
+// no other step can enable it.
 func (s *shardSim) wake() {
 	for pid := 0; pid < s.spec.N; pid++ {
 		if s.blocked[pid] && s.enabled(pid) {
@@ -349,32 +361,37 @@ func (s *shardSim) wake() {
 	}
 }
 
-// exec runs one protocol action of worker w: pick a successor (seeded
-// choice under nondeterminism), commit it, emit the record, attribute a
-// grant on cs-enter, and schedule what the new label calls for.
+// exec runs one protocol action of worker w: pick an enabled branch
+// (seeded choice under nondeterminism: the k-th enabled branch, k drawn
+// only when more than one is enabled), apply it into the spare state
+// buffer and swap, emit the record, attribute a grant on cs-enter, and
+// schedule what the new label calls for.
 func (s *shardSim) exec(w int) {
-	s.buf.Reset()
-	s.prog.SuccsInto(s.state, w, gcl.ModeUnbounded, &s.buf)
-	succs := s.buf.Succs()
-	if len(succs) == 0 {
+	mask := s.prog.EnabledMask(s.state, w, &s.buf)
+	if mask == 0 {
 		// Disabled between scheduling and execution (an earlier event
 		// at this instant flipped the guard): park until a wake.
 		s.blocked[w] = true
 		return
 	}
-	sc := succs[0]
-	if len(succs) > 1 {
+	if n := bits.OnesCount64(mask); n > 1 {
 		s.rng = preempt.Xorshift64(s.rng)
-		sc = succs[int(s.rng%uint64(len(succs)))]
+		for k := s.rng % uint64(n); k > 0; k-- {
+			mask &= mask - 1
+		}
 	}
-	copy(s.state, sc.State)
+	bi := bits.TrailingZeros64(mask)
+	li := s.prog.PC(s.state, w)
+	overflow := s.prog.ApplyInto(s.next, s.state, w, bi, gcl.ModeUnbounded, &s.buf)
+	s.state, s.next = s.next, s.state
+	tag := s.prog.BranchTag(li, bi)
 	now := s.k.Now()
-	r := des.Rec{T: now, Pid: w, Class: s.pendingClass[w], Tag: sc.Tag, Overflow: sc.Overflow}
+	r := des.Rec{T: now, Pid: w, Class: s.pendingClass[w], Tag: tag, Overflow: overflow}
 	s.acc.Add(r)
 	if s.recording {
 		s.rec = append(s.rec, r)
 	}
-	if sc.Tag == "cs-enter" {
+	if tag == "cs-enter" {
 		req := s.cur[w]
 		lat := now - req.arrive
 		s.acc.grant(int(req.class), lat)
@@ -383,9 +400,9 @@ func (s *shardSim) exec(w int) {
 				"grant:"+s.spec.Classes[req.class].Name+":"+strconv.FormatInt(lat, 10)))
 		}
 	}
-	label := s.prog.PCLabel(s.state, w)
+	label := s.prog.PC(s.state, w)
 	switch {
-	case label == "ncs":
+	case label == s.ncs:
 		// Back from the exit protocol: the request is served, and its
 		// client thinks again if closed loop. Take the next request or
 		// go idle.
@@ -402,10 +419,12 @@ func (s *shardSim) exec(w int) {
 		}
 	case !s.enabled(w):
 		s.blocked[w] = true
-	case label == "cs":
+	case label == s.cs:
 		s.schedule(w, des.Hold, s.cur[w].hold)
 	default:
 		s.schedule(w, des.Step, 0)
 	}
-	s.wake()
+	if s.prog.BranchWritesShared(li, bi) {
+		s.wake()
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"bakerypp/internal/gcl"
 	"bakerypp/internal/specs"
 )
 
@@ -71,6 +72,31 @@ func TestSpecParseErrors(t *testing.T) {
 		if _, err := Parse(text); err == nil {
 			t.Errorf("Parse(%q) did not error", text)
 		}
+	}
+}
+
+// TestBranchWidthChecked: a label of more than 64 branches is refused
+// with an error naming it, since the shard step's enabled-branch mask
+// has 64 bits; 64 branches are accepted.
+func TestBranchWidthChecked(t *testing.T) {
+	wide := func(branches int) *gcl.Prog {
+		p := gcl.New("wide", 2)
+		p.LocalVar("x", 0)
+		brs := make([]gcl.Branch, branches)
+		for i := range brs {
+			// Only the last branch is ever enabled.
+			brs[i] = gcl.Br(gcl.Eq(gcl.L("x"), gcl.C(branches-1-i)), "ncs")
+		}
+		p.Label("ncs", gcl.Goto("fan"))
+		p.Label("fan", brs...)
+		return p.MustBuild()
+	}
+	if err := checkBranchWidth(wide(64)); err != nil {
+		t.Errorf("64 branches refused: %v", err)
+	}
+	err := checkBranchWidth(wide(65))
+	if err == nil || !strings.Contains(err.Error(), `label "fan"`) {
+		t.Errorf("65 branches: error %v, want one naming label \"fan\"", err)
 	}
 }
 
@@ -350,8 +376,8 @@ func FuzzScenarioSpec(f *testing.F) {
 
 // TestScenarioHotPathAllocs is the perf contract on the per-event path:
 // once the kernel heap and request ring reach steady size, executing
-// events allocates nothing (pre-created closures, arena-backed
-// successor generation, fixed-size histograms).
+// events allocates nothing (pre-created closures, two state buffers
+// swapped per step, fixed-size histograms).
 func TestScenarioHotPathAllocs(t *testing.T) {
 	s := mustParse(t, "name=allocs;algo=bakerypp;shards=1;n=4;m=64;clients=2000000;class=a/1/poisson:30/fixed:4/100;class=b/1/poisson:50/poisson:6/200")
 	quotas := s.quotas()
@@ -360,8 +386,7 @@ func TestScenarioHotPathAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.start()
-	// Warm up: let the queue ring, kernel heap and succ arena reach
-	// steady state.
+	// Warm up: let the queue ring and kernel heap reach steady state.
 	for i := 0; i < 50_000 && sim.k.Step(); i++ {
 	}
 	avg := testing.AllocsPerRun(20, func() {
@@ -373,5 +398,38 @@ func TestScenarioHotPathAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("per-event hot path allocates: %.2f allocs per 2000-event chunk, want 0", avg)
+	}
+}
+
+// TestParkedWorkersStayDisabled pins the invariant exec's write-gated
+// wake relies on: after every event, every parked worker's guard is
+// false. A wake skipped after a step that did write a shared cell leaves
+// a worker parked although enabled, which this catches at that event.
+func TestParkedWorkersStayDisabled(t *testing.T) {
+	for _, algo := range specs.Names() {
+		for _, arrival := range []string{"poisson:6", "closed:fixed:1"} {
+			s := mustParse(t, fmt.Sprintf("name=park;algo=%s;shards=1;n=3;m=5;clients=400;class=a/1/%s/fixed:3/100", algo, arrival))
+			sim, err := newShardSim(s, 0, s.quotas(), "jitter:1,3", Options{Seed: 6})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim.start()
+			parked := 0
+			for sim.k.Step() {
+				for pid, blocked := range sim.blocked {
+					if !blocked {
+						continue
+					}
+					parked++
+					if sim.prog.EnabledMask(sim.state, pid, &sim.buf) != 0 {
+						t.Fatalf("%s %s: event %d left worker %d parked at %s with an enabled branch",
+							algo, arrival, sim.k.Executed(), pid, sim.prog.PCLabel(sim.state, pid))
+					}
+				}
+			}
+			if parked == 0 {
+				t.Errorf("%s %s: no worker was ever parked; the check is vacuous", algo, arrival)
+			}
+		}
 	}
 }

@@ -6,9 +6,12 @@ package specs
 // gcl.ActionsIndependent declares independent, execute both orders and
 // assert they reach the same state. This pins the soundness direction of
 // the footprint analysis on exactly the programs the model checker's
-// partial-order reduction runs on.
+// partial-order reduction runs on. A second oracle checks the per-branch
+// "writes no shared cell" verdict the scenario layer's wake skip relies
+// on against execution.
 
 import (
+	"math/bits"
 	"testing"
 
 	"bakerypp/internal/gcl"
@@ -76,6 +79,48 @@ func TestSpecCommutationOracle(t *testing.T) {
 			}
 			t.Logf("%s: %d independent pairs commuted over %d states", p.Name, checked, len(queue))
 		})
+	}
+}
+
+// TestBranchWritesSharedMatchesExecution: for every specification at
+// N=2 and N=3, on a breadth-first prefix of the reachable states, every
+// enabled branch that gcl.BranchWritesShared declares shared-write-free
+// leaves the shared prefix of the state unchanged when applied.
+func TestBranchWritesSharedMatchesExecution(t *testing.T) {
+	const maxStates = 3000
+	for _, n := range []int{2, 3} {
+		for _, p := range append(allSpecs(n, 2), BakeryPPSafe(n, 2)) {
+			var buf gcl.SuccBuf
+			shared := p.SharedCells()
+			next := make(gcl.State, p.StateLen())
+			checked := 0
+			queue := []gcl.State{p.InitState()}
+			seen := map[string]bool{p.Key(queue[0]): true}
+			for head := 0; head < len(queue); head++ {
+				s := queue[head]
+				for pid := 0; pid < p.N; pid++ {
+					li := p.PC(s, pid)
+					for mask := p.EnabledMask(s, pid, &buf); mask != 0; mask &= mask - 1 {
+						bi := bits.TrailingZeros64(mask)
+						p.ApplyInto(next, s, pid, bi, gcl.ModeUnbounded, &buf)
+						if !p.BranchWritesShared(li, bi) {
+							checked++
+							if !next[:shared].Equal(s[:shared]) {
+								t.Fatalf("%s N=%d: p%d:%s/%d declared shared-write-free but changed shared state\nfrom %s\nto   %s",
+									p.Name, n, pid, p.LabelName(li), bi, p.Format(s), p.Format(next))
+							}
+						}
+						if k := p.Key(next); !seen[k] && len(queue) < maxStates {
+							seen[k] = true
+							queue = append(queue, p.Clone(next))
+						}
+					}
+				}
+			}
+			if checked == 0 {
+				t.Errorf("%s N=%d: no shared-write-free branch was exercised", p.Name, n)
+			}
+		}
 	}
 }
 
