@@ -146,3 +146,196 @@ func TestCheckMatchesNaiveOracle(t *testing.T) {
 		}
 	}
 }
+
+// A naive lasso oracle for the cycle analyses: the reachable graph as a
+// map keyed by the formatted state vector, with each edge's moving pid and
+// branch tag, and a plain recursive Tarjan under a fairness filter. It
+// shares nothing with the engine — no product, no reductions, no helpers of
+// this package beyond naiveKey — so full and quotient verdicts are checked
+// against a reference rather than against each other.
+
+// naiveEdge is one transition of the oracle's graph.
+type naiveEdge struct {
+	to, pid int
+	tag     string
+}
+
+// naiveGraph is the reachable graph of a program, states numbered in
+// breadth-first discovery order.
+type naiveGraph struct {
+	states []gcl.State
+	adj    [][]naiveEdge
+}
+
+func naiveBuildGraph(p *gcl.Prog) naiveGraph {
+	var g naiveGraph
+	index := map[string]int{}
+	add := func(s gcl.State) int {
+		k := naiveKey(s)
+		if i, ok := index[k]; ok {
+			return i
+		}
+		index[k] = len(g.states)
+		g.states = append(g.states, s)
+		g.adj = append(g.adj, nil)
+		return len(g.states) - 1
+	}
+	add(p.InitState())
+	for h := 0; h < len(g.states); h++ {
+		for pid := 0; pid < p.N; pid++ {
+			for _, sc := range p.Succs(g.states[h], pid, gcl.ModeUnbounded, nil) {
+				to := add(sc.State)
+				g.adj[h] = append(g.adj[h], naiveEdge{to: to, pid: pid, tag: sc.Tag})
+			}
+		}
+	}
+	return g
+}
+
+// naiveFairCycle reports whether g has a cycle on which ok holds at every
+// state, no edge is tagged avoid ("" avoids nothing), and every pid in
+// mustMove takes a step: a strongly connected component of the filtered
+// graph with at least one internal edge and an internal edge of every
+// mustMove pid.
+func naiveFairCycle(g naiveGraph, ok func(gcl.State) bool, avoid string, mustMove []int) bool {
+	n := len(g.states)
+	keep := func(v int, e naiveEdge) bool {
+		return ok(g.states[v]) && ok(g.states[e.to]) && (avoid == "" || e.tag != avoid)
+	}
+	index := make([]int, n)
+	low := make([]int, n)
+	onStack := make([]bool, n)
+	comp := make([]int, n)
+	for i := range index {
+		index[i] = -1
+	}
+	var stack []int
+	counter, ncomp := 0, 0
+	var visit func(v int)
+	visit = func(v int) {
+		index[v], low[v] = counter, counter
+		counter++
+		stack = append(stack, v)
+		onStack[v] = true
+		for _, e := range g.adj[v] {
+			if !keep(v, e) {
+				continue
+			}
+			if index[e.to] < 0 {
+				visit(e.to)
+				low[v] = min(low[v], low[e.to])
+			} else if onStack[e.to] {
+				low[v] = min(low[v], index[e.to])
+			}
+		}
+		if low[v] == index[v] {
+			for {
+				w := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				onStack[w] = false
+				comp[w] = ncomp
+				if w == v {
+					break
+				}
+			}
+			ncomp++
+		}
+	}
+	for v := 0; v < n; v++ {
+		if index[v] < 0 && ok(g.states[v]) {
+			visit(v)
+		}
+	}
+	moved := make([]map[int]bool, ncomp)
+	for v := 0; v < n; v++ {
+		if index[v] < 0 {
+			continue
+		}
+		for _, e := range g.adj[v] {
+			if keep(v, e) && comp[e.to] == comp[v] {
+				if moved[comp[v]] == nil {
+					moved[comp[v]] = map[int]bool{}
+				}
+				moved[comp[v]][e.pid] = true
+			}
+		}
+	}
+	for _, m := range moved {
+		if m == nil {
+			continue // no internal edge: not a cycle
+		}
+		all := true
+		for _, pid := range mustMove {
+			all = all && m[pid]
+		}
+		if all {
+			return true
+		}
+	}
+	return false
+}
+
+// TestLivenessMatchesNaiveOracle cross-checks FindStarvation (pinned at the
+// spec's gate label, and active) and FindNoProgress, on the full graph and
+// on the symmetry quotient, against the naive lasso oracle for every
+// liveness parity cell at N <= 3.
+func TestLivenessMatchesNaiveOracle(t *testing.T) {
+	for _, cell := range parityCells() {
+		if cell.cfg.N > 3 {
+			continue
+		}
+		cell := cell
+		t.Run(fmt.Sprintf("%s-n%d-m%d", cell.algo, cell.cfg.N, cell.cfg.M), func(t *testing.T) {
+			mk := func() *gcl.Prog {
+				p, err := specs.Get(cell.algo, cell.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return p
+			}
+			p := mk()
+			live := specs.LivenessOf(p)
+			oracle := naiveBuildGraph(p)
+			var graphs []*Graph
+			for _, sym := range []bool{false, true} {
+				g, err := BuildGraph(mk(), Options{Symmetry: sym})
+				if err != nil {
+					t.Fatal(err)
+				}
+				graphs = append(graphs, g)
+			}
+			check := func(what string, want bool, got func(g *Graph) bool) {
+				t.Helper()
+				t.Logf("%s: oracle finds a cycle: %v", what, want)
+				for _, g := range graphs {
+					if got(g) != want {
+						t.Errorf("%s (quotient %v): engine found %v, oracle %v", what, g.Quotient(), !want, want)
+					}
+				}
+			}
+
+			slow := p.N - 1
+			var fast []int
+			for pid := 0; pid < p.N; pid++ {
+				if pid != slow {
+					fast = append(fast, pid)
+				}
+			}
+			all := allPids(p.N)
+			if live.StarveAt != "" {
+				li := p.LabelIndex(live.StarveAt)
+				pred := func(pr *gcl.Prog, s gcl.State) bool { return pr.PC(s, slow) == li }
+				want := naiveFairCycle(oracle, func(s gcl.State) bool { return pred(p, s) }, "", fast)
+				check("starvation@"+live.StarveAt, want, func(g *Graph) bool { return g.FindStarvation(pred, fast) != nil })
+			}
+			cs := p.LabelIndex("cs")
+			active := func(pr *gcl.Prog, s gcl.State) bool { return pr.PC(s, slow) != cs }
+			want := naiveFairCycle(oracle, func(s gcl.State) bool { return active(p, s) }, "", all)
+			check("active starvation", want, func(g *Graph) bool { return g.FindStarvation(active, all) != nil })
+			if live.NoProgress {
+				want := naiveFairCycle(oracle, func(gcl.State) bool { return true }, "cs-enter", all)
+				check("no-progress", want, func(g *Graph) bool { return g.FindNoProgress(all) != nil })
+			}
+		})
+	}
+}
