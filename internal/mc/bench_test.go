@@ -154,12 +154,12 @@ func n4m2(b *testing.B) *Graph {
 	return n4m2Graph
 }
 
-// The SCC cycle analyses' component bookkeeping is slice-based epoch
-// marking (one reusable int32 array, a fresh epoch per component) rather
-// than a per-SCC map[int32]bool; on the 1.6M-state n4m2 graph the masked
-// subgraph construction and component scans dominate, and the epoch scheme
-// removes every per-component allocation from the loop. Run with
-// `go test ./internal/mc/ -run xxx -bench 'N4M2' -benchtime 1x`.
+// The cycle analyses on the unreduced n4m2 graph run on its identity
+// product (quotient.go), read straight from the adjacency lists and cached
+// on the graph: the first analysis pays its construction, later ones only
+// the filtered Tarjan and the lasso replay. Run each alone to time the
+// construction too:
+// `go test ./internal/mc/ -run xxx -bench 'FindNoProgressN4M2' -benchtime 1x`.
 func BenchmarkFindStarvationN4M2(b *testing.B) {
 	g := n4m2(b)
 	p := g.expl.p

@@ -2,6 +2,7 @@ package mc
 
 import (
 	"testing"
+	"unsafe"
 
 	"bakerypp/internal/gcl"
 )
@@ -72,10 +73,19 @@ func TestGraphSingleState(t *testing.T) {
 	if g.NumStates() != 1 {
 		t.Errorf("states = %d, want 1", g.NumStates())
 	}
-	if sccs := g.SCCs(); len(sccs) != 1 || len(sccs[0]) != 1 {
+	all := func(int32) bool { return true }
+	if sccs := g.buildProduct().sccs(all, func(v, ei int32) bool { return true }); len(sccs) != 1 || len(sccs[0]) != 1 {
 		t.Errorf("SCCs = %v", sccs)
 	}
 	if rep := g.FindNoProgress([]int{0}); rep != nil {
 		t.Error("stuck single state reported as livelock (no edges, no cycle)")
+	}
+}
+
+// Edge.Branch fills the padding after Pid: adjacency lists stay 16 bytes
+// per edge.
+func TestEdgeIs16Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Edge{}); n != 16 {
+		t.Errorf("unsafe.Sizeof(Edge{}) = %d, want 16", n)
 	}
 }

@@ -14,8 +14,13 @@ import (
 // pointer-free — the GC never scans the adjacency lists — and makes edge
 // comparisons integer compares. Render with Graph.EdgeLabel.
 type Edge struct {
-	To       int32
-	Pid      int8
+	To  int32
+	Pid int8
+	// Branch is the index of the taken branch within the source label
+	// (0 for crash edges); Prog.BranchTag resolves its tag. It fills the
+	// padding after Pid, so an Edge stays 16 bytes; gcl.Build refuses
+	// labels of more than 64 branches, well inside int8.
+	Branch   int8
 	LabelIdx int32
 	// Perm, on a symmetry-reduced (quotient) graph, is the index of the
 	// permutation ρ relating the concrete successor t to the stored
@@ -67,7 +72,9 @@ func (g *Graph) State(i int) gcl.State { return g.expl.stateAt(int32(i)) }
 // partial-order-reduced graph by design omits), but symmetry does — the
 // result is then the QUOTIENT graph, one state per encountered orbit, with
 // permutation-annotated edges the cycle analyses lift concrete pid
-// identities through (quotient.go).
+// identities through (quotient.go). Edge k of a state is its k-th successor
+// in generation order: every process's program successors in pid order,
+// then the crash transitions.
 func BuildGraph(p *gcl.Prog, opts Options) (*Graph, error) {
 	plan, err := planFor(p, opts, GraphAnalysis{Invariants: opts.Invariants})
 	if err != nil {
@@ -107,8 +114,8 @@ func BuildGraph(p *gcl.Prog, opts Options) (*Graph, error) {
 				}
 			}
 			sc := &x.succs[i]
-			g.Adj[head] = append(g.Adj[head], Edge{To: idx, Pid: int8(sc.Pid), LabelIdx: sc.LabelIdx,
-				Perm: e.edgePermIdx(x.preps[i].perm, idx, fresh)})
+			g.Adj[head] = append(g.Adj[head], Edge{To: idx, Pid: int8(sc.Pid), Branch: int8(sc.Branch),
+				LabelIdx: sc.LabelIdx, Perm: e.edgePermIdx(x.preps[i].perm, idx, fresh)})
 		}
 	}
 	res.States = e.numStates()
@@ -120,86 +127,12 @@ func BuildGraph(p *gcl.Prog, opts Options) (*Graph, error) {
 
 // Quotient reports whether the graph is symmetry-reduced: states are orbit
 // representatives and edges carry permutation annotations. The cycle
-// analyses below automatically run orbit-aware on such graphs.
+// analyses below run on such graphs' orbit-tracking product, and on an
+// unreduced graph's product under the trivial group — the graph itself.
 func (g *Graph) Quotient() bool { return g.expl.trackPerms }
 
 // Trace reconstructs the BFS path from the initial state to graph index i.
 func (g *Graph) Trace(i int) Trace { return g.expl.trace(int32(i)) }
-
-// SCCs returns the strongly connected components of the graph (Tarjan,
-// iterative), in reverse topological order. Trivial single-state components
-// without a self-loop are included; callers filter as needed.
-func (g *Graph) SCCs() [][]int32 {
-	n := len(g.Adj)
-	index := make([]int32, n)
-	low := make([]int32, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = -1
-	}
-	var (
-		stack   []int32
-		sccs    [][]int32
-		counter int32
-	)
-
-	type frame struct {
-		v    int32
-		edge int
-	}
-	var call []frame
-	for root := int32(0); root < int32(n); root++ {
-		if index[root] != -1 {
-			continue
-		}
-		call = append(call[:0], frame{v: root})
-		index[root] = counter
-		low[root] = counter
-		counter++
-		stack = append(stack, root)
-		onStack[root] = true
-
-		for len(call) > 0 {
-			f := &call[len(call)-1]
-			if f.edge < len(g.Adj[f.v]) {
-				w := g.Adj[f.v][f.edge].To
-				f.edge++
-				if index[w] == -1 {
-					index[w] = counter
-					low[w] = counter
-					counter++
-					stack = append(stack, w)
-					onStack[w] = true
-					call = append(call, frame{v: w})
-				} else if onStack[w] && index[w] < low[f.v] {
-					low[f.v] = index[w]
-				}
-				continue
-			}
-			v := f.v
-			call = call[:len(call)-1]
-			if len(call) > 0 {
-				if pv := call[len(call)-1].v; low[v] < low[pv] {
-					low[pv] = low[v]
-				}
-			}
-			if low[v] == index[v] {
-				var comp []int32
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp = append(comp, w)
-					if w == v {
-						break
-					}
-				}
-				sccs = append(sccs, comp)
-			}
-		}
-	}
-	return sccs
-}
 
 // StarvationReport describes a reachable cycle on which a predicate holds
 // forever while a given set of processes keeps taking steps — the shape of
@@ -213,9 +146,9 @@ type StarvationReport struct {
 	// EntryLen is the number of steps from the initial state to the
 	// component.
 	EntryLen int
-	// Entry is the path from the initial state into the component. It is
-	// always a concrete execution; on a quotient graph it is replayed from
-	// the product lasso and re-verified step by step (quotient.go).
+	// Entry is the path from the initial state into the component, a
+	// concrete execution replayed from the product lasso and re-verified
+	// step by step (quotient.go).
 	Entry Trace
 	// MovesByPid counts, for each process, the transitions it owns inside
 	// the component. On a quotient graph pids are CONCRETE identities,
@@ -224,17 +157,17 @@ type StarvationReport struct {
 	// Component lists the graph indices of the component's states, so
 	// callers can assert additional properties (e.g. that the starved
 	// process is genuinely blocked somewhere on the cycle, ruling out
-	// plain unfair-scheduler starvation). On a quotient graph these are
-	// the distinct orbit representatives the product component touches.
+	// plain unfair-scheduler starvation), in ascending order. On a
+	// quotient graph these are the distinct orbit representatives the
+	// product component touches.
 	Component []int32
 	// Quotient reports the analysis ran orbit-aware on the quotient graph.
 	Quotient bool
-	// Cycle, on a quotient graph, is the concrete execution closing the
-	// lasso: starting from Entry's final state, every listed step is a
-	// real transition, the predicate holds throughout, every mustMove pid
-	// moves, and the final state revisits the starting state's orbit
-	// position — verified by execution before the report is returned.
-	// Unreduced analyses leave it nil (the SCC itself is the witness).
+	// Cycle is the concrete execution closing the lasso: starting from
+	// Entry's final state, every listed step is a real transition, the
+	// predicate holds throughout, every mustMove pid moves, and the final
+	// state revisits the starting state (on a quotient graph, its orbit
+	// position) — verified by execution before the report is returned.
 	Cycle []Step
 }
 
@@ -244,90 +177,48 @@ type StarvationReport struct {
 // such component exists. pred typically pins the starved process to a label
 // (e.g. "pc of process 2 is l1") while mustMove lists the fast processes.
 //
-// On a quotient graph (BuildGraph under symmetry) the search runs on the
-// permutation-tracked product, so pred still reads CONCRETE pid positions:
-// it is evaluated on the orbit representative permuted back into the
-// concrete frame of each path that reaches it. Predicates must not depend
-// on dead scan-cursor values (normalized away in orbit keys); pc- and
-// shared-value predicates are unaffected. A found lasso is replayed to a
-// concrete full-space execution and re-verified before being reported.
+// The search runs on the graph's tracking product (quotient.go). On a
+// quotient graph (BuildGraph under symmetry) pred still reads CONCRETE pid
+// positions: it is evaluated on the orbit representative permuted back
+// into the concrete frame of each path that reaches it. Predicates must
+// not depend on dead scan-cursor values (normalized away in orbit keys);
+// pc- and shared-value predicates are unaffected. A found lasso is
+// replayed to a concrete execution and re-verified before being reported.
 func (g *Graph) FindStarvation(pred func(p *gcl.Prog, s gcl.State) bool, mustMove []int) *StarvationReport {
-	if g.Quotient() {
-		return g.findStarvationQuotient(pred, mustMove)
+	p := g.expl.p
+	pr := g.buildProduct()
+	ok := make([]bool, len(pr.nodes))
+	view := make(gcl.State, p.StateLen())
+	for i := range pr.nodes {
+		pr.viewInto(view, pr.nodes[i])
+		ok[i] = pred(p, view)
 	}
-	n := len(g.Adj)
-	ok := make([]bool, n)
-	for i := 0; i < n; i++ {
-		ok[i] = pred(g.expl.p, g.expl.stateAt(int32(i)))
+	edgeOK := func(v, ei int32) bool { return ok[pr.targets[pr.offs[v]+ei]] }
+	verify := func(start gcl.State, cycle []Step, _ []string) bool {
+		if !pred(p, start) {
+			return false
+		}
+		for _, st := range cycle {
+			if !pred(p, st.State) {
+				return false
+			}
+		}
+		return true
 	}
-	// Build the subgraph induced by pred and run SCC over it by masking
-	// edges whose endpoints fall outside.
-	masked := &Graph{expl: g.expl, Adj: make([][]Edge, n)}
-	for v := 0; v < n; v++ {
-		if !ok[v] {
-			continue
-		}
-		for _, e := range g.Adj[v] {
-			if ok[e.To] {
-				masked.Adj[v] = append(masked.Adj[v], e)
-			}
-		}
+	entry, cycle, size, moves, states, entryLen, found :=
+		g.findFairCycle(pr, ok, edgeOK, mustMove, verify)
+	if !found {
+		return nil
 	}
-	// Component membership via epoch marking: one int32 slice reused
-	// across components (a fresh epoch per component) instead of a
-	// per-SCC map — the SCC loop over a million-state graph allocates
-	// nothing and probes by index.
-	mark := make([]int32, n)
-	epoch := int32(0)
-	for _, comp := range masked.SCCs() {
-		if len(comp) == 1 && !hasSelfLoop(masked, comp[0]) {
-			continue
-		}
-		epoch++
-		predOK := true
-		for _, v := range comp {
-			if !ok[v] {
-				predOK = false
-				break
-			}
-			mark[v] = epoch
-		}
-		if !predOK {
-			continue
-		}
-		moves := make([]int, g.expl.p.N)
-		for _, v := range comp {
-			for _, e := range masked.Adj[v] {
-				if mark[e.To] == epoch && e.Pid >= 0 {
-					moves[e.Pid]++
-				}
-			}
-		}
-		all := true
-		for _, pid := range mustMove {
-			if moves[pid] == 0 {
-				all = false
-				break
-			}
-		}
-		if !all {
-			continue
-		}
-		entry := comp[0]
-		for _, v := range comp {
-			if g.expl.depth.at(v) < g.expl.depth.at(entry) {
-				entry = v
-			}
-		}
-		return &StarvationReport{
-			ComponentSize: len(comp),
-			EntryLen:      int(g.expl.depth.at(entry)),
-			Entry:         g.expl.trace(entry),
-			MovesByPid:    moves,
-			Component:     comp,
-		}
+	return &StarvationReport{
+		ComponentSize: size,
+		EntryLen:      entryLen,
+		Entry:         entry,
+		MovesByPid:    moves,
+		Component:     states,
+		Quotient:      g.Quotient(),
+		Cycle:         cycle,
 	}
-	return nil
 }
 
 // NoProgressReport describes a reachable cycle on which every listed
@@ -345,117 +236,39 @@ type NoProgressReport struct {
 	// a quotient graph, recovered through the edge permutations).
 	MovesByPid []int
 	Entry      Trace
-	// Quotient/Cycle: as in StarvationReport — set on quotient graphs,
-	// where the replayed concrete cycle (no cs-enter step, every mustMove
-	// pid moving, orbit position revisited) is verified by execution.
+	// Quotient/Cycle: as in StarvationReport; the replayed concrete cycle
+	// (no cs-enter step, every mustMove pid moving, start revisited) is
+	// verified by execution.
 	Quotient bool
 	Cycle    []Step
 }
 
 // FindNoProgress searches for a reachable SCC with at least one edge, in
 // which every process in mustMove takes a step but no edge carries the
-// "cs-enter" tag. It returns nil when no such component exists. On a
-// quotient graph the search runs on the permutation-tracked product
-// exactly like FindStarvation, with found lassos replayed and re-verified.
+// "cs-enter" tag. It returns nil when no such component exists. The search
+// runs on the tracking product exactly like FindStarvation, with found
+// lassos replayed and re-verified.
 func (g *Graph) FindNoProgress(mustMove []int) *NoProgressReport {
-	if g.Quotient() {
-		return g.findNoProgressQuotient(mustMove)
-	}
-	n := len(g.Adj)
-	// Mask out cs-enter edges and SCC the remainder: a qualifying cycle
-	// must avoid entries entirely.
-	masked := &Graph{expl: g.expl, Adj: make([][]Edge, n)}
-	for v := 0; v < n; v++ {
-		for _, e := range g.Adj[v] {
-			if g.tagOf(v, e) == "cs-enter" {
-				continue
-			}
-			masked.Adj[v] = append(masked.Adj[v], e)
-		}
-	}
-	// Epoch-marked membership; see FindStarvation.
-	mark := make([]int32, n)
-	epoch := int32(0)
-	for _, comp := range masked.SCCs() {
-		if len(comp) == 1 && !hasSelfLoop(masked, comp[0]) {
-			continue
-		}
-		epoch++
-		for _, v := range comp {
-			mark[v] = epoch
-		}
-		moves := make([]int, g.expl.p.N)
-		for _, v := range comp {
-			for _, e := range masked.Adj[v] {
-				if mark[e.To] == epoch && e.Pid >= 0 {
-					moves[e.Pid]++
-				}
+	pr := g.buildProduct()
+	edgeOK := func(v, ei int32) bool { return !pr.enters[pr.offs[v]+ei] }
+	verify := func(_ gcl.State, _ []Step, tags []string) bool {
+		for _, tag := range tags {
+			if tag == "cs-enter" {
+				return false
 			}
 		}
-		ok := true
-		for _, pid := range mustMove {
-			if moves[pid] == 0 {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		entry := comp[0]
-		for _, v := range comp {
-			if g.expl.depth.at(v) < g.expl.depth.at(entry) {
-				entry = v
-			}
-		}
-		return &NoProgressReport{
-			ComponentSize: len(comp),
-			MovesByPid:    moves,
-			Entry:         g.expl.trace(entry),
-		}
+		return true
 	}
-	return nil
-}
-
-// tagOf recovers the branch tag of an edge by re-deriving it from the
-// source state (edges do not store tags to keep the graph small).
-func (g *Graph) tagOf(from int, e Edge) string {
-	if e.LabelIdx < 0 {
-		return ""
+	entry, cycle, size, moves, _, _, found :=
+		g.findFairCycle(pr, nil, edgeOK, mustMove, verify)
+	if !found {
+		return nil
 	}
-	p := g.expl.p
-	s := g.expl.stateAt(int32(from))
-	// Under symmetry reduction the stored target is the orbit
-	// representative, so successors must be compared through the store's
-	// canonical keys; the target's key is hoisted out of the loop.
-	var fpTo uint64
-	var keyTo gcl.State
-	if g.expl.symmetry {
-		fpTo, keyTo = g.expl.store.Prepare(g.expl.stateAt(e.To))
+	return &NoProgressReport{
+		ComponentSize: size,
+		MovesByPid:    moves,
+		Entry:         entry,
+		Quotient:      g.Quotient(),
+		Cycle:         cycle,
 	}
-	toState := g.expl.stateAt(e.To)
-	for _, sc := range p.Succs(s, int(e.Pid), g.expl.opts.Mode, nil) {
-		if sc.LabelIdx != e.LabelIdx {
-			continue
-		}
-		if !g.expl.symmetry {
-			if sc.State.Equal(toState) {
-				return sc.Tag
-			}
-			continue
-		}
-		if fp, key := g.expl.store.Prepare(sc.State); fp == fpTo && key.Equal(keyTo) {
-			return sc.Tag
-		}
-	}
-	return ""
-}
-
-func hasSelfLoop(g *Graph, v int32) bool {
-	for _, e := range g.Adj[v] {
-		if e.To == v {
-			return true
-		}
-	}
-	return false
 }

@@ -77,15 +77,15 @@ func replayTrace(t *testing.T, p *gcl.Prog, init gcl.State, steps []Step) ([]str
 	return tags, cur
 }
 
-// verifyStarvationLasso re-verifies a quotient starvation report by
-// concrete execution: entry path real, cycle real, predicate invariant on
-// the cycle, all mustMove pids moving, and the cycle closing on its orbit
-// position.
-func verifyStarvationLasso(t *testing.T, p *gcl.Prog, rep *StarvationReport,
+// verifyStarvationLasso re-verifies a starvation report by concrete
+// execution: entry path real, cycle real, predicate invariant on the
+// cycle, all mustMove pids moving, and the cycle closing on its orbit
+// position (on its start state, on an unreduced graph).
+func verifyStarvationLasso(t *testing.T, p *gcl.Prog, g *Graph, rep *StarvationReport,
 	pred func(*gcl.Prog, gcl.State) bool, mustMove []int) {
 	t.Helper()
-	if !rep.Quotient || len(rep.Cycle) == 0 {
-		t.Fatal("quotient report without a verified cycle")
+	if rep.Quotient != g.Quotient() || len(rep.Cycle) == 0 {
+		t.Fatalf("report (quotient %v) on a graph (quotient %v) without a verified cycle", rep.Quotient, g.Quotient())
 	}
 	if !rep.Entry.Init.Equal(p.InitState()) {
 		t.Fatal("entry trace does not start at the initial state")
@@ -109,6 +109,16 @@ func verifyStarvationLasso(t *testing.T, p *gcl.Prog, rep *StarvationReport,
 			t.Fatalf("required mover %d takes no step on the replayed cycle", pid)
 		}
 	}
+	closes(t, p, g, start, end)
+}
+
+// closes requires a replayed cycle to end where it started: on the same
+// state on an unreduced graph, on the same orbit position on a quotient.
+func closes(t *testing.T, p *gcl.Prog, g *Graph, start, end gcl.State) {
+	t.Helper()
+	if !g.Quotient() && !end.Equal(start) {
+		t.Fatal("replayed cycle does not return to its start state")
+	}
 	if !p.NormalizeCursors(end).Equal(p.NormalizeCursors(start)) {
 		t.Fatal("replayed cycle does not close on its orbit position")
 	}
@@ -116,10 +126,10 @@ func verifyStarvationLasso(t *testing.T, p *gcl.Prog, rep *StarvationReport,
 
 // verifyNoProgressLasso is the analogue for no-progress reports: the
 // replayed cycle must additionally take no cs-enter branch.
-func verifyNoProgressLasso(t *testing.T, p *gcl.Prog, rep *NoProgressReport, mustMove []int) {
+func verifyNoProgressLasso(t *testing.T, p *gcl.Prog, g *Graph, rep *NoProgressReport, mustMove []int) {
 	t.Helper()
-	if !rep.Quotient || len(rep.Cycle) == 0 {
-		t.Fatal("quotient report without a verified cycle")
+	if rep.Quotient != g.Quotient() || len(rep.Cycle) == 0 {
+		t.Fatalf("report (quotient %v) on a graph (quotient %v) without a verified cycle", rep.Quotient, g.Quotient())
 	}
 	_, start := replayTrace(t, p, rep.Entry.Init, rep.Entry.Steps)
 	tags, end := replayTrace(t, p, start, rep.Cycle)
@@ -137,9 +147,7 @@ func verifyNoProgressLasso(t *testing.T, p *gcl.Prog, rep *NoProgressReport, mus
 			t.Fatalf("required mover %d takes no step on the replayed cycle", pid)
 		}
 	}
-	if !p.NormalizeCursors(end).Equal(p.NormalizeCursors(start)) {
-		t.Fatal("replayed cycle does not close on its orbit position")
-	}
+	closes(t, p, g, start, end)
 }
 
 func TestLivenessVerdictParityFullVsQuotient(t *testing.T) {
@@ -200,8 +208,9 @@ func TestLivenessVerdictParityFullVsQuotient(t *testing.T) {
 				if (fr == nil) != (qr == nil) || (qr == nil) != (qpr == nil) {
 					t.Errorf("starvation@%s verdicts diverge: full=%v quotient=%v parallel=%v",
 						live.StarveAt, fr != nil, qr != nil, qpr != nil)
-				} else if qr != nil && quot.Quotient() {
-					verifyStarvationLasso(t, p, qr, pred, mustMoveFast)
+				} else if qr != nil {
+					verifyStarvationLasso(t, p, full, fr, pred, mustMoveFast)
+					verifyStarvationLasso(t, p, quot, qr, pred, mustMoveFast)
 				}
 			}
 
@@ -216,8 +225,9 @@ func TestLivenessVerdictParityFullVsQuotient(t *testing.T) {
 			if (fr == nil) != (qr == nil) || (qr == nil) != (qpr == nil) {
 				t.Errorf("active-starvation verdicts diverge: full=%v quotient=%v parallel=%v",
 					fr != nil, qr != nil, qpr != nil)
-			} else if qr != nil && quot.Quotient() {
-				verifyStarvationLasso(t, p, qr, activePred, all)
+			} else if qr != nil {
+				verifyStarvationLasso(t, p, full, fr, activePred, all)
+				verifyStarvationLasso(t, p, quot, qr, activePred, all)
 			}
 
 			// Global no-progress.
@@ -228,8 +238,9 @@ func TestLivenessVerdictParityFullVsQuotient(t *testing.T) {
 				if (fn == nil) != (qn == nil) || (qn == nil) != (qpn == nil) {
 					t.Errorf("no-progress verdicts diverge: full=%v quotient=%v parallel=%v",
 						fn != nil, qn != nil, qpn != nil)
-				} else if qn != nil && quot.Quotient() {
-					verifyNoProgressLasso(t, p, qn, all)
+				} else if qn != nil {
+					verifyNoProgressLasso(t, p, full, fn, all)
+					verifyNoProgressLasso(t, p, quot, qn, all)
 				}
 			}
 

@@ -121,26 +121,44 @@ func TestFindNoProgressPositiveControl(t *testing.T) {
 	}
 }
 
-// Sanity for tagOf: cs-enter edges really are excluded — a two-process
-// Bakery++ graph masked of entries must not contain its cs states'
-// entering edges in any qualifying component (covered implicitly by
-// TestBakeryPPNoGlobalLivelock; here we check tag recovery directly).
+// The unreduced graph's product is read from Adj, so its edges must be the
+// states' successors in generation order: checked edge by edge against
+// independent successor generation — target, mover, ordinal (crash edges
+// count down from -1), and the cs-enter bit against the Succs tag.
 func TestTagRecovery(t *testing.T) {
 	p := specs.BakeryPP(specs.Config{N: 2, M: 2})
-	g, err := BuildGraph(p, Options{})
+	g, err := BuildGraph(p, Options{Crash: true, CrashPids: []int{1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	for v := 0; v < len(g.Adj) && !found; v++ {
-		for _, e := range g.Adj[v] {
-			if g.tagOf(v, e) == "cs-enter" {
-				found = true
-				break
+	pr := g.buildProduct()
+	enters := 0
+	for v := int32(0); v < int32(g.NumStates()); v++ {
+		s := g.State(int(v))
+		succs := p.AllSuccs(s, gcl.ModeUnbounded)
+		if int(pr.degree(v)) != len(succs)+1 {
+			t.Fatalf("state %d: %d product edges, %d successors plus one crash", v, pr.degree(v), len(succs))
+		}
+		for k := int32(0); k < pr.degree(v); k++ {
+			ge := pr.offs[v] + k
+			want, pid, ord, tag := p.CrashSucc(s, 1), 1, -1, ""
+			if int(k) < len(succs) {
+				sc := succs[k]
+				want, pid, ord, tag = sc.State, sc.Pid, int(k), sc.Tag
+			}
+			if !g.State(int(pr.targets[ge])).Equal(want) || int(pr.movers[ge]) != pid || int(pr.ords[ge]) != ord {
+				t.Fatalf("state %d edge %d: product edge (to %d, pid %d, ord %d) is not successor p%d ord %d",
+					v, k, pr.targets[ge], pr.movers[ge], pr.ords[ge], pid, ord)
+			}
+			if pr.enters[ge] != (tag == "cs-enter") {
+				t.Fatalf("state %d edge %d: cs-enter bit %v, Succs tag %q", v, k, pr.enters[ge], tag)
+			}
+			if pr.enters[ge] {
+				enters++
 			}
 		}
 	}
-	if !found {
-		t.Error("no cs-enter tag recovered from any edge")
+	if enters == 0 {
+		t.Error("no cs-enter edge in the product")
 	}
 }

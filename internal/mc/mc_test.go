@@ -292,7 +292,8 @@ func TestSCCsOnToggle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sccs := g.SCCs()
+	all := func(int32) bool { return true }
+	sccs := g.buildProduct().sccs(all, func(v, ei int32) bool { return true })
 	// Reachable states: (a,0) -> (b,1) -> (a,0): one SCC of size 2.
 	if len(sccs) != 1 || len(sccs[0]) != 2 {
 		t.Errorf("SCCs = %v, want one component of size 2", sccs)

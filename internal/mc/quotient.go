@@ -1,7 +1,13 @@
 package mc
 
-// Orbit-level cycle analysis on the symmetry-reduced (quotient) transition
-// graph. BuildGraph under symmetry stores one concrete representative per
+// The one cycle search behind FindStarvation and FindNoProgress: Tarjan
+// over a tracking product, a fairness filter, and a stitched lasso that is
+// replayed and re-verified by execution.
+//
+// On an unreduced graph the product is the graph under the trivial
+// symmetry group: node i is state i under the identity, and its edges are
+// read straight from Adj (identityProduct). The rest of this comment is
+// about the orbit product of a quotient graph. BuildGraph under symmetry stores one concrete representative per
 // encountered orbit and annotates every edge with the permutation ρ
 // relating the concrete successor to the stored representative of its
 // target orbit (Edge.Perm). The liveness analyses run on a PRODUCT whose
@@ -77,13 +83,17 @@ type pstep struct {
 	ei int32
 }
 
-// product is the tracking product of a quotient graph, built breadth-first
-// from (state 0, identity) by expanding node views with true dynamics.
-// Edges are stored CSR-style.
+// product is the tracking product of a graph. On a quotient graph it is
+// built breadth-first from (state 0, identity) by expanding node views
+// with true dynamics; on an unreduced graph it is the graph itself
+// (identity). Edges are stored CSR-style.
 type product struct {
-	g      *Graph
-	p      *gcl.Prog
-	nPerms int32
+	g *Graph
+	p *gcl.Prog
+	// identity marks the product of an unreduced graph: node i is state i,
+	// and its view is the stored concrete state.
+	identity bool
+	nPerms   int32
 	// nPrimary is the quotient graph's state count; node reps at or above
 	// it index the supplementary extra tables.
 	nPrimary int32
@@ -168,6 +178,10 @@ func (pr *product) normOf(rep int32) gcl.State {
 // representative's normal form permuted into the node's tracking frame —
 // into buf.
 func (pr *product) viewInto(buf gcl.State, nd prodNode) {
+	if pr.identity {
+		copy(buf, pr.g.expl.stateAt(nd.rep))
+		return
+	}
 	pr.p.PermuteInto(buf, pr.normOf(nd.rep), pr.p.PermAt(int(nd.perm)))
 }
 
@@ -292,12 +306,75 @@ func (pr *product) locate(nd prodNode, succPid int, labelIdx int32, u gcl.State)
 const productBoundFactor = 4
 
 // buildProduct returns the graph's tracking product, building and caching
-// it on first use. The product covers exactly the cursor-normalized full
-// state space; productBoundFactor × MaxStates bounds its node count.
+// it on first use.
 func (g *Graph) buildProduct() *product {
-	if g.prod != nil {
-		return g.prod
+	if g.prod == nil {
+		if g.Quotient() {
+			g.prod = g.orbitProduct()
+		} else {
+			g.prod = g.identityProduct()
+		}
+		g.prod.seen = make([]int32, len(g.prod.nodes))
+		g.prod.bfsStep = make([]pstep, len(g.prod.nodes))
 	}
+	return g.prod
+}
+
+// identityProduct is the product of an unreduced graph, read straight from
+// Adj: no re-expansion, no node table, no locate. Edge k of a state is its
+// k-th successor in generation order (program successors, then crashes),
+// so a program edge's ordinal is k and crash edges count down from -1 in
+// crasher order, as in orbitProduct. Each state's BFS parent is the first
+// edge reaching it — the order the explorer numbered states in — so depths
+// and entry paths are the explorer's. The cs-enter bit is the taken
+// branch's tag.
+func (g *Graph) identityProduct() *product {
+	p := g.expl.p
+	n := int32(len(g.Adj))
+	m := g.Summary.Transitions
+	pr := &product{
+		g: g, p: p, identity: true,
+		nPerms:   1,
+		nPrimary: n,
+		nodes:    make([]prodNode, n),
+		offs:     make([]int32, 1, n+1),
+		targets:  make([]int32, 0, m),
+		movers:   make([]int8, 0, m),
+		ords:     make([]int16, 0, m),
+		enters:   make([]bool, 0, m),
+		parent:   make([]int32, n),
+		parentE:  make([]int32, n),
+		depth:    make([]int32, n),
+	}
+	for i := range pr.parent {
+		pr.parent[i] = -1
+	}
+	for v := int32(0); v < n; v++ {
+		pr.nodes[v] = prodNode{rep: v}
+		crash := int16(0)
+		for k, e := range g.Adj[v] {
+			ord := int16(k)
+			if e.LabelIdx < 0 {
+				crash--
+				ord = crash
+			}
+			if e.To != 0 && pr.parent[e.To] < 0 {
+				pr.parent[e.To], pr.parentE[e.To], pr.depth[e.To] = v, int32(len(pr.targets)), pr.depth[v]+1
+			}
+			pr.targets = append(pr.targets, e.To)
+			pr.movers = append(pr.movers, e.Pid)
+			pr.ords = append(pr.ords, ord)
+			pr.enters = append(pr.enters, e.LabelIdx >= 0 && p.BranchTag(int(e.LabelIdx), int(e.Branch)) == "cs-enter")
+		}
+		pr.offs = append(pr.offs, int32(len(pr.targets)))
+	}
+	return pr
+}
+
+// orbitProduct builds the tracking product of a quotient graph. It covers
+// exactly the cursor-normalized full state space; productBoundFactor ×
+// MaxStates bounds its node count.
+func (g *Graph) orbitProduct() *product {
 	p := g.expl.p
 	pr := &product{
 		g: g, p: p,
@@ -347,9 +424,6 @@ func (g *Graph) buildProduct() *product {
 		}
 		pr.offs = append(pr.offs, int32(len(pr.targets)))
 	}
-	pr.seen = make([]int32, len(pr.nodes))
-	pr.bfsStep = make([]pstep, len(pr.nodes))
-	g.prod = pr
 	return pr
 }
 
@@ -358,8 +432,8 @@ func (pr *product) degree(v int32) int32 { return pr.offs[v+1] - pr.offs[v] }
 
 // sccs runs iterative Tarjan over the product restricted to nodes passing
 // nodeOK and edges passing edgeOK (both endpoints must pass nodeOK too),
-// returning components in reverse topological order — the same contract as
-// Graph.SCCs.
+// returning components in reverse topological order. Trivial single-node
+// components without a self-loop are included; callers filter as needed.
 func (pr *product) sccs(nodeOK func(int32) bool, edgeOK func(v, ei int32) bool) [][]int32 {
 	n := int32(len(pr.nodes))
 	index := make([]int32, n)
@@ -618,7 +692,7 @@ func coversMustMove(steps []Step, mustMove []int, n int) bool {
 	return true
 }
 
-// findFairCycle is the shared engine behind the quotient analyses: SCC the
+// findFairCycle is the shared engine behind the cycle analyses: SCC the
 // filtered product, find a component in which every mustMove pid moves,
 // stitch a lasso, replay it concretely, and hand the verified material to
 // the caller for packaging. ok may be nil (all nodes pass). verify
@@ -692,70 +766,4 @@ func (g *Graph) findFairCycle(pr *product, ok []bool, edgeOK func(v, ei int32) b
 			cycleSteps, len(comp), mv, pr.uniqStates(comp), len(entrySteps), true
 	}
 	return Trace{}, nil, 0, nil, nil, 0, false
-}
-
-// findStarvationQuotient is FindStarvation on a quotient graph.
-func (g *Graph) findStarvationQuotient(pred func(p *gcl.Prog, s gcl.State) bool, mustMove []int) *StarvationReport {
-	p := g.expl.p
-	pr := g.buildProduct()
-	ok := make([]bool, len(pr.nodes))
-	view := make(gcl.State, p.StateLen())
-	for i := range pr.nodes {
-		pr.viewInto(view, pr.nodes[i])
-		ok[i] = pred(p, view)
-	}
-	edgeOK := func(v, ei int32) bool { return ok[pr.targets[pr.offs[v]+ei]] }
-	verify := func(start gcl.State, cycle []Step, _ []string) bool {
-		if !pred(p, start) {
-			return false
-		}
-		for _, st := range cycle {
-			if !pred(p, st.State) {
-				return false
-			}
-		}
-		return true
-	}
-	entry, cycle, size, moves, states, entryLen, found :=
-		g.findFairCycle(pr, ok, edgeOK, mustMove, verify)
-	if !found {
-		return nil
-	}
-	return &StarvationReport{
-		ComponentSize: size,
-		EntryLen:      entryLen,
-		Entry:         entry,
-		MovesByPid:    moves,
-		Component:     states,
-		Quotient:      true,
-		Cycle:         cycle,
-	}
-}
-
-// findNoProgressQuotient is FindNoProgress on a quotient graph: cs-enter
-// edges (tagged at successor generation) are filtered out of the product,
-// and the replayed cycle re-checks that no realised step carried the tag.
-func (g *Graph) findNoProgressQuotient(mustMove []int) *NoProgressReport {
-	pr := g.buildProduct()
-	edgeOK := func(v, ei int32) bool { return !pr.enters[pr.offs[v]+ei] }
-	verify := func(_ gcl.State, _ []Step, tags []string) bool {
-		for _, tag := range tags {
-			if tag == "cs-enter" {
-				return false
-			}
-		}
-		return true
-	}
-	entry, cycle, size, moves, _, _, found :=
-		g.findFairCycle(pr, nil, edgeOK, mustMove, verify)
-	if !found {
-		return nil
-	}
-	return &NoProgressReport{
-		ComponentSize: size,
-		MovesByPid:    moves,
-		Entry:         entry,
-		Quotient:      true,
-		Cycle:         cycle,
-	}
 }
