@@ -212,6 +212,10 @@ func (p *Prog) Build() error {
 		}
 	}
 	for li, brs := range p.branches {
+		if len(brs) > MaxBranches {
+			return fmt.Errorf("gcl: %s: label %q has %d branches; at most %d are allowed per label",
+				p.Name, p.labels[li], len(brs), MaxBranches)
+		}
 		for bi, b := range brs {
 			if _, ok := p.labelIdx[b.Next]; !ok {
 				return fmt.Errorf("gcl: %s: label %q branch %d jumps to undeclared label %q",
@@ -229,6 +233,11 @@ func (p *Prog) Build() error {
 	p.built = true
 	return nil
 }
+
+// MaxBranches is the most branches a label may have; Build refuses more.
+// EnabledMask and the model checker's ample-set check read a label's
+// enabled branches as one 64-bit mask.
+const MaxBranches = 64
 
 // MustBuild is Build that panics on error; specifications are static so an
 // error is always a programming mistake.

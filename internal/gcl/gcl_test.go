@@ -507,3 +507,34 @@ func TestDeadlockDetectionHelper(t *testing.T) {
 		t.Error("fully blocked program reported enabled")
 	}
 }
+
+// TestBranchWidthChecked: Build refuses a label of more than MaxBranches
+// branches with an error naming it, since EnabledMask and the model
+// checker's ample-set check read enabled branches as one 64-bit mask; 64
+// branches build.
+func TestBranchWidthChecked(t *testing.T) {
+	wide := func(branches int) *Prog {
+		p := New("wide", 2)
+		p.LocalVar("x", 0)
+		brs := make([]Branch, branches)
+		for i := range brs {
+			// Only the last branch is ever enabled.
+			brs[i] = Br(Eq(L("x"), C(branches-1-i)), "ncs")
+		}
+		p.Label("ncs", Goto("fan"))
+		p.Label("fan", brs...)
+		return p
+	}
+	p := wide(64)
+	if err := p.Build(); err != nil {
+		t.Fatalf("64 branches refused: %v", err)
+	}
+	atFan := p.Succs(p.InitState(), 0, ModeUnbounded, nil)[0].State
+	if m := p.EnabledMask(atFan, 0, &SuccBuf{}); m != 1<<63 {
+		t.Errorf("EnabledMask at fan = %b, want only bit 63 (the last branch)", m)
+	}
+	err := wide(65).Build()
+	if err == nil || !strings.Contains(err.Error(), `label "fan"`) {
+		t.Errorf("65 branches: error %v, want one naming label \"fan\"", err)
+	}
+}

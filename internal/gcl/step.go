@@ -226,9 +226,8 @@ func (p *Prog) Enabled(s State, pid int) bool {
 
 // EnabledMask returns a bitmask of the enabled branches at process pid's
 // current label (bit i set = branch i enabled), evaluating guards only —
-// no successor states are materialised. Branches past the 64th of a label
-// fall outside the mask; callers that step by the mask alone must refuse
-// such labels (the scenario layer's Spec.Validate does).
+// no successor states are materialised. Build refuses labels of more than
+// MaxBranches (64) branches, so the mask sees every branch.
 // Guards evaluate through buf's scratch context (the partial-order chase
 // calls this per hop); nothing is carved from the arena.
 func (p *Prog) EnabledMask(s State, pid int, buf *SuccBuf) uint64 {

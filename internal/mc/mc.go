@@ -377,7 +377,7 @@ type explorer struct {
 	// ampleNever[label] marks labels whose process can never be singled
 	// out (ampleProcessOKMask is false for every enabled mask): some branch
 	// is ineligible yet has a shared-reading guard, so it fails the check
-	// enabled or disabled, or the label has more than 64 branches.
+	// enabled or disabled.
 	// ampleSingle skips such processes before evaluating any guard.
 	ampleNever []bool
 	// chaseCap bounds local-chain compression so a cycle of local actions
@@ -451,7 +451,6 @@ func newExplorer(p *gcl.Prog, opts Options, plan Plan) *explorer {
 		e.ampleNever = make([]bool, len(p.Labels()))
 		for li := range e.porGuardShared {
 			e.porGuardShared[li] = make([]bool, p.NumBranchesAt(li))
-			e.ampleNever[li] = len(e.porGuardShared[li]) > 64
 			for bi := range e.porGuardShared[li] {
 				e.porGuardShared[li][bi] = p.BranchGuardReadsShared(li, bi)
 				if e.porGuardShared[li][bi] && !e.porOK[li][bi] {
@@ -873,11 +872,7 @@ func (e *explorer) ampleProcessOK(pc int, enabled []gcl.Succ) bool {
 
 // ampleProcessOKMask is ampleProcessOK on an enabled-branch bitmask.
 func (e *explorer) ampleProcessOKMask(pc int, enabled uint64) bool {
-	nb := len(e.porOK[pc])
-	if nb > 64 {
-		return false
-	}
-	for bi := 0; bi < nb; bi++ {
+	for bi := range e.porOK[pc] {
 		if enabled&(1<<uint(bi)) != 0 {
 			if !e.porOK[pc][bi] {
 				return false

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"bakerypp/internal/gcl"
 	"bakerypp/internal/specs"
 )
 
@@ -72,31 +71,6 @@ func TestSpecParseErrors(t *testing.T) {
 		if _, err := Parse(text); err == nil {
 			t.Errorf("Parse(%q) did not error", text)
 		}
-	}
-}
-
-// TestBranchWidthChecked: a label of more than 64 branches is refused
-// with an error naming it, since the shard step's enabled-branch mask
-// has 64 bits; 64 branches are accepted.
-func TestBranchWidthChecked(t *testing.T) {
-	wide := func(branches int) *gcl.Prog {
-		p := gcl.New("wide", 2)
-		p.LocalVar("x", 0)
-		brs := make([]gcl.Branch, branches)
-		for i := range brs {
-			// Only the last branch is ever enabled.
-			brs[i] = gcl.Br(gcl.Eq(gcl.L("x"), gcl.C(branches-1-i)), "ncs")
-		}
-		p.Label("ncs", gcl.Goto("fan"))
-		p.Label("fan", brs...)
-		return p.MustBuild()
-	}
-	if err := checkBranchWidth(wide(64)); err != nil {
-		t.Errorf("64 branches refused: %v", err)
-	}
-	err := checkBranchWidth(wide(65))
-	if err == nil || !strings.Contains(err.Error(), `label "fan"`) {
-		t.Errorf("65 branches: error %v, want one naming label \"fan\"", err)
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 	"strings"
 
 	"bakerypp/internal/des"
-	"bakerypp/internal/gcl"
 	"bakerypp/internal/specs"
 )
 
@@ -194,9 +193,6 @@ func (s *Spec) Validate() error {
 	if !specs.Arbitrable(p) {
 		return fmt.Errorf("scenario: algorithm %q lacks the try/doorway-done/cs-enter/cs-exit tags the scenario accumulator observes", s.Algo)
 	}
-	if err := checkBranchWidth(p); err != nil {
-		return err
-	}
 	if _, err := des.ParseAdmission(s.Admit); err != nil {
 		return err
 	}
@@ -233,19 +229,6 @@ func (s *Spec) Validate() error {
 	}
 	if totalWeight > 1<<20 {
 		return fmt.Errorf("scenario: class weights sum to %d, above 2^20", totalWeight)
-	}
-	return nil
-}
-
-// checkBranchWidth refuses a program with a label of more than 64
-// branches: a shard steps its workers by gcl.EnabledMask's 64-bit mask,
-// which cannot see the higher branches, so a worker whose only enabled
-// branch lay past bit 63 would park forever.
-func checkBranchWidth(p *gcl.Prog) error {
-	for li, name := range p.Labels() {
-		if n := p.NumBranchesAt(li); n > 64 {
-			return fmt.Errorf("scenario: algorithm %s: label %q has %d branches; a scenario shard steps at most 64 per label", p.Name, name, n)
-		}
 	}
 	return nil
 }
