@@ -7,7 +7,9 @@ package mc
 // On an unreduced graph the product is the graph under the trivial
 // symmetry group: node i is state i under the identity, and its edges are
 // read straight from Adj (identityProduct). The rest of this comment is
-// about the orbit product of a quotient graph. BuildGraph under symmetry stores one concrete representative per
+// about the orbit product of a quotient graph.
+//
+// BuildGraph under symmetry stores one concrete representative per
 // encountered orbit and annotates every edge with the permutation ρ
 // relating the concrete successor to the stored representative of its
 // target orbit (Edge.Perm). The liveness analyses run on a PRODUCT whose
@@ -334,7 +336,6 @@ func (g *Graph) identityProduct() *product {
 	m := g.Summary.Transitions
 	pr := &product{
 		g: g, p: p, identity: true,
-		nPerms:   1,
 		nPrimary: n,
 		nodes:    make([]prodNode, n),
 		offs:     make([]int32, 1, n+1),
