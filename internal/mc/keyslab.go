@@ -8,13 +8,15 @@ import (
 
 // keySlab is append-only storage for state vectors: the exact in-heap
 // stores' keys and, in the default exact tier, the engine's numbered
-// states. Vectors are length-prefixed and packed into blocks of
-// keySlabBlock words (1 MiB), and addressed by a uint32 word reference —
-// block index in the high bits, word offset in the low ones — so whoever
+// states. Each vector follows a keySlabHeader-word header (its length,
+// then the value the exact store keeps under it) and is packed into blocks
+// of keySlabBlock words (1 MiB), addressed by a uint32 word reference —
+// block index in the high bits, header offset in the low ones — so whoever
 // holds references (table slots, the engine's state numbering) holds no Go
 // pointers, and the collector sees one pointer per block instead of one
 // per vector. A vector never straddles blocks and a full block never moves,
-// so at() slices stay valid for the slab's lifetime.
+// so at() slices stay valid for the slab's lifetime. A header takes two
+// words, so no reference exceeds 2^32-2.
 //
 // Only the first block starts small (keySlabFirst words) and doubles up to
 // the full block size, so the many short-lived stores of the refinement
@@ -22,10 +24,10 @@ import (
 // but slices returned by at() keep aliasing the old, unchanged copy, so
 // they stay valid across growth too.
 //
-// Not goroutine-safe: append and at need exclusive access. A slice at()
-// returned is never written again, though, so it may be handed to another
-// goroutine and read there while appends continue (the parallel pre-pass
-// reads its chunk's head vectors that way).
+// Not goroutine-safe: append, at and value writes need exclusive access. A
+// slice at() returned is never written again, though, so it may be handed
+// to another goroutine and read there while appends continue (the parallel
+// pre-pass reads its chunk's head vectors that way).
 type keySlab struct {
 	blocks [][]int32
 }
@@ -39,12 +41,15 @@ const (
 	keySlabMaxBlocks = 1 << (32 - keySlabBlockLog2)
 	// keySlabFirst is the first block's initial capacity in words.
 	keySlabFirst = 1 << 10
+	// keySlabHeader is the per-vector header: length and value words.
+	keySlabHeader = 2
 )
 
-// append copies v into the slab and returns its reference. It panics past
-// the 2^32-word address space or on a vector longer than a block.
+// append copies v into the slab, with value 0, and returns its reference.
+// It panics past the 2^32-word address space or on a vector longer than a
+// block.
 func (s *keySlab) append(v gcl.State) uint32 {
-	need := len(v) + 1
+	need := len(v) + keySlabHeader
 	if need > keySlabBlock {
 		panic(fmt.Sprintf("mc: key of %d words exceeds the %d-word slab block", len(v), keySlabBlock))
 	}
@@ -67,16 +72,23 @@ func (s *keySlab) append(v gcl.State) uint32 {
 		blk = grown
 	}
 	ref := uint32(last)<<keySlabBlockLog2 | uint32(len(blk))
-	blk = append(blk, int32(len(v)))
+	blk = append(blk, int32(len(v)), 0)
 	s.blocks[last] = append(blk, v...)
 	return ref
+}
+
+// entry returns the value word and the vector stored at ref, both aliasing
+// the slab: callers must not modify the vector.
+func (s *keySlab) entry(ref uint32) (*int32, gcl.State) {
+	blk := s.blocks[ref>>keySlabBlockLog2]
+	off := ref & (keySlabBlock - 1)
+	end := off + keySlabHeader + uint32(blk[off])
+	return &blk[off+1], gcl.State(blk[off+keySlabHeader : end : end])
 }
 
 // at returns the vector stored at ref, aliasing the slab: callers must not
 // modify it.
 func (s *keySlab) at(ref uint32) gcl.State {
-	blk := s.blocks[ref>>keySlabBlockLog2]
-	off := ref & (keySlabBlock - 1)
-	end := off + 1 + uint32(blk[off])
-	return gcl.State(blk[off+1 : end : end])
+	_, v := s.entry(ref)
+	return v
 }

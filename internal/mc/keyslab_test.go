@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"bakerypp/internal/gcl"
 	"bakerypp/internal/specs"
@@ -30,12 +31,12 @@ func hasPointers(t reflect.Type) bool {
 	return true
 }
 
-// TestFpEntryLayout pins the table slot at 16 bytes (four per cache line)
+// TestFpEntryLayout pins the table slot at 8 bytes (eight per cache line)
 // with no Go pointers, so the slot array is never scanned by the collector.
 func TestFpEntryLayout(t *testing.T) {
-	typ := reflect.TypeOf(fpEntry{})
-	if typ.Size() != 16 {
-		t.Errorf("fpEntry is %d bytes, want 16", typ.Size())
+	typ := reflect.TypeOf(fpEntry(0))
+	if typ.Size() != 8 {
+		t.Errorf("fpEntry is %d bytes, want 8", typ.Size())
 	}
 	if hasPointers(typ) {
 		t.Error("fpEntry holds a Go pointer")
@@ -93,7 +94,7 @@ func TestKeySlabBlockBoundary(t *testing.T) {
 		refs = append(refs, s.append(slabKey(i, n)))
 	}
 	for i, ref := range refs {
-		if off := int(ref & (keySlabBlock - 1)); off+n+1 > keySlabBlock {
+		if off := int(ref & (keySlabBlock - 1)); off+keySlabHeader+n > keySlabBlock {
 			t.Fatalf("key %d straddles its block (offset %d)", i, off)
 		}
 		if got := s.at(ref); !got.Equal(slabKey(i, n)) {
@@ -199,7 +200,7 @@ func TestExactTierSharesOneSlab(t *testing.T) {
 		for _, b := range e.slab.blocks {
 			words += len(b)
 		}
-		if want := e.numStates() * (p.StateLen() + 1); words > want+keySlabBlock {
+		if want := e.numStates() * (p.StateLen() + keySlabHeader); words > want+keySlabBlock {
 			t.Fatalf("workers=%d: slab holds %d words for %d states of %d words — vectors stored twice?",
 				workers, words, e.numStates(), p.StateLen())
 		}
@@ -211,6 +212,142 @@ func TestExactTierSharesOneSlab(t *testing.T) {
 		e = g.expl
 		if !e.trackPerms || e.byRef != nil || e.slab == e.store.(slabStore).keys() {
 			t.Fatalf("workers=%d: symmetry-reduced run must keep concrete states apart from canonical keys", workers)
+		}
+	}
+}
+
+// TestFpTableAdversarialFingerprints grows a table from fpTableMinSize slots
+// through nine doublings under chosen fingerprints. Keys come in groups of
+// four that share one tag and so one home slot: two of them share the whole
+// 64-bit fingerprint, the other two differ from it in the low 32 bits. The
+// slab is preset so that its earlier blocks are taken (all aliasing one
+// block the test never reads), and the last key is the empty vector at the
+// top reference, 2^32-2, under fingerprint 0, the slot word closest to the
+// empty one. Every key must come back with its value, absent keys must
+// miss, and replaced values must show.
+func TestFpTableAdversarialFingerprints(t *testing.T) {
+	const realBlocks = 4
+	full := make([]int32, keySlabBlock)
+	st := newSeqStore(nil, Plan{})
+	st.slab.blocks = make([][]int32, keySlabMaxBlocks-realBlocks)
+	for i := range st.slab.blocks {
+		st.slab.blocks[i] = full
+	}
+	tab := &st.t
+	fp := func(i int) uint64 {
+		base := gcl.State{int32(i / 4)}.Fingerprint()
+		if i%4 < 2 {
+			return base
+		}
+		return base&^0xffffffff | uint64(uint32(i))
+	}
+
+	// Length-3 keys (five slab words each) fill the real blocks until the
+	// last has nine words left: one length-5 key takes seven, the empty
+	// key the final two.
+	var keys []gcl.State
+	var fps []uint64
+	var topRef uint32
+	for {
+		blk := st.slab.blocks[len(st.slab.blocks)-1]
+		room := keySlabBlock - len(blk)
+		i := len(keys)
+		k, f := slabKey(i, 3), fp(i)
+		if len(st.slab.blocks) == keySlabMaxBlocks && room <= 9 {
+			if room == 9 {
+				k, f = slabKey(i, 5), 0
+			} else {
+				k, f = gcl.State{}, 0
+			}
+		}
+		keys, fps = append(keys, k), append(fps, f)
+		tab.insert(f, k, int32(i))
+		if len(k) == 0 {
+			topRef = uint32(len(st.slab.blocks)-1)<<keySlabBlockLog2 | uint32(keySlabBlock-room)
+			break
+		}
+	}
+	if last := st.slab.blocks[keySlabMaxBlocks-1]; len(last) != keySlabBlock || topRef != 1<<32-keySlabHeader {
+		t.Fatalf("empty key stored at reference %#x, want %#x", topRef, uint32(1<<32-keySlabHeader))
+	}
+	if e := newFpEntry(0, topRef); e == 0 || e.ref() != topRef {
+		t.Fatalf("top reference encodes as %#x", uint64(e))
+	}
+	// Reference 0 under fingerprint 0 is the other slot word next to empty.
+	low := fpTable{slab: &keySlab{}}
+	low.insert(0, gcl.State{}, 7)
+	if v, ok := low.lookup(0, gcl.State{}); !ok || v != 7 {
+		t.Fatalf("empty key at reference 0 under fingerprint 0: got %d, %v", v, ok)
+	}
+	if got := len(tab.ents); got < fpTableMinSize<<8 {
+		t.Fatalf("table ended with %d slots for %d keys, want at least 8 doublings from %d",
+			got, len(keys), fpTableMinSize)
+	}
+	if tab.n != len(keys) {
+		t.Fatalf("table counts %d entries, inserted %d", tab.n, len(keys))
+	}
+
+	check := func(want func(i int) int32) {
+		t.Helper()
+		for i, k := range keys {
+			if v, ok := tab.lookup(fps[i], k); !ok || v != want(i) {
+				t.Fatalf("key %d (len %d, fp %#x): got %d, %v; want %d", i, len(k), fps[i], v, ok, want(i))
+			}
+			// Same fingerprint, different key: length 4 and a length-3
+			// vector past every inserted one.
+			for _, absent := range []gcl.State{slabKey(i, 4), slabKey(len(keys)+i, 3)} {
+				if v, ok := tab.lookup(fps[i], absent); ok {
+					t.Fatalf("absent key %v under fp %#x found with value %d", absent, fps[i], v)
+				}
+			}
+		}
+	}
+	check(func(i int) int32 { return int32(i) })
+	replaced := func(i int) int32 {
+		if i%7 == 0 || i == len(keys)-1 {
+			return -int32(i) - 1
+		}
+		return int32(i)
+	}
+	for i, k := range keys {
+		if replaced(i) != int32(i) {
+			tab.insert(fps[i], k, replaced(i))
+		}
+	}
+	if tab.n != len(keys) {
+		t.Fatalf("replacing values changed the entry count to %d", tab.n)
+	}
+	check(replaced)
+}
+
+// TestExactTableFootprint pins the growth policy and the per-state cost of
+// the default exact tier: checking bakerypp N=3 M=4 (87,724 states) ends
+// in a 2^17-slot table, the first power of two above 87,724/0.7, and in one
+// slab holding each state vector once with its header.
+func TestExactTableFootprint(t *testing.T) {
+	p := specs.BakeryPP(specs.Config{N: 3, M: 4})
+	for _, workers := range []int{0, 2} {
+		opts := Options{Workers: workers, Invariants: []Invariant{Mutex(), NoOverflow()}}
+		plan, err := planFor(p, opts, SafetyAnalysis{Invariants: opts.Invariants})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := newExplorer(p, opts, plan)
+		res := e.check(time.Now())
+		e.join()
+		if !res.Complete || res.Violation != nil || res.States != 87724 {
+			t.Fatalf("workers=%d: %v", workers, res)
+		}
+		st := e.store.(*seqStore)
+		if got := len(st.t.ents); got != 1<<17 {
+			t.Errorf("workers=%d: table has %d slots, want %d", workers, got, 1<<17)
+		}
+		words := 0
+		for _, b := range st.slab.blocks {
+			words += len(b)
+		}
+		if want := res.States * (p.StateLen() + keySlabHeader); words < want || words > want+keySlabBlock {
+			t.Errorf("workers=%d: slab holds %d words, want %d plus at most one block", workers, words, want)
 		}
 	}
 }

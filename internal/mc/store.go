@@ -9,8 +9,9 @@ package mc
 // mode).
 //
 // The exact in-heap store (seqStore) is one open-addressed linear-probe
-// table (fpTable) with its key vectors in a keySlab (keyslab.go) and its
-// slots free of Go pointers; when the plan keys on the concrete state the
+// table (fpTable) of 8-byte slots free of Go pointers, each a fingerprint
+// tag and a reference into a keySlab (keyslab.go) that holds the key vector
+// with its value beside it; when the plan keys on the concrete state the
 // engine numbers its states in the same slab, so each vector is stored
 // once. It takes no locks: every exploration loop uses its store from one
 // goroutine — in Check and BuildGraph the single-threaded merge, which
@@ -35,6 +36,7 @@ package mc
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -142,30 +144,33 @@ func bucketInsert(bucket []kv, key gcl.State, val int32) []kv {
 	return append(bucket, kv{key: key, val: val})
 }
 
-// fpEntry is one fpTable slot: fingerprint, value and the key's keySlab
-// reference, 16 bytes with no Go pointers — four slots per cache line, and
-// nothing for the collector to scan. A probe compares the key in the slab
-// only on a fingerprint match. fp == 0 marks an empty slot; the one real
-// fingerprint equal to 0 is remapped to 1 on entry (the full key
-// comparison disambiguates the two colliding fingerprints, so exactness is
-// unchanged).
-type fpEntry struct {
-	fp  uint64
-	val int32
-	ref uint32
-}
+// fpEntry is one fpTable slot, 8 bytes with no Go pointers — eight slots
+// per cache line, and nothing for the collector to scan. The high 32 bits
+// are the key's fingerprint tag (its top 32 bits), the low 32 its keySlab
+// reference plus one; no reference exceeds 2^32-2, so a used slot is never
+// the all-zero word that marks an empty one. The value is not in the slot:
+// it sits in the key's slab header, on the cache line a hit loads anyway to
+// compare the key.
+type fpEntry uint64
+
+func newFpEntry(fp uint64, ref uint32) fpEntry { return fpEntry(fp>>32<<32 | uint64(ref+1)) }
+
+func (e fpEntry) ref() uint32 { return uint32(e) - 1 }
 
 // fpTable is the exact store's hash table: open addressing with linear
-// probing over one flat slot array, its keys held in a keySlab. A probe
-// matches on fingerprint first (one integer compare) and confirms against
-// the key in the slab, so membership is exact. Growth rehashes the slots
-// alone — keys never move. Not goroutine-safe: the merge is its only user.
+// probing over one flat slot array, its keys and values held in a keySlab.
+// A probe matches on the fingerprint tag first (one integer compare) and
+// confirms against the key in the slab, so membership is exact. Growth
+// rehashes the slots alone — keys never move, and a slot's home is read
+// off its tag. Not goroutine-safe: the merge is its only user.
 type fpTable struct {
 	ents []fpEntry
 	slab *keySlab
 	n    int
-	mask uint64
-	// limit is the occupancy at which the table grows (0.7 load factor —
+	// shift is 64 - log2(len(ents)), at least 32: a home slot is the top
+	// bits of the fingerprint, which the slot's tag keeps.
+	shift uint
+	// limit is the occupancy at which the table doubles (0.7 load factor —
 	// past that linear-probe clusters lengthen quickly).
 	limit int
 }
@@ -173,40 +178,39 @@ type fpTable struct {
 // fpTableMinSize is the initial slot count (power of two).
 const fpTableMinSize = 1024
 
-// homeSlot returns the initial probe position for a (nonzero) fingerprint;
-// fmix64-finalized fingerprints are equidistributed in their low bits.
-func (t *fpTable) homeSlot(fp uint64) uint64 { return fp & t.mask }
+// homeSlot returns the initial probe position of a fingerprint, or of a
+// slot by its tag: fmix64-finalized fingerprints are equidistributed in
+// their top bits.
+func (t *fpTable) homeSlot(x uint64) int { return int(x >> t.shift) }
 
 func (t *fpTable) init(size int) {
 	t.ents = make([]fpEntry, size)
-	t.mask = uint64(size - 1)
+	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
 	t.limit = size * 7 / 10
-	t.n = 0
 }
 
-// find returns the slot holding (fp, key), if any; fp must already be
-// remapped away from 0.
-func (t *fpTable) find(fp uint64, key gcl.State) (uint64, bool) {
-	if t.ents == nil {
-		return 0, false
+// find returns the value word of key's entry, or nil when key is absent.
+func (t *fpTable) find(fp uint64, key gcl.State) *int32 {
+	mask := len(t.ents) - 1
+	if mask < 0 {
+		return nil
 	}
-	for i := t.homeSlot(fp); ; i = (i + 1) & t.mask {
-		e := &t.ents[i]
-		if e.fp == 0 {
-			return i, false
+	for i := t.homeSlot(fp); ; i = (i + 1) & mask {
+		e := t.ents[i]
+		if e == 0 {
+			return nil
 		}
-		if e.fp == fp && t.slab.at(e.ref).Equal(key) {
-			return i, true
+		if uint64(e)>>32 == fp>>32 {
+			if val, k := t.slab.entry(e.ref()); k.Equal(key) {
+				return val
+			}
 		}
 	}
 }
 
 func (t *fpTable) lookup(fp uint64, key gcl.State) (int32, bool) {
-	if fp == 0 {
-		fp = 1
-	}
-	if i, ok := t.find(fp, key); ok {
-		return t.ents[i].val, true
+	if val := t.find(fp, key); val != nil {
+		return *val, true
 	}
 	return -1, false
 }
@@ -215,59 +219,42 @@ func (t *fpTable) lookup(fp uint64, key gcl.State) (int32, bool) {
 // already present; a fresh key is copied into the slab, so the caller keeps
 // ownership of key.
 func (t *fpTable) insert(fp uint64, key gcl.State, val int32) {
-	if fp == 0 {
-		fp = 1
-	}
-	if i, ok := t.find(fp, key); ok {
-		t.ents[i].val = val
+	if old := t.find(fp, key); old != nil {
+		*old = val
 		return
 	}
-	t.place(fpEntry{fp: fp, val: val, ref: t.slab.append(key)})
+	t.insertRef(fp, t.slab.append(key), val)
 }
 
 // insertRef stores val under a key already in the table's slab, which must
 // not be in the table yet — the engines call it right after a missed
-// Lookup, so the vector they just numbered doubles as the key.
+// Lookup, so the vector they just numbered doubles as the key. It doubles
+// the table first when it is at its load limit.
 func (t *fpTable) insertRef(fp uint64, ref uint32, val int32) {
-	if fp == 0 {
-		fp = 1
-	}
-	t.place(fpEntry{fp: fp, val: val, ref: ref})
-}
-
-// place puts a new entry into the first free slot of its probe sequence,
-// growing the table first when it is at its load limit.
-func (t *fpTable) place(e fpEntry) {
+	v, _ := t.slab.entry(ref)
+	*v = val
 	if t.ents == nil {
 		t.init(fpTableMinSize)
 	} else if t.n >= t.limit {
-		t.grow()
-	}
-	for i := t.homeSlot(e.fp); ; i = (i + 1) & t.mask {
-		if t.ents[i].fp == 0 {
-			t.ents[i] = e
-			t.n++
-			return
+		old := t.ents
+		t.init(2 * len(old))
+		for _, e := range old {
+			if e != 0 {
+				t.place(e)
+			}
 		}
 	}
+	t.place(newFpEntry(fp, ref))
+	t.n++
 }
 
-// grow quadruples the table: rehashing copies every live slot, so fewer,
-// larger steps cost less total zeroing and probing than doubling would; the
-// transient low load factor after a step is cheap by comparison.
-func (t *fpTable) grow() {
-	old := t.ents
-	t.init(len(old) * 4)
-	for _, e := range old {
-		if e.fp == 0 {
-			continue
-		}
-		for j := t.homeSlot(e.fp); ; j = (j + 1) & t.mask {
-			if t.ents[j].fp == 0 {
-				t.ents[j] = e
-				t.n++
-				break
-			}
+// place puts a slot into the first free position of its probe sequence.
+func (t *fpTable) place(e fpEntry) {
+	mask := len(t.ents) - 1
+	for i := t.homeSlot(uint64(e)); ; i = (i + 1) & mask {
+		if t.ents[i] == 0 {
+			t.ents[i] = e
+			return
 		}
 	}
 }
