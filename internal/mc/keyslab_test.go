@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"bakerypp/internal/gcl"
 	"bakerypp/internal/specs"
@@ -321,22 +320,19 @@ func TestFpTableAdversarialFingerprints(t *testing.T) {
 }
 
 // TestExactTableFootprint pins the growth policy and the per-state cost of
-// the default exact tier: checking bakerypp N=3 M=4 (87,724 states) ends
+// the default exact tier: exploring bakerypp N=3 M=4 (87,724 states) ends
 // in a 2^17-slot table, the first power of two above 87,724/0.7, and in one
 // slab holding each state vector once with its header.
 func TestExactTableFootprint(t *testing.T) {
 	p := specs.BakeryPP(specs.Config{N: 3, M: 4})
 	for _, workers := range []int{0, 2} {
-		opts := Options{Workers: workers, Invariants: []Invariant{Mutex(), NoOverflow()}}
-		plan, err := planFor(p, opts, SafetyAnalysis{Invariants: opts.Invariants})
+		g, err := BuildGraph(p, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := newExplorer(p, opts, plan)
-		res := e.check(time.Now())
-		e.join()
-		if !res.Complete || res.Violation != nil || res.States != 87724 {
-			t.Fatalf("workers=%d: %v", workers, res)
+		e := g.expl
+		if n := e.numStates(); n != 87724 {
+			t.Fatalf("workers=%d: %d states, want 87724", workers, n)
 		}
 		st := e.store.(*seqStore)
 		if got := len(st.t.ents); got != 1<<17 {
@@ -346,7 +342,7 @@ func TestExactTableFootprint(t *testing.T) {
 		for _, b := range st.slab.blocks {
 			words += len(b)
 		}
-		if want := res.States * (p.StateLen() + keySlabHeader); words < want || words > want+keySlabBlock {
+		if want := e.numStates() * (p.StateLen() + keySlabHeader); words < want || words > want+keySlabBlock {
 			t.Errorf("workers=%d: slab holds %d words, want %d plus at most one block", workers, words, want)
 		}
 	}

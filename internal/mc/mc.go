@@ -1044,12 +1044,7 @@ func Check(p *gcl.Prog, opts Options) *Result {
 	start := time.Now()
 	e := newExplorer(p, opts, plan)
 	defer e.join()
-	return e.check(start)
-}
-
-// check is Check's search on a fresh explorer; start is when Check began.
-func (e *explorer) check(start time.Time) *Result {
-	res := &Result{Prog: e.p, Symmetry: e.symmetry, POR: e.por}
+	res := &Result{Prog: p, Symmetry: e.symmetry, POR: e.por}
 
 	finish := func() *Result {
 		res.States = e.numStates()
@@ -1058,7 +1053,7 @@ func (e *explorer) check(start time.Time) *Result {
 		return res
 	}
 
-	init := e.p.InitState()
+	init := p.InitState()
 	idx, _ := e.add(&e.wc, init, -1, -1, crashLabelIdx)
 	if v := e.checkInvariants(init); v >= 0 {
 		res.Violation = &Violation{Invariant: e.opts.Invariants[v].Name, Trace: e.trace(idx)}
@@ -1084,7 +1079,7 @@ func (e *explorer) check(start time.Time) *Result {
 				return finish()
 			}
 		}
-		if e.opts.Deadlock && !x.progress {
+		if opts.Deadlock && !x.progress {
 			t := e.trace(head)
 			res.Deadlock = &t
 			return finish()
