@@ -30,17 +30,17 @@ func (m Mode) String() string {
 // Succ is one successor of a state: the action of process Pid taking branch
 // Branch of its current label. The label is carried as an index into the
 // program's label table (LabelIdx) so the successor hot loop moves no
-// strings; render it with Label.
+// strings; render it with Label, and the branch's tag with Tag. The fields
+// are ordered so a record packs into 48 bytes.
 type Succ struct {
 	State State
 	Pid   int
-	// LabelIdx is the index of the label the action executed at (the
-	// pre-state pc); resolve it with Label or Prog.LabelName.
-	LabelIdx int32
 	// Branch is the index of the branch taken within the label.
 	Branch int
-	// Tag is the branch's statistics tag, if any.
-	Tag string
+	// LabelIdx is the index of the label the action executed at (the
+	// pre-state pc); resolve it with Label or Prog.LabelName. Negative for
+	// crash successors, which take no branch.
+	LabelIdx int32
 	// Overflow reports that some assignment in the effect attempted to
 	// store a value greater than M into a shared variable.
 	Overflow bool
@@ -48,6 +48,15 @@ type Succ struct {
 
 // Label returns the name of the label the action executed at.
 func (sc Succ) Label(p *Prog) string { return p.labels[sc.LabelIdx] }
+
+// Tag returns the statistics tag of the branch taken ("" when the branch is
+// untagged, and for crash successors).
+func (sc Succ) Tag(p *Prog) string {
+	if sc.LabelIdx < 0 {
+		return ""
+	}
+	return p.BranchTag(int(sc.LabelIdx), sc.Branch)
+}
 
 // resEff is the Build-time resolution of one Assign: the variable name is
 // replaced by the word (or word recipe) it writes, so apply performs no map
@@ -272,7 +281,6 @@ func (p *Prog) Succs(s State, pid int, mode Mode, out []Succ) []Succ {
 			Pid:      pid,
 			LabelIdx: int32(pc),
 			Branch:   bi,
-			Tag:      b.Tag,
 			Overflow: overflow,
 		})
 	}
@@ -299,7 +307,6 @@ func (p *Prog) SuccsInto(s State, pid int, mode Mode, buf *SuccBuf) {
 			Pid:      pid,
 			LabelIdx: int32(pc),
 			Branch:   bi,
-			Tag:      b.Tag,
 			Overflow: overflow,
 		})
 	}

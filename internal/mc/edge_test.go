@@ -5,6 +5,7 @@ import (
 	"unsafe"
 
 	"bakerypp/internal/gcl"
+	"bakerypp/internal/specs"
 )
 
 // An invariant already false in the initial state yields a zero-step
@@ -87,5 +88,53 @@ func TestGraphSingleState(t *testing.T) {
 func TestEdgeIs16Bytes(t *testing.T) {
 	if n := unsafe.Sizeof(Edge{}); n != 16 {
 		t.Errorf("unsafe.Sizeof(Edge{}) = %d, want 16", n)
+	}
+}
+
+// gcl.Succ carries no tag string: the merge reads every record a worker
+// wrote, so a successor stays 48 bytes and its tag is looked up on demand.
+func TestSuccIs48Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(gcl.Succ{}); n != 48 {
+		t.Errorf("unsafe.Sizeof(gcl.Succ{}) = %d, want 48", n)
+	}
+}
+
+// Succ.Tag resolves through the program's branch table for every program
+// successor and is empty for crash successors, on every state of a tagged,
+// crash-enabled spec.
+func TestSuccTagMatchesBranchTag(t *testing.T) {
+	p := specs.BakeryPP(specs.Config{N: 2, M: 2})
+	g, err := BuildGraph(p, Options{Crash: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := g.expl
+	seen, crashes := map[string]bool{}, 0
+	for i := range g.NumStates() {
+		e.wc.buf.Reset()
+		succs, _, _ := e.successors(g.State(i), &e.wc)
+		for _, sc := range succs {
+			if sc.LabelIdx < 0 {
+				crashes++
+				if tag := sc.Tag(p); tag != "" {
+					t.Fatalf("state %d: crash successor of p%d has tag %q", i, sc.Pid, tag)
+				}
+				continue
+			}
+			want := p.BranchTag(int(sc.LabelIdx), sc.Branch)
+			if got := sc.Tag(p); got != want {
+				t.Fatalf("state %d: p%d at %s branch %d: Tag = %q, BranchTag = %q",
+					i, sc.Pid, sc.Label(p), sc.Branch, got, want)
+			}
+			seen[want] = true
+		}
+	}
+	for tag := range p.BranchTags() {
+		if !seen[tag] {
+			t.Errorf("tag %q never taken: the walk is too small to check it", tag)
+		}
+	}
+	if crashes == 0 {
+		t.Error("no crash successor generated")
 	}
 }

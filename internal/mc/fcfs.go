@@ -158,17 +158,17 @@ func CheckFCFS(p *gcl.Prog, first, second int, opts Options) (*FCFSResult, error
 		scratch.Reset()
 		p.AllSuccsInto(nd.st, gcl.ModeUnbounded, &buf)
 		for _, sc := range buf.Succs() {
-			phase := nd.phase
+			phase, tag := nd.phase, sc.Tag(p)
 			switch {
-			case phase == 0 && sc.Pid == first && sc.Tag == "doorway-done":
+			case phase == 0 && sc.Pid == first && tag == "doorway-done":
 				phase = 1
-			case phase == 1 && sc.Pid == first && sc.Tag == "cs-enter":
+			case phase == 1 && sc.Pid == first && tag == "cs-enter":
 				phase = 0
-			case phase == 1 && sc.Pid == second && sc.Tag == "try":
+			case phase == 1 && sc.Pid == second && tag == "try":
 				phase = 2
-			case phase == 2 && sc.Pid == first && sc.Tag == "cs-enter":
+			case phase == 2 && sc.Pid == first && tag == "cs-enter":
 				phase = 0
-			case phase == 2 && sc.Pid == second && sc.Tag == "cs-enter":
+			case phase == 2 && sc.Pid == second && tag == "cs-enter":
 				res.Holds = false
 				res.States = len(nodes)
 				sc := sc

@@ -108,7 +108,7 @@ func BuildGraph(p *gcl.Prog, opts Options) (*Graph, error) {
 			if fresh {
 				g.Adj = append(g.Adj, nil)
 				if res.Violation == nil {
-					if v := e.violation(x, i); v >= 0 {
+					if v := e.checkInvariants(x.succs[i].State); v >= 0 {
 						res.Violation = &Violation{Invariant: e.opts.Invariants[v].Name, Trace: e.trace(idx)}
 					}
 				}

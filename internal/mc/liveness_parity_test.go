@@ -63,7 +63,7 @@ func replayTrace(t *testing.T, p *gcl.Prog, init gcl.State, steps []Step) ([]str
 			for _, sc := range p.Succs(cur, st.Pid, gcl.ModeUnbounded, nil) {
 				if sc.Label(p) == st.Label && sc.State.Equal(st.State) {
 					matched = true
-					tag = sc.Tag
+					tag = sc.Tag(p)
 					break
 				}
 			}

@@ -144,7 +144,7 @@ func TestTagRecovery(t *testing.T) {
 			want, pid, ord, tag := p.CrashSucc(s, 1), 1, -1, ""
 			if int(k) < len(succs) {
 				sc := succs[k]
-				want, pid, ord, tag = sc.State, sc.Pid, int(k), sc.Tag
+				want, pid, ord, tag = sc.State, sc.Pid, int(k), sc.Tag(p)
 			}
 			if !g.State(int(pr.targets[ge])).Equal(want) || int(pr.movers[ge]) != pid || int(pr.ords[ge]) != ord {
 				t.Fatalf("state %d edge %d: product edge (to %d, pid %d, ord %d) is not successor p%d ord %d",

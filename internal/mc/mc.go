@@ -52,9 +52,9 @@ type Observation struct {
 // labelIdxCache memoizes a label's index for one program, so the stock
 // label-counting invariants resolve the name once per program instead of
 // once per state (the lookup was a measurable slice of the hot loop). The
-// cache is swapped atomically: invariant closures are shared across
-// expansion workers, and a stale entry is harmless — a program mismatch
-// just recomputes.
+// cache is swapped atomically: one Invariant value may serve concurrent
+// checks, and a stale entry is harmless — a program mismatch just
+// recomputes.
 type labelIdxCache struct {
 	p   *gcl.Prog
 	idx int
@@ -135,8 +135,8 @@ type Options struct {
 	// parallel.go); a negative count uses GOMAXPROCS. States are numbered
 	// identically either way, so Check results, graphs, traces, the SCC
 	// analyses and the store report are byte-for-byte independent of this
-	// setting. Invariant predicates must be safe for concurrent use when
-	// Workers >= 2 (the stock invariants are pure reads and qualify).
+	// setting. Invariants are evaluated on the merge goroutine only, once
+	// per fresh state in numbering order, whatever the setting.
 	Workers int
 	// Symmetry enables process-symmetry reduction: the visited store keys
 	// states on the canonical representative of their permutation orbit,
@@ -342,12 +342,11 @@ type wctx struct {
 	// under symmetry a whole successor run canonicalizes into the
 	// structure-of-arrays key slab in one call; otherwise only the
 	// fingerprint batch is computed (the key is the state itself). preps
-	// and violated back the pre-pass's expansion records. All recycled on
-	// the same cadence as buf.
-	slab     gcl.KeySlab
-	fps      []uint64
-	preps    []prep
-	violated []int32
+	// backs the pre-pass's expansion records. All recycled on the same
+	// cadence as buf.
+	slab  gcl.KeySlab
+	fps   []uint64
+	preps []prep
 }
 
 // explorer is the shared BFS engine behind Check and BuildGraph. Its
@@ -598,17 +597,15 @@ type prep struct {
 //
 // A head the explorer expands alone gets its probes prepared lazily by
 // commit, so a committed ample segment never prepares the complement. The
-// parallel pre-pass prepares every probe ahead (ahead set) and evaluates
-// the invariants on every successor: violated[i] is the index of the first
-// invariant succs[i] breaks, else -1. Whether a successor is fresh is
-// decided by the merge alone.
+// parallel pre-pass prepares every probe ahead (ahead set). Whether a
+// successor is fresh, and so whether the invariants run on it, is decided
+// by the merge alone.
 type expansion struct {
 	succs    []gcl.Succ
 	preps    []prep
 	aLo, aHi int
 	progress bool
 	ahead    bool
-	violated []int32
 }
 
 // prepareProbe computes the store probe for s using the expansion context's
@@ -1019,15 +1016,6 @@ func (e *explorer) addSucc(x *expansion, i int, head int32) (int32, bool) {
 	return e.addPrepared(pr.fp, pr.key, pr.perm, sc.State, head, int32(sc.Pid), sc.LabelIdx)
 }
 
-// violation returns the index of the first invariant fresh successor i of
-// x breaks, or -1 — evaluated here, or read from the pre-pass.
-func (e *explorer) violation(x *expansion, i int) int32 {
-	if x.ahead {
-		return x.violated[i]
-	}
-	return e.checkInvariants(x.succs[i].State)
-}
-
 // Check explores the reachable states of p breadth-first, verifying the
 // configured invariants, and returns as soon as a violation or deadlock is
 // found (the BFS order makes the returned counterexample shortest).
@@ -1074,7 +1062,7 @@ func Check(p *gcl.Prog, opts Options) *Result {
 			if !fresh {
 				continue
 			}
-			if v := e.violation(x, i); v >= 0 {
+			if v := e.checkInvariants(x.succs[i].State); v >= 0 {
 				res.Violation = &Violation{Invariant: e.opts.Invariants[v].Name, Trace: e.trace(idx)}
 				return finish()
 			}

@@ -185,7 +185,7 @@ func naiveBuildGraph(p *gcl.Prog) naiveGraph {
 		for pid := 0; pid < p.N; pid++ {
 			for _, sc := range p.Succs(g.states[h], pid, gcl.ModeUnbounded, nil) {
 				to := add(sc.State)
-				g.adj[h] = append(g.adj[h], naiveEdge{to: to, pid: pid, tag: sc.Tag})
+				g.adj[h] = append(g.adj[h], naiveEdge{to: to, pid: pid, tag: sc.Tag(p)})
 			}
 		}
 	}

@@ -4,14 +4,15 @@ package mc
 // loop that merges one head at a time (see explorer.expansionOf and the
 // merge step in mc.go). With Options.Workers >= 2 a worker pool expands
 // chunks of queued heads one chunk ahead of that merge: while the merge
-// walks chunk k, the pool generates chunk k+1's successors, prepares every
-// probe (fingerprints, or canonical keys under symmetry) and evaluates the
-// invariants on every successor — the expensive, embarrassingly parallel
-// part. The merge then walks each pre-expanded head in queue order exactly
-// as it walks a sequentially expanded one, making the one authoritative
-// store lookup per successor, so state numbering, parents, edge order, stop
-// conditions and store accounting — and with them every downstream
-// analysis — are identical for any worker count.
+// walks chunk k, the pool generates chunk k+1's successors and prepares
+// every probe (fingerprints, or canonical keys under symmetry) — the
+// expensive, embarrassingly parallel part. The merge then walks each
+// pre-expanded head in queue order exactly as it walks a sequentially
+// expanded one, making the one authoritative store lookup per successor and
+// evaluating the invariants on exactly the fresh states, so state
+// numbering, parents, edge order, invariant calls, stop conditions and
+// store accounting — and with them every downstream analysis — are
+// identical for any worker count.
 //
 // The workers touch neither the visited store nor the per-state columns the
 // merge grows. A chunk's head vectors are read on the merge goroutine when
@@ -103,9 +104,11 @@ func newChunk(e *explorer, workers int) *chunk {
 // expanded alone. Reaching the end of cur, the merge joins the chunk in
 // flight — which starts at exactly that head — or, with nothing in flight,
 // expands the next chunk synchronously when at least minChunk heads are
-// queued. Either way it then launches the chunk after cur as soon as
-// minChunk heads are queued past it, so the pool expands while the merge
-// walks cur.
+// queued. Either way it then launches the chunk after cur once the heads
+// queued past cur are at least minChunk and at least what cur still has
+// to merge (cur never holds more than maxChunk, so a full chunk always
+// qualifies): the pool then has about as much to expand as the merge has
+// to walk, and neither side idles on a sliver of the other's work.
 func (pp *prepass) expansion(e *explorer, head int32) *expansion {
 	if head >= pp.cur.hi {
 		if !pp.busy {
@@ -118,7 +121,7 @@ func (pp *prepass) expansion(e *explorer, head int32) *expansion {
 		pp.join()
 		pp.cur, pp.next = pp.next, pp.cur
 	}
-	if queued := int32(e.numStates()) - pp.cur.hi; !pp.busy && queued >= minChunk {
+	if queued := int32(e.numStates()) - pp.cur.hi; !pp.busy && queued >= max(minChunk, pp.cur.hi-head) {
 		pp.launch(e, pp.cur.hi, pp.cur.hi+min(queued, maxChunk))
 	}
 	return &pp.cur.exps[head-pp.cur.lo]
@@ -140,7 +143,7 @@ func (pp *prepass) launch(e *explorer, lo, hi int32) {
 		w := &c.wcs[i]
 		w.buf.Reset()
 		w.slab.Reset()
-		w.preps, w.violated = w.preps[:0], w.violated[:0]
+		w.preps = w.preps[:0]
 	}
 	workers := min(len(c.wcs), n)
 	batch := int64(min(max(n/(workers*4), 1), 64))
@@ -178,22 +181,17 @@ func (pp *prepass) join() {
 	}
 }
 
-// expandAhead is one worker's expansion of head state s into x: successors,
-// every probe prepared, and each successor's invariant verdict. The
-// per-successor arrays are carved from the worker's scratch; a later head's
-// growth may move that scratch, but x keeps the backing array it was
-// filled in, which nothing writes again before the buffer's next launch.
+// expandAhead is one worker's expansion of head state s into x: successors
+// and every probe prepared. The probe array is carved from the worker's
+// scratch; a later head's growth may move that scratch, but x keeps the
+// backing array it was filled in, which nothing writes again before the
+// buffer's next launch.
 func (e *explorer) expandAhead(s gcl.State, x *expansion, w *wctx) {
 	e.expandInto(s, x, w)
 	n := len(x.succs)
 	base := len(w.preps)
 	w.preps = grow(w.preps, base+n)
-	w.violated = grow(w.violated, base+n)
 	x.preps = w.preps[base : base+n : base+n]
-	x.violated = w.violated[base : base+n : base+n]
 	x.ahead = true
 	e.prepSuccs(w, x.succs, x.preps)
-	for i := range x.succs {
-		x.violated[i] = e.checkInvariants(x.succs[i].State)
-	}
 }

@@ -3,9 +3,8 @@ package mc
 import (
 	"fmt"
 	"runtime"
-	"sync/atomic"
+	"slices"
 	"testing"
-	"time"
 
 	"bakerypp/internal/gcl"
 	"bakerypp/internal/specs"
@@ -164,6 +163,43 @@ func TestParallelCheckMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestInvariantCallsIndependentOfWorkers pins where invariants run: once
+// per fresh state, in numbering order, on the merge goroutine. An invariant
+// that records every state it is called on sees the same sequence at any
+// worker count, on a complete run and on one that stops at a violation.
+func TestInvariantCallsIndependentOfWorkers(t *testing.T) {
+	cases := []struct {
+		name string
+		p    func() *gcl.Prog
+	}{
+		{"bakerypp-N3-M2", func() *gcl.Prog { return specs.BakeryPP(specs.Config{N: 3, M: 2}) }},
+		{"modbakery-N3-M3-mutex", func() *gcl.Prog { return specs.ModBakery(3, 3) }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var base []uint64
+			for _, workers := range []int{0, 2, 4} {
+				var seen []uint64
+				record := Invariant{Name: "record", Holds: func(_ *gcl.Prog, s gcl.State) bool {
+					seen = append(seen, s.Fingerprint())
+					return true
+				}}
+				res := Check(c.p(), Options{Invariants: []Invariant{record, Mutex(), NoOverflow()}, Workers: workers})
+				if len(seen) != res.States {
+					t.Fatalf("workers=%d: %d invariant calls for %d states", workers, len(seen), res.States)
+				}
+				if base == nil {
+					base = seen
+					continue
+				}
+				if !slices.Equal(seen, base) {
+					t.Fatalf("workers=%d: invariant call sequence differs from the sequential run's", workers)
+				}
+			}
+		})
+	}
+}
+
 // requireResultsIdentical asserts that two Check results agree on counts,
 // verdict, and the counterexample trace text.
 func requireResultsIdentical(t *testing.T, seq, par *Result) {
@@ -193,13 +229,14 @@ func requireResultsIdentical(t *testing.T, seq, par *Result) {
 // TestEarlyStopJoinsChunkInFlight: Checks that stop — at a violation, or
 // at MaxStates — while the pool is expanding the chunk after the one being
 // merged return the sequential Result, and no pool goroutine outlives
-// them. Each case stops thousands of states into a wide BFS level, where a
-// full chunk is queued past the one being merged. The parallel run's extra
-// invariant sleeps on every state the sequential run never reached — work
-// only the pre-pass does past the stop — so the chunk in flight is still
-// running when the merge stops; its evaluations must all have happened
-// before Check returns, and the goroutine count must fall back to its
-// baseline.
+// them. Each case stops thousands of states into a wide BFS level, where
+// the chunk after the one being merged has launched. The runs are pinned to
+// one P, so pool goroutines run only when the merge goroutine yields. The
+// invariants are called once per fresh state in numbering order at any
+// worker count, so the first-listed one can sample the goroutine count at
+// the parallel run's stop: the call that was the sequential run's last.
+// Pool goroutines must be alive there, and the count must fall back to
+// what it was before Check once Check returns.
 func TestEarlyStopJoinsChunkInFlight(t *testing.T) {
 	cases := []struct {
 		name string
@@ -210,47 +247,41 @@ func TestEarlyStopJoinsChunkInFlight(t *testing.T) {
 		{"bakery-N3-M3-overflow", func() *gcl.Prog { return specs.Bakery(specs.Config{N: 3, M: 3}) }, 0},
 		{"bakerypp-N3-M2-bounded", func() *gcl.Prog { return specs.BakeryPP(specs.Config{N: 3, M: 2}) }, 20000},
 	}
-	baseline := runtime.NumGoroutine()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			reached := map[uint64]bool{}
-			record := Invariant{Name: "record", Holds: func(_ *gcl.Prog, s gcl.State) bool {
-				reached[s.Fingerprint()] = true
+			calls, stop, atStop := 0, 0, 0
+			count := Invariant{Name: "count", Holds: func(*gcl.Prog, gcl.State) bool {
+				calls++
 				return true
 			}}
-			var beyond atomic.Int64
-			slow := Invariant{Name: "slow", Holds: func(_ *gcl.Prog, s gcl.State) bool {
-				if !reached[s.Fingerprint()] {
-					beyond.Add(1)
-					time.Sleep(time.Microsecond)
+			sample := Invariant{Name: "sample", Holds: func(*gcl.Prog, gcl.State) bool {
+				if calls++; calls == stop {
+					atStop = runtime.NumGoroutine()
 				}
 				return true
 			}}
-			opts := func(workers int, extra Invariant) Options {
-				return Options{Invariants: []Invariant{Mutex(), NoOverflow(), extra}, MaxStates: c.max, Workers: workers}
+			opts := func(workers int, first Invariant) Options {
+				return Options{Invariants: []Invariant{first, Mutex(), NoOverflow()}, MaxStates: c.max, Workers: workers}
 			}
-			seq := Check(c.p(), opts(0, record))
+			seq := Check(c.p(), opts(0, count))
 			if seq.Complete {
 				t.Fatalf("sequential run completed (%d states); the case must stop early", seq.States)
 			}
-			par := Check(c.p(), opts(2, slow))
-			settled := beyond.Load()
+			stop, calls = calls, 0
+			before := runtime.NumGoroutine()
+			par := Check(c.p(), opts(2, sample))
 			requireResultsIdentical(t, seq, par)
-			if settled == 0 {
-				t.Fatal("the pre-pass evaluated no state past the stop: no chunk was in flight")
+			if calls != stop {
+				t.Fatalf("parallel run made %d invariant calls, sequential %d", calls, stop)
 			}
-			time.Sleep(50 * time.Millisecond)
-			if n := beyond.Load(); n != settled {
-				t.Fatalf("%d invariant evaluations ran after Check returned", n-settled)
+			if atStop <= before {
+				t.Fatalf("%d goroutines at the stop, %d before Check: no chunk was in flight", atStop, before)
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Fatalf("%d goroutines running after the early stop, %d before", n, before)
 			}
 		})
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > baseline {
-		t.Fatalf("%d goroutines running after the early stops, %d before", n, baseline)
 	}
 }
 

@@ -411,7 +411,7 @@ func (g *Graph) orbitProduct() *product {
 			pr.targets = append(pr.targets, t)
 			pr.movers = append(pr.movers, int8(sc.Pid))
 			pr.ords = append(pr.ords, int16(i))
-			pr.enters = append(pr.enters, sc.Tag == "cs-enter")
+			pr.enters = append(pr.enters, sc.Tag(p) == "cs-enter")
 		}
 		for ci, pid := range g.expl.crashers {
 			u := p.CrashSucc(pr.viewBuf, pid)
@@ -651,7 +651,7 @@ func (pr *product) replaySteps(cur gcl.State, steps []pstep) ([]Step, []string, 
 				return nil, nil, nil, false
 			}
 			next = succs[ord].State
-			tag = succs[ord].Tag
+			tag = succs[ord].Tag(p)
 			label = succs[ord].Label(p)
 		}
 		out = append(out, Step{Pid: mover, Label: label, State: next})

@@ -351,10 +351,11 @@ func Run(p *gcl.Prog, opts Options) (*Stats, error) {
 				st.FirstOverflowStep = step
 			}
 		}
-		if sc.Tag != "" {
-			st.TagVisits[sc.Tag]++
+		tag := sc.Tag(p)
+		if tag != "" {
+			st.TagVisits[tag]++
 		}
-		switch sc.Tag {
+		switch tag {
 		case "try":
 			tryStep[pid] = step
 			st.waitStarted[pid] = step
