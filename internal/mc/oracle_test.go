@@ -8,6 +8,7 @@ package mc
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"bakerypp/internal/gcl"
@@ -22,6 +23,8 @@ type naiveResult struct {
 	violated string
 	// dist is every discovered state's BFS distance from the initial state.
 	dist map[string]int
+	// reached lists the discovered states in BFS discovery order.
+	reached []gcl.State
 }
 
 func naiveKey(s gcl.State) string { return fmt.Sprint([]int32(s)) }
@@ -40,22 +43,22 @@ func naiveCheck(p *gcl.Prog, invs []Invariant) naiveResult {
 	}
 	init := p.InitState()
 	r := naiveResult{states: 1, dist: map[string]int{naiveKey(init): 0}}
+	r.reached = []gcl.State{init}
 	if r.violated = broken(init); r.violated != "" {
 		return r
 	}
-	queue := []gcl.State{init}
-	for h := 0; h < len(queue); h++ {
-		d := r.dist[naiveKey(queue[h])]
+	for h := 0; h < len(r.reached); h++ {
+		d := r.dist[naiveKey(r.reached[h])]
 		r.depth = d
 		for pid := 0; pid < p.N; pid++ {
-			for _, sc := range p.Succs(queue[h], pid, gcl.ModeUnbounded, nil) {
+			for _, sc := range p.Succs(r.reached[h], pid, gcl.ModeUnbounded, nil) {
 				r.transitions++
 				k := naiveKey(sc.State)
 				if _, seen := r.dist[k]; seen {
 					continue
 				}
 				r.dist[k] = d + 1
-				queue = append(queue, sc.State)
+				r.reached = append(r.reached, sc.State)
 				r.states++
 				if r.violated = broken(sc.State); r.violated != "" {
 					return r
@@ -337,5 +340,119 @@ func TestLivenessMatchesNaiveOracle(t *testing.T) {
 				check("no-progress", want, func(g *Graph) bool { return g.FindNoProgress(all) != nil })
 			}
 		})
+	}
+}
+
+// A naive orbit oracle for the symmetry reduction: the canonical key of a
+// state recomputed by brute force — every permutation of the pids, kept
+// when it respects the state's scan history (PermValid), applied to the
+// cursor-normalized state, least image wins — with no segment sort.
+
+// naivePerms lists every permutation of 0..n-1.
+func naivePerms(n int) [][]int {
+	if n == 0 {
+		return [][]int{{}}
+	}
+	var out [][]int
+	for _, rest := range naivePerms(n - 1) {
+		for at := 0; at <= len(rest); at++ {
+			perm := append(append(append([]int{}, rest[:at]...), n-1), rest[at:]...)
+			out = append(out, perm)
+		}
+	}
+	return out
+}
+
+// naiveOrbitKey is the least valid image of s's cursor-normalized form.
+func naiveOrbitKey(p *gcl.Prog, s gcl.State, perms [][]int) gcl.State {
+	norm := p.NormalizeCursors(s)
+	var best gcl.State
+	for _, perm := range perms {
+		if !p.PermValid(norm, perm) {
+			continue
+		}
+		if img := p.Permute(norm, perm); best == nil || slices.Compare(img, best) < 0 {
+			best = img
+		}
+	}
+	return best
+}
+
+// TestSymmetryMatchesNaiveOrbits cross-checks the symmetry reduction
+// against the naive orbit oracle on every specification that can
+// canonicalize, at N=2,3 M=2:
+//
+//   - Canonicalize equals the brute-force key on every naively reachable
+//     state (up to the first violation, for the violating specs);
+//   - every state the quotient graph stores is naively reachable, one per
+//     orbit;
+//   - for the violating specs, Check under symmetry, and under symmetry
+//     plus POR, names the invariant the naive search breaks first;
+//   - the stored and reachable orbit counts are pinned. The quotient does
+//     not hit every reachable orbit: quasi-symmetric dedup expands one
+//     representative per orbit, whose successors need not cover its
+//     orbit-mates' (docs/model-checking.md, "Soundness: dedup only").
+func TestSymmetryMatchesNaiveOrbits(t *testing.T) {
+	invs := []Invariant{Mutex(), NoOverflow()}
+	// stored/reachable orbit counts, by spec and N.
+	pins := map[string]map[int][2]int{
+		"bakerypp":  {2: {270, 374}, 3: {2552, 6830}},
+		"szymanski": {2: {38, 42}, 3: {130, 152}},
+	}
+	for _, name := range specs.Names() {
+		for _, n := range []int{2, 3} {
+			cfg := specs.Config{N: n, M: 2}
+			p, err := specs.Get(name, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !p.CanCanonicalize() {
+				continue
+			}
+			t.Run(fmt.Sprintf("%s-n%d-m%d", name, n, cfg.M), func(t *testing.T) {
+				perms := naivePerms(n)
+				want := naiveCheck(p, invs)
+				orbits := map[string]bool{}
+				for _, s := range want.reached {
+					key := naiveOrbitKey(p, s, perms)
+					if got := p.Canonicalize(s); !got.Equal(key) {
+						t.Fatalf("state %s: Canonicalize %v, brute force %v", p.Format(s), got, key)
+					}
+					orbits[naiveKey(key)] = true
+				}
+				if want.violated != "" {
+					for _, por := range []bool{false, true} {
+						res := Check(p, Options{Invariants: invs, Symmetry: true, POR: por})
+						if res.Violation == nil || res.Violation.Invariant != want.violated {
+							t.Fatalf("symmetry (por %v): %v, naive search violates %q", por, res, want.violated)
+						}
+					}
+					return
+				}
+				g, err := BuildGraph(p, Options{Invariants: invs, Symmetry: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !g.Quotient() {
+					t.Fatal("BuildGraph did not reduce")
+				}
+				stored := map[string]bool{}
+				for i := 0; i < g.NumStates(); i++ {
+					s := g.State(i)
+					if _, ok := want.dist[naiveKey(s)]; !ok {
+						t.Fatalf("stored state %d (%s) is not naively reachable", i, p.Format(s))
+					}
+					k := naiveKey(naiveOrbitKey(p, s, perms))
+					if stored[k] {
+						t.Fatalf("stored state %d repeats an orbit", i)
+					}
+					stored[k] = true
+				}
+				t.Logf("%d stored orbits of %d reachable (%d states)", len(stored), len(orbits), len(want.reached))
+				if pin, ok := pins[name][n]; ok && (len(stored) != pin[0] || len(orbits) != pin[1]) {
+					t.Fatalf("stored/reachable orbits %d/%d, want %d/%d", len(stored), len(orbits), pin[0], pin[1])
+				}
+			})
+		}
 	}
 }
