@@ -91,8 +91,8 @@ func TestCanonicalizerAllocFree(t *testing.T) {
 
 // TestCanonicalizeBatchAllocFree pins the structure-of-arrays batch path at
 // zero steady-state allocations: once the key slab has warmed up,
-// canonicalizing and fingerprinting a whole successor chunk — with and
-// without permutation ranking — allocates nothing.
+// canonicalizing and fingerprinting a whole successor chunk, witness bytes
+// included, allocates nothing.
 func TestCanonicalizeBatchAllocFree(t *testing.T) {
 	p := symProg(4)
 	states := walkStates(p, 16)
@@ -107,12 +107,12 @@ func TestCanonicalizeBatchAllocFree(t *testing.T) {
 	var sink uint64
 	batch := func() {
 		ks.Reset()
+		c.CanonicalizeBatch(succs, &ks)
 		base := c.CanonicalizeBatch(succs, &ks)
-		base = c.CanonicalizeBatchPerms(succs, &ks)
 		fps = FingerprintSuccs(succs, fps)
-		sink ^= ks.Fp(base) ^ uint64(ks.PermIdx(base)) ^ fps[0]
+		sink ^= ks.Fp(base) ^ uint64(ks.Witness(base)[0]) ^ fps[0]
 	}
-	batch() // warm the slab, the perm tables, and the fingerprint buffer
+	batch() // warm the slab and the fingerprint buffer
 	if avg := testing.AllocsPerRun(50, batch); avg != 0 {
 		t.Errorf("CanonicalizeBatch paths allocate %.2f objects per %d-successor chunk, want 0", avg, len(succs))
 	}

@@ -184,6 +184,6 @@ func (p *Prog) CanonicalizePinned(s State, pinned []int) State {
 	w := p.canonWorker()
 	defer p.canonPool.Put(w)
 	out := make(State, p.StateLen())
-	w.canonicalizeInto(out, s, mask)
+	w.canonicalizeInto(out, nil, s, mask)
 	return out
 }

@@ -8,8 +8,8 @@ package gcl
 // copy and a cache-cold fingerprint per successor. A KeySlab instead packs
 // the prepared keys of a whole SuccBuf chunk into one contiguous []int32
 // slab with stride addressing — key i occupies words[i*stride:(i+1)*stride]
-// — with the fingerprints and witnessing-permutation indices in parallel
-// arrays. Canonicalization writes its result directly into the slab slot
+// — with the fingerprints and the canonical keys' witness bytes in
+// parallel arrays. Canonicalization writes its result directly into the slab slot
 // (no intermediate copy), and fingerprinting becomes a tight second pass
 // over adjacent words. The slab grows monotonically and is recycled with
 // Reset, so a warmed-up exploration loop allocates nothing per chunk
@@ -27,15 +27,18 @@ package gcl
 type KeySlab struct {
 	words  []int32
 	fps    []uint64
-	perms  []int32
+	wits   []byte
 	stride int
-	n      int
+	// nwit is the witness width in bytes (the process count) of the keys
+	// CanonicalizeBatch appended.
+	nwit int
+	n    int
 }
 
 // Reset empties the slab, retaining capacity. The stride is re-latched by
 // the first append after a Reset, so one slab can serve batches of
 // different key widths across chunks (not within one).
-func (ks *KeySlab) Reset() { ks.n = 0; ks.words = ks.words[:0] }
+func (ks *KeySlab) Reset() { ks.n = 0; ks.words = ks.words[:0]; ks.wits = ks.wits[:0] }
 
 // Len returns the number of keys in the slab.
 func (ks *KeySlab) Len() int { return ks.n }
@@ -57,9 +60,13 @@ func (ks *KeySlab) Key(i int) State {
 // Fp returns the fingerprint of key i.
 func (ks *KeySlab) Fp(i int) uint64 { return ks.fps[i] }
 
-// PermIdx returns the witnessing-permutation index recorded for key i
-// (0, the identity, unless the batch was canonicalized with perms).
-func (ks *KeySlab) PermIdx(i int) int32 { return ks.perms[i] }
+// Witness returns the witness of canonical key i, one byte per pid (byte q
+// is the slot process q moved to), aliasing the slab like Key. Only keys
+// CanonicalizeBatch appended carry one.
+func (ks *KeySlab) Witness(i int) []byte {
+	off := i * ks.nwit
+	return ks.wits[off : off+ks.nwit : off+ks.nwit]
+}
 
 // alloc appends one uninitialised slot of the given stride and returns its
 // index and the slot slice; the caller must overwrite every word.
@@ -80,9 +87,8 @@ func (ks *KeySlab) alloc(stride int) (int, State) {
 	ks.words = ks.words[:need]
 	if len(ks.fps) < ks.n {
 		ks.fps = append(ks.fps, 0)
-		ks.perms = append(ks.perms, 0)
 	} else {
-		ks.fps[i], ks.perms[i] = 0, 0
+		ks.fps[i] = 0
 	}
 	return i, State(ks.words[i*stride : need])
 }
@@ -110,35 +116,26 @@ func (ks *KeySlab) fingerprintFrom(base int) {
 }
 
 // CanonicalizeBatch canonicalizes every successor state in succs, appending
-// one canonical key per successor to ks (in order) and fingerprinting the
-// batch in a single pass over the packed slab. It returns the slab index of
-// the first appended key. The per-state normalization, ordering and
-// permutation scratch is the context's own, reused across the whole batch;
-// nothing is allocated once the slab has warmed up.
+// one canonical key per successor to ks (in order) with its witness bytes
+// (Witness), and fingerprinting the batch in a single pass over the packed
+// slab. It returns the slab index of the first appended key. The per-state
+// normalization, ordering and permutation scratch is the context's own,
+// reused across the whole batch; nothing is allocated once the slab has
+// warmed up.
 func (c *Canonicalizer) CanonicalizeBatch(succs []Succ, ks *KeySlab) int {
 	w := c.w
-	stride := w.p.StateLen()
+	stride, n := w.p.StateLen(), w.p.N
 	base := ks.n
-	for si := range succs {
-		_, slot := ks.alloc(stride)
-		w.canonicalizeInto(slot, succs[si].State, 0)
+	ks.nwit = n
+	if need := (base + len(succs)) * n; need > cap(ks.wits) {
+		grown := make([]byte, len(ks.wits), max(2*cap(ks.wits), need))
+		copy(grown, ks.wits)
+		ks.wits = grown
 	}
-	ks.fingerprintFrom(base)
-	return base
-}
-
-// CanonicalizeBatchPerms is CanonicalizeBatch additionally recording each
-// key's witnessing-permutation index (PermIdx), which the quotient-graph
-// liveness analyses consume. Requires CanTrackPerms.
-func (c *Canonicalizer) CanonicalizeBatchPerms(succs []Succ, ks *KeySlab) int {
-	w := c.w
-	p := w.p
-	stride := p.StateLen()
-	base := ks.n
 	for si := range succs {
 		i, slot := ks.alloc(stride)
-		w.canonicalizeInto(slot, succs[si].State, 0)
-		ks.perms[i] = int32(p.PermIndexOf(w.bestPerm))
+		ks.wits = ks.wits[:(i+1)*n]
+		w.canonicalizeInto(slot, ks.wits[i*n:], succs[si].State, 0)
 	}
 	ks.fingerprintFrom(base)
 	return base

@@ -93,6 +93,10 @@ const maxEnumProcs = 8
 // canonicalization collects the active cursor values in a 32-bit mask.
 const maxCursorProcs = 32
 
+// maxCanonProcs caps the process count of every canonicalizable program:
+// a witness permutation is recorded one byte per pid (see PackTail).
+const maxCanonProcs = 255
+
 // SetSymmetry declares the program's process-permutation group. Must be
 // called before Build.
 func (p *Prog) SetSymmetry(y Symmetry) {
@@ -282,6 +286,86 @@ func (p *Prog) permuteInto(out State, s State, perm []int) {
 	}
 }
 
+// A symmetry tail records, next to a state's canonical key, what
+// canonicalization dropped: the witness permutation, one byte per pid
+// (byte i is the slot process i moved to), then the raw value of every
+// scan cursor, one byte per pid per cursor in pid-major order. The bytes
+// are packed four to an int32 word, low byte first. Restore rebuilds the
+// concrete state, dead cursor values included, from the key and its tail,
+// so a store can keep the key alone in place of both vectors.
+
+// TailLen returns the number of int32 words of a symmetry tail.
+func (p *Prog) TailLen() int {
+	return (p.N*(1+len(p.pidLocalOffs)) + 3) / 4
+}
+
+// tailByte returns byte i of a packed tail.
+func tailByte(tail []int32, i int) int { return int(uint32(tail[i>>2]) >> (8 * uint(i&3)) & 0xff) }
+
+// PackTail writes into tail (TailLen words) the tail of concrete state s
+// canonicalized with witness wit (N bytes, as KeySlab.Witness returns). It
+// panics, naming the state, on a cursor value outside 0..255.
+func (p *Prog) PackTail(tail []int32, wit []byte, s State) {
+	if len(tail) != p.TailLen() || len(wit) != p.N {
+		panic(fmt.Sprintf("gcl: %s: PackTail needs a %d-word tail and a %d-byte witness, got %d and %d",
+			p.Name, p.TailLen(), p.N, len(tail), len(wit)))
+	}
+	clear(tail)
+	for i, b := range wit {
+		tail[i>>2] |= int32(uint32(b) << (8 * uint(i&3)))
+	}
+	i := p.N
+	for q := 0; q < p.N; q++ {
+		base := p.sharedLen + q*p.localLen
+		for _, lo := range p.pidLocalOffs {
+			v := s[base+lo]
+			if v < 0 || v > 255 {
+				panic(fmt.Sprintf("gcl: %s: scan cursor of process %d holds %d, outside the 0..255 a symmetry tail records, in state %s",
+					p.Name, q, v, p.Format(s)))
+			}
+			tail[i>>2] |= int32(uint32(v) << (8 * uint(i&3)))
+			i++
+		}
+	}
+}
+
+// TailWitness writes the witness permutation recorded in tail into perm
+// (N entries).
+func (p *Prog) TailWitness(perm []int, tail []int32) {
+	for q := range perm[:p.N] {
+		perm[q] = tailByte(tail, q)
+	}
+}
+
+// Restore writes into dst the concrete state whose canonical key is key
+// and whose symmetry tail is tail: key permuted back through the witness
+// (process q's column is the key's column at slot witness[q]), then every
+// scan cursor set to its recorded raw value. It inverts canonicalization
+// exactly: Restore(Canonicalize(s), tail of s) is s, bit for bit.
+func (p *Prog) Restore(dst, key State, tail []int32) {
+	if len(dst) != len(key) || len(tail) != p.TailLen() {
+		panic(fmt.Sprintf("gcl: %s: Restore needs a %d-word destination and a %d-word tail, got %d and %d",
+			p.Name, len(key), p.TailLen(), len(dst), len(tail)))
+	}
+	copy(dst[:p.sharedLen], key[:p.sharedLen])
+	for q := 0; q < p.N; q++ {
+		src := tailByte(tail, q)
+		for _, off := range p.pidArrayOffs {
+			dst[off+q] = key[off+src]
+		}
+		copy(dst[p.sharedLen+q*p.localLen:p.sharedLen+(q+1)*p.localLen],
+			key[p.sharedLen+src*p.localLen:p.sharedLen+(src+1)*p.localLen])
+	}
+	i := p.N
+	for q := 0; q < p.N; q++ {
+		base := p.sharedLen + q*p.localLen
+		for _, lo := range p.pidLocalOffs {
+			dst[base+lo] = int32(tailByte(tail, i))
+			i++
+		}
+	}
+}
+
 // PermValid reports whether perm respects the scan history of s: for every
 // declared cursor local of every process, the visited prefix {0..j-1} must
 // be preserved as a set (equivalently, perm maps it onto itself). States
@@ -307,10 +391,11 @@ func (p *Prog) PermValid(s State, perm []int) bool {
 }
 
 // CanCanonicalize reports whether the program supports canonicalization:
-// full symmetry declared, and — when it has scan cursors — no more than
-// maxCursorProcs processes.
+// full symmetry declared, at most maxCanonProcs processes (witnesses are
+// recorded one byte per pid), and — when it has scan cursors — no more
+// than maxCursorProcs.
 func (p *Prog) CanCanonicalize() bool {
-	return p.built && p.sym == FullSymmetry &&
+	return p.built && p.sym == FullSymmetry && p.N <= maxCanonProcs &&
 		(len(p.pidLocalOffs) == 0 || p.N <= maxCursorProcs)
 }
 
@@ -399,7 +484,7 @@ func (c *Canonicalizer) Fingerprint(s State) uint64 {
 func (c *Canonicalizer) CanonicalizePinned(s State, pinned []int) State {
 	p := c.w.p
 	p.mustTrackPerms()
-	c.w.canonicalizeInto(c.w.buf, s, p.pinnedMaskOf(pinned))
+	c.w.canonicalizeInto(c.w.buf, nil, s, p.pinnedMaskOf(pinned))
 	return c.w.buf
 }
 
@@ -439,18 +524,20 @@ type canonicalizer struct {
 // state into w.buf and returns it (valid until the worker is reused) with
 // the witnessing permutation in w.bestPerm.
 func (w *canonicalizer) canonicalize(s State) State {
-	w.canonicalizeInto(w.buf, s, 0)
+	w.canonicalizeInto(w.buf, nil, s, 0)
 	return w.buf
 }
 
 // canonicalizeInto is canonicalize writing the canonical image into a
 // caller-owned destination of StateLen words — the KeySlab batch path
 // (soa.go) canonicalizes straight into slab slots through it, skipping the
-// scratch-then-copy round trip. Pids in pinned keep their slots.
-func (w *canonicalizer) canonicalizeInto(dst State, s State, pinned uint32) {
+// scratch-then-copy round trip — and, when wit is non-nil, the witness
+// into it one byte per pid (wit[i] is the slot process i moves to). Pids in
+// pinned keep their slots.
+func (w *canonicalizer) canonicalizeInto(dst State, wit []byte, s State, pinned uint32) {
 	copy(w.norm, s)
 	w.p.normalizeCursorsInPlace(w.norm)
-	w.sortSegments(dst, w.norm, w.cursorMask(w.norm), pinned)
+	w.sortSegments(dst, wit, w.norm, w.cursorMask(w.norm), pinned)
 }
 
 // cursorMask collects the active cursor values of s as a bitmask: bit j is
@@ -472,14 +559,15 @@ func (w *canonicalizer) cursorMask(s State) uint32 {
 // sortSegments writes into dst the least image of s over the permutations
 // that map every segment cut out by cursors onto itself (bit j set: slot j
 // starts a segment) and fix every pid in pinned, and leaves in w.bestPerm
-// the lexicographically first permutation reaching it. The action relocates
+// the lexicographically first permutation reaching it — in wit too, one
+// byte per pid, when wit is non-nil. The action relocates
 // per-process columns (compareColumns order), so the least image places
 // each segment's unpinned columns in sorted order on its unpinned slots;
 // the segments are independent because each owns its own words of the
 // flattened vector. The insertion sort is stable — a column only passes a
 // strictly greater one — so identical columns keep their pid order, which
 // is exactly the lexicographically first witness.
-func (w *canonicalizer) sortSegments(dst State, s State, cursors, pinned uint32) {
+func (w *canonicalizer) sortSegments(dst State, wit []byte, s State, cursors, pinned uint32) {
 	p := w.p
 	// order lists the unpinned pids by destination slot, sorted within
 	// each segment; start is where the current segment begins in it.
@@ -499,12 +587,15 @@ func (w *canonicalizer) sortSegments(dst State, s State, cursors, pinned uint32)
 	}
 	k := 0
 	for q := 0; q < p.N; q++ {
-		if pinned&(1<<uint(q)) != 0 {
-			w.bestPerm[q] = q
-			continue
+		src := q
+		if pinned&(1<<uint(q)) == 0 {
+			src = order[k]
+			k++
 		}
-		w.bestPerm[order[k]] = q
-		k++
+		w.bestPerm[src] = q
+		if wit != nil {
+			wit[src] = byte(q)
+		}
 	}
 	p.permuteInto(dst, s, w.bestPerm)
 }

@@ -87,7 +87,7 @@ func BuildGraph(p *gcl.Prog, opts Options) (*Graph, error) {
 	g := &Graph{Summary: res, expl: e}
 
 	init := p.InitState()
-	e.add(&e.wc, init, -1, -1, crashLabelIdx)
+	e.addInit(init)
 	g.Adj = append(g.Adj, nil)
 	if v := e.checkInvariants(init); v >= 0 {
 		res.Violation = &Violation{Invariant: e.opts.Invariants[v].Name, Trace: e.trace(0)}
@@ -115,7 +115,7 @@ func BuildGraph(p *gcl.Prog, opts Options) (*Graph, error) {
 			}
 			sc := &x.succs[i]
 			g.Adj[head] = append(g.Adj[head], Edge{To: idx, Pid: int8(sc.Pid), Branch: int8(sc.Branch),
-				LabelIdx: sc.LabelIdx, Perm: e.edgePermIdx(x.preps[i].perm, idx, fresh)})
+				LabelIdx: sc.LabelIdx, Perm: e.edgePermIdx(x.witness(i), idx, fresh)})
 		}
 	}
 	res.States = e.numStates()

@@ -9,7 +9,9 @@ import (
 // keySlab is append-only storage for state vectors: the exact in-heap
 // stores' keys and, in the default exact tier, the engine's numbered
 // states. Each vector follows a keySlabHeader-word header (its length,
-// then the value the exact store keeps under it) and is packed into blocks
+// then the value the exact store keeps under it), optionally followed by a
+// tail of words its owner reads back by length (the symmetric engine's
+// witness and cursor bytes, see appendTail), and is packed into blocks
 // of keySlabBlock words (1 MiB), addressed by a uint32 word reference —
 // block index in the high bits, header offset in the low ones — so whoever
 // holds references (table slots, the engine's state numbering) holds no Go
@@ -49,7 +51,15 @@ const (
 // It panics past the 2^32-word address space or on a vector longer than a
 // block.
 func (s *keySlab) append(v gcl.State) uint32 {
-	need := len(v) + keySlabHeader
+	ref, _ := s.appendTail(v, 0)
+	return ref
+}
+
+// appendTail is append reserving tail more words after v, which it returns
+// for the caller to fill; keyTail reads them back. The header's length
+// counts v alone, so the entry still compares as v.
+func (s *keySlab) appendTail(v gcl.State, tail int) (uint32, []int32) {
+	need := len(v) + keySlabHeader + tail
 	if need > keySlabBlock {
 		panic(fmt.Sprintf("mc: key of %d words exceeds the %d-word slab block", len(v), keySlabBlock))
 	}
@@ -73,8 +83,9 @@ func (s *keySlab) append(v gcl.State) uint32 {
 	}
 	ref := uint32(last)<<keySlabBlockLog2 | uint32(len(blk))
 	blk = append(blk, int32(len(v)), 0)
-	s.blocks[last] = append(blk, v...)
-	return ref
+	blk = append(blk, v...)
+	s.blocks[last] = blk[:len(blk)+tail]
+	return ref, blk[len(blk) : len(blk)+tail : len(blk)+tail]
 }
 
 // entry returns the value word and the vector stored at ref, both aliasing
@@ -91,4 +102,13 @@ func (s *keySlab) entry(ref uint32) (*int32, gcl.State) {
 func (s *keySlab) at(ref uint32) gcl.State {
 	_, v := s.entry(ref)
 	return v
+}
+
+// keyTail returns the vector stored at ref and the tail words appended
+// after it, both aliasing the slab.
+func (s *keySlab) keyTail(ref uint32, tail int) (gcl.State, []int32) {
+	blk := s.blocks[ref>>keySlabBlockLog2]
+	off := ref & (keySlabBlock - 1)
+	end := off + keySlabHeader + uint32(blk[off])
+	return gcl.State(blk[off+keySlabHeader : end : end]), blk[end : end+uint32(tail) : end+uint32(tail)]
 }

@@ -177,40 +177,80 @@ func TestFpTableInsertAmortized(t *testing.T) {
 }
 
 // TestExactTierSharesOneSlab pins the residency of the default exact tier:
-// no per-state vectors in explorer.states, and — when the store keys on the
-// concrete state — one slab holding each vector once, for both engines.
-// Under symmetry the store keeps canonical keys in a slab of its own.
+// no per-state vectors in explorer.states, and one slab, shared by the
+// engine and the store, holding each state once, for both engines. Without
+// symmetry the entry is the concrete vector; under symmetry it is the
+// canonical key plus a witness-and-cursor tail, from which the engine
+// decodes the concrete state.
 func TestExactTierSharesOneSlab(t *testing.T) {
 	p := specs.BakeryPP(specs.Config{N: 3, M: 2})
 	for _, workers := range []int{0, 2} {
-		g, err := BuildGraph(p, Options{Workers: workers})
+		for _, sym := range []bool{false, true} {
+			g, err := BuildGraph(p, Options{Workers: workers, Symmetry: sym})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := g.expl
+			if e.trackPerms != sym {
+				t.Fatalf("workers=%d symmetry=%v: quotient %v", workers, sym, e.trackPerms)
+			}
+			if e.states != nil {
+				t.Fatalf("workers=%d symmetry=%v: exact tier kept %d per-state slices", workers, sym, len(e.states))
+			}
+			ss := e.store.(slabStore)
+			if e.byRef == nil || e.slab != ss.keys() {
+				t.Fatalf("workers=%d symmetry=%v: the store does not share the engine's slab", workers, sym)
+			}
+			tail := 0
+			if sym {
+				tail = p.TailLen()
+			}
+			if e.tailLen != tail {
+				t.Fatalf("workers=%d symmetry=%v: %d tail words per entry, want %d", workers, sym, e.tailLen, tail)
+			}
+			words := 0
+			for _, b := range e.slab.blocks {
+				words += len(b)
+			}
+			if want := e.numStates() * (p.StateLen() + keySlabHeader + tail); words > want+keySlabBlock {
+				t.Fatalf("workers=%d symmetry=%v: slab holds %d words for %d states of %d words — vectors stored twice?",
+					workers, sym, words, e.numStates(), p.StateLen())
+			}
+			for i := 0; i < e.numStates(); i++ {
+				key := e.slab.at(e.refs.at(int32(i)))
+				want := g.State(i)
+				if sym {
+					want = p.Canonicalize(want)
+				}
+				if !key.Equal(want) {
+					t.Fatalf("workers=%d symmetry=%v: state %d is keyed %v, want %v", workers, sym, i, key, want)
+				}
+			}
+		}
+	}
+}
+
+// TestSymmetricSlabFootprint pins the per-state cost of the symmetric
+// exact tier: the quotient of bakerypp N=4 M=2 (18,489 states) ends in one
+// slab holding, per state, its canonical key, the header and the tail —
+// nothing else — at workers 0 and 2.
+func TestSymmetricSlabFootprint(t *testing.T) {
+	p := specs.BakeryPP(specs.Config{N: 4, M: 2})
+	for _, workers := range []int{0, 2} {
+		g, err := BuildGraph(p, Options{Workers: workers, Symmetry: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		e := g.expl
-		if e.states != nil {
-			t.Fatalf("workers=%d: exact tier kept %d per-state slices", workers, len(e.states))
-		}
-		ss := e.store.(slabStore)
-		if e.byRef == nil || e.slab != ss.keys() {
-			t.Fatalf("workers=%d: the store does not share the engine's slab", workers)
+		if n := e.numStates(); n != 18489 {
+			t.Fatalf("workers=%d: %d states, want 18489", workers, n)
 		}
 		words := 0
-		for _, b := range e.slab.blocks {
+		for _, b := range e.store.(*seqStore).slab.blocks {
 			words += len(b)
 		}
-		if want := e.numStates() * (p.StateLen() + keySlabHeader); words > want+keySlabBlock {
-			t.Fatalf("workers=%d: slab holds %d words for %d states of %d words — vectors stored twice?",
-				workers, words, e.numStates(), p.StateLen())
-		}
-
-		g, err = BuildGraph(p, Options{Workers: workers, Symmetry: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e = g.expl
-		if !e.trackPerms || e.byRef != nil || e.slab == e.store.(slabStore).keys() {
-			t.Fatalf("workers=%d: symmetry-reduced run must keep concrete states apart from canonical keys", workers)
+		if want := e.numStates() * (p.StateLen() + keySlabHeader + p.TailLen()); words < want || words > want+keySlabBlock {
+			t.Errorf("workers=%d: slab holds %d words, want %d plus at most one block", workers, words, want)
 		}
 	}
 }

@@ -360,11 +360,10 @@ type explorer struct {
 	symmetry bool // orbit dedup actually applied
 	por      bool // ample-set reduction actually applied
 	// trackPerms annotates graph edges with the permutation relating each
-	// concrete successor to its orbit's stored representative; canonPerm
-	// records, per stored state, the index of its canonical witnessing
-	// permutation (see quotient.go).
+	// concrete successor to its orbit's stored representative (see
+	// quotient.go); perm is witnessIndex's scratch.
 	trackPerms bool
-	canonPerm  column[int32]
+	perm       []int
 	// porOK[label][branch] marks branches eligible to form ample sets:
 	// local-only per the gcl footprint analysis, and invisible (neither
 	// endpoint label observed by any invariant).
@@ -383,22 +382,26 @@ type explorer struct {
 	// (a local spin) cannot chase forever.
 	chaseCap int
 	// State-vector residency (stateAt/appendState/releaseState). In the
-	// default exact tier every numbered state's vector sits in slab, refs
-	// holding one word reference per state — no per-state Go pointers.
-	// Every per-state column is a paged column (column.go), so none is
-	// copied as it grows.
-	// When the plan keys the store on the concrete state, slab IS the
-	// store's key slab and byRef its insert-by-reference hook, so each
-	// vector is stored once as both state and key; under symmetry the store
-	// keeps canonical keys in a slab of its own. Under Spill the vectors
-	// live in the mmap arena ar instead, offs holding one offset per state.
-	// Under a lossy store without spill, vectors are kept in states only
-	// until their state is expanded (release true) — the visited set holds
+	// default exact tier every numbered state sits in slab, refs holding
+	// one word reference per state — no per-state Go pointers. Every
+	// per-state column is a paged column (column.go), so none is copied as
+	// it grows.
+	// slab IS the store's key slab and byRef its insert-by-reference hook,
+	// so each state is stored once. Without symmetry the entry is the
+	// concrete vector, which is its own key. Under symmetry it is the
+	// canonical key followed by a tailLen-word tail (gcl.PackTail: the
+	// witness permutation and the raw scan-cursor values), and the
+	// concrete state is decoded from the two when something needs it
+	// (decodeInto); tailLen is 0 otherwise. Under Spill the vectors live in
+	// the mmap arena ar instead, offs holding one offset per state. Under a
+	// lossy store without spill, vectors are kept in states only until
+	// their state is expanded (release true) — the visited set holds
 	// fingerprints, the frontier holds the only live vectors, and traces
 	// are gone (traceable false).
 	slab      *keySlab
 	refs      column[uint32]
 	byRef     slabStore
+	tailLen   int
 	ar        *arena
 	offs      column[int64]
 	release   bool
@@ -459,16 +462,19 @@ func newExplorer(p *gcl.Prog, opts Options, plan Plan) *explorer {
 		}
 		e.chaseCap = p.N*len(p.Labels()) + 8
 	}
-	if plan.Symmetry || plan.TrackPerms {
+	if plan.Symmetry {
 		e.wc.canon = p.NewCanonicalizer()
+	}
+	if plan.TrackPerms {
+		e.perm = make([]int, p.N)
 	}
 	e.store = newStateStore(p, plan, e.ar)
 	if e.ar == nil && !e.release {
-		ss, exact := e.store.(slabStore)
-		if exact && !plan.Symmetry && !plan.TrackPerms && plan.Pinned == nil {
-			e.slab, e.byRef = ss.keys(), ss
-		} else {
-			e.slab = &keySlab{}
+		// Neither spilled nor lossy: the store is the exact in-heap one.
+		ss := e.store.(slabStore)
+		e.slab, e.byRef = ss.keys(), ss
+		if plan.Symmetry {
+			e.tailLen = p.TailLen()
 		}
 	}
 	e.pre = newPrepass(e)
@@ -489,36 +495,83 @@ func (e *explorer) numStates() int {
 
 // stateAt returns state i's vector: a slice aliasing the slab (callers
 // must not modify it), the in-heap clone, or a fresh decode from the spill
-// arena. Under a lossy non-spill store the vector is only valid until
-// releaseState(i) runs (after i's expansion).
+// arena or from a symmetric slab entry. Under a lossy non-spill store the
+// vector is only valid until releaseState(i) runs (after i's expansion).
 func (e *explorer) stateAt(i int32) gcl.State {
 	switch {
 	case e.ar != nil:
 		return e.ar.state(e.offs.at(i))
 	case e.release:
 		return e.states[i]
+	case e.tailLen > 0:
+		return e.decodeInto(make(gcl.State, e.p.StateLen()), i)
 	}
 	return e.slab.at(e.refs.at(i))
 }
 
-// appendState numbers a fresh state and stores its vector per the
-// residency mode; returns the new index. The incoming vector may live in a
-// worker's recycled scratch buffer, so every residency mode copies: spill
-// into the mmap arena, release mode into a short-lived heap clone (freed at
-// expansion), and the default exact mode into the slab.
-func (e *explorer) appendState(s gcl.State) int32 {
+// headState returns state i's vector for expansion: stateAt's, except that
+// a symmetric slab entry is decoded into a vector carved from buf rather
+// than a fresh allocation.
+func (e *explorer) headState(i int32, buf *gcl.SuccBuf) gcl.State {
+	if e.tailLen == 0 {
+		return e.stateAt(i)
+	}
+	return e.decodeInto(buf.Alloc(e.p.StateLen()), i)
+}
+
+// decodeInto writes into dst the concrete state i of a symmetric slab,
+// restored from its canonical key and tail, and returns dst.
+func (e *explorer) decodeInto(dst gcl.State, i int32) gcl.State {
+	key, tail := e.slab.keyTail(e.refs.at(i), e.tailLen)
+	e.p.Restore(dst, key, tail)
+	return dst
+}
+
+// witnessIndex returns the permutation-table index of state i's canonical
+// witness: read from its slab tail, or — when the vector lives elsewhere —
+// recomputed by canonicalizing it. Merge goroutine only (it uses the
+// explorer's scratch).
+func (e *explorer) witnessIndex(i int32) int {
+	if e.tailLen > 0 {
+		_, tail := e.slab.keyTail(e.refs.at(i), e.tailLen)
+		e.p.TailWitness(e.perm, tail)
+		return e.p.PermIndexOf(e.perm)
+	}
+	_, perm := e.wc.canon.CanonicalizeWithPerm(e.stateAt(i))
+	return e.p.PermIndexOf(perm)
+}
+
+// appendState numbers a fresh state, stores it per the residency mode and
+// inserts its store key; returns the new index. The incoming vectors may
+// live in a worker's recycled scratch buffer, so every residency mode
+// copies: spill into the mmap arena, release mode into a short-lived heap
+// clone (freed at expansion), and the default exact mode into the slab
+// that the store shares — the concrete vector, or under symmetry the
+// canonical key and the tail packed from wit and s — inserted there by
+// reference.
+func (e *explorer) appendState(fp uint64, key gcl.State, wit []byte, s gcl.State) int32 {
+	var idx int32
 	switch {
 	case e.ar != nil:
 		off, err := e.ar.append(s)
 		if err != nil {
 			panic(err) // disk exhaustion mid-exploration: nothing sound to do
 		}
-		return e.offs.push(off)
+		idx = e.offs.push(off)
 	case e.release:
 		e.states = append(e.states, append(gcl.State(nil), s...))
-		return int32(len(e.states) - 1)
+		idx = int32(len(e.states) - 1)
+	default:
+		ref, tail := e.slab.appendTail(key, e.tailLen)
+		if e.tailLen > 0 {
+			e.p.PackTail(tail, wit, s)
+		}
+		idx = e.refs.push(ref)
+		e.byRef.insertRef(fp, ref, idx)
+		return idx
 	}
-	return e.refs.push(e.slab.append(s))
+	e.store.Insert(fp, key, idx)
+	return idx
 }
 
 // releaseState drops state i's vector once it has been expanded — the
@@ -580,13 +633,12 @@ func crashersCoverAll(pids []int, n int) bool {
 }
 
 // prep is a successor's prepared store probe, cached across the C3
-// proviso check and the committed insertion. perm is the index of the
-// canonical witnessing permutation when the exploration tracks
-// permutations (0 otherwise).
+// proviso check and the committed insertion. Under symmetry, slot is the
+// key's index in the expansion's KeySlab, which holds its witness.
 type prep struct {
 	fp   uint64
 	key  gcl.State
-	perm int32
+	slot int32
 }
 
 // expansion is one expanded BFS head, the unit the merge step consumes: its
@@ -606,41 +658,38 @@ type expansion struct {
 	aLo, aHi int
 	progress bool
 	ahead    bool
+	// keys is the KeySlab the probes were canonicalized into (nil without
+	// symmetry).
+	keys *gcl.KeySlab
 }
 
-// prepareProbe computes the store probe for s using the expansion context's
-// reusable canonicalizer. The canonical key is copied into the context's
-// scratch buffer (the canonicalizer's own scratch is overwritten by its
-// next call, and POR keeps a batch of probes alive across one head's ample
-// check), so the key stays valid until the context resets — long enough for
-// the single-threaded insertion pass, whose Insert copies fresh keys into
-// the store. Under permutation tracking it additionally ranks the canonical
-// witnessing permutation, sharing the single canonicalization pass.
-func (e *explorer) prepareProbe(w *wctx, s gcl.State) (uint64, gcl.State, int32) {
-	if w.canon == nil {
-		fp, key := e.store.Prepare(s)
-		return fp, key, 0
+// witness returns the canonical witness of successor i's key (nil without
+// symmetry).
+func (x *expansion) witness(i int) []byte {
+	if x.keys == nil {
+		return nil
 	}
-	if e.trackPerms {
-		c, perm := w.canon.CanonicalizeWithPerm(s)
-		return c.Fingerprint(), w.buf.CopyIn(c), int32(e.p.PermIndexOf(perm))
-	}
-	c := w.canon.Canonicalize(s)
-	return c.Fingerprint(), w.buf.CopyIn(c), 0
+	return x.keys.Witness(int(x.preps[i].slot))
 }
 
-// add registers a state, returning its index and whether it was new.
-func (e *explorer) add(w *wctx, s gcl.State, parent int32, byPid int32, labelIdx int32) (int32, bool) {
-	fp, key, perm := e.prepareProbe(w, s)
-	return e.addPrepared(fp, key, perm, s, parent, byPid, labelIdx)
+// addInit numbers the initial state s, prepared through the same batch
+// path as every successor.
+func (e *explorer) addInit(s gcl.State) int32 {
+	x := expansion{succs: []gcl.Succ{{State: s, Pid: -1, LabelIdx: crashLabelIdx}}, preps: make([]prep, 1)}
+	if e.wc.canon != nil {
+		x.keys = &e.wc.slab
+	}
+	e.prepSuccs(&e.wc, x.succs, x.preps)
+	idx, _ := e.addSucc(&x, 0, -1)
+	return idx
 }
 
 // prepSuccs prepares the store probes for a run of successors in one batch,
 // writing succs[i]'s probe into dst[i]. Under symmetry the whole run is
-// canonicalized into the context's key slab — a contiguous
-// structure-of-arrays pass with no per-state scratch copy (gcl.KeySlab);
-// otherwise the key is the successor state itself and only the fingerprint
-// batch is computed. The engines reach the canon == nil arm exactly when
+// canonicalized, witnesses included, into the context's key slab — a
+// contiguous structure-of-arrays pass with no per-state scratch copy
+// (gcl.KeySlab); otherwise the key is the successor state itself and only
+// the fingerprint batch is computed. The engines reach the canon == nil arm exactly when
 // the plan involves no canonicalization and no extra key words, where every
 // store tier's Prepare degenerates to (s.Fingerprint(), s) — see prepare().
 func (e *explorer) prepSuccs(w *wctx, succs []gcl.Succ, dst []prep) {
@@ -654,14 +703,9 @@ func (e *explorer) prepSuccs(w *wctx, succs []gcl.Succ, dst []prep) {
 		}
 		return
 	}
-	var base int
-	if e.trackPerms {
-		base = w.canon.CanonicalizeBatchPerms(succs, &w.slab)
-	} else {
-		base = w.canon.CanonicalizeBatch(succs, &w.slab)
-	}
+	base := w.canon.CanonicalizeBatch(succs, &w.slab)
 	for i := range succs {
-		dst[i] = prep{fp: w.slab.Fp(base + i), key: w.slab.Key(base + i), perm: w.slab.PermIdx(base + i)}
+		dst[i] = prep{fp: w.slab.Fp(base + i), key: w.slab.Key(base + i), slot: int32(base + i)}
 	}
 }
 
@@ -676,39 +720,6 @@ func grow[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// addPrepared is add with the store probe already computed — the reduced
-// expansion path prepares each ample candidate once in ampleOK and must
-// not pay a second canonicalization here. Both s and key may point into
-// recycled scratch; appendState and Insert each copy what they keep. When
-// the store shares the engine's slab (byRef), key IS s, and the vector
-// appendState just numbered is inserted by reference instead of being
-// copied a second time.
-func (e *explorer) addPrepared(fp uint64, key gcl.State, perm int32, s gcl.State, parent int32, byPid int32, labelIdx int32) (int32, bool) {
-	if idx, ok := e.store.Lookup(fp, key); ok {
-		return idx, false
-	}
-	idx := e.appendState(s)
-	if e.byRef != nil {
-		e.byRef.insertRef(fp, e.refs.at(idx), idx)
-	} else {
-		e.store.Insert(fp, key, idx)
-	}
-	if e.traceable {
-		e.parent.push(parent)
-		e.parentBy.push(byPid)
-		e.parentLb.push(labelIdx)
-	}
-	if e.trackPerms {
-		e.canonPerm.push(perm)
-	}
-	d := int32(0)
-	if parent >= 0 {
-		d = e.depth.at(parent) + 1
-	}
-	e.depth.push(d)
-	return idx, true
-}
-
 // labelName renders a recorded label index; the crash sentinel renders as
 // the crash pseudo-label.
 func (e *explorer) labelName(idx int32) string {
@@ -719,16 +730,19 @@ func (e *explorer) labelName(idx int32) string {
 }
 
 // edgePermIdx computes ρ, the permutation annotating a graph edge: the
-// concrete successor canonicalizes with witness π_t (index succPerm), the
-// stored representative of its orbit with witness π_j (canonPerm[to]), so
+// concrete successor canonicalizes with witness π_t (succWit), the stored
+// representative of its orbit with witness π_j (witnessIndex(to)), so
 // norm(succ) = Permute(norm(states[to]), ρ) with ρ = π_t⁻¹ ∘ π_j. Fresh
 // states ARE their own stored representative (ρ = identity).
-func (e *explorer) edgePermIdx(succPerm int32, to int32, fresh bool) int32 {
+func (e *explorer) edgePermIdx(succWit []byte, to int32, fresh bool) int32 {
 	if !e.trackPerms || fresh {
 		return 0
 	}
-	return int32(e.p.ComposePermIndex(
-		e.p.InvPermIndex(int(succPerm)), int(e.canonPerm.at(to))))
+	for q, b := range succWit {
+		e.perm[q] = int(b)
+	}
+	succ := e.p.PermIndexOf(e.perm)
+	return int32(e.p.ComposePermIndex(e.p.InvPermIndex(succ), e.witnessIndex(to)))
 }
 
 // trace reconstructs the path from the initial state to states[idx].
@@ -937,8 +951,11 @@ func (e *explorer) expansionOf(head int32) *expansion {
 	x := &e.seq
 	e.wc.buf.Reset()
 	e.wc.slab.Reset()
-	e.expandInto(e.stateAt(head), x, &e.wc)
+	e.expandInto(e.headState(head, &e.wc.buf), x, &e.wc)
 	x.preps = grow(x.preps, len(x.succs))
+	if e.wc.canon != nil {
+		x.keys = &e.wc.slab
+	}
 	return x
 }
 
@@ -1010,10 +1027,27 @@ func (e *explorer) ampleOK(x *expansion, d int32) bool {
 
 // addSucc numbers successor i of head if it is new, returning its index and
 // whether it was fresh. Only the merge calls it; the order of its calls is
-// the state numbering.
+// the state numbering. The probe is the one commit prepared, so the ample
+// candidates ampleOK already looked up pay no second canonicalization. The
+// successor, its key and its witness may sit in recycled scratch;
+// appendState copies what it keeps.
 func (e *explorer) addSucc(x *expansion, i int, head int32) (int32, bool) {
 	pr, sc := &x.preps[i], &x.succs[i]
-	return e.addPrepared(pr.fp, pr.key, pr.perm, sc.State, head, int32(sc.Pid), sc.LabelIdx)
+	if idx, ok := e.store.Lookup(pr.fp, pr.key); ok {
+		return idx, false
+	}
+	idx := e.appendState(pr.fp, pr.key, x.witness(i), sc.State)
+	if e.traceable {
+		e.parent.push(head)
+		e.parentBy.push(int32(sc.Pid))
+		e.parentLb.push(sc.LabelIdx)
+	}
+	d := int32(0)
+	if head >= 0 {
+		d = e.depth.at(head) + 1
+	}
+	e.depth.push(d)
+	return idx, true
 }
 
 // Check explores the reachable states of p breadth-first, verifying the
@@ -1042,7 +1076,7 @@ func Check(p *gcl.Prog, opts Options) *Result {
 	}
 
 	init := p.InitState()
-	idx, _ := e.add(&e.wc, init, -1, -1, crashLabelIdx)
+	idx := e.addInit(init)
 	if v := e.checkInvariants(init); v >= 0 {
 		res.Violation = &Violation{Invariant: e.opts.Invariants[v].Name, Trace: e.trace(idx)}
 		return finish()

@@ -18,8 +18,9 @@ package mc
 // merge grows. A chunk's head vectors are read on the merge goroutine when
 // the chunk launches; they are numbered states whose storage never moves
 // (keySlab.at slices stay valid, spill decodes and release-mode clones are
-// private copies). Everything else a worker writes is its chunk's own
-// scratch and records. Two chunk buffers alternate: cur, whose records the
+// private copies), or, under symmetry, decodes of their slab entries into
+// the chunk's own scratch. Everything else a worker writes is its chunk's
+// own scratch and records. Two chunk buffers alternate: cur, whose records the
 // merge is walking, and next, in flight on the pool. Each owns its workers'
 // scratch, so expanding next never recycles memory the merge of cur still
 // reads. The merge joins next when it reaches it, and Check and BuildGraph
@@ -52,15 +53,17 @@ const (
 	minChunk = 64
 )
 
-// chunk is one pre-pass buffer: the heads [lo, hi), their vectors, their
-// expansion records, and the scratch of the workers that filled them. The
-// slices are sized to maxChunk once.
+// chunk is one pre-pass buffer: the heads [lo, hi), their vectors (decoded
+// into decoded when the slab holds symmetric entries), their expansion
+// records, and the scratch of the workers that filled them. The slices are
+// sized to maxChunk once.
 type chunk struct {
-	wcs    []wctx
-	heads  []gcl.State
-	exps   []expansion
-	lo, hi int32
-	cursor atomic.Int64
+	wcs     []wctx
+	heads   []gcl.State
+	decoded gcl.SuccBuf
+	exps    []expansion
+	lo, hi  int32
+	cursor  atomic.Int64
 }
 
 // prepass is parallel mode's worker pool state: the chunk being merged, the
@@ -92,7 +95,7 @@ func newPrepass(e *explorer) *prepass {
 
 func newChunk(e *explorer, workers int) *chunk {
 	c := &chunk{wcs: make([]wctx, workers), heads: make([]gcl.State, maxChunk), exps: make([]expansion, maxChunk)}
-	if e.plan.Symmetry || e.plan.TrackPerms {
+	if e.plan.Symmetry {
 		for i := range c.wcs {
 			c.wcs[i].canon = e.p.NewCanonicalizer()
 		}
@@ -134,8 +137,9 @@ func (pp *prepass) launch(e *explorer, lo, hi int32) {
 	c := pp.next
 	n := int(hi - lo)
 	c.lo, c.hi = lo, hi
+	c.decoded.Reset()
 	for i := range n {
-		c.heads[i] = e.stateAt(lo + int32(i))
+		c.heads[i] = e.headState(lo+int32(i), &c.decoded)
 	}
 	// The buffer's previous chunk is fully merged (fresh states and keys
 	// were copied out), so every worker's scratch can be recycled.
@@ -193,5 +197,8 @@ func (e *explorer) expandAhead(s gcl.State, x *expansion, w *wctx) {
 	w.preps = grow(w.preps, base+n)
 	x.preps = w.preps[base : base+n : base+n]
 	x.ahead = true
+	if w.canon != nil {
+		x.keys = &w.slab
+	}
 	e.prepSuccs(w, x.succs, x.preps)
 }

@@ -6,8 +6,10 @@ package mc
 // per run.
 
 import (
+	"fmt"
 	"testing"
 
+	"bakerypp/internal/gcl"
 	"bakerypp/internal/specs"
 )
 
@@ -17,8 +19,20 @@ import (
 // (the residue is the per-chunk goroutine spawn, paid once per thousands
 // of successors).
 func TestPrepassAllocFree(t *testing.T) {
-	p := specs.BakeryPP(specs.Config{N: 3, M: 2})
-	opts := Options{Workers: 2, Invariants: []Invariant{Mutex(), NoOverflow()}}
+	// The symmetric cell also decodes every head from its slab entry into
+	// the chunk's scratch at launch.
+	for _, cell := range []struct {
+		cfg specs.Config
+		sym bool
+	}{{specs.Config{N: 3, M: 2}, false}, {specs.Config{N: 5, M: 2}, true}} {
+		t.Run(fmt.Sprintf("n%d-m%d-symmetry=%v", cell.cfg.N, cell.cfg.M, cell.sym), func(t *testing.T) {
+			testPrepassAllocFree(t, specs.BakeryPP(cell.cfg), cell.sym)
+		})
+	}
+}
+
+func testPrepassAllocFree(t *testing.T, p *gcl.Prog, sym bool) {
+	opts := Options{Workers: 2, Symmetry: sym, Invariants: []Invariant{Mutex(), NoOverflow()}}
 	plan, err := planFor(p, opts, SafetyAnalysis{})
 	if err != nil {
 		t.Fatal(err)
@@ -28,7 +42,7 @@ func TestPrepassAllocFree(t *testing.T) {
 		t.Fatal("Workers: 2 built no pre-pass")
 	}
 	defer e.join()
-	e.add(&e.wc, p.InitState(), -1, -1, crashLabelIdx)
+	e.addInit(p.InitState())
 
 	// Drive the real pipelined merge loop until the store holds a few
 	// thousand states and at least a chunk's worth of heads is still

@@ -11,9 +11,8 @@ package mc
 // The exact in-heap store (seqStore) is one open-addressed linear-probe
 // table (fpTable) of 8-byte slots free of Go pointers, each a fingerprint
 // tag and a reference into a keySlab (keyslab.go) that holds the key vector
-// with its value beside it; when the plan keys on the concrete state the
-// engine numbers its states in the same slab, so each vector is stored
-// once. It takes no locks: every exploration loop uses its store from one
+// with its value beside it; the engines number their states in the same
+// slab, so each state is stored once. It takes no locks: every exploration loop uses its store from one
 // goroutine — in Check and BuildGraph the single-threaded merge, which
 // makes every lookup and insert, also in parallel mode, whose pre-pass
 // workers never touch the store. The other tiers (spill, compact, bitstate)
@@ -22,12 +21,14 @@ package mc
 //
 //   - symmetry-aware (Plan.Symmetry): Prepare canonicalizes the state
 //     before probing, so all states of one process-permutation orbit
-//     collapse onto a single entry. The store retains the canonical key
-//     (and the witnessing permutation is recoverable via
-//     gcl.CanonicalizeWithPerm); the engine keeps and expands the
-//     concrete, first-encountered representative, which is what keeps
-//     counterexample traces concrete and replayable — see
-//     docs/model-checking.md, "Symmetry reduction".
+//     collapse onto a single entry. The store compares canonical keys; the
+//     engine keeps and expands the concrete, first-encountered
+//     representative, which is what keeps counterexample traces concrete
+//     and replayable — see docs/model-checking.md, "Symmetry reduction".
+//     In the exact tier that representative is not stored beside its key:
+//     the slab entry carries the canonical key plus a tail with the
+//     witness permutation and the raw scan-cursor values, and the engine
+//     decodes the concrete state from them (gcl.Prog.Restore).
 //   - pinned-symmetry (Plan.Pinned): Prepare canonicalizes over the
 //     subgroup of permutations that fix the pinned pids, the keying the
 //     FCFS monitor product uses — the monitor distinguishes its (first,
@@ -260,9 +261,10 @@ func (t *fpTable) place(e fpEntry) {
 }
 
 // slabStore is implemented by the exact in-heap store, whose keys live in
-// a keySlab. When the plan keys on the concrete state, the engines number
-// their states in that same slab and insert by reference, so each vector
-// is stored once and serves as both state and key.
+// a keySlab. The engines number their states in that same slab and insert
+// by reference, so each state is stored once: the concrete vector, which
+// is its own key, or under symmetry the canonical key with the tail the
+// concrete state is decoded from.
 type slabStore interface {
 	keys() *keySlab
 	// insertRef stores val under the key at ref in keys(); the key must be
