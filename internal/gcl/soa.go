@@ -9,9 +9,9 @@ package gcl
 // the prepared keys of a whole SuccBuf chunk into one contiguous []int32
 // slab with stride addressing — key i occupies words[i*stride:(i+1)*stride]
 // — with the fingerprints and the canonical keys' witness bytes in
-// parallel arrays. Canonicalization writes its result directly into the slab slot
-// (no intermediate copy), and fingerprinting becomes a tight second pass
-// over adjacent words. The slab grows monotonically and is recycled with
+// parallel arrays. Canonicalization writes its result directly into the
+// slab slot (no intermediate copy), and fingerprinting becomes a tight
+// second pass over adjacent words. The slab grows monotonically and is recycled with
 // Reset, so a warmed-up exploration loop allocates nothing per chunk
 // (pinned by TestCanonicalizeBatchAllocFree).
 //

@@ -273,16 +273,24 @@ func (p *Prog) permuteInto(out State, s State, perm []int) {
 	if len(perm) != p.N {
 		panic(fmt.Sprintf("gcl: %s: Permute needs a permutation of %d ids, got %d", p.Name, p.N, len(perm)))
 	}
-	copy(out[:p.sharedLen], s[:p.sharedLen])
+	// The layout is held in locals and blocks are copied word by word: the
+	// blocks are a few words long, and this runs once per canonicalized
+	// successor.
+	n, sl, ll := p.N, p.sharedLen, p.localLen
+	copy(out[:sl], s[:sl])
 	for _, off := range p.pidArrayOffs {
-		for i := 0; i < p.N; i++ {
-			out[off+perm[i]] = s[off+i]
+		from, to := s[off:off+n], out[off:off+n]
+		for i, q := range perm {
+			to[q] = from[i]
 		}
 	}
-	for i := 0; i < p.N; i++ {
-		src := p.sharedLen + i*p.localLen
-		dst := p.sharedLen + perm[i]*p.localLen
-		copy(out[dst:dst+p.localLen], s[src:src+p.localLen])
+	for i, q := range perm {
+		from := s[sl+i*ll : sl+(i+1)*ll]
+		to := out[sl+q*ll:]
+		to = to[:len(from)]
+		for k, v := range from {
+			to[k] = v
+		}
 	}
 }
 
@@ -306,27 +314,44 @@ func tailByte(tail []int32, i int) int { return int(uint32(tail[i>>2]) >> (8 * u
 // canonicalized with witness wit (N bytes, as KeySlab.Witness returns). It
 // panics, naming the state, on a cursor value outside 0..255.
 func (p *Prog) PackTail(tail []int32, wit []byte, s State) {
-	if len(tail) != p.TailLen() || len(wit) != p.N {
-		panic(fmt.Sprintf("gcl: %s: PackTail needs a %d-word tail and a %d-byte witness, got %d and %d",
-			p.Name, p.TailLen(), p.N, len(tail), len(wit)))
+	n, sl, ll := p.N, p.sharedLen, p.localLen
+	if len(tail) != p.TailLen() || len(wit) != n || len(s) != sl+n*ll {
+		panic(fmt.Sprintf("gcl: %s: PackTail needs a %d-word tail, a %d-byte witness and a %d-word state, got %d, %d and %d",
+			p.Name, p.TailLen(), n, sl+n*ll, len(tail), len(wit), len(s)))
 	}
-	clear(tail)
-	for i, b := range wit {
-		tail[i>>2] |= int32(uint32(b) << (8 * uint(i&3)))
+	// Bytes accumulate in acc and are stored a word at a time.
+	var acc uint32
+	i := 0
+	for _, b := range wit {
+		acc |= uint32(b) << (8 * uint(i&3))
+		if i&3 == 3 {
+			tail[i>>2], acc = int32(acc), 0
+		}
+		i++
 	}
-	i := p.N
-	for q := 0; q < p.N; q++ {
-		base := p.sharedLen + q*p.localLen
+	for q := 0; q < n; q++ {
+		blk := s[sl+q*ll : sl+(q+1)*ll]
 		for _, lo := range p.pidLocalOffs {
-			v := s[base+lo]
-			if v < 0 || v > 255 {
-				panic(fmt.Sprintf("gcl: %s: scan cursor of process %d holds %d, outside the 0..255 a symmetry tail records, in state %s",
-					p.Name, q, v, p.Format(s)))
+			v := uint32(blk[lo])
+			if v > 255 {
+				p.cursorOverflow(s, q, blk[lo])
 			}
-			tail[i>>2] |= int32(uint32(v) << (8 * uint(i&3)))
+			acc |= v << (8 * uint(i&3))
+			if i&3 == 3 {
+				tail[i>>2], acc = int32(acc), 0
+			}
 			i++
 		}
 	}
+	if i&3 != 0 {
+		tail[i>>2] = int32(acc)
+	}
+}
+
+// cursorOverflow panics on a cursor value PackTail cannot record.
+func (p *Prog) cursorOverflow(s State, q int, v int32) {
+	panic(fmt.Sprintf("gcl: %s: scan cursor of process %d holds %d, outside the 0..255 a symmetry tail records, in state %s",
+		p.Name, q, v, p.Format(s)))
 }
 
 // TailWitness writes the witness permutation recorded in tail into perm
@@ -343,25 +368,28 @@ func (p *Prog) TailWitness(perm []int, tail []int32) {
 // scan cursor set to its recorded raw value. It inverts canonicalization
 // exactly: Restore(Canonicalize(s), tail of s) is s, bit for bit.
 func (p *Prog) Restore(dst, key State, tail []int32) {
-	if len(dst) != len(key) || len(tail) != p.TailLen() {
-		panic(fmt.Sprintf("gcl: %s: Restore needs a %d-word destination and a %d-word tail, got %d and %d",
-			p.Name, len(key), p.TailLen(), len(dst), len(tail)))
+	n, sl, ll := p.N, p.sharedLen, p.localLen
+	if len(dst) != sl+n*ll || len(key) != len(dst) || len(tail) != p.TailLen() {
+		panic(fmt.Sprintf("gcl: %s: Restore needs a %d-word destination and key and a %d-word tail, got %d, %d and %d",
+			p.Name, sl+n*ll, p.TailLen(), len(dst), len(key), len(tail)))
 	}
-	copy(dst[:p.sharedLen], key[:p.sharedLen])
-	for q := 0; q < p.N; q++ {
+	copy(dst[:sl], key[:sl])
+	arrays, cursors := p.pidArrayOffs, p.pidLocalOffs
+	ci := n // byte index of the next cursor value
+	for q := 0; q < n; q++ {
 		src := tailByte(tail, q)
-		for _, off := range p.pidArrayOffs {
+		for _, off := range arrays {
 			dst[off+q] = key[off+src]
 		}
-		copy(dst[p.sharedLen+q*p.localLen:p.sharedLen+(q+1)*p.localLen],
-			key[p.sharedLen+src*p.localLen:p.sharedLen+(src+1)*p.localLen])
-	}
-	i := p.N
-	for q := 0; q < p.N; q++ {
-		base := p.sharedLen + q*p.localLen
-		for _, lo := range p.pidLocalOffs {
-			dst[base+lo] = int32(tailByte(tail, i))
-			i++
+		d := dst[sl+q*ll : sl+(q+1)*ll]
+		from := key[sl+src*ll:]
+		from = from[:len(d)]
+		for k := range d {
+			d[k] = from[k]
+		}
+		for _, lo := range cursors {
+			d[lo] = int32(tailByte(tail, ci))
+			ci++
 		}
 	}
 }
@@ -560,10 +588,10 @@ func (w *canonicalizer) cursorMask(s State) uint32 {
 // that map every segment cut out by cursors onto itself (bit j set: slot j
 // starts a segment) and fix every pid in pinned, and leaves in w.bestPerm
 // the lexicographically first permutation reaching it — in wit too, one
-// byte per pid, when wit is non-nil. The action relocates
-// per-process columns (compareColumns order), so the least image places
-// each segment's unpinned columns in sorted order on its unpinned slots;
-// the segments are independent because each owns its own words of the
+// byte per pid, when wit is non-nil. The action relocates per-process
+// columns (compareColumns order), so the least image places each
+// segment's unpinned columns in sorted order on its unpinned slots; the
+// segments are independent because each owns its own words of the
 // flattened vector. The insertion sort is stable — a column only passes a
 // strictly greater one — so identical columns keep their pid order, which
 // is exactly the lexicographically first witness.

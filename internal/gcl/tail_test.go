@@ -95,3 +95,21 @@ func TestPackTailRefusesWideCursor(t *testing.T) {
 	}()
 	p.PackTail(make([]int32, p.TailLen()), ks.Witness(base), s)
 }
+
+// TestCanonicalizeRefusesPast255Processes: a witness is recorded one byte
+// per pid, so canonicalization stops at 255 processes even without scan
+// cursors (cursor programs already stop at 32).
+func TestCanonicalizeRefusesPast255Processes(t *testing.T) {
+	for _, n := range []int{255, 256} {
+		p := gcl.New("flags", n)
+		p.SharedArray("flag", n, 0)
+		p.Own("flag")
+		p.SetSymmetry(gcl.FullSymmetry)
+		p.Label("ncs", gcl.Goto("up", gcl.SetSelf("flag", gcl.C(1))))
+		p.Label("up", gcl.Goto("ncs", gcl.SetSelf("flag", gcl.C(0))))
+		p.MustBuild()
+		if got := p.CanCanonicalize(); got != (n <= 255) {
+			t.Fatalf("N=%d: CanCanonicalize %v", n, got)
+		}
+	}
+}

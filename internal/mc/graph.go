@@ -57,7 +57,8 @@ func (g *Graph) NumStates() int { return g.expl.numStates() }
 // EdgeLabel renders an edge's action label ("CRASH" for crash edges).
 func (g *Graph) EdgeLabel(e Edge) string { return g.expl.labelName(e.LabelIdx) }
 
-// State returns the state at a graph index.
+// State returns the state at a graph index: on a quotient graph, a fresh
+// decode of the stored orbit representative.
 func (g *Graph) State(i int) gcl.State { return g.expl.stateAt(int32(i)) }
 
 // BuildGraph explores the complete reachable state space of p and returns
