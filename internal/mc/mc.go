@@ -689,9 +689,10 @@ func (e *explorer) addInit(s gcl.State) int32 {
 // canonicalized, witnesses included, into the context's key slab — a
 // contiguous structure-of-arrays pass with no per-state scratch copy
 // (gcl.KeySlab); otherwise the key is the successor state itself and only
-// the fingerprint batch is computed. The engines reach the canon == nil arm exactly when
-// the plan involves no canonicalization and no extra key words, where every
-// store tier's Prepare degenerates to (s.Fingerprint(), s) — see prepare().
+// the fingerprint batch is computed. The engines reach the canon == nil arm
+// exactly when the plan involves no canonicalization and no extra key
+// words, where every store tier's Prepare degenerates to
+// (s.Fingerprint(), s) — see prepare().
 func (e *explorer) prepSuccs(w *wctx, succs []gcl.Succ, dst []prep) {
 	if len(succs) == 0 {
 		return

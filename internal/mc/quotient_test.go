@@ -114,28 +114,32 @@ func TestQuotientProductExactForEquivariantProgram(t *testing.T) {
 
 // Every quotient edge's permutation annotation satisfies its defining
 // invariant: NormalizeCursors(successor) equals the annotated image of the
-// stored target representative's normal form.
+// stored target representative's normal form. The exact tier reads the
+// target's witness from its slab tail; the spill tier recomputes it from
+// the spilled vector.
 func TestQuotientEdgePermInvariant(t *testing.T) {
-	p := specs.BakeryPP(specs.Config{N: 3, M: 2})
-	g, err := BuildGraph(p, Options{Symmetry: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checked := 0
-	for j := 0; j < g.NumStates(); j++ {
-		succs := p.AllSuccs(g.State(j), gcl.ModeUnbounded)
-		if len(succs) != len(g.Adj[j]) {
-			t.Fatalf("state %d: %d successors but %d edges", j, len(succs), len(g.Adj[j]))
+	for _, store := range []string{"exact", "exact,spill"} {
+		p := specs.BakeryPP(specs.Config{N: 3, M: 2})
+		g, err := BuildGraph(p, Options{Symmetry: true, Store: mustStore(t, store)})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for k, e := range g.Adj[j] {
-			want := p.Permute(p.NormalizeCursors(g.State(int(e.To))), p.PermAt(int(e.Perm)))
-			if !p.NormalizeCursors(succs[k].State).Equal(want) {
-				t.Fatalf("state %d edge %d: annotation invariant violated", j, k)
+		checked := 0
+		for j := 0; j < g.NumStates(); j++ {
+			succs := p.AllSuccs(g.State(j), gcl.ModeUnbounded)
+			if len(succs) != len(g.Adj[j]) {
+				t.Fatalf("%s: state %d: %d successors but %d edges", store, j, len(succs), len(g.Adj[j]))
 			}
-			checked++
+			for k, e := range g.Adj[j] {
+				want := p.Permute(p.NormalizeCursors(g.State(int(e.To))), p.PermAt(int(e.Perm)))
+				if !p.NormalizeCursors(succs[k].State).Equal(want) {
+					t.Fatalf("%s: state %d edge %d: annotation invariant violated", store, j, k)
+				}
+				checked++
+			}
 		}
-	}
-	if checked == 0 {
-		t.Fatal("no edges checked")
+		if checked == 0 {
+			t.Fatalf("%s: no edges checked", store)
+		}
 	}
 }
