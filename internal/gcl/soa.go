@@ -11,15 +11,15 @@ package gcl
 // — with the fingerprints and the canonical keys' witness bytes in
 // parallel arrays. Canonicalization writes its result directly into the
 // slab slot (no intermediate copy), and fingerprinting becomes a tight
-// second pass over adjacent words. The slab grows monotonically and is recycled with
-// Reset, so a warmed-up exploration loop allocates nothing per chunk
-// (pinned by TestCanonicalizeBatchAllocFree).
+// second pass over adjacent words. The slab grows monotonically and is
+// recycled with Reset, so a warmed-up exploration loop allocates nothing
+// per chunk (pinned by TestCanonicalizeBatchAllocFree).
 //
-// Key slices returned by Key alias the slab. Growth reallocates the
-// backing array, so a previously returned slice may point at the old
+// Slices returned by Key and Witness alias the slab. Growth reallocates
+// the backing arrays, so a previously returned slice may point at an old
 // backing — its CONTENT stays valid (growth copies), which is all the
-// engines rely on: keys are compared and retained by value, never by
-// identity.
+// engines rely on: keys and witnesses are compared and retained by value,
+// never by identity.
 
 // KeySlab is a batch of prepared store probes in structure-of-arrays form.
 // The zero value is an empty slab ready for use. Not goroutine-safe; the

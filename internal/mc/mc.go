@@ -361,7 +361,8 @@ type explorer struct {
 	por      bool // ample-set reduction actually applied
 	// trackPerms annotates graph edges with the permutation relating each
 	// concrete successor to its orbit's stored representative (see
-	// quotient.go); perm is witnessIndex's scratch.
+	// quotient.go); perm is the scratch edgePermIdx and witnessIndex rank
+	// witnesses in.
 	trackPerms bool
 	perm       []int
 	// porOK[label][branch] marks branches eligible to form ample sets:

@@ -21,10 +21,11 @@ package mc
 // private copies), or, under symmetry, decodes of their slab entries into
 // the chunk's own scratch. Everything else a worker writes is its chunk's
 // own scratch and records. Two chunk buffers alternate: cur, whose records
-// the merge is walking, and next, in flight on the pool. Each owns its workers'
-// scratch, so expanding next never recycles memory the merge of cur still
-// reads. The merge joins next when it reaches it, and Check and BuildGraph
-// join it on every return (explorer.join), early stops included.
+// the merge is walking, and next, in flight on the pool. Each owns its
+// workers' scratch, so expanding next never recycles memory the merge of
+// cur still reads. The merge joins next when it reaches it, and Check and
+// BuildGraph join it on every return (explorer.join), early stops
+// included.
 //
 // Profiling: the pool goroutines run under the runtime/pprof labels
 // "mc-stage"=expand and "mc-worker"=<index>; see the Performance section of

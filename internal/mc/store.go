@@ -12,12 +12,12 @@ package mc
 // table (fpTable) of 8-byte slots free of Go pointers, each a fingerprint
 // tag and a reference into a keySlab (keyslab.go) that holds the key vector
 // with its value beside it; the engines number their states in the same
-// slab, so each state is stored once. It takes no locks: every exploration loop uses its store from one
-// goroutine — in Check and BuildGraph the single-threaded merge, which
-// makes every lookup and insert, also in parallel mode, whose pre-pass
-// workers never touch the store. The other tiers (spill, compact, bitstate)
-// still synchronise internally, though no engine needs it any more. Its
-// keying variants:
+// slab, so each state is stored once. It takes no locks: every exploration
+// loop uses its store from one goroutine — in Check and BuildGraph the
+// single-threaded merge, which makes every lookup and insert, also in
+// parallel mode, whose pre-pass workers never touch the store. The other
+// tiers (spill, compact, bitstate) still synchronise internally, though no
+// engine needs it any more. Its keying variants:
 //
 //   - symmetry-aware (Plan.Symmetry): Prepare canonicalizes the state
 //     before probing, so all states of one process-permutation orbit
