@@ -11,6 +11,9 @@ package specs
 // on against execution.
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math/bits"
 	"testing"
 
@@ -131,4 +134,87 @@ func rerun(p *gcl.Prog, s gcl.State, succ gcl.Succ) (gcl.Succ, bool) {
 		}
 	}
 	return gcl.Succ{}, false
+}
+
+// footprintDigests pins every specification's static footprints. Each
+// value hashes, for every label and branch in declaration order, the
+// BranchReads and BranchWrites of every shared variable (Self, All and the
+// constant indices in the order the analysis records them),
+// BranchLocalOnly, BranchGuardReadsShared and BranchWritesShared. POR's
+// ample-set check and the scenario layer's wake-up rule both read these,
+// so a change to how footprints are derived must leave every digest as it
+// is.
+var footprintDigests = map[string]string{
+	"bakery/N=2":              "3d867e3ffaf61537",
+	"bakery-fine/N=2":         "e3388e608eacb440",
+	"bakerypp/N=2":            "7a61cef7ca9d1e87",
+	"bakerypp-fine/N=2":       "76542006fcb535bd",
+	"bakerypp-splitreset/N=2": "119794972bce37a1",
+	"bakerypp-eqcheck/N=2":    "7a61cef7ca9d1e87",
+	"bakerypp-nogate/N=2":     "18cd3b1f02089143",
+	"blackwhite/N=2":          "7841188b69da727f",
+	"peterson/N=2":            "5e9a06c3b8084dd9",
+	"szymanski/N=2":           "96cbb382f6b6cbcc",
+	"modbakery/N=2":           "3d867e3ffaf61537",
+	"bakerypp-safe/N=2":       "9535a2b2b9a4bbca",
+	"bakery/N=3":              "3d867e3ffaf61537",
+	"bakery-fine/N=3":         "e3388e608eacb440",
+	"bakerypp/N=3":            "3141926ef4f2f058",
+	"bakerypp-fine/N=3":       "f563264c0faea2c8",
+	"bakerypp-splitreset/N=3": "f8a31b07e8f3d398",
+	"bakerypp-eqcheck/N=3":    "3141926ef4f2f058",
+	"bakerypp-nogate/N=3":     "18cd3b1f02089143",
+	"blackwhite/N=3":          "e4fe4b5008263952",
+	"peterson/N=3":            "cadeeae14e67f77a",
+	"szymanski/N=3":           "1a82e6148c5a5e65",
+	"modbakery/N=3":           "3d867e3ffaf61537",
+	"bakerypp-safe/N=3":       "8423476f68900b02",
+	"bakery/N=4":              "3d867e3ffaf61537",
+	"bakery-fine/N=4":         "e3388e608eacb440",
+	"bakerypp/N=4":            "353132f3d314b9bf",
+	"bakerypp-fine/N=4":       "65d34f38fa22e33e",
+	"bakerypp-splitreset/N=4": "fbc96606e26e6958",
+	"bakerypp-eqcheck/N=4":    "353132f3d314b9bf",
+	"bakerypp-nogate/N=4":     "18cd3b1f02089143",
+	"blackwhite/N=4":          "941145ce32974424",
+	"peterson/N=4":            "852ed1c2712dfbd5",
+	"szymanski/N=4":           "8fceb4d1772cb680",
+	"modbakery/N=4":           "3d867e3ffaf61537",
+	"bakerypp-safe/N=4":       "dbbe7a986dc66478",
+}
+
+// footprintDigest renders p's per-branch footprints and hashes them.
+func footprintDigest(p *gcl.Prog) string {
+	h := sha256.New()
+	cells := func(kind, name string, c *gcl.Cells) {
+		if c != nil {
+			fmt.Fprintf(h, " %s:%s{self=%t all=%t idx=%v}", kind, name, c.Self, c.All, c.Idx)
+		}
+	}
+	for li, label := range p.Labels() {
+		for bi := 0; bi < p.NumBranchesAt(li); bi++ {
+			fmt.Fprintf(h, "%s/%d local=%t guard=%t writes=%t", label, bi,
+				p.BranchLocalOnly(li, bi), p.BranchGuardReadsShared(li, bi), p.BranchWritesShared(li, bi))
+			for _, name := range p.SharedNames() {
+				cells("r", name, p.BranchReads(li, bi, name))
+				cells("w", name, p.BranchWrites(li, bi, name))
+			}
+			fmt.Fprintln(h)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))[:16]
+}
+
+// TestFootprintDigest compares every specification's footprint digest at
+// N=2..4, the bakerypp ablations and the split-register variant included,
+// with the pinned values.
+func TestFootprintDigest(t *testing.T) {
+	for _, n := range []int{2, 3, 4} {
+		for _, p := range append(allSpecs(n, 3), BakeryPPSafe(n, 3)) {
+			key := fmt.Sprintf("%s/N=%d", p.Name, n)
+			if got, want := footprintDigest(p), footprintDigests[key]; got != want {
+				t.Errorf("%s: footprint digest %s, want %s", key, got, want)
+			}
+		}
+	}
 }
