@@ -48,15 +48,22 @@ func BenchmarkCrashSucc(b *testing.B) {
 	}
 }
 
+// BenchmarkGuardEval times one compiled guard, the Bakery++ gate "every
+// number[q] < 7", through EnabledMask: the guard compiled by Build, not
+// Expr.Eval (which compiles its expression on every call).
 func BenchmarkGuardEval(b *testing.B) {
-	p := benchProg(4)
-	s := p.InitState()
-	guard := AndN(4, func(q int) Expr {
+	p := New("guard", 4)
+	p.SharedArray("number", 4, 0)
+	p.Label("g", Br(AndN(4, func(q int) Expr {
 		return Lt(ShI("number", C(q)), C(7))
-	})
-	c := &Ctx{P: p, S: s, Pid: 0}
+	}), "g"))
+	p.MustBuild()
+	s := p.InitState()
+	var buf SuccBuf
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = guard.Eval(c)
+		if p.EnabledMask(s, 0, &buf) != 1 {
+			b.Fatal("gate closed on the initial state")
+		}
 	}
 }

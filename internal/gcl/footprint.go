@@ -1,9 +1,9 @@
 package gcl
 
 // Static per-action footprints and the independence (commutation) relation
-// over process actions. Every expression constructor (expr.go) records the
-// shared cells it may read, so Build can derive, for each labelled branch,
-// a conservative read set (guard + effect right-hand sides + computed
+// over process actions. Build's compile walk over each branch (expr.go,
+// step.go) records the shared cells every expression may read, deriving a
+// conservative read set (guard + effect right-hand sides + computed
 // indices) and write set (effect targets) over the shared variables. Two
 // actions of *different* processes are independent when neither's write
 // set can touch the other's read or write set: independent actions commute
@@ -113,14 +113,6 @@ func (m cellMap) add(name string, c *Cells) cellMap {
 	return m
 }
 
-// mergeAll widens m by every entry of o.
-func (m cellMap) mergeAll(o cellMap) cellMap {
-	for name, c := range o {
-		m = m.add(name, c)
-	}
-	return m
-}
-
 // conflictsWith reports a possible common cell between the two maps for
 // the given executing pids.
 func (m cellMap) conflictsWith(pa int, o cellMap, pb int) bool {
@@ -132,22 +124,14 @@ func (m cellMap) conflictsWith(pa int, o cellMap, pb int) bool {
 	return false
 }
 
-// mergeReads unions the shared-read footprints of the operand expressions
-// into a freshly owned map (nil when no operand reads shared state).
-func mergeReads(ops []Expr) cellMap {
-	var out cellMap
-	for _, op := range ops {
-		out = out.mergeAll(op.reads)
-	}
-	return out
-}
-
-// indexCells abstracts the expression's value when used as an array index.
+// indexCells abstracts the expression's value when used as an array index:
+// a constant selects its cell, Self() the executing process's cell, and
+// anything else could be any cell.
 func (e Expr) indexCells() *Cells {
-	switch e.shp {
-	case shapeConst:
-		return &Cells{Idx: []int{int(e.k)}}
-	case shapeSelf:
+	switch {
+	case e.is(opConst):
+		return &Cells{Idx: []int{int(e.n.k)}}
+	case e.is(opSelf):
 		return &Cells{Self: true}
 	default:
 		return &Cells{All: true}
@@ -163,41 +147,6 @@ type branchFoot struct {
 	reads, writes cellMap
 	localOnly     bool
 	guardShared   bool
-}
-
-// assignFoot folds one assignment into the branch footprint maps.
-func assignFoot(a Assign, reads, writes cellMap) (cellMap, cellMap) {
-	reads = reads.mergeAll(a.Val.reads)
-	if a.Local {
-		return reads, writes
-	}
-	if a.Idx.defined() {
-		reads = reads.mergeAll(a.Idx.reads)
-		writes = writes.add(a.Name, a.Idx.indexCells())
-	} else {
-		writes = writes.add(a.Name, &Cells{Idx: []int{0}})
-	}
-	return reads, writes
-}
-
-// buildFootprints resolves per-branch footprints; called from Build.
-func (p *Prog) buildFootprints() {
-	p.foot = make([][]branchFoot, len(p.branches))
-	for li, brs := range p.branches {
-		p.foot[li] = make([]branchFoot, len(brs))
-		for bi, b := range brs {
-			var f branchFoot
-			if b.Guard.defined() {
-				f.reads = f.reads.mergeAll(b.Guard.reads)
-				f.guardShared = len(b.Guard.reads) > 0
-			}
-			for _, a := range b.Eff {
-				f.reads, f.writes = assignFoot(a, f.reads, f.writes)
-			}
-			f.localOnly = len(f.reads) == 0 && len(f.writes) == 0
-			p.foot[li][bi] = f
-		}
-	}
 }
 
 // BranchLocalOnly reports whether branch bi of label li neither reads nor

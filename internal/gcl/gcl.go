@@ -66,10 +66,11 @@ type Prog struct {
 	// foot holds the per-branch shared-footprint analysis backing the
 	// independence relation; see footprint.go.
 	foot [][]branchFoot
-	// reff and nextPC are the Build-time resolution of every branch's
-	// effect list and jump target: assignment names become word offsets and
-	// label names become indices once, so the successor hot loop performs
-	// no map lookups (see step.go).
+	// guards, reff and nextPC are the Build-time compilation of every
+	// branch's guard (nil when unguarded), effect list and jump target:
+	// variable names become word offsets and label names indices once, so
+	// the successor hot loop performs no map lookups (see step.go).
+	guards [][]evalFn
 	reff   [][][]resEff
 	nextPC [][]int32
 	// crashLocals and crashOwned are the Build-time resolution of the
@@ -178,7 +179,10 @@ func (p *Prog) checkFresh(name string) {
 	}
 }
 
-// Build resolves the variable layout and validates all branch targets.
+// Build resolves the variable layout, validates all branch targets, and
+// compiles every guard and effect against the layout. A guard or effect
+// naming an undeclared variable, or indexing an array with a constant
+// outside it, is an error naming the label and branch.
 func (p *Prog) Build() error {
 	if p.built {
 		return fmt.Errorf("gcl: %s already built", p.Name)
@@ -223,10 +227,9 @@ func (p *Prog) Build() error {
 			}
 		}
 	}
-	if err := p.resolveEffects(); err != nil {
+	if err := p.compileBranches(); err != nil {
 		return err
 	}
-	p.buildFootprints()
 	if err := p.buildSymmetry(); err != nil {
 		return err
 	}
@@ -292,6 +295,9 @@ func (p *Prog) Key(s State) string {
 	}
 	return string(buf)
 }
+
+// blockBase returns the word offset of process pid's block (its pc).
+func (p *Prog) blockBase(pid int) int { return p.sharedLen + pid*p.localLen }
 
 // PC returns the label index of process pid.
 func (p *Prog) PC(s State, pid int) int {
@@ -363,25 +369,6 @@ func (p *Prog) Local(s State, pid int, name string) int32 {
 		panic(fmt.Sprintf("gcl: %s: unknown local variable %q", p.Name, name))
 	}
 	return s[p.sharedLen+pid*p.localLen+info.off]
-}
-
-// localVarInfo resolves a local variable's layout, panicking like Local.
-// It backs the expression closures' offset caches (expr.go).
-func (p *Prog) localVarInfo(name string) varInfo {
-	info, ok := p.localInfo[name]
-	if !ok {
-		panic(fmt.Sprintf("gcl: %s: unknown local variable %q", p.Name, name))
-	}
-	return info
-}
-
-// sharedVarInfo resolves a shared variable's layout, panicking like Shared.
-func (p *Prog) sharedVarInfo(name string) varInfo {
-	info, ok := p.sharedInfo[name]
-	if !ok {
-		panic(fmt.Sprintf("gcl: %s: unknown shared variable %q", p.Name, name))
-	}
-	return info
 }
 
 // SetLocal sets process pid's local variable.

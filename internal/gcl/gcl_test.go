@@ -85,6 +85,56 @@ func TestBuilderValidation(t *testing.T) {
 			t.Error("Build with no labels did not error")
 		}
 	})
+	// Guards and effects are compiled at Build, so a name the program does
+	// not declare, or a constant index outside its array, is refused there
+	// with the label and branch named, even on a label no run reaches.
+	refusals := []struct {
+		name, want string
+		br         Branch
+	}{
+		{"unknown local in guard", `unknown local "ghost"`, Br(Eq(L("ghost"), C(0)), "l")},
+		{"unknown shared in guard", `unknown shared variable "ghost"`, Br(Lt(ShI("ghost", L("x")), C(1)), "l")},
+		{"unknown local in value", `unknown local "ghost"`, Goto("l", SetL("x", Add(L("ghost"), C(1))))},
+		{"unknown shared in value", `unknown shared variable "ghost"`, Goto("l", SetSelf("a", MaxSh("ghost")))},
+		{"unknown local in index", `unknown local "ghost"`, Goto("l", SetI("a", L("ghost"), C(1)))},
+		{"unknown shared in index", `unknown shared variable "ghost"`, Goto("l", SetI("a", Sh("ghost"), C(1)))},
+		{"unknown assignment target", `unknown shared variable "ghost"`, Goto("l", Set("ghost", C(1)))},
+		{"constant read index past the array", `index 2 out of range for "a"`, Br(Eq(ShI("a", C(2)), C(0)), "l")},
+		{"negative constant read index", `index -1 out of range for "a"`, Goto("l", SetL("x", ShI("a", C(-1))))},
+		{"constant write index past the array", `index 2 out of range for "a"`, Goto("l", SetI("a", C(2), C(1)))},
+	}
+	for _, tc := range refusals {
+		t.Run(tc.name, func(t *testing.T) {
+			p := New("x", 2)
+			p.SharedArray("a", 2, 0)
+			p.LocalVar("x", 0)
+			p.Label("l", Goto("l"))
+			p.Label("unreachable", Goto("l"), tc.br)
+			err := p.Build()
+			if err == nil || !strings.Contains(err.Error(), `label "unreachable" branch 1`) ||
+				!strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Build err = %v, want one naming label \"unreachable\" branch 1 and %s", err, tc.want)
+			}
+		})
+	}
+	// A computed index is only known at evaluation; out of range, it
+	// panics there, naming the variable.
+	t.Run("dynamic index out of range", func(t *testing.T) {
+		p := New("x", 1)
+		p.SharedArray("a", 2, 0)
+		p.LocalVar("x", 5)
+		p.Label("l", Br(Eq(ShI("a", L("x")), C(0)), "l"), Goto("l", SetI("a", Add(L("x"), C(0)), C(1))))
+		p.MustBuild()
+		s := p.InitState()
+		func() {
+			defer expectPanic(t, `index 5 out of range for "a"`)
+			p.EnabledMask(s, 0, &SuccBuf{})
+		}()
+		func() {
+			defer expectPanic(t, `index 5 out of range for "a"`)
+			p.ApplyInto(make(State, len(s)), s, 0, 1, ModeUnbounded, &SuccBuf{})
+		}()
+	})
 }
 
 func expectPanic(t *testing.T, substr string) {

@@ -59,11 +59,12 @@ func (sc Succ) Tag(p *Prog) string {
 }
 
 // resEff is the Build-time resolution of one Assign: the variable name is
-// replaced by the word (or word recipe) it writes, so apply performs no map
-// lookups and no bounds arithmetic beyond what the index form requires.
+// replaced by the word (or word recipe) it writes, and the value and index
+// expressions by their compiled closures, so apply performs no map lookups
+// and no bounds arithmetic beyond what the index form requires.
 type resEff struct {
-	val  Expr
-	idx  Expr // effSharedDyn only: the runtime index expression
+	val  evalFn
+	idx  evalFn // effSharedDyn only: the runtime index expression
 	kind uint8
 	off  int // effLocal: offset within the block; effSharedWord: absolute word; effSharedSelf/Dyn: array base
 	size int // shared forms: declared size, for the dynamic bounds check
@@ -77,25 +78,43 @@ const (
 	effSharedDyn               // dst[off+eval(idx)] = v, bounds-checked
 )
 
-// resolveEffects compiles every branch's effect list and jump target into
-// reff/nextPC; called from Build after the layout exists.
-func (p *Prog) resolveEffects() error {
+// compileBranches walks every branch once, after the layout exists: it
+// compiles the guard into guards, the effect list into reff and the jump
+// target into nextPC, and derives the branch's footprint (foot) from the
+// same walk. An undeclared variable, or a constant index outside its
+// array, is an error naming the label and branch. Called from Build.
+func (p *Prog) compileBranches() error {
+	p.guards = make([][]evalFn, len(p.branches))
 	p.reff = make([][][]resEff, len(p.branches))
 	p.nextPC = make([][]int32, len(p.branches))
+	p.foot = make([][]branchFoot, len(p.branches))
 	for li, brs := range p.branches {
+		p.guards[li] = make([]evalFn, len(brs))
 		p.reff[li] = make([][]resEff, len(brs))
 		p.nextPC[li] = make([]int32, len(brs))
+		p.foot[li] = make([]branchFoot, len(brs))
 		for bi, b := range brs {
-			p.nextPC[li][bi] = int32(p.labelIdx[b.Next])
-			effs := make([]resEff, 0, len(b.Eff))
-			for _, a := range b.Eff {
-				e, err := p.resolveAssign(a)
-				if err != nil {
-					return fmt.Errorf("gcl: %s: label %q branch %d: %w", p.Name, p.labels[li], bi, err)
+			cp := compiler{p: p}
+			if b.Guard.defined() {
+				p.guards[li][bi] = cp.compile(b.Guard)
+				if cp.err != nil {
+					return fmt.Errorf("gcl: %s: label %q branch %d: guard: %w", p.Name, p.labels[li], bi, cp.err)
 				}
-				effs = append(effs, e)
 			}
+			f := branchFoot{guardShared: len(cp.reads) > 0}
+			effs := make([]resEff, len(b.Eff))
+			for i, a := range b.Eff {
+				effs[i] = cp.assign(a, &f.writes)
+				if cp.err != nil {
+					return fmt.Errorf("gcl: %s: label %q branch %d: assignment to %q: %w",
+						p.Name, p.labels[li], bi, a.Name, cp.err)
+				}
+			}
+			f.reads = cp.reads
+			f.localOnly = len(f.reads) == 0 && len(f.writes) == 0
 			p.reff[li][bi] = effs
+			p.foot[li][bi] = f
+			p.nextPC[li][bi] = int32(p.labelIdx[b.Next])
 		}
 	}
 	p.crashLocals = p.crashLocals[:0]
@@ -111,32 +130,35 @@ func (p *Prog) resolveEffects() error {
 	return nil
 }
 
-func (p *Prog) resolveAssign(a Assign) (resEff, error) {
+// assign compiles one assignment: its value (then, for a computed index,
+// the index) joins the branch's read set, its target cells join writes.
+func (cp *compiler) assign(a Assign, writes *cellMap) resEff {
+	val := cp.compile(a.Val)
 	if a.Local {
-		info, ok := p.localInfo[a.Name]
-		if !ok {
-			return resEff{}, fmt.Errorf("unknown local %q", a.Name)
-		}
-		return resEff{val: a.Val, kind: effLocal, off: info.off, name: a.Name}, nil
+		return resEff{val: val, kind: effLocal, off: cp.local(a.Name), name: a.Name}
 	}
-	info, ok := p.sharedInfo[a.Name]
+	info, ok := cp.p.sharedInfo[a.Name]
 	if !ok {
-		return resEff{}, fmt.Errorf("unknown shared variable %q", a.Name)
+		cp.fail("unknown shared variable %q", a.Name)
 	}
-	switch {
-	case !a.Idx.defined():
-		return resEff{val: a.Val, kind: effSharedWord, off: info.off, size: info.size, name: a.Name}, nil
-	case a.Idx.shp == shapeConst:
-		k := int(a.Idx.k)
-		if k < 0 || k >= info.size {
-			return resEff{}, fmt.Errorf("index %d out of range for %q", k, a.Name)
+	e := resEff{val: val, kind: effSharedWord, off: info.off, size: info.size, name: a.Name}
+	if !a.Idx.defined() {
+		*writes = writes.add(a.Name, &Cells{Idx: []int{0}})
+		return e
+	}
+	switch k, isConst := a.Idx.constant(); {
+	case isConst:
+		if k < 0 || int(k) >= info.size {
+			cp.fail("index %d out of range for %q", k, a.Name)
 		}
-		return resEff{val: a.Val, kind: effSharedWord, off: info.off + k, size: info.size, name: a.Name}, nil
-	case a.Idx.shp == shapeSelf && info.size >= p.N:
-		return resEff{val: a.Val, kind: effSharedSelf, off: info.off, size: info.size, name: a.Name}, nil
+		e.off += int(k)
+	case a.Idx.is(opSelf) && info.size >= cp.p.N:
+		e.kind = effSharedSelf
 	default:
-		return resEff{val: a.Val, idx: a.Idx, kind: effSharedDyn, off: info.off, size: info.size, name: a.Name}, nil
+		e.kind, e.idx = effSharedDyn, cp.compile(a.Idx)
 	}
+	*writes = writes.add(a.Name, a.Idx.indexCells())
+	return e
 }
 
 // SuccBuf is a chunked slab arena for successor generation: SuccsInto
@@ -162,7 +184,7 @@ type SuccBuf struct {
 // ctxFor primes the buffer's scratch evaluation context for (s, pid).
 // The returned pointer is invalidated by the next ctxFor call.
 func (b *SuccBuf) ctxFor(p *Prog, s State, pid int) *Ctx {
-	b.ectx.P, b.ectx.S, b.ectx.Pid = p, s, pid
+	b.ectx = Ctx{P: p, S: s, Pid: pid, Base: p.blockBase(pid)}
 	return &b.ectx
 }
 
@@ -224,9 +246,9 @@ func (b *SuccBuf) CopyIn(s State) State {
 
 // Enabled reports whether process pid has at least one enabled branch in s.
 func (p *Prog) Enabled(s State, pid int) bool {
-	c := Ctx{P: p, S: s, Pid: pid}
-	for _, b := range p.branches[p.PC(s, pid)] {
-		if !b.Guard.defined() || b.Guard.f(&c) != 0 {
+	c := Ctx{P: p, S: s, Pid: pid, Base: p.blockBase(pid)}
+	for _, g := range p.guards[p.PC(s, pid)] {
+		if g == nil || g(&c) != 0 {
 			return true
 		}
 	}
@@ -242,8 +264,8 @@ func (p *Prog) Enabled(s State, pid int) bool {
 func (p *Prog) EnabledMask(s State, pid int, buf *SuccBuf) uint64 {
 	c := buf.ctxFor(p, s, pid)
 	var mask uint64
-	for bi, b := range p.branches[p.PC(s, pid)] {
-		if !b.Guard.defined() || b.Guard.f(c) != 0 {
+	for bi, g := range p.guards[p.PC(s, pid)] {
+		if g == nil || g(c) != 0 {
 			mask |= 1 << uint(bi)
 		}
 	}
@@ -269,9 +291,9 @@ func (p *Prog) Succs(s State, pid int, mode Mode, out []Succ) []Succ {
 		panic("gcl: Succs before Build")
 	}
 	pc := p.PC(s, pid)
-	c := Ctx{P: p, S: s, Pid: pid}
-	for bi, b := range p.branches[pc] {
-		if b.Guard.defined() && b.Guard.f(&c) == 0 {
+	c := Ctx{P: p, S: s, Pid: pid, Base: p.blockBase(pid)}
+	for bi, g := range p.guards[pc] {
+		if g != nil && g(&c) == 0 {
 			continue
 		}
 		next := make(State, len(s))
@@ -296,8 +318,8 @@ func (p *Prog) SuccsInto(s State, pid int, mode Mode, buf *SuccBuf) {
 	}
 	pc := p.PC(s, pid)
 	c := buf.ctxFor(p, s, pid)
-	for bi, b := range p.branches[pc] {
-		if b.Guard.defined() && b.Guard.f(c) == 0 {
+	for bi, g := range p.guards[pc] {
+		if g != nil && g(c) == 0 {
 			continue
 		}
 		dst := buf.Alloc(len(s))
@@ -347,14 +369,13 @@ func (p *Prog) ApplyInto(dst State, s State, pid, bi int, mode Mode, buf *SuccBu
 // simultaneous-assignment (TLA+ priming) semantics without collecting a
 // write list.
 func (p *Prog) applyInto(dst State, c *Ctx, pc, bi int, mode Mode) bool {
-	s, pid := c.S, c.Pid
+	s, pid, base := c.S, c.Pid, c.Base
 	copy(dst, s)
 	overflow := false
-	base := p.sharedLen + pid*p.localLen
 	effs := p.reff[pc][bi]
 	for i := range effs {
 		a := &effs[i]
-		v := a.val.f(c)
+		v := a.val(c)
 		if v < 0 {
 			panic(fmt.Sprintf("gcl: %s: assignment to %q computes negative value %d",
 				p.Name, a.name, v))
@@ -368,7 +389,7 @@ func (p *Prog) applyInto(dst State, c *Ctx, pc, bi int, mode Mode) bool {
 		case effSharedSelf:
 			word += pid
 		case effSharedDyn:
-			idx := int(a.idx.f(c))
+			idx := int(a.idx(c))
 			if idx < 0 || idx >= a.size {
 				panic(fmt.Sprintf("gcl: %s: index %d out of range for %q", p.Name, idx, a.name))
 			}
