@@ -184,7 +184,10 @@ type SuccBuf struct {
 // ctxFor primes the buffer's scratch evaluation context for (s, pid).
 // The returned pointer is invalidated by the next ctxFor call.
 func (b *SuccBuf) ctxFor(p *Prog, s State, pid int) *Ctx {
-	b.ectx = Ctx{P: p, S: s, Pid: pid, Base: p.blockBase(pid)}
+	b.ectx.P = p
+	b.ectx.S = s
+	b.ectx.Pid = pid
+	b.ectx.Base = p.blockBase(pid)
 	return &b.ectx
 }
 
