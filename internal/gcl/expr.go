@@ -344,9 +344,6 @@ func (cp *compiler) compile(e Expr) evalFn {
 		p, name := cp.p, n.name
 		info := cp.shared(name, &Cells{Self: true})
 		off, size := info.off, info.size
-		if size >= p.N {
-			return func(c *Ctx) int32 { return c.S[off+c.Pid] }
-		}
 		return func(c *Ctx) int32 {
 			if c.Pid >= size {
 				p.indexPanic(c.Pid, name)
@@ -392,10 +389,6 @@ func (cp *compiler) compile(e Expr) evalFn {
 		if k, ok := n.b.constant(); ok {
 			a := cp.compile(n.a)
 			return func(c *Ctx) int32 { return a(c) + k }
-		}
-		if k, ok := n.a.constant(); ok {
-			b := cp.compile(n.b)
-			return func(c *Ctx) int32 { return k + b(c) }
 		}
 		a, b := cp.compile(n.a), cp.compile(n.b)
 		return func(c *Ctx) int32 { return a(c) + b(c) }

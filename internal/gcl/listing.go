@@ -6,7 +6,7 @@ import (
 )
 
 // BranchInfo is the introspectable shape of one branch: everything except
-// the guard and effect semantics (those are compiled closures).
+// the guard and effect expressions themselves.
 type BranchInfo struct {
 	// Next is the target label.
 	Next string
@@ -35,9 +35,9 @@ func (p *Prog) BranchesAt(label string) []BranchInfo {
 
 // Listing renders the program's control-flow skeleton: every label with its
 // branches (guards shown as `when …` markers, effects as assignment
-// counts). Guard and effect expressions are compiled closures, so the
-// listing shows structure, not source text — enough to see the shape of an
-// algorithm (and to diff variants) from cmd/bakerymc -listing.
+// counts). The listing shows structure, not the expressions' source text —
+// enough to see the shape of an algorithm (and to diff variants) from
+// cmd/bakerymc -listing.
 func (p *Prog) Listing() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "program %s: N=%d, M=%d\n", p.Name, p.N, p.M)
