@@ -37,11 +37,11 @@ func naiveEval(p *Prog, s State, pid int, e Expr) int32 {
 		}
 		return max
 	case opMax2:
-		if x, y := ev(n.a), ev(n.b); x > y {
+		x, y := ev(n.a), ev(n.b)
+		if x > y {
 			return x
-		} else {
-			return y
 		}
+		return y
 	case opMaxN:
 		half := len(n.xs) / 2
 		max := int32(0)
