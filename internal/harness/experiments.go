@@ -940,12 +940,14 @@ func runE17(w io.Writer, cfg ExpConfig) error {
 	// Tiers run smallest footprint first: peak RSS (getrusage Maxrss) is a
 	// process-wide high-water mark, so each row's column is legible as
 	// "the high water after this tier" only when footprints ascend. Run
-	// alone at -workers -1 on a 2-vCPU Linux VM the tiers peaked at (MiB):
-	// bitstate 154, exact 252, compact64 266, compact 288, compact,spill
-	// 355, exact,spill 452 — the exact in-heap tier keeps its vectors in a
-	// pointer-free slab and undercuts both compact tiers' fingerprint maps,
-	// and the spill tiers' RSS counts the mapped arena pages.
-	stores := []string{"bitstate", "exact", "compact64", "compact", "compact,spill", "exact,spill"}
+	// alone at -workers -1 on a 2-vCPU Linux VM (three runs each) the tiers
+	// peaked at (MiB): exact 127-135, bitstate 167-209, compact64 270-273,
+	// compact 265-270, compact,spill 300-316, exact,spill 410-425. The
+	// exact in-heap tier keeps each vector once, one byte per word, in a
+	// pointer-free slab, which undercuts bitstate (a heap clone of every
+	// queued frontier vector) and both compact tiers' fingerprint maps; the
+	// spill tiers' RSS counts the mapped arena pages.
+	stores := []string{"exact", "bitstate", "compact64", "compact", "compact,spill", "exact,spill"}
 	if cfg.Store != nil {
 		// A pinned tier runs alone: the shape the CI memory smoke uses to
 		// drive one mode under GOMEMLIMIT without paying for the others.

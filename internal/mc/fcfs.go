@@ -119,12 +119,13 @@ func CheckFCFS(p *gcl.Prog, first, second int, opts Options) (*FCFSResult, error
 	// reusable SuccBuf, and each probe key (pinned-canonical under symmetry,
 	// concrete otherwise, plus the phase word) is packed into the slab —
 	// Insert copies the keys of FRESH product nodes, and only their states
-	// are copied out, into nodeStates. Duplicates — the vast majority in a
-	// dense product — cost no allocation at all.
+	// are copied out, into nodeStates, an arena that is never reset.
+	// Duplicates — the vast majority in a dense product — cost no
+	// allocation at all.
 	var (
 		buf        gcl.SuccBuf
 		scratch    gcl.KeySlab
-		nodeStates keySlab
+		nodeStates gcl.SuccBuf
 		canon      *gcl.Canonicalizer
 	)
 	if plan.Pinned != nil {
@@ -186,7 +187,7 @@ func CheckFCFS(p *gcl.Prog, first, second int, opts Options) (*FCFSResult, error
 			}
 			seen.Insert(fp, key, int32(len(nodes)))
 			nodes = append(nodes, node{
-				st: nodeStates.at(nodeStates.append(sc.State)), phase: phase, parent: head,
+				st: nodeStates.CopyIn(sc.State), phase: phase, parent: head,
 				byPid: int8(sc.Pid), label: sc.Label(p),
 			})
 		}

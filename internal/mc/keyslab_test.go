@@ -45,6 +45,17 @@ func TestFpEntryLayout(t *testing.T) {
 	}
 }
 
+// len is the length of the stored vector.
+func (k packedKey) len() int { return int(k.head >> 1) }
+
+// at decodes the vector stored at ref into a fresh slice.
+func (s *keySlab) at(ref uint32) gcl.State {
+	k := s.packed(ref, 0)
+	v := make(gcl.State, k.len())
+	k.decode(v)
+	return v
+}
+
 // slabKey builds a deterministic test key of n words.
 func slabKey(i, n int) gcl.State {
 	k := make(gcl.State, n)
@@ -93,7 +104,8 @@ func TestKeySlabBlockBoundary(t *testing.T) {
 		refs = append(refs, s.append(slabKey(i, n)))
 	}
 	for i, ref := range refs {
-		if off := int(ref & (keySlabBlock - 1)); off+keySlabHeader+n > keySlabBlock {
+		size := keySlabHeader + payloadWords(keyHead(slabKey(i, n)))
+		if off := int(ref & (keySlabBlock - 1)); off+size > keySlabBlock {
 			t.Fatalf("key %d straddles its block (offset %d)", i, off)
 		}
 		if got := s.at(ref); !got.Equal(slabKey(i, n)) {
@@ -232,8 +244,8 @@ func TestExactTierSharesOneSlab(t *testing.T) {
 
 // TestSymmetricSlabFootprint pins the per-state cost of the symmetric
 // exact tier: the quotient of bakerypp N=4 M=2 (18,489 states) ends in one
-// slab holding, per state, its canonical key, the header and the tail —
-// nothing else — at workers 0 and 2.
+// slab holding, per state, the header, its canonical key packed one byte
+// per word and the tail — 8 words, nothing else — at workers 0 and 2.
 func TestSymmetricSlabFootprint(t *testing.T) {
 	p := specs.BakeryPP(specs.Config{N: 4, M: 2})
 	for _, workers := range []int{0, 2} {
@@ -249,8 +261,9 @@ func TestSymmetricSlabFootprint(t *testing.T) {
 		for _, b := range e.store.(*seqStore).slab.blocks {
 			words += len(b)
 		}
-		if want := e.numStates() * (p.StateLen() + keySlabHeader + p.TailLen()); words < want || words > want+keySlabBlock {
-			t.Errorf("workers=%d: slab holds %d words, want %d plus at most one block", workers, words, want)
+		perState := keySlabHeader + (p.StateLen()+3)/4 + p.TailLen()
+		if perState != 8 || words != e.numStates()*perState {
+			t.Errorf("workers=%d: slab holds %d words, %d per state; want 8 per state, %d", workers, words, perState, 8*e.numStates())
 		}
 	}
 }
@@ -362,7 +375,8 @@ func TestFpTableAdversarialFingerprints(t *testing.T) {
 // TestExactTableFootprint pins the growth policy and the per-state cost of
 // the default exact tier: exploring bakerypp N=3 M=4 (87,724 states) ends
 // in a 2^17-slot table, the first power of two above 87,724/0.7, and in one
-// slab holding each state vector once with its header.
+// slab holding each state vector once, packed one byte per word, with its
+// header — 5 words per state.
 func TestExactTableFootprint(t *testing.T) {
 	p := specs.BakeryPP(specs.Config{N: 3, M: 4})
 	for _, workers := range []int{0, 2} {
@@ -382,8 +396,173 @@ func TestExactTableFootprint(t *testing.T) {
 		for _, b := range st.slab.blocks {
 			words += len(b)
 		}
-		if want := e.numStates() * (p.StateLen() + keySlabHeader); words < want || words > want+keySlabBlock {
-			t.Errorf("workers=%d: slab holds %d words, want %d plus at most one block", workers, words, want)
+		perState := keySlabHeader + (p.StateLen()+3)/4
+		if perState != 5 || words != e.numStates()*perState {
+			t.Errorf("workers=%d: slab holds %d words, %d per state; want 5 per state, %d", workers, words, perState, 5*e.numStates())
 		}
+	}
+}
+
+// TestKeySlabPacking round-trips vectors of both widths through one slab:
+// words at the byte boundary (255, 256), at the 16-bit boundary (65535,
+// 65536), negative ones, and zero-length and mixed-length vectors. Each
+// must come back word for word, take the width its words allow, and match
+// itself but none of the others — including near-collisions whose bytes
+// would coincide if a 256 were shifted into the next byte, such as [256,0]
+// against [0,1]. Entries taken before the first block grows must still
+// decode after it.
+func TestKeySlabPacking(t *testing.T) {
+	vecs := []gcl.State{
+		{},
+		{0}, {255}, {256}, {-1}, {65535}, {65536},
+		{0, 1}, {256, 0}, {1, 0}, {0, 256},
+		{255, 255, 255, 255}, {255, 255, 255, 256}, {-1, 255, 255, 255},
+		{1, 2, 3, 4, 5}, {1, 2, 3, 4, 5 + 256}, {1, 2, 3, 4, 5, 0}, {1, 2, 3, 4},
+		{65535, 65536, -65536, 1 << 30, -1 << 31, 1<<31 - 1},
+		{7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 9},
+	}
+	wantByte := func(v gcl.State) bool {
+		for _, w := range v {
+			if w < 0 || w > 255 {
+				return false
+			}
+		}
+		return true
+	}
+	var s keySlab
+	var refs []uint32
+	var early []packedKey
+	for i, v := range vecs {
+		refs = append(refs, s.append(v))
+		early = append(early, s.packed(refs[i], 0))
+	}
+	// Grow the first block past its initial capacity.
+	for i := 0; cap(s.blocks[0]) <= keySlabFirst; i++ {
+		s.append(slabKey(i, 9))
+	}
+	for i, v := range vecs {
+		k := s.packed(refs[i], 0)
+		if k.len() != len(v) {
+			t.Fatalf("%v: stored length %d", v, k.len())
+		}
+		if byteWide := k.head&1 == 0; byteWide != wantByte(v) {
+			t.Errorf("%v: stored one byte per word = %v, want %v", v, byteWide, wantByte(v))
+		}
+		if got, want := len(k.words), payloadWords(keyHead(v)); got != want {
+			t.Errorf("%v: payload of %d words, want %d", v, got, want)
+		}
+		for _, kk := range []packedKey{k, early[i]} {
+			got := make(gcl.State, kk.len())
+			kk.decode(got)
+			if !got.Equal(v) {
+				t.Fatalf("%v decoded as %v", v, got)
+			}
+		}
+		for j, u := range vecs {
+			if got := s.match(refs[i], keyHead(u), u); got != (i == j) {
+				t.Errorf("entry %v matches %v: %v", v, u, got)
+			}
+		}
+	}
+}
+
+// FuzzKeySlabPacked: on random vector pairs, decoding an appended vector
+// returns it, and a slab match holds exactly when State.Equal does. A
+// vector is read from its bytes one word per byte (mode bit 0 clear) or
+// one little-endian int32 per four bytes (set), so both widths, and pairs
+// that share their payload bytes but not their width, come up.
+func FuzzKeySlabPacked(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 0, 0, 0, 0, 0}, []byte{0, 1}, byte(1))    // [256,0] vs [0,1]
+	f.Add([]byte{0, 1}, []byte{0, 1, 0, 0, 0, 0, 0, 0}, byte(2))    // [0,1] vs [256,0]
+	f.Add([]byte{255, 0, 0, 0}, []byte{255}, byte(1))               // [255] both widths
+	f.Add([]byte{}, []byte{}, byte(0))                              // empty vectors
+	f.Add([]byte{1, 2, 3, 4, 5}, []byte{1, 2, 3, 4, 5, 0}, byte(0)) // trailing zero
+	f.Add([]byte{255, 255, 255, 255}, []byte{255, 255, 255, 255}, byte(3))
+	vec := func(b []byte, wide bool) gcl.State {
+		if !wide {
+			v := make(gcl.State, len(b))
+			for i, x := range b {
+				v[i] = int32(x)
+			}
+			return v
+		}
+		v := make(gcl.State, len(b)/4)
+		for i := range v {
+			v[i] = int32(uint32(b[4*i]) | uint32(b[4*i+1])<<8 | uint32(b[4*i+2])<<16 | uint32(b[4*i+3])<<24)
+		}
+		return v
+	}
+	f.Fuzz(func(t *testing.T, a, b []byte, mode byte) {
+		va, vb := vec(a, mode&1 != 0), vec(b, mode&2 != 0)
+		var s keySlab
+		ra, rb := s.append(va), s.append(vb)
+		for _, c := range []struct {
+			ref uint32
+			v   gcl.State
+		}{{ra, va}, {rb, vb}} {
+			k := s.packed(c.ref, 0)
+			got := make(gcl.State, k.len())
+			k.decode(got)
+			if !got.Equal(c.v) {
+				t.Fatalf("%v decoded as %v", c.v, got)
+			}
+		}
+		if got, want := s.match(ra, keyHead(vb), vb), va.Equal(vb); got != want {
+			t.Fatalf("entry %v matches %v: %v, Equal says %v", va, vb, got, want)
+		}
+		if got, want := s.match(rb, keyHead(va), va), va.Equal(vb); got != want {
+			t.Fatalf("entry %v matches %v: %v, Equal says %v", vb, va, got, want)
+		}
+	})
+}
+
+// TestFpTableInsertAfterOtherLookup: insertRef places a key in the empty
+// slot its missed lookupHead stopped on only when that lookup was the last
+// miss. Here a lookup of a second key, homed elsewhere, misses in between,
+// so the insert must probe again from the first key's home slot: placed in
+// the second key's slot, the first key would be unreachable.
+func TestFpTableInsertAfterOtherLookup(t *testing.T) {
+	st := newSeqStore(nil, Plan{})
+	tab := &st.t
+	tab.init(fpTableMinSize)
+	home := func(slot int) uint64 { return uint64(slot)<<tab.shift | 0x1234 }
+	a, b := gcl.State{1, 2, 3}, gcl.State{4, 5, 6}
+	fa, fb := home(10), home(500)
+	if _, ok := tab.lookupHead(fa, a, keyHead(a)); ok {
+		t.Fatal("empty table holds a")
+	}
+	if _, ok := tab.lookupHead(fb, b, keyHead(b)); ok {
+		t.Fatal("empty table holds b")
+	}
+	ref := st.slab.append(a)
+	tab.insertRef(fa, ref, 7)
+	if e := tab.ents[10]; e == 0 || e.ref() != ref {
+		t.Fatalf("a not in its home slot 10 (slot holds %#x; slot 500 holds %#x)", uint64(e), uint64(tab.ents[500]))
+	}
+	if v, ok := tab.lookup(fa, a); !ok || v != 7 {
+		t.Fatalf("lookup of a: %d, %v", v, ok)
+	}
+	// The usual case: the lookup right before the insert missed on the
+	// same key, and the key lands in the slot it stopped on — past a, which
+	// shares its home.
+	c := gcl.State{7, 8, 9}
+	if _, ok := tab.lookupHead(fa, c, keyHead(c)); ok {
+		t.Fatal("c present before its insert")
+	}
+	tab.insertRef(fa, st.slab.append(c), 8)
+	if e := tab.ents[11]; e == 0 || !st.slab.match(e.ref(), keyHead(c), c) {
+		t.Fatalf("c not in slot 11, the first free one of its probe sequence")
+	}
+	for _, k := range []struct {
+		fp  uint64
+		key gcl.State
+		val int32
+	}{{fa, a, 7}, {fa, c, 8}} {
+		if v, ok := tab.lookup(k.fp, k.key); !ok || v != k.val {
+			t.Fatalf("lookup of %v: %d, %v", k.key, v, ok)
+		}
+	}
+	if _, ok := tab.lookup(fb, b); ok {
+		t.Fatal("b present though never inserted")
 	}
 }

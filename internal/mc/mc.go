@@ -331,13 +331,15 @@ const crashLabelIdx = int32(-1)
 // wctx is one expansion context: the scratch the hot path allocates from.
 // The explorer owns one for heads it expands itself; each of the parallel
 // pre-pass's two chunk buffers keeps one per worker. buf is reset once per
-// head expanded alone, or once per pre-pass chunk, recycling every
-// successor vector, canonical key copy, and crash state generated since;
-// canon is the reusable canonicalizer (nil when the run is not
+// head expanded alone, or once per pre-pass chunk, recycling every decoded
+// head, successor vector, canonical key copy, and crash state generated
+// since; canon is the reusable canonicalizer and key the scratch a
+// symmetric head's canonical key is decoded into (nil when the run is not
 // symmetry-reduced).
 type wctx struct {
 	buf   gcl.SuccBuf
 	canon *gcl.Canonicalizer
+	key   gcl.State
 	// slab and fps are the batched store-probe scratch behind prepSuccs:
 	// under symmetry a whole successor run canonicalizes into the
 	// structure-of-arrays key slab in one call; otherwise only the
@@ -387,18 +389,19 @@ type explorer struct {
 	// one word reference per state — no per-state Go pointers. Every
 	// per-state column is a paged column (column.go), so none is copied as
 	// it grows.
-	// slab IS the store's key slab and byRef its insert-by-reference hook,
-	// so each state is stored once. Without symmetry the entry is the
-	// concrete vector, which is its own key. Under symmetry it is the
-	// canonical key followed by a tailLen-word tail (gcl.PackTail: the
-	// witness permutation and the raw scan-cursor values), and the
-	// concrete state is decoded from the two when something needs it
-	// (decodeInto); tailLen is 0 otherwise. Under Spill the vectors live in
-	// the mmap arena ar instead, offs holding one offset per state. Under a
-	// lossy store without spill, vectors are kept in states only until
-	// their state is expanded (release true) — the visited set holds
-	// fingerprints, the frontier holds the only live vectors, and traces
-	// are gone (traceable false).
+	// slab IS the store's key slab and byRef its probe and
+	// insert-by-reference hooks, so each state is stored once, packed (see
+	// keySlab). Without symmetry the entry is the concrete vector, which is
+	// its own key. Under symmetry it is the canonical key followed by a
+	// tailLen-word tail (gcl.PackTail: the witness permutation and the raw
+	// scan-cursor values), and the concrete state is restored from the two
+	// (decodeEntry); tailLen is 0 otherwise. Either way a state is decoded
+	// into a buffer of the reader's whenever it is read. Under Spill the
+	// vectors live in the mmap arena ar instead, offs holding one offset per
+	// state. Under a lossy store without spill, vectors are kept in states
+	// only until their state is expanded (release true) — the visited set
+	// holds fingerprints, the frontier holds the only live vectors, and
+	// traces are gone (traceable false).
 	slab      *keySlab
 	refs      column[uint32]
 	byRef     slabStore
@@ -465,6 +468,7 @@ func newExplorer(p *gcl.Prog, opts Options, plan Plan) *explorer {
 	}
 	if plan.Symmetry {
 		e.wc.canon = p.NewCanonicalizer()
+		e.wc.key = make(gcl.State, p.StateLen())
 	}
 	if plan.TrackPerms {
 		e.perm = make([]int, p.N)
@@ -494,38 +498,53 @@ func (e *explorer) numStates() int {
 	return e.refs.len()
 }
 
-// stateAt returns state i's vector: a slice aliasing the slab (callers
-// must not modify it), the in-heap clone, or a fresh decode from the spill
-// arena or from a symmetric slab entry. Under a lossy non-spill store the
-// vector is only valid until releaseState(i) runs (after i's expansion).
+// stateAt returns state i's vector: a fresh decode of its slab entry or
+// of its spill arena record, or the in-heap clone (callers must not modify
+// it). Under a lossy non-spill store that clone is only valid until
+// releaseState(i) runs (after i's expansion).
 func (e *explorer) stateAt(i int32) gcl.State {
 	switch {
 	case e.ar != nil:
 		return e.ar.state(e.offs.at(i))
 	case e.release:
 		return e.states[i]
-	case e.tailLen > 0:
-		return e.decodeInto(make(gcl.State, e.p.StateLen()), i)
 	}
-	return e.slab.at(e.refs.at(i))
+	var key gcl.State
+	if e.tailLen > 0 {
+		key = make(gcl.State, e.p.StateLen())
+	}
+	return e.decodeEntry(make(gcl.State, e.p.StateLen()), key, e.headEntry(i))
 }
 
-// headState returns state i's vector for expansion: stateAt's, except that
-// a symmetric slab entry is decoded into a vector carved from buf rather
-// than a fresh allocation.
-func (e *explorer) headState(i int32, buf *gcl.SuccBuf) gcl.State {
+// headEntry returns state i as stored, for decodeEntry: its slab entry,
+// or, when the vector lives elsewhere, the spill decode or release-mode
+// clone wrapped as a raw entry. A slab entry aliases words the slab never
+// writes again, so it may be decoded on another goroutine.
+func (e *explorer) headEntry(i int32) packedKey {
+	if e.slab == nil {
+		return rawKey(e.stateAt(i))
+	}
+	return e.slab.packed(e.refs.at(i), e.tailLen)
+}
+
+// decodeEntry writes into dst the concrete state stored as k and returns
+// dst: the vector itself, or under symmetry the state restored from the
+// canonical key — decoded into key, StateLen words of scratch — and the
+// tail.
+func (e *explorer) decodeEntry(dst, key gcl.State, k packedKey) gcl.State {
 	if e.tailLen == 0 {
-		return e.stateAt(i)
+		k.decode(dst)
+		return dst
 	}
-	return e.decodeInto(buf.Alloc(e.p.StateLen()), i)
+	k.decode(key)
+	e.p.Restore(dst, key, k.tail())
+	return dst
 }
 
-// decodeInto writes into dst the concrete state i of a symmetric slab,
-// restored from its canonical key and tail, and returns dst.
-func (e *explorer) decodeInto(dst gcl.State, i int32) gcl.State {
-	key, tail := e.slab.keyTail(e.refs.at(i), e.tailLen)
-	e.p.Restore(dst, key, tail)
-	return dst
+// headState decodes the head stored as k into a vector carved from w's
+// buffer, for expansion in w.
+func (e *explorer) headState(w *wctx, k packedKey) gcl.State {
+	return e.decodeEntry(w.buf.Alloc(e.p.StateLen()), w.key, k)
 }
 
 // witnessIndex returns the permutation-table index of state i's canonical
@@ -534,8 +553,7 @@ func (e *explorer) decodeInto(dst gcl.State, i int32) gcl.State {
 // explorer's scratch).
 func (e *explorer) witnessIndex(i int32) int {
 	if e.tailLen > 0 {
-		_, tail := e.slab.keyTail(e.refs.at(i), e.tailLen)
-		e.p.TailWitness(e.perm, tail)
+		e.p.TailWitness(e.perm, e.slab.packed(e.refs.at(i), e.tailLen).tail())
 		return e.p.PermIndexOf(e.perm)
 	}
 	_, perm := e.wc.canon.CanonicalizeWithPerm(e.stateAt(i))
@@ -549,8 +567,8 @@ func (e *explorer) witnessIndex(i int32) int {
 // clone (freed at expansion), and the default exact mode into the slab
 // that the store shares — the concrete vector, or under symmetry the
 // canonical key and the tail packed from wit and s — inserted there by
-// reference.
-func (e *explorer) appendState(fp uint64, key gcl.State, wit []byte, s gcl.State) int32 {
+// reference. pr is the state's probe, whose head sizes the slab entry.
+func (e *explorer) appendState(pr *prep, wit []byte, s gcl.State) int32 {
 	var idx int32
 	switch {
 	case e.ar != nil:
@@ -563,15 +581,15 @@ func (e *explorer) appendState(fp uint64, key gcl.State, wit []byte, s gcl.State
 		e.states = append(e.states, append(gcl.State(nil), s...))
 		idx = int32(len(e.states) - 1)
 	default:
-		ref, tail := e.slab.appendTail(key, e.tailLen)
+		ref, tail := e.slab.appendTail(pr.key, pr.head, e.tailLen)
 		if e.tailLen > 0 {
 			e.p.PackTail(tail, wit, s)
 		}
 		idx = e.refs.push(ref)
-		e.byRef.insertRef(fp, ref, idx)
+		e.byRef.insertRef(pr.fp, ref, idx)
 		return idx
 	}
-	e.store.Insert(fp, key, idx)
+	e.store.Insert(pr.fp, pr.key, idx)
 	return idx
 }
 
@@ -634,12 +652,16 @@ func crashersCoverAll(pids []int, n int) bool {
 }
 
 // prep is a successor's prepared store probe, cached across the C3
-// proviso check and the committed insertion. Under symmetry, slot is the
-// key's index in the expansion's KeySlab, which holds its witness.
+// proviso check and the committed insertion. head is the key's slab head
+// (keyHead), computed once beside the fingerprint so neither the exact
+// store's compare nor its append recomputes the width. Under symmetry,
+// slot is the key's index in the expansion's KeySlab, which holds its
+// witness.
 type prep struct {
 	fp   uint64
 	key  gcl.State
 	slot int32
+	head int32
 }
 
 // expansion is one expanded BFS head, the unit the merge step consumes: its
@@ -690,24 +712,30 @@ func (e *explorer) addInit(s gcl.State) int32 {
 // canonicalized, witnesses included, into the context's key slab — a
 // contiguous structure-of-arrays pass with no per-state scratch copy
 // (gcl.KeySlab); otherwise the key is the successor state itself and only
-// the fingerprint batch is computed. The engines reach the canon == nil arm
-// exactly when the plan involves no canonicalization and no extra key
-// words, where every store tier's Prepare degenerates to
-// (s.Fingerprint(), s) — see prepare().
+// the fingerprint batch is computed. Each key's slab head is computed
+// beside its fingerprint, on the workers in parallel mode. The engines
+// reach the canon == nil arm exactly when the plan involves no
+// canonicalization and no extra key words, where every store tier's
+// Prepare degenerates to (s.Fingerprint(), s) — see prepare().
 func (e *explorer) prepSuccs(w *wctx, succs []gcl.Succ, dst []prep) {
 	if len(succs) == 0 {
 		return
 	}
 	if w.canon == nil {
 		w.fps = gcl.FingerprintSuccs(succs, w.fps)
+		// Fields are stored one by one: a composite literal is staged on
+		// the stack and copied in 16-byte moves that stall on store
+		// forwarding.
 		for i := range succs {
-			dst[i] = prep{fp: w.fps[i], key: succs[i].State}
+			d, s := &dst[i], succs[i].State
+			d.fp, d.key, d.head = w.fps[i], s, keyHead(s)
 		}
 		return
 	}
 	base := w.canon.CanonicalizeBatch(succs, &w.slab)
 	for i := range succs {
-		dst[i] = prep{fp: w.slab.Fp(base + i), key: w.slab.Key(base + i), slot: int32(base + i)}
+		d, key := &dst[i], w.slab.Key(base+i)
+		d.fp, d.key, d.slot, d.head = w.slab.Fp(base+i), key, int32(base+i), keyHead(key)
 	}
 }
 
@@ -953,7 +981,7 @@ func (e *explorer) expansionOf(head int32) *expansion {
 	x := &e.seq
 	e.wc.buf.Reset()
 	e.wc.slab.Reset()
-	e.expandInto(e.headState(head, &e.wc.buf), x, &e.wc)
+	e.expandInto(e.headState(&e.wc, e.headEntry(head)), x, &e.wc)
 	x.preps = grow(x.preps, len(x.succs))
 	if e.wc.canon != nil {
 		x.keys = &e.wc.slab
@@ -1019,12 +1047,20 @@ func (e *explorer) commit(x *expansion, d int32) (lo, hi int) {
 // how far ahead the pre-pass ran.
 func (e *explorer) ampleOK(x *expansion, d int32) bool {
 	for i := x.aLo; i < x.aHi; i++ {
-		pr := &x.preps[i]
-		if idx, ok := e.store.Lookup(pr.fp, pr.key); ok && e.depth.at(idx) != d+1 {
+		if idx, ok := e.lookup(&x.preps[i]); ok && e.depth.at(idx) != d+1 {
 			return false
 		}
 	}
 	return true
+}
+
+// lookup makes the store lookup for a prepared probe; the exact in-heap
+// store takes the head prepSuccs computed.
+func (e *explorer) lookup(pr *prep) (int32, bool) {
+	if e.byRef != nil {
+		return e.byRef.lookupHead(pr.fp, pr.key, pr.head)
+	}
+	return e.store.Lookup(pr.fp, pr.key)
 }
 
 // addSucc numbers successor i of head if it is new, returning its index and
@@ -1035,10 +1071,10 @@ func (e *explorer) ampleOK(x *expansion, d int32) bool {
 // appendState copies what it keeps.
 func (e *explorer) addSucc(x *expansion, i int, head int32) (int32, bool) {
 	pr, sc := &x.preps[i], &x.succs[i]
-	if idx, ok := e.store.Lookup(pr.fp, pr.key); ok {
+	if idx, ok := e.lookup(pr); ok {
 		return idx, false
 	}
-	idx := e.appendState(pr.fp, pr.key, x.witness(i), sc.State)
+	idx := e.appendState(pr, x.witness(i), sc.State)
 	if e.traceable {
 		e.parent.push(head)
 		e.parentBy.push(int32(sc.Pid))
@@ -1108,8 +1144,8 @@ func Check(p *gcl.Prog, opts Options) *Result {
 			res.Deadlock = &t
 			return finish()
 		}
-		// Safe in parallel mode too: the pre-pass reads the head vectors of
-		// a chunk when it launches, before any of them is merged.
+		// Safe in parallel mode too: the pre-pass captures the heads of a
+		// chunk when it launches, before any of them is merged.
 		e.releaseState(int(head))
 	}
 	res.Complete = true

@@ -15,17 +15,18 @@ package mc
 // identical for any worker count.
 //
 // The workers touch neither the visited store nor the per-state columns the
-// merge grows. A chunk's head vectors are read on the merge goroutine when
-// the chunk launches; they are numbered states whose storage never moves
-// (keySlab.at slices stay valid, spill decodes and release-mode clones are
-// private copies), or, under symmetry, decodes of their slab entries into
-// the chunk's own scratch. Everything else a worker writes is its chunk's
-// own scratch and records. Two chunk buffers alternate: cur, whose records
-// the merge is walking, and next, in flight on the pool. Each owns its
-// workers' scratch, so expanding next never recycles memory the merge of
-// cur still reads. The merge joins next when it reaches it, and Check and
-// BuildGraph join it on every return (explorer.join), early stops
-// included.
+// merge grows. A chunk's heads are captured on the merge goroutine when the
+// chunk launches, as stored: each slab entry as a sub-slice of its packed
+// payload and tail, words the slab never writes again in blocks that never
+// move (spill decodes and release-mode clones, private copies, are wrapped
+// as raw entries). Each worker decodes its own heads — restoring them from
+// key and tail under symmetry — into its scratch, so no decoding runs on
+// the merge. Everything else a worker writes is its chunk's own scratch and
+// records. Two chunk buffers alternate: cur, whose records the merge is
+// walking, and next, in flight on the pool. Each owns its workers' scratch,
+// so expanding next never recycles memory the merge of cur still reads.
+// The merge joins next when it reaches it, and Check and BuildGraph join it
+// on every return (explorer.join), early stops included.
 //
 // Profiling: the pool goroutines run under the runtime/pprof labels
 // "mc-stage"=expand and "mc-worker"=<index>; see the Performance section of
@@ -54,17 +55,15 @@ const (
 	minChunk = 64
 )
 
-// chunk is one pre-pass buffer: the heads [lo, hi), their vectors (decoded
-// into decoded when the slab holds symmetric entries), their expansion
-// records, and the scratch of the workers that filled them. The slices are
-// sized to maxChunk once.
+// chunk is one pre-pass buffer: the heads [lo, hi) as stored, their
+// expansion records, and the scratch of the workers that decoded and
+// expanded them. The slices are sized to maxChunk once.
 type chunk struct {
-	wcs     []wctx
-	heads   []gcl.State
-	decoded gcl.SuccBuf
-	exps    []expansion
-	lo, hi  int32
-	cursor  atomic.Int64
+	wcs    []wctx
+	heads  []packedKey
+	exps   []expansion
+	lo, hi int32
+	cursor atomic.Int64
 }
 
 // prepass is parallel mode's worker pool state: the chunk being merged, the
@@ -95,10 +94,11 @@ func newPrepass(e *explorer) *prepass {
 }
 
 func newChunk(e *explorer, workers int) *chunk {
-	c := &chunk{wcs: make([]wctx, workers), heads: make([]gcl.State, maxChunk), exps: make([]expansion, maxChunk)}
+	c := &chunk{wcs: make([]wctx, workers), heads: make([]packedKey, maxChunk), exps: make([]expansion, maxChunk)}
 	if e.plan.Symmetry {
 		for i := range c.wcs {
 			c.wcs[i].canon = e.p.NewCanonicalizer()
+			c.wcs[i].key = make(gcl.State, e.p.StateLen())
 		}
 	}
 	return c
@@ -138,9 +138,8 @@ func (pp *prepass) launch(e *explorer, lo, hi int32) {
 	c := pp.next
 	n := int(hi - lo)
 	c.lo, c.hi = lo, hi
-	c.decoded.Reset()
 	for i := range n {
-		c.heads[i] = e.headState(lo+int32(i), &c.decoded)
+		c.heads[i] = e.headEntry(lo + int32(i))
 	}
 	// The buffer's previous chunk is fully merged (fresh states and keys
 	// were copied out), so every worker's scratch can be recycled.
@@ -172,7 +171,7 @@ func (pp *prepass) work(e *explorer, c *chunk, w *wctx, labels context.Context, 
 			return
 		}
 		for i := start; i < min(end, n); i++ {
-			e.expandAhead(c.heads[i], &c.exps[i], w)
+			e.expandAhead(e.headState(w, c.heads[i]), &c.exps[i], w)
 		}
 	}
 }

@@ -181,7 +181,10 @@ func (pr *product) normOf(rep int32) gcl.State {
 // into buf.
 func (pr *product) viewInto(buf gcl.State, nd prodNode) {
 	if pr.identity {
-		copy(buf, pr.g.expl.stateAt(nd.rep))
+		// An unreduced graph: entries carry no symmetry tail, so decoding
+		// needs no key scratch.
+		e := pr.g.expl
+		e.decodeEntry(buf, nil, e.headEntry(nd.rep))
 		return
 	}
 	pr.p.PermuteInto(buf, pr.normOf(nd.rep), pr.p.PermAt(int(nd.perm)))

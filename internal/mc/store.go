@@ -11,8 +11,11 @@ package mc
 // The exact in-heap store (seqStore) is one open-addressed linear-probe
 // table (fpTable) of 8-byte slots free of Go pointers, each a fingerprint
 // tag and a reference into a keySlab (keyslab.go) that holds the key vector
-// with its value beside it; the engines number their states in the same
-// slab, so each state is stored once. It takes no locks: every exploration
+// packed, one byte per word when its words allow, with its value beside
+// it; a probe compares the unpacked key against the packed entry, and the
+// engines number their states in the same slab, so each state is stored
+// once. Fingerprints are computed over the unpacked words, so packing
+// changes no fingerprint in any tier. It takes no locks: every exploration
 // loop uses its store from one goroutine — in Check and BuildGraph the
 // single-threaded merge, which makes every lookup and insert, also in
 // parallel mode, whose pre-pass workers never touch the store. The other
@@ -161,9 +164,9 @@ func (e fpEntry) ref() uint32 { return uint32(e) - 1 }
 // fpTable is the exact store's hash table: open addressing with linear
 // probing over one flat slot array, its keys and values held in a keySlab.
 // A probe matches on the fingerprint tag first (one integer compare) and
-// confirms against the key in the slab, so membership is exact. Growth
-// rehashes the slots alone — keys never move, and a slot's home is read
-// off its tag. Not goroutine-safe: the merge is its only user.
+// confirms against the packed key in the slab, so membership is exact.
+// Growth rehashes the slots alone — keys never move, and a slot's home is
+// read off its tag. Not goroutine-safe: the merge is its only user.
 type fpTable struct {
 	ents []fpEntry
 	slab *keySlab
@@ -174,6 +177,13 @@ type fpTable struct {
 	// limit is the occupancy at which the table doubles (0.7 load factor —
 	// past that linear-probe clusters lengthen quickly).
 	limit int
+	// missFp and missSlot record the last lookupHead that missed: the
+	// empty slot its probe stopped on, the first free one of fp's probe
+	// sequence (missSlot is -1 once a slot has been filled since). The
+	// engines insert right after a missed lookup, and insertRef places a
+	// key with that fingerprint there without probing again.
+	missFp   uint64
+	missSlot int
 }
 
 // fpTableMinSize is the initial slot count (power of two).
@@ -188,31 +198,45 @@ func (t *fpTable) init(size int) {
 	t.ents = make([]fpEntry, size)
 	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
 	t.limit = size * 7 / 10
+	t.missSlot = -1
 }
 
-// find returns the value word of key's entry, or nil when key is absent.
-func (t *fpTable) find(fp uint64, key gcl.State) *int32 {
+// find returns the value word of key's entry, whose head is head (see
+// keyHead); when key is absent it returns nil and the empty slot the probe
+// stopped on (-1 while the table has no slots).
+func (t *fpTable) find(fp uint64, key gcl.State, head int32) (*int32, int) {
 	mask := len(t.ents) - 1
 	if mask < 0 {
-		return nil
+		return nil, -1
 	}
 	for i := t.homeSlot(fp); ; i = (i + 1) & mask {
 		e := t.ents[i]
 		if e == 0 {
-			return nil
+			return nil, i
 		}
-		if uint64(e)>>32 == fp>>32 {
-			if val, k := t.slab.entry(e.ref()); k.Equal(key) {
-				return val
-			}
+		if uint64(e)>>32 == fp>>32 && t.slab.match(e.ref(), head, key) {
+			return t.slab.value(e.ref()), -1
 		}
 	}
 }
 
+// lookup returns the value stored under key. It only reads the table.
 func (t *fpTable) lookup(fp uint64, key gcl.State) (int32, bool) {
-	if val := t.find(fp, key); val != nil {
+	if val, _ := t.find(fp, key, keyHead(key)); val != nil {
 		return *val, true
 	}
+	return -1, false
+}
+
+// lookupHead is lookup for a key whose head the caller has computed. A
+// miss records the free slot its probe stopped on for insertRef, so unlike
+// lookup it writes to the table.
+func (t *fpTable) lookupHead(fp uint64, key gcl.State, head int32) (int32, bool) {
+	val, free := t.find(fp, key, head)
+	if val != nil {
+		return *val, true
+	}
+	t.missFp, t.missSlot = fp, free
 	return -1, false
 }
 
@@ -220,22 +244,33 @@ func (t *fpTable) lookup(fp uint64, key gcl.State) (int32, bool) {
 // already present; a fresh key is copied into the slab, so the caller keeps
 // ownership of key.
 func (t *fpTable) insert(fp uint64, key gcl.State, val int32) {
-	if old := t.find(fp, key); old != nil {
+	head := keyHead(key)
+	old, free := t.find(fp, key, head)
+	if old != nil {
 		*old = val
 		return
 	}
-	t.insertRef(fp, t.slab.append(key), val)
+	ref, _ := t.slab.appendTail(key, head, 0)
+	t.missFp, t.missSlot = fp, free
+	t.insertRef(fp, ref, val)
 }
 
 // insertRef stores val under a key already in the table's slab, which must
 // not be in the table yet — the engines call it right after a missed
-// Lookup, so the vector they just numbered doubles as the key. It doubles
-// the table first when it is at its load limit.
+// lookupHead, so the vector they just numbered doubles as the key. It
+// doubles the table first when it is at its load limit. When the last
+// lookupHead missed on fp and the table has not changed since, the key goes
+// to the empty slot that probe stopped on; otherwise it is placed by a
+// full probe.
 func (t *fpTable) insertRef(fp uint64, ref uint32, val int32) {
-	v, _ := t.slab.entry(ref)
-	*v = val
+	*t.slab.value(ref) = val
+	slot := t.missSlot
+	if slot >= 0 && t.missFp != fp {
+		slot = -1
+	}
 	if t.ents == nil {
 		t.init(fpTableMinSize)
+		slot = -1
 	} else if t.n >= t.limit {
 		old := t.ents
 		t.init(2 * len(old))
@@ -244,8 +279,14 @@ func (t *fpTable) insertRef(fp uint64, ref uint32, val int32) {
 				t.place(e)
 			}
 		}
+		slot = -1
 	}
-	t.place(newFpEntry(fp, ref))
+	if slot >= 0 {
+		t.ents[slot] = newFpEntry(fp, ref)
+	} else {
+		t.place(newFpEntry(fp, ref))
+	}
+	t.missSlot = -1
 	t.n++
 }
 
@@ -267,6 +308,10 @@ func (t *fpTable) place(e fpEntry) {
 // concrete state is decoded from.
 type slabStore interface {
 	keys() *keySlab
+	// lookupHead is Lookup for a key whose head (keyHead) the caller has
+	// computed; a miss leaves the free slot it found for the insertRef that
+	// follows, so the caller must have exclusive access to the store.
+	lookupHead(fp uint64, key gcl.State, head int32) (int32, bool)
 	// insertRef stores val under the key at ref in keys(); the key must be
 	// absent, and the caller must have exclusive access to the store.
 	insertRef(fp uint64, ref uint32, val int32)
@@ -299,6 +344,10 @@ func (st *seqStore) Insert(fp uint64, key gcl.State, val int32) {
 }
 
 func (st *seqStore) keys() *keySlab { return &st.slab }
+
+func (st *seqStore) lookupHead(fp uint64, key gcl.State, head int32) (int32, bool) {
+	return st.t.lookupHead(fp, key, head)
+}
 
 func (st *seqStore) insertRef(fp uint64, ref uint32, val int32) {
 	st.t.insertRef(fp, ref, val)

@@ -313,6 +313,9 @@ func Run(p *gcl.Prog, opts Options) (*Stats, error) {
 	var enabled []int
 	inCS := 0
 	var succs []gcl.Succ
+	// guards is the run's scratch for evaluating guards: EnabledMask reads
+	// through its context, so enabledness costs no allocation.
+	var guards gcl.SuccBuf
 	for step := int64(0); step < opts.Steps; step++ {
 		if opts.CrashRate > 0 && rng.Float64() < opts.CrashRate {
 			pid := crashers[rng.Intn(len(crashers))]
@@ -330,7 +333,7 @@ func Run(p *gcl.Prog, opts Options) (*Stats, error) {
 		}
 		enabled = enabled[:0]
 		for pid := 0; pid < p.N; pid++ {
-			if p.Enabled(s, pid) {
+			if p.EnabledMask(s, pid, &guards) != 0 {
 				enabled = append(enabled, pid)
 			}
 		}
