@@ -38,16 +38,26 @@ func fpMix(h uint64) uint64 {
 // fpAbsorb folds the state vector into h, two int32 words per multiply,
 // with a lone low-half lane for odd lengths, and finalizes.
 func fpAbsorb(h uint64, s State) uint64 {
+	h, _ = fpAbsorbOr(h, s)
+	return h
+}
+
+// fpAbsorbOr is fpAbsorb that also returns the bitwise OR of s's words,
+// which the multiply chain leaves nearly free.
+func fpAbsorbOr(h uint64, s State) (uint64, int32) {
 	n := len(s)
+	var or int32
 	i := 0
 	for ; i+1 < n; i += 2 {
-		lane := uint64(uint32(s[i])) | uint64(uint32(s[i+1]))<<32
-		h = (h ^ lane) * fpLanePrime
+		a, b := s[i], s[i+1]
+		or |= a | b
+		h = (h ^ (uint64(uint32(a)) | uint64(uint32(b))<<32)) * fpLanePrime
 	}
 	if i < n {
+		or |= s[i]
 		h = (h ^ uint64(uint32(s[i]))) * fpLanePrime
 	}
-	return fpMix(h)
+	return fpMix(h), or
 }
 
 // Fingerprint returns a 64-bit hash of the state vector. Equal states

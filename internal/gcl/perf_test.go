@@ -258,3 +258,29 @@ func TestFingerprintMatchesByteReference(t *testing.T) {
 		t.Error("FingerprintSeeded(0) equals Fingerprint; seeds must re-roll the hash family")
 	}
 }
+
+// TestFingerprintSuccsOr: the batch with word ORs gives FingerprintSuccs'
+// fingerprints and, per state, the OR of its words — on real successors
+// and on vectors with negative, wide and odd-length words.
+func TestFingerprintSuccsOr(t *testing.T) {
+	p := symProg(4)
+	var buf SuccBuf
+	for _, s := range walkStates(p, 32) {
+		p.AllSuccsInto(s, ModeUnbounded, &buf)
+	}
+	succs := append([]Succ(nil), buf.Succs()...)
+	for _, v := range []State{{}, {0}, {255}, {256}, {-1}, {1, 2, 3}, {255, 0, 256, 7, 9}, {-1 << 31, 1<<31 - 1}} {
+		succs = append(succs, Succ{State: v})
+	}
+	fps := FingerprintSuccs(succs, nil)
+	gotFps, ors := FingerprintSuccsOr(succs, nil, nil)
+	for i, sc := range succs {
+		var or int32
+		for _, w := range sc.State {
+			or |= w
+		}
+		if gotFps[i] != fps[i] || ors[i] != or {
+			t.Fatalf("%v: fingerprint %016x, OR %#x; want %016x, %#x", sc.State, gotFps[i], ors[i], fps[i], or)
+		}
+	}
+}

@@ -154,3 +154,21 @@ func FingerprintSuccs(succs []Succ, fps []uint64) []uint64 {
 	}
 	return fps
 }
+
+// FingerprintSuccsOr is FingerprintSuccs that also writes into ors
+// (reusing its capacity) the bitwise OR of each successor state's words,
+// computed in the same pass: a store that keeps narrow vectors packed
+// reads their width off it.
+func FingerprintSuccsOr(succs []Succ, fps []uint64, ors []int32) ([]uint64, []int32) {
+	if cap(fps) < len(succs) {
+		fps = make([]uint64, len(succs))
+	}
+	if cap(ors) < len(succs) {
+		ors = make([]int32, len(succs))
+	}
+	fps, ors = fps[:len(succs)], ors[:len(succs)]
+	for i := range succs {
+		fps[i], ors[i] = fpAbsorbOr(fnvOffset64, succs[i].State)
+	}
+	return fps, ors
+}

@@ -72,7 +72,12 @@ func keyHead(v gcl.State) int32 {
 	for _, w := range v[i:] {
 		or |= w
 	}
-	h := int32(len(v)) << 1
+	return headFor(len(v), or)
+}
+
+// headFor is the head of an n-word vector whose words OR to or.
+func headFor(n int, or int32) int32 {
+	h := int32(n) << 1
 	if uint32(or) > 0xff {
 		h |= 1
 	}

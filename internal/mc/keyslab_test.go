@@ -67,15 +67,15 @@ func slabKey(i, n int) gcl.State {
 
 // TestKeySlabRoundTrip appends keys of mixed lengths, including empty ones,
 // and reads every one back — also after the first block has doubled
-// several times, through slices taken before the growth.
+// several times, through entries taken before the growth.
 func TestKeySlabRoundTrip(t *testing.T) {
 	var s keySlab
 	var refs []uint32
-	var early []gcl.State
+	var early []packedKey
 	for i := 0; i < 2000; i++ {
 		refs = append(refs, s.append(slabKey(i, i%23)))
 		if i < 10 {
-			early = append(early, s.at(refs[i]))
+			early = append(early, s.packed(refs[i], 0))
 		}
 	}
 	if len(s.blocks) != 1 || cap(s.blocks[0]) <= keySlabFirst {
@@ -87,8 +87,10 @@ func TestKeySlabRoundTrip(t *testing.T) {
 		}
 	}
 	for i, k := range early {
-		if !k.Equal(slabKey(i, i%23)) {
-			t.Fatalf("key %d read before growth changed to %v", i, k)
+		got := make(gcl.State, k.len())
+		k.decode(got)
+		if !got.Equal(slabKey(i, i%23)) {
+			t.Fatalf("key %d, taken before growth, decodes as %v", i, got)
 		}
 	}
 }
@@ -514,55 +516,4 @@ func FuzzKeySlabPacked(f *testing.F) {
 			t.Fatalf("entry %v matches %v: %v, Equal says %v", vb, va, got, want)
 		}
 	})
-}
-
-// TestFpTableInsertAfterOtherLookup: insertRef places a key in the empty
-// slot its missed lookupHead stopped on only when that lookup was the last
-// miss. Here a lookup of a second key, homed elsewhere, misses in between,
-// so the insert must probe again from the first key's home slot: placed in
-// the second key's slot, the first key would be unreachable.
-func TestFpTableInsertAfterOtherLookup(t *testing.T) {
-	st := newSeqStore(nil, Plan{})
-	tab := &st.t
-	tab.init(fpTableMinSize)
-	home := func(slot int) uint64 { return uint64(slot)<<tab.shift | 0x1234 }
-	a, b := gcl.State{1, 2, 3}, gcl.State{4, 5, 6}
-	fa, fb := home(10), home(500)
-	if _, ok := tab.lookupHead(fa, a, keyHead(a)); ok {
-		t.Fatal("empty table holds a")
-	}
-	if _, ok := tab.lookupHead(fb, b, keyHead(b)); ok {
-		t.Fatal("empty table holds b")
-	}
-	ref := st.slab.append(a)
-	tab.insertRef(fa, ref, 7)
-	if e := tab.ents[10]; e == 0 || e.ref() != ref {
-		t.Fatalf("a not in its home slot 10 (slot holds %#x; slot 500 holds %#x)", uint64(e), uint64(tab.ents[500]))
-	}
-	if v, ok := tab.lookup(fa, a); !ok || v != 7 {
-		t.Fatalf("lookup of a: %d, %v", v, ok)
-	}
-	// The usual case: the lookup right before the insert missed on the
-	// same key, and the key lands in the slot it stopped on — past a, which
-	// shares its home.
-	c := gcl.State{7, 8, 9}
-	if _, ok := tab.lookupHead(fa, c, keyHead(c)); ok {
-		t.Fatal("c present before its insert")
-	}
-	tab.insertRef(fa, st.slab.append(c), 8)
-	if e := tab.ents[11]; e == 0 || !st.slab.match(e.ref(), keyHead(c), c) {
-		t.Fatalf("c not in slot 11, the first free one of its probe sequence")
-	}
-	for _, k := range []struct {
-		fp  uint64
-		key gcl.State
-		val int32
-	}{{fa, a, 7}, {fa, c, 8}} {
-		if v, ok := tab.lookup(k.fp, k.key); !ok || v != k.val {
-			t.Fatalf("lookup of %v: %d, %v", k.key, v, ok)
-		}
-	}
-	if _, ok := tab.lookup(fb, b); ok {
-		t.Fatal("b present though never inserted")
-	}
 }

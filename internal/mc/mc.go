@@ -340,14 +340,16 @@ type wctx struct {
 	buf   gcl.SuccBuf
 	canon *gcl.Canonicalizer
 	key   gcl.State
-	// slab and fps are the batched store-probe scratch behind prepSuccs:
-	// under symmetry a whole successor run canonicalizes into the
-	// structure-of-arrays key slab in one call; otherwise only the
-	// fingerprint batch is computed (the key is the state itself). preps
-	// backs the pre-pass's expansion records. All recycled on the same
-	// cadence as buf.
+	// slab, fps and ors are the batched store-probe scratch behind
+	// prepSuccs: under symmetry a whole successor run canonicalizes into
+	// the structure-of-arrays key slab in one call; otherwise only the
+	// fingerprint batch is computed (the key is the state itself), with
+	// each state's word OR for the exact store's width test. preps backs
+	// the pre-pass's expansion records. All recycled on the same cadence
+	// as buf.
 	slab  gcl.KeySlab
 	fps   []uint64
+	ors   []int32
 	preps []prep
 }
 
@@ -389,22 +391,22 @@ type explorer struct {
 	// one word reference per state — no per-state Go pointers. Every
 	// per-state column is a paged column (column.go), so none is copied as
 	// it grows.
-	// slab IS the store's key slab and byRef its probe and
-	// insert-by-reference hooks, so each state is stored once, packed (see
-	// keySlab). Without symmetry the entry is the concrete vector, which is
-	// its own key. Under symmetry it is the canonical key followed by a
-	// tailLen-word tail (gcl.PackTail: the witness permutation and the raw
-	// scan-cursor values), and the concrete state is restored from the two
-	// (decodeEntry); tailLen is 0 otherwise. Either way a state is decoded
-	// into a buffer of the reader's whenever it is read. Under Spill the
-	// vectors live in the mmap arena ar instead, offs holding one offset per
-	// state. Under a lossy store without spill, vectors are kept in states
+	// slab IS the store's key slab and byRef its table, which the engines
+	// probe and insert into by reference, so each state is stored once,
+	// packed (see keySlab). Without symmetry the entry is the concrete
+	// vector, which is its own key. Under symmetry it is the canonical key
+	// followed by a tailLen-word tail (gcl.PackTail: the witness
+	// permutation and the raw scan-cursor values), and the concrete state
+	// is restored from the two (decodeEntry); tailLen is 0 otherwise.
+	// Either way a state is decoded into a buffer of the reader's whenever
+	// it is read. Under Spill the vectors live in the mmap arena ar
+	// instead, offs holding one offset per state. Under a lossy store without spill, vectors are kept in states
 	// only until their state is expanded (release true) — the visited set
 	// holds fingerprints, the frontier holds the only live vectors, and
 	// traces are gone (traceable false).
 	slab      *keySlab
 	refs      column[uint32]
-	byRef     slabStore
+	byRef     *fpTable
 	tailLen   int
 	ar        *arena
 	offs      column[int64]
@@ -477,7 +479,7 @@ func newExplorer(p *gcl.Prog, opts Options, plan Plan) *explorer {
 	if e.ar == nil && !e.release {
 		// Neither spilled nor lossy: the store is the exact in-heap one.
 		ss := e.store.(slabStore)
-		e.slab, e.byRef = ss.keys(), ss
+		e.slab, e.byRef = ss.keys(), ss.table()
 		if plan.Symmetry {
 			e.tailLen = p.TailLen()
 		}
@@ -653,10 +655,10 @@ func crashersCoverAll(pids []int, n int) bool {
 
 // prep is a successor's prepared store probe, cached across the C3
 // proviso check and the committed insertion. head is the key's slab head
-// (keyHead), computed once beside the fingerprint so neither the exact
-// store's compare nor its append recomputes the width. Under symmetry,
-// slot is the key's index in the expansion's KeySlab, which holds its
-// witness.
+// (keyHead), computed once in the same batch as the fingerprint, and only
+// for the exact in-heap store, so neither its compare nor its append
+// recomputes the width. Under symmetry, slot is the key's index in the
+// expansion's KeySlab, which holds its witness.
 type prep struct {
 	fp   uint64
 	key  gcl.State
@@ -712,30 +714,41 @@ func (e *explorer) addInit(s gcl.State) int32 {
 // canonicalized, witnesses included, into the context's key slab — a
 // contiguous structure-of-arrays pass with no per-state scratch copy
 // (gcl.KeySlab); otherwise the key is the successor state itself and only
-// the fingerprint batch is computed. Each key's slab head is computed
-// beside its fingerprint, on the workers in parallel mode. The engines
-// reach the canon == nil arm exactly when the plan involves no
-// canonicalization and no extra key words, where every store tier's
-// Prepare degenerates to (s.Fingerprint(), s) — see prepare().
+// the fingerprint batch is computed. For the exact in-heap store each
+// key's slab head is computed in the same batch, on the workers in
+// parallel mode. The engines reach the canon == nil arm exactly when the
+// plan involves no canonicalization and no extra key words, where every
+// store tier's Prepare degenerates to (s.Fingerprint(), s) — see
+// prepare().
 func (e *explorer) prepSuccs(w *wctx, succs []gcl.Succ, dst []prep) {
 	if len(succs) == 0 {
 		return
 	}
-	if w.canon == nil {
-		w.fps = gcl.FingerprintSuccs(succs, w.fps)
-		// Fields are stored one by one: a composite literal is staged on
-		// the stack and copied in 16-byte moves that stall on store
-		// forwarding.
+	// Fields are stored one by one: a composite literal is staged on the
+	// stack and copied in 16-byte moves that stall on store forwarding.
+	switch {
+	case w.canon == nil && e.byRef != nil:
+		// The words' OR, the width test, comes out of the fingerprint pass.
+		w.fps, w.ors = gcl.FingerprintSuccsOr(succs, w.fps, w.ors)
 		for i := range succs {
 			d, s := &dst[i], succs[i].State
-			d.fp, d.key, d.head = w.fps[i], s, keyHead(s)
+			d.fp, d.key, d.head = w.fps[i], s, headFor(len(s), w.ors[i])
 		}
-		return
-	}
-	base := w.canon.CanonicalizeBatch(succs, &w.slab)
-	for i := range succs {
-		d, key := &dst[i], w.slab.Key(base+i)
-		d.fp, d.key, d.slot, d.head = w.slab.Fp(base+i), key, int32(base+i), keyHead(key)
+	case w.canon == nil:
+		w.fps = gcl.FingerprintSuccs(succs, w.fps)
+		for i := range succs {
+			d := &dst[i]
+			d.fp, d.key = w.fps[i], succs[i].State
+		}
+	default:
+		base := w.canon.CanonicalizeBatch(succs, &w.slab)
+		for i := range succs {
+			d := &dst[i]
+			d.fp, d.key, d.slot = w.slab.Fp(base+i), w.slab.Key(base+i), int32(base+i)
+			if e.byRef != nil {
+				d.head = keyHead(d.key)
+			}
+		}
 	}
 }
 
@@ -1014,12 +1027,14 @@ func (e *explorer) expandInto(s gcl.State, x *expansion, w *wctx) {
 // ample segment when the C3 proviso holds at this point of the merge (see
 // ampleOK), all of them otherwise. Probes not prepared ahead are prepared
 // here, the segment's first and the complement's only when the proviso
-// fails, so no probe is computed twice.
+// fails, so no probe is computed twice. Each batch of probes is
+// prefetched from the exact store's table before it is looked up.
 func (e *explorer) commit(x *expansion, d int32) (lo, hi int) {
 	if x.aHi > x.aLo {
 		if !x.ahead {
 			e.prepSuccs(&e.wc, x.succs[x.aLo:x.aHi], x.preps[x.aLo:x.aHi])
 		}
+		e.prefetch(x.preps[x.aLo:x.aHi])
 		if e.ampleOK(x, d) {
 			return x.aLo, x.aHi
 		}
@@ -1027,10 +1042,23 @@ func (e *explorer) commit(x *expansion, d int32) (lo, hi int) {
 			e.prepSuccs(&e.wc, x.succs[:x.aLo], x.preps[:x.aLo])
 			e.prepSuccs(&e.wc, x.succs[x.aHi:], x.preps[x.aHi:])
 		}
-	} else if !x.ahead {
-		e.prepSuccs(&e.wc, x.succs, x.preps)
+		e.prefetch(x.preps[:x.aLo])
+		e.prefetch(x.preps[x.aHi:len(x.succs)])
+	} else {
+		if !x.ahead {
+			e.prepSuccs(&e.wc, x.succs, x.preps)
+		}
+		e.prefetch(x.preps[:len(x.succs)])
 	}
 	return 0, len(x.succs)
+}
+
+// prefetch loads the exact in-heap store's home slots of probes ps ahead of
+// their lookups (fpTable.prefetch); other stores take no prefetch.
+func (e *explorer) prefetch(ps []prep) {
+	if e.byRef != nil {
+		e.byRef.prefetch(ps)
+	}
 }
 
 // ampleOK decides the BFS cycle proviso (C3) for a state at depth d: a

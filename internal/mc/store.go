@@ -177,13 +177,8 @@ type fpTable struct {
 	// limit is the occupancy at which the table doubles (0.7 load factor —
 	// past that linear-probe clusters lengthen quickly).
 	limit int
-	// missFp and missSlot record the last lookupHead that missed: the
-	// empty slot its probe stopped on, the first free one of fp's probe
-	// sequence (missSlot is -1 once a slot has been filled since). The
-	// engines insert right after a missed lookup, and insertRef places a
-	// key with that fingerprint there without probing again.
-	missFp   uint64
-	missSlot int
+	// sink keeps prefetch's loads live; nothing reads it.
+	sink fpEntry
 }
 
 // fpTableMinSize is the initial slot count (power of two).
@@ -198,46 +193,52 @@ func (t *fpTable) init(size int) {
 	t.ents = make([]fpEntry, size)
 	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
 	t.limit = size * 7 / 10
-	t.missSlot = -1
 }
 
 // find returns the value word of key's entry, whose head is head (see
-// keyHead); when key is absent it returns nil and the empty slot the probe
-// stopped on (-1 while the table has no slots).
-func (t *fpTable) find(fp uint64, key gcl.State, head int32) (*int32, int) {
+// keyHead), or nil when key is absent.
+func (t *fpTable) find(fp uint64, key gcl.State, head int32) *int32 {
 	mask := len(t.ents) - 1
 	if mask < 0 {
-		return nil, -1
+		return nil
 	}
 	for i := t.homeSlot(fp); ; i = (i + 1) & mask {
 		e := t.ents[i]
 		if e == 0 {
-			return nil, i
+			return nil
 		}
 		if uint64(e)>>32 == fp>>32 && t.slab.match(e.ref(), head, key) {
-			return t.slab.value(e.ref()), -1
+			return t.slab.value(e.ref())
 		}
 	}
 }
 
-// lookup returns the value stored under key. It only reads the table.
 func (t *fpTable) lookup(fp uint64, key gcl.State) (int32, bool) {
-	if val, _ := t.find(fp, key, keyHead(key)); val != nil {
+	return t.lookupHead(fp, key, keyHead(key))
+}
+
+// lookupHead is lookup for a key whose head the caller has computed.
+func (t *fpTable) lookupHead(fp uint64, key gcl.State, head int32) (int32, bool) {
+	if val := t.find(fp, key, head); val != nil {
 		return *val, true
 	}
 	return -1, false
 }
 
-// lookupHead is lookup for a key whose head the caller has computed. A
-// miss records the free slot its probe stopped on for insertRef, so unlike
-// lookup it writes to the table.
-func (t *fpTable) lookupHead(fp uint64, key gcl.State, head int32) (int32, bool) {
-	val, free := t.find(fp, key, head)
-	if val != nil {
-		return *val, true
+// prefetch loads the home slot of every probe in ps, so the lookups that
+// follow find their first slot in cache. The slot array is far larger than
+// the caches, so nearly every probe's first load misses; issued back to
+// back here, those misses overlap, where each lookup's own first load would
+// wait behind the compares of the lookup before it.
+func (t *fpTable) prefetch(ps []prep) {
+	if len(t.ents) == 0 {
+		return
 	}
-	t.missFp, t.missSlot = fp, free
-	return -1, false
+	var acc fpEntry
+	for i := range ps {
+		acc ^= t.ents[t.homeSlot(ps[i].fp)]
+	}
+	t.sink ^= acc
 }
 
 // insert stores val under (fp, key), replacing the value if the key is
@@ -245,32 +246,22 @@ func (t *fpTable) lookupHead(fp uint64, key gcl.State, head int32) (int32, bool)
 // ownership of key.
 func (t *fpTable) insert(fp uint64, key gcl.State, val int32) {
 	head := keyHead(key)
-	old, free := t.find(fp, key, head)
-	if old != nil {
+	if old := t.find(fp, key, head); old != nil {
 		*old = val
 		return
 	}
 	ref, _ := t.slab.appendTail(key, head, 0)
-	t.missFp, t.missSlot = fp, free
 	t.insertRef(fp, ref, val)
 }
 
 // insertRef stores val under a key already in the table's slab, which must
 // not be in the table yet — the engines call it right after a missed
 // lookupHead, so the vector they just numbered doubles as the key. It
-// doubles the table first when it is at its load limit. When the last
-// lookupHead missed on fp and the table has not changed since, the key goes
-// to the empty slot that probe stopped on; otherwise it is placed by a
-// full probe.
+// doubles the table first when it is at its load limit.
 func (t *fpTable) insertRef(fp uint64, ref uint32, val int32) {
 	*t.slab.value(ref) = val
-	slot := t.missSlot
-	if slot >= 0 && t.missFp != fp {
-		slot = -1
-	}
 	if t.ents == nil {
 		t.init(fpTableMinSize)
-		slot = -1
 	} else if t.n >= t.limit {
 		old := t.ents
 		t.init(2 * len(old))
@@ -279,14 +270,8 @@ func (t *fpTable) insertRef(fp uint64, ref uint32, val int32) {
 				t.place(e)
 			}
 		}
-		slot = -1
 	}
-	if slot >= 0 {
-		t.ents[slot] = newFpEntry(fp, ref)
-	} else {
-		t.place(newFpEntry(fp, ref))
-	}
-	t.missSlot = -1
+	t.place(newFpEntry(fp, ref))
 	t.n++
 }
 
@@ -308,13 +293,10 @@ func (t *fpTable) place(e fpEntry) {
 // concrete state is decoded from.
 type slabStore interface {
 	keys() *keySlab
-	// lookupHead is Lookup for a key whose head (keyHead) the caller has
-	// computed; a miss leaves the free slot it found for the insertRef that
-	// follows, so the caller must have exclusive access to the store.
-	lookupHead(fp uint64, key gcl.State, head int32) (int32, bool)
-	// insertRef stores val under the key at ref in keys(); the key must be
-	// absent, and the caller must have exclusive access to the store.
-	insertRef(fp uint64, ref uint32, val int32)
+	// table is the store's table, through which the engines probe with the
+	// heads they computed and insert by reference (fpTable.insertRef); the
+	// caller must have exclusive access to the store.
+	table() *fpTable
 }
 
 // seqStore is the exact in-heap store: one table, no locks.
@@ -345,13 +327,7 @@ func (st *seqStore) Insert(fp uint64, key gcl.State, val int32) {
 
 func (st *seqStore) keys() *keySlab { return &st.slab }
 
-func (st *seqStore) lookupHead(fp uint64, key gcl.State, head int32) (int32, bool) {
-	return st.t.lookupHead(fp, key, head)
-}
-
-func (st *seqStore) insertRef(fp uint64, ref uint32, val int32) {
-	st.t.insertRef(fp, ref, val)
-}
+func (st *seqStore) table() *fpTable { return &st.t }
 
 // lockStripes is the number of independently locked stripes of the
 // compact and spill stores' maps; a power of two so stripe selection is a
