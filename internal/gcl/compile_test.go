@@ -92,7 +92,7 @@ func formsProg(n int) *gcl.Prog {
 
 // TestCompiledExprMatchesNaive: on the first 5k breadth-first states of
 // every specification (the bakerypp ablations and the split-register
-// variant included) and of formsProg at N=2..4, EnabledMask (and Enabled)
+// variant included) and of formsProg at N=2..4, EnabledMask
 // must agree with the interpreted guard of every branch, and ApplyInto
 // must produce the interpreted successor and overflow flag of every
 // enabled branch in both store modes.
@@ -126,9 +126,6 @@ func TestCompiledExprMatchesNaive(t *testing.T) {
 					for pid := 0; pid < n; pid++ {
 						li := p.PC(s, pid)
 						mask := p.EnabledMask(s, pid, &buf)
-						if p.Enabled(s, pid) != (mask != 0) {
-							t.Fatalf("p%d in %s: Enabled %t, mask %b", pid, p.Format(s), p.Enabled(s, pid), mask)
-						}
 						for bi := 0; bi < p.NumBranchesAt(li); bi++ {
 							guards++
 							want := gcl.NaiveGuard(p, s, pid, bi)

@@ -359,8 +359,10 @@ func TestStepAndGuards(t *testing.T) {
 	p := tinyProg()
 	s := p.InitState()
 
+	var buf SuccBuf
+	enabled := func(s State, pid int) bool { return p.EnabledMask(s, pid, &buf) != 0 }
 	// Both processes are at "inc" and enabled.
-	if !p.Enabled(s, 0) || !p.Enabled(s, 1) {
+	if !enabled(s, 0) || !enabled(s, 1) {
 		t.Fatal("inc should be unguarded")
 	}
 	succs := p.AllSuccs(s, ModeUnbounded)
@@ -385,10 +387,10 @@ func TestStepAndGuards(t *testing.T) {
 	if p.PCLabel(after, 0) != "wait" {
 		t.Errorf("p0 at %q, want wait", p.PCLabel(after, 0))
 	}
-	if p.Enabled(after, 0) {
+	if enabled(after, 0) {
 		t.Error("p0 should be blocked at wait (await semantics)")
 	}
-	if !p.Enabled(after, 1) {
+	if !enabled(after, 1) {
 		t.Error("p1 should still be enabled")
 	}
 	// Pre-state must be untouched (apply copies).
@@ -553,8 +555,11 @@ func TestDeadlockDetectionHelper(t *testing.T) {
 	p.SharedVar("never", 0)
 	p.Label("w", Br(Eq(Sh("never"), C(1)), "w"))
 	p.MustBuild()
-	if p.EnabledAny(p.InitState()) {
-		t.Error("fully blocked program reported enabled")
+	var buf SuccBuf
+	for pid := 0; pid < p.N; pid++ {
+		if p.EnabledMask(p.InitState(), pid, &buf) != 0 {
+			t.Errorf("fully blocked program reports p%d enabled", pid)
+		}
 	}
 }
 

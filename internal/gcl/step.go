@@ -250,17 +250,6 @@ func (b *SuccBuf) CopyIn(s State) State {
 	return out
 }
 
-// Enabled reports whether process pid has at least one enabled branch in s.
-func (p *Prog) Enabled(s State, pid int) bool {
-	c := Ctx{P: p, S: s, Pid: pid, Base: p.blockBase(pid)}
-	for _, g := range p.guards[p.PC(s, pid)] {
-		if g == nil || g(&c) != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // EnabledMask returns a bitmask of the enabled branches at process pid's
 // current label (bit i set = branch i enabled), evaluating guards only —
 // no successor states are materialised. Build refuses labels of more than
@@ -276,17 +265,6 @@ func (p *Prog) EnabledMask(s State, pid int, buf *SuccBuf) uint64 {
 		}
 	}
 	return mask
-}
-
-// EnabledAny reports whether any process has an enabled branch in s; a state
-// where no process is enabled is a deadlock.
-func (p *Prog) EnabledAny(s State) bool {
-	for pid := 0; pid < p.N; pid++ {
-		if p.Enabled(s, pid) {
-			return true
-		}
-	}
-	return false
 }
 
 // Succs appends to out every successor of s reachable by one action of

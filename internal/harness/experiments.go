@@ -501,8 +501,9 @@ func runE7(w io.Writer, cfg ExpConfig) error {
 		fmt.Fprintln(w, "No L1 livelock cycle found (unexpected; see Section 6.3).")
 	} else {
 		blocked := 0
+		var buf gcl.SuccBuf
 		for _, idx := range rep.Component {
-			if !p.Enabled(g.State(int(idx)), 2) {
+			if p.EnabledMask(g.State(int(idx)), 2, &buf) == 0 {
 				blocked++
 			}
 		}

@@ -1,7 +1,7 @@
 package mc
 
-// column is an append-only per-state column of the engine (state
-// references, parents, depths, witnessing permutations): entries sit in
+// column is an append-only per-state column of the engine (parents, spill
+// offsets): entries sit in
 // fixed pages of columnPage entries, each allocated once and never copied.
 // A growing column therefore costs one page allocation per columnPage
 // entries instead of a growslice copy of everything stored so far, and

@@ -94,12 +94,15 @@ func BuildGraph(p *gcl.Prog, opts Options) (*Graph, error) {
 		res.Violation = &Violation{Invariant: e.opts.Invariants[v].Name, Trace: e.trace(0)}
 	}
 
+	d := int32(0)
 	for head := int32(0); int(head) < e.numStates(); head++ {
 		if e.numStates() > e.opts.MaxStates {
 			return nil, fmt.Errorf("mc: %s: state bound %d exceeded while building graph",
 				p.Name, e.opts.MaxStates)
 		}
-		d := e.depth.at(head)
+		if int(d+1) < len(e.levels) && head == e.levels[d+1] {
+			d++
+		}
 		res.Depth = int(d)
 		x := e.expansionOf(head)
 		lo, hi := e.commit(x, d)

@@ -16,6 +16,7 @@ package mc
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -387,26 +388,30 @@ type explorer struct {
 	// (a local spin) cannot chase forever.
 	chaseCap int
 	// State-vector residency (stateAt/appendState/releaseState). In the
-	// default exact tier every numbered state sits in slab, refs holding
-	// one word reference per state — no per-state Go pointers. Every
-	// per-state column is a paged column (column.go), so none is copied as
-	// it grows.
-	// slab IS the store's key slab and byRef its table, which the engines
-	// probe and insert into by reference, so each state is stored once,
-	// packed (see keySlab). Without symmetry the entry is the concrete
-	// vector, which is its own key. Under symmetry it is the canonical key
-	// followed by a tailLen-word tail (gcl.PackTail: the witness
-	// permutation and the raw scan-cursor values), and the concrete state
-	// is restored from the two (decodeEntry); tailLen is 0 otherwise.
+	// default exact tier state i is entry i of slab — a state's number is
+	// its slab index, so nothing maps one to the other and no per-state Go
+	// pointer exists. slab IS the store's key slab and table its table,
+	// which the engines probe and add to directly, so each state is stored
+	// once, packed (see keySlab). Without symmetry the entry is the
+	// concrete vector, which is its own key. Under symmetry it is the
+	// canonical key followed by a tailLen-word tail (gcl.PackTail: the
+	// witness permutation and the raw scan-cursor values), and the concrete
+	// state is restored from the two (decodeEntry); tailLen is 0 otherwise.
 	// Either way a state is decoded into a buffer of the reader's whenever
 	// it is read. Under Spill the vectors live in the mmap arena ar
-	// instead, offs holding one offset per state. Under a lossy store without spill, vectors are kept in states
-	// only until their state is expanded (release true) — the visited set
-	// holds fingerprints, the frontier holds the only live vectors, and
-	// traces are gone (traceable false).
+	// instead, offs holding one offset per state. Under a lossy store
+	// without spill, vectors are kept in states only until their state is
+	// expanded (release true) — the visited set holds fingerprints, the
+	// frontier holds the only live vectors, and traces are gone (traceable
+	// false).
+	//
+	// One per-state column remains, parent (traceable runs only), paged so
+	// it is never copied as it grows (column.go). BFS numbers states in
+	// nondecreasing depth, so levels[d], the number of the first state at
+	// depth d, gives every depth (depthOf); and the action that produced a
+	// state is re-derived from its parent when a trace needs it (producer).
 	slab      *keySlab
-	refs      column[uint32]
-	byRef     *fpTable
+	table     *fpTable
 	tailLen   int
 	ar        *arena
 	offs      column[int64]
@@ -414,9 +419,7 @@ type explorer struct {
 	traceable bool
 	states    []gcl.State
 	parent    column[int32]
-	parentBy  column[int32] // pid of the action producing this state; -1 for init
-	parentLb  column[int32] // label index of the producing action; crashLabelIdx for crashes/init
-	depth     column[int32]
+	levels    []int32
 	crashers  []int
 	// wc and seq expand the heads the explorer expands alone: every head in
 	// sequential mode, and in parallel mode those met while the queue is
@@ -468,10 +471,7 @@ func newExplorer(p *gcl.Prog, opts Options, plan Plan) *explorer {
 		}
 		e.chaseCap = p.N*len(p.Labels()) + 8
 	}
-	if plan.Symmetry {
-		e.wc.canon = p.NewCanonicalizer()
-		e.wc.key = make(gcl.State, p.StateLen())
-	}
+	e.initCtx(&e.wc)
 	if plan.TrackPerms {
 		e.perm = make([]int, p.N)
 	}
@@ -479,13 +479,22 @@ func newExplorer(p *gcl.Prog, opts Options, plan Plan) *explorer {
 	if e.ar == nil && !e.release {
 		// Neither spilled nor lossy: the store is the exact in-heap one.
 		ss := e.store.(slabStore)
-		e.slab, e.byRef = ss.keys(), ss.table()
+		e.slab, e.table = ss.keys(), ss.table()
 		if plan.Symmetry {
 			e.tailLen = p.TailLen()
 		}
 	}
 	e.pre = newPrepass(e)
 	return e
+}
+
+// initCtx readies an expansion context for the run: under symmetry, its
+// canonicalizer and key scratch.
+func (e *explorer) initCtx(w *wctx) {
+	if e.plan.Symmetry {
+		w.canon = e.p.NewCanonicalizer()
+		w.key = make(gcl.State, e.p.StateLen())
+	}
 }
 
 // numStates is the count of numbered states, independent of where their
@@ -497,7 +506,17 @@ func (e *explorer) numStates() int {
 	case e.release:
 		return len(e.states)
 	}
-	return e.refs.len()
+	return e.slab.len()
+}
+
+// depthOf returns the BFS depth of state i: the last level starting at or
+// before i.
+func (e *explorer) depthOf(i int32) int32 {
+	d, found := slices.BinarySearch(e.levels, i)
+	if !found {
+		d--
+	}
+	return int32(d)
 }
 
 // stateAt returns state i's vector: a fresh decode of its slab entry or
@@ -526,7 +545,7 @@ func (e *explorer) headEntry(i int32) packedKey {
 	if e.slab == nil {
 		return rawKey(e.stateAt(i))
 	}
-	return e.slab.packed(e.refs.at(i), e.tailLen)
+	return e.slab.packed(uint32(i))
 }
 
 // decodeEntry writes into dst the concrete state stored as k and returns
@@ -555,7 +574,7 @@ func (e *explorer) headState(w *wctx, k packedKey) gcl.State {
 // explorer's scratch).
 func (e *explorer) witnessIndex(i int32) int {
 	if e.tailLen > 0 {
-		e.p.TailWitness(e.perm, e.slab.packed(e.refs.at(i), e.tailLen).tail())
+		e.p.TailWitness(e.perm, e.slab.packed(uint32(i)).tail())
 		return e.p.PermIndexOf(e.perm)
 	}
 	_, perm := e.wc.canon.CanonicalizeWithPerm(e.stateAt(i))
@@ -568,8 +587,9 @@ func (e *explorer) witnessIndex(i int32) int {
 // copies: spill into the mmap arena, release mode into a short-lived heap
 // clone (freed at expansion), and the default exact mode into the slab
 // that the store shares — the concrete vector, or under symmetry the
-// canonical key and the tail packed from wit and s — inserted there by
-// reference. pr is the state's probe, whose head sizes the slab entry.
+// canonical key and the tail packed from wit and s — whose index, the
+// state's number, goes into the table. pr is the state's probe, whose
+// width the slab entry takes.
 func (e *explorer) appendState(pr *prep, wit []byte, s gcl.State) int32 {
 	var idx int32
 	switch {
@@ -583,13 +603,12 @@ func (e *explorer) appendState(pr *prep, wit []byte, s gcl.State) int32 {
 		e.states = append(e.states, append(gcl.State(nil), s...))
 		idx = int32(len(e.states) - 1)
 	default:
-		ref, tail := e.slab.appendTail(pr.key, pr.head, e.tailLen)
+		i, tail := e.slab.appendTail(pr.key, pr.wide, e.tailLen)
 		if e.tailLen > 0 {
 			e.p.PackTail(tail, wit, s)
 		}
-		idx = e.refs.push(ref)
-		e.byRef.insertRef(pr.fp, ref, idx)
-		return idx
+		e.table.add(pr.fp, i)
+		return int32(i)
 	}
 	e.store.Insert(pr.fp, pr.key, idx)
 	return idx
@@ -654,16 +673,16 @@ func crashersCoverAll(pids []int, n int) bool {
 }
 
 // prep is a successor's prepared store probe, cached across the C3
-// proviso check and the committed insertion. head is the key's slab head
-// (keyHead), computed once in the same batch as the fingerprint, and only
+// proviso check and the committed insertion. wide is the key's width
+// (wideKey), computed once in the same batch as the fingerprint, and only
 // for the exact in-heap store, so neither its compare nor its append
-// recomputes the width. Under symmetry, slot is the key's index in the
+// recomputes it. Under symmetry, slot is the key's index in the
 // expansion's KeySlab, which holds its witness.
 type prep struct {
 	fp   uint64
 	key  gcl.State
 	slot int32
-	head int32
+	wide bool
 }
 
 // expansion is one expanded BFS head, the unit the merge step consumes: its
@@ -715,8 +734,8 @@ func (e *explorer) addInit(s gcl.State) int32 {
 // contiguous structure-of-arrays pass with no per-state scratch copy
 // (gcl.KeySlab); otherwise the key is the successor state itself and only
 // the fingerprint batch is computed. For the exact in-heap store each
-// key's slab head is computed in the same batch, on the workers in
-// parallel mode. The engines reach the canon == nil arm exactly when the
+// key's width is computed in the same batch, on the workers in parallel
+// mode. The engines reach the canon == nil arm exactly when the
 // plan involves no canonicalization and no extra key words, where every
 // store tier's Prepare degenerates to (s.Fingerprint(), s) — see
 // prepare().
@@ -727,12 +746,12 @@ func (e *explorer) prepSuccs(w *wctx, succs []gcl.Succ, dst []prep) {
 	// Fields are stored one by one: a composite literal is staged on the
 	// stack and copied in 16-byte moves that stall on store forwarding.
 	switch {
-	case w.canon == nil && e.byRef != nil:
+	case w.canon == nil && e.table != nil:
 		// The words' OR, the width test, comes out of the fingerprint pass.
 		w.fps, w.ors = gcl.FingerprintSuccsOr(succs, w.fps, w.ors)
 		for i := range succs {
-			d, s := &dst[i], succs[i].State
-			d.fp, d.key, d.head = w.fps[i], s, headFor(len(s), w.ors[i])
+			d := &dst[i]
+			d.fp, d.key, d.wide = w.fps[i], succs[i].State, wideOr(w.ors[i])
 		}
 	case w.canon == nil:
 		w.fps = gcl.FingerprintSuccs(succs, w.fps)
@@ -745,8 +764,8 @@ func (e *explorer) prepSuccs(w *wctx, succs []gcl.Succ, dst []prep) {
 		for i := range succs {
 			d := &dst[i]
 			d.fp, d.key, d.slot = w.slab.Fp(base+i), w.slab.Key(base+i), int32(base+i)
-			if e.byRef != nil {
-				d.head = keyHead(d.key)
+			if e.table != nil {
+				d.wide = wideKey(d.key)
 			}
 		}
 	}
@@ -788,10 +807,12 @@ func (e *explorer) edgePermIdx(succWit []byte, to int32, fresh bool) int32 {
 	return int32(e.p.ComposePermIndex(e.p.InvPermIndex(succ), e.witnessIndex(to)))
 }
 
-// trace reconstructs the path from the initial state to states[idx].
-// Under partial-order reduction an edge may be a compressed local chain;
-// edgeSteps re-derives the concrete intermediate transitions, so traces
-// are always step-by-step real executions.
+// trace reconstructs the path from the initial state to states[idx], each
+// step's action re-derived from its parent (producer) through one
+// expansion context for the whole path. Under partial-order reduction an
+// edge may be a compressed local chain; edgeSteps re-derives the concrete
+// intermediate transitions, so traces are always step-by-step real
+// executions.
 func (e *explorer) trace(idx int32) Trace {
 	if !e.traceable {
 		// Lossy non-spill runs freed the ancestor vectors; the verdict
@@ -803,24 +824,56 @@ func (e *explorer) trace(idx int32) Trace {
 		rev = append(rev, i)
 	}
 	t := Trace{Prog: e.p, Init: e.stateAt(rev[len(rev)-1])}
+	var w wctx
+	e.initCtx(&w)
+	from := t.Init
 	for k := len(rev) - 2; k >= 0; k-- {
-		i := rev[k]
+		s := e.stateAt(rev[k])
+		pid, lb := e.producer(&w, rev[k+1], from, s)
 		if e.por {
-			t.Steps = append(t.Steps,
-				e.edgeSteps(e.stateAt(e.parent.at(i)), e.stateAt(i), int(e.parentBy.at(i)), e.labelName(e.parentLb.at(i)))...)
-			continue
+			t.Steps = append(t.Steps, e.edgeSteps(from, s, pid, e.labelName(lb))...)
+		} else {
+			t.Steps = append(t.Steps, Step{Pid: pid, Label: e.labelName(lb), State: s})
 		}
-		t.Steps = append(t.Steps, Step{
-			Pid:   int(e.parentBy.at(i)),
-			Label: e.labelName(e.parentLb.at(i)),
-			State: e.stateAt(i),
-		})
+		from = s
 	}
 	return t
 }
 
+// producer re-derives the action that numbered state s, a successor of
+// head (whose state is hs): its pid and label index, as the merge saw them.
+// The merge walked head's committed successors in expansion order — pids
+// ascending, then branches, chased under POR, crash successors last — and
+// numbered s at the first whose state is s, since any earlier one would
+// have been numbered in its place; under symmetry the stored concrete
+// state is that successor's too. Under POR the merge committed the ample
+// segment alone when the C3 proviso held, and ampleOK decides it again
+// with the merge's answer: stored depths never change, and an ample
+// successor absent then was numbered at depth d+1 by head itself. w is
+// the caller's expansion context, reset here.
+func (e *explorer) producer(w *wctx, head int32, hs, s gcl.State) (int, int32) {
+	w.buf.Reset()
+	w.slab.Reset()
+	var x expansion
+	e.expandInto(hs, &x, w)
+	lo, hi := 0, len(x.succs)
+	if x.aHi > x.aLo {
+		x.preps = make([]prep, len(x.succs))
+		e.prepSuccs(w, x.succs[x.aLo:x.aHi], x.preps[x.aLo:x.aHi])
+		if e.ampleOK(&x, e.depthOf(head)) {
+			lo, hi = x.aLo, x.aHi
+		}
+	}
+	for i := lo; i < hi; i++ {
+		if sc := &x.succs[i]; sc.State.Equal(s) {
+			return sc.Pid, sc.LabelIdx
+		}
+	}
+	panic("mc: no successor of a state's parent re-derives it")
+}
+
 // edgeSteps expands one reduced-graph edge into concrete trace steps: a
-// plain edge is a single real transition of the recorded process and
+// plain edge is a single real transition of the producing process and
 // label; a chained edge is re-derived by finding the first action of the
 // parent whose state-deterministic local chain ends at the child, and
 // replaying it step by step. Every returned step is a real transition.
@@ -1056,8 +1109,8 @@ func (e *explorer) commit(x *expansion, d int32) (lo, hi int) {
 // prefetch loads the exact in-heap store's home slots of probes ps ahead of
 // their lookups (fpTable.prefetch); other stores take no prefetch.
 func (e *explorer) prefetch(ps []prep) {
-	if e.byRef != nil {
-		e.byRef.prefetch(ps)
+	if e.table != nil {
+		e.table.prefetch(ps)
 	}
 }
 
@@ -1075,20 +1128,28 @@ func (e *explorer) prefetch(ps []prep) {
 // how far ahead the pre-pass ran.
 func (e *explorer) ampleOK(x *expansion, d int32) bool {
 	for i := x.aLo; i < x.aHi; i++ {
-		if idx, ok := e.lookup(&x.preps[i]); ok && e.depth.at(idx) != d+1 {
+		if idx, ok := e.lookup(&x.preps[i]); ok && e.depthOf(idx) != d+1 {
 			return false
 		}
 	}
 	return true
 }
 
-// lookup makes the store lookup for a prepared probe; the exact in-heap
-// store takes the head prepSuccs computed.
+// lookup makes the store lookup for a prepared probe, returning the state's
+// number; the exact in-heap store takes the width prepSuccs computed, and
+// its answer is the slab index.
 func (e *explorer) lookup(pr *prep) (int32, bool) {
-	if e.byRef != nil {
-		return e.byRef.lookupHead(pr.fp, pr.key, pr.head)
+	if e.table != nil {
+		i := e.table.find(pr.fp, pr.key, pr.wide)
+		return int32(i), i >= 0
 	}
 	return e.store.Lookup(pr.fp, pr.key)
+}
+
+// indexOf returns the number of the state stored under key, a store key as
+// Prepare derives it.
+func (e *explorer) indexOf(key gcl.State) (int32, bool) {
+	return e.lookup(&prep{fp: key.Fingerprint(), key: key, wide: wideKey(key)})
 }
 
 // addSucc numbers successor i of head if it is new, returning its index and
@@ -1096,23 +1157,21 @@ func (e *explorer) lookup(pr *prep) (int32, bool) {
 // the state numbering. The probe is the one commit prepared, so the ample
 // candidates ampleOK already looked up pay no second canonicalization. The
 // successor, its key and its witness may sit in recycled scratch;
-// appendState copies what it keeps.
+// appendState copies what it keeps. A fresh state opens a level when head
+// lies in the deepest one so far (the initial state, head -1, opens level
+// 0).
 func (e *explorer) addSucc(x *expansion, i int, head int32) (int32, bool) {
-	pr, sc := &x.preps[i], &x.succs[i]
+	pr := &x.preps[i]
 	if idx, ok := e.lookup(pr); ok {
 		return idx, false
 	}
-	idx := e.appendState(pr, x.witness(i), sc.State)
+	idx := e.appendState(pr, x.witness(i), x.succs[i].State)
 	if e.traceable {
 		e.parent.push(head)
-		e.parentBy.push(int32(sc.Pid))
-		e.parentLb.push(sc.LabelIdx)
 	}
-	d := int32(0)
-	if head >= 0 {
-		d = e.depth.at(head) + 1
+	if len(e.levels) == 0 || head >= e.levels[len(e.levels)-1] {
+		e.levels = append(e.levels, idx)
 	}
-	e.depth.push(d)
 	return idx, true
 }
 
@@ -1134,25 +1193,38 @@ func Check(p *gcl.Prog, opts Options) *Result {
 	defer e.join()
 	res := &Result{Prog: p, Symmetry: e.symmetry, POR: e.por}
 
-	finish := func() *Result {
+	// finish completes the result, building the counterexample, if any,
+	// after the store report: tracing probes the store again (producer),
+	// which a shadowed compact store would count.
+	finish := func(counterexample func()) *Result {
 		res.States = e.numStates()
 		res.Store = e.storeReport()
+		if counterexample != nil {
+			counterexample()
+		}
 		res.Elapsed = time.Since(start)
 		return res
+	}
+	violation := func(v, idx int32) *Result {
+		return finish(func() {
+			res.Violation = &Violation{Invariant: e.opts.Invariants[v].Name, Trace: e.trace(idx)}
+		})
 	}
 
 	init := p.InitState()
 	idx := e.addInit(init)
 	if v := e.checkInvariants(init); v >= 0 {
-		res.Violation = &Violation{Invariant: e.opts.Invariants[v].Name, Trace: e.trace(idx)}
-		return finish()
+		return violation(v, idx)
 	}
 
+	d := int32(0)
 	for head := int32(0); int(head) < e.numStates(); head++ {
 		if e.numStates() >= e.opts.MaxStates {
-			return finish()
+			return finish(nil)
 		}
-		d := e.depth.at(head)
+		if int(d+1) < len(e.levels) && head == e.levels[d+1] {
+			d++
+		}
 		res.Depth = int(d)
 		x := e.expansionOf(head)
 		lo, hi := e.commit(x, d)
@@ -1163,19 +1235,19 @@ func Check(p *gcl.Prog, opts Options) *Result {
 				continue
 			}
 			if v := e.checkInvariants(x.succs[i].State); v >= 0 {
-				res.Violation = &Violation{Invariant: e.opts.Invariants[v].Name, Trace: e.trace(idx)}
-				return finish()
+				return violation(v, idx)
 			}
 		}
 		if opts.Deadlock && !x.progress {
-			t := e.trace(head)
-			res.Deadlock = &t
-			return finish()
+			return finish(func() {
+				t := e.trace(head)
+				res.Deadlock = &t
+			})
 		}
 		// Safe in parallel mode too: the pre-pass captures the heads of a
 		// chunk when it launches, before any of them is merged.
 		e.releaseState(int(head))
 	}
 	res.Complete = true
-	return finish()
+	return finish(nil)
 }

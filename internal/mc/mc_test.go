@@ -322,8 +322,9 @@ func TestStarvationAtL1(t *testing.T) {
 		t.Error("fast processes do not both move in the component")
 	}
 	blockedSomewhere := false
+	var buf gcl.SuccBuf
 	for _, idx := range rep.Component {
-		if !p.Enabled(g.State(int(idx)), 2) {
+		if p.EnabledMask(g.State(int(idx)), 2, &buf) == 0 {
 			blockedSomewhere = true
 			break
 		}

@@ -25,6 +25,16 @@ type naiveResult struct {
 	dist map[string]int
 	// reached lists the discovered states in BFS discovery order.
 	reached []gcl.State
+	// producers lists, index-aligned with reached, the action that
+	// discovered each state (pid -1 and no label for the initial state).
+	producers []naiveProducer
+}
+
+// naiveProducer is the action that discovered a state: the moving pid and
+// the label it moved from.
+type naiveProducer struct {
+	pid   int
+	label string
 }
 
 func naiveKey(s gcl.State) string { return fmt.Sprint([]int32(s)) }
@@ -44,6 +54,7 @@ func naiveCheck(p *gcl.Prog, invs []Invariant) naiveResult {
 	init := p.InitState()
 	r := naiveResult{states: 1, dist: map[string]int{naiveKey(init): 0}}
 	r.reached = []gcl.State{init}
+	r.producers = []naiveProducer{{pid: -1}}
 	if r.violated = broken(init); r.violated != "" {
 		return r
 	}
@@ -59,6 +70,7 @@ func naiveCheck(p *gcl.Prog, invs []Invariant) naiveResult {
 				}
 				r.dist[k] = d + 1
 				r.reached = append(r.reached, sc.State)
+				r.producers = append(r.producers, naiveProducer{pid: sc.Pid, label: sc.Label(p)})
 				r.states++
 				if r.violated = broken(sc.State); r.violated != "" {
 					return r
@@ -143,6 +155,60 @@ func TestCheckMatchesNaiveOracle(t *testing.T) {
 					}
 					if d := want.dist[naiveKey(last)]; res.Violation.Trace.Len() != d {
 						t.Fatalf("counterexample has %d steps, the oracle reaches its last state in %d", res.Violation.Trace.Len(), d)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestProducerMatchesNaiveOracle checks the engine's re-derived producers
+// against the naive search on the same grid as TestCheckMatchesNaiveOracle:
+// every state the oracle numbers, up to its stop at a violation, has the
+// engine's number, and the action
+// the engine re-derives from its parent (explorer.producer) is the one
+// whose successor the oracle discovered it by, at workers 0 and 2.
+func TestProducerMatchesNaiveOracle(t *testing.T) {
+	invs := []Invariant{Mutex(), NoOverflow()}
+	for _, name := range specs.Names() {
+		for _, n := range []int{2, 3} {
+			cfg := specs.Config{N: n, M: 2}
+			p, err := specs.Get(name, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := naiveCheck(p, invs)
+			for _, workers := range []int{0, 2} {
+				t.Run(fmt.Sprintf("%s-n%d-m%d/w%d", name, cfg.N, cfg.M, workers), func(t *testing.T) {
+					// Check's merge loop, run to the oracle's stop.
+					opts := Options{Invariants: invs, Workers: workers}
+					plan, err := planFor(p, opts, SafetyAnalysis{Invariants: invs})
+					if err != nil {
+						t.Fatal(err)
+					}
+					e := newExplorer(p, opts, plan)
+					defer e.join()
+					e.addInit(p.InitState())
+					for head := int32(0); e.numStates() < want.states; head++ {
+						x := e.expansionOf(head)
+						lo, hi := e.commit(x, e.depthOf(head))
+						for i := lo; i < hi && e.numStates() < want.states; i++ {
+							e.addSucc(x, i, head)
+						}
+					}
+					var w wctx
+					e.initCtx(&w)
+					for i := 1; i < want.states; i++ {
+						s := e.stateAt(int32(i))
+						if !s.Equal(want.reached[i]) {
+							t.Fatalf("state %d is %v, the oracle's is %v", i, s, want.reached[i])
+						}
+						parent := e.parent.at(int32(i))
+						pid, lb := e.producer(&w, parent, e.stateAt(parent), s)
+						if got := (naiveProducer{pid: pid, label: e.labelName(lb)}); got != want.producers[i] {
+							t.Fatalf("state %d: re-derived producer p%d:%s, the oracle's p%d:%s",
+								i, got.pid, got.label, want.producers[i].pid, want.producers[i].label)
+						}
 					}
 				})
 			}

@@ -14,14 +14,16 @@ package mc
 // store accounting — and with them every downstream analysis — are
 // identical for any worker count.
 //
-// The workers touch neither the visited store nor the per-state columns the
-// merge grows. A chunk's heads are captured on the merge goroutine when the
-// chunk launches, as stored: each slab entry as a sub-slice of its packed
-// payload and tail, words the slab never writes again in blocks that never
-// move (spill decodes and release-mode clones, private copies, are wrapped
-// as raw entries). Each worker decodes its own heads — restoring them from
-// key and tail under symmetry — into its scratch, so no decoding runs on
-// the merge. Everything else a worker writes is its chunk's own scratch and
+// The workers touch neither the visited store nor the slab and parent
+// column the merge grows. A chunk's heads are captured on the merge
+// goroutine when the chunk launches, as stored: each slab entry as a
+// sub-slice of its packed payload and tail, carrying the slab's width at
+// capture. The slab never writes those words again — a growing first block
+// is copied and a widening builds new blocks, leaving the old ones to the
+// captured heads (spill decodes and release-mode clones, private copies,
+// are wrapped as raw entries). Each worker decodes its own heads —
+// restoring them from key and tail under symmetry — into its scratch, so
+// no decoding runs on the merge. Everything else a worker writes is its chunk's own scratch and
 // records. Two chunk buffers alternate: cur, whose records the merge is
 // walking, and next, in flight on the pool. Each owns its workers' scratch,
 // so expanding next never recycles memory the merge of cur still reads.
@@ -95,11 +97,8 @@ func newPrepass(e *explorer) *prepass {
 
 func newChunk(e *explorer, workers int) *chunk {
 	c := &chunk{wcs: make([]wctx, workers), heads: make([]packedKey, maxChunk), exps: make([]expansion, maxChunk)}
-	if e.plan.Symmetry {
-		for i := range c.wcs {
-			c.wcs[i].canon = e.p.NewCanonicalizer()
-			c.wcs[i].key = make(gcl.State, e.p.StateLen())
-		}
+	for i := range c.wcs {
+		e.initCtx(&c.wcs[i])
 	}
 	return c
 }

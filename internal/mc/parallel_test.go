@@ -33,6 +33,8 @@ func detModels() []struct {
 
 // requireGraphsIdentical asserts that two graphs agree on every observable:
 // state count and vectors, numbering, parents, depths, and full edge lists.
+// The action that produced each state is derived from the compared state
+// vectors and parents, so it agrees whenever they do.
 func requireGraphsIdentical(t *testing.T, seq, par *Graph) {
 	t.Helper()
 	if seq.NumStates() != par.NumStates() {
@@ -50,13 +52,9 @@ func requireGraphsIdentical(t *testing.T, seq, par *Graph) {
 			t.Fatalf("state %d differs:\n  sequential %v\n  parallel   %v", i, seq.State(i), par.State(i))
 		}
 		s, q, j := seq.expl, par.expl, int32(i)
-		if s.parent.at(j) != q.parent.at(j) ||
-			s.parentBy.at(j) != q.parentBy.at(j) ||
-			s.parentLb.at(j) != q.parentLb.at(j) ||
-			s.depth.at(j) != q.depth.at(j) {
-			t.Fatalf("BFS tree differs at state %d: sequential (parent=%d by=%d lb=%d d=%d), parallel (parent=%d by=%d lb=%d d=%d)",
-				i, s.parent.at(j), s.parentBy.at(j), s.parentLb.at(j), s.depth.at(j),
-				q.parent.at(j), q.parentBy.at(j), q.parentLb.at(j), q.depth.at(j))
+		if s.parent.at(j) != q.parent.at(j) || s.depthOf(j) != q.depthOf(j) {
+			t.Fatalf("BFS tree differs at state %d: sequential (parent=%d d=%d), parallel (parent=%d d=%d)",
+				i, s.parent.at(j), s.depthOf(j), q.parent.at(j), q.depthOf(j))
 		}
 	}
 	if len(seq.Adj) != len(par.Adj) {

@@ -50,7 +50,7 @@ func testPrepassAllocFree(t *testing.T, p *gcl.Prog, sym bool) {
 	head := int32(0)
 	for ; int(head) < e.numStates() && e.numStates()-int(head) < 1024; head++ {
 		x := e.expansionOf(head)
-		lo, hi := e.commit(x, e.depth.at(head))
+		lo, hi := e.commit(x, e.depthOf(head))
 		for i := lo; i < hi; i++ {
 			e.addSucc(x, i, head)
 		}

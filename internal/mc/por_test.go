@@ -185,8 +185,11 @@ func TestPORDeadlockPreserved(t *testing.T) {
 		}
 		cur = st.State
 	}
-	if p.EnabledAny(cur) {
-		t.Fatal("deadlock trace does not end in a deadlock state")
+	var buf gcl.SuccBuf
+	for pid := 0; pid < p.N; pid++ {
+		if p.EnabledMask(cur, pid, &buf) != 0 {
+			t.Fatal("deadlock trace does not end in a deadlock state")
+		}
 	}
 }
 

@@ -282,7 +282,7 @@ func (pr *product) locate(nd prodNode, succPid int, labelIdx int32, u gcl.State)
 	pr.slowPaths++
 	c, w := p.CanonicalizeWithPerm(u)
 	wIdx := int32(p.PermIndexOf(w))
-	if j, ok := pr.g.expl.store.Lookup(c.Fingerprint(), c); ok {
+	if j, ok := pr.g.expl.indexOf(c); ok {
 		// norm(u) = Permute(norm(states[j]), w⁻¹∘π_j).
 		return j, pr.cosetCanon(j, pr.compose(int32(p.InvPermIndex(int(wIdx))), int32(pr.g.expl.witnessIndex(j))))
 	}

@@ -10,12 +10,14 @@ package mc
 //
 // The exact in-heap store (seqStore) is one open-addressed linear-probe
 // table (fpTable) of 8-byte slots free of Go pointers, each a fingerprint
-// tag and a reference into a keySlab (keyslab.go) that holds the key vector
-// packed, one byte per word when its words allow, with its value beside
-// it; a probe compares the unpacked key against the packed entry, and the
-// engines number their states in the same slab, so each state is stored
-// once. Fingerprints are computed over the unpacked words, so packing
-// changes no fingerprint in any tier. It takes no locks: every exploration
+// tag and an index into a keySlab (keyslab.go) that holds the key vectors
+// at a fixed stride, headerless, packed one byte per word while every word
+// allows; a probe compares the unpacked key against the packed entry. The
+// engines number their states in the same slab — a state's number is its
+// slab index — so each state is stored once, with nothing beside it; the
+// store keeps a value column only for callers whose values are payloads.
+// Fingerprints are computed over the unpacked words, so packing changes no
+// fingerprint in any tier. It takes no locks: every exploration
 // loop uses its store from one goroutine — in Check and BuildGraph the
 // single-threaded merge, which makes every lookup and insert, also in
 // parallel mode, whose pre-pass workers never touch the store. The other
@@ -56,6 +58,9 @@ type StateStore interface {
 	// the symmetry-aware store keys on the canonical representative of s's
 	// orbit. Optional extra words (a monitor phase, a belief id) are
 	// appended to the key; they are rejected by symmetry-aware stores.
+	// A store keys on one length: every caller passes the same number of
+	// extra words to a store (the exact in-heap store panics on a key of
+	// another length, and its Lookup misses one).
 	Prepare(s gcl.State, extra ...int32) (uint64, gcl.State)
 	// Lookup returns the value stored under key, if present. The engines
 	// call it from one goroutine; every tier but the exact in-heap one also
@@ -151,18 +156,16 @@ func bucketInsert(bucket []kv, key gcl.State, val int32) []kv {
 // fpEntry is one fpTable slot, 8 bytes with no Go pointers — eight slots
 // per cache line, and nothing for the collector to scan. The high 32 bits
 // are the key's fingerprint tag (its top 32 bits), the low 32 its keySlab
-// reference plus one; no reference exceeds 2^32-2, so a used slot is never
-// the all-zero word that marks an empty one. The value is not in the slot:
-// it sits in the key's slab header, on the cache line a hit loads anyway to
-// compare the key.
+// index plus one; no index exceeds 2^32-2, so a used slot is never the
+// all-zero word that marks an empty one.
 type fpEntry uint64
 
-func newFpEntry(fp uint64, ref uint32) fpEntry { return fpEntry(fp>>32<<32 | uint64(ref+1)) }
+func newFpEntry(fp uint64, i uint32) fpEntry { return fpEntry(fp>>32<<32 | uint64(i+1)) }
 
-func (e fpEntry) ref() uint32 { return uint32(e) - 1 }
+func (e fpEntry) index() uint32 { return uint32(e) - 1 }
 
 // fpTable is the exact store's hash table: open addressing with linear
-// probing over one flat slot array, its keys and values held in a keySlab.
+// probing over one flat slot array, mapping keys to their keySlab indices.
 // A probe matches on the fingerprint tag first (one integer compare) and
 // confirms against the packed key in the slab, so membership is exact.
 // Growth rehashes the slots alone — keys never move, and a slot's home is
@@ -195,34 +198,22 @@ func (t *fpTable) init(size int) {
 	t.limit = size * 7 / 10
 }
 
-// find returns the value word of key's entry, whose head is head (see
-// keyHead), or nil when key is absent.
-func (t *fpTable) find(fp uint64, key gcl.State, head int32) *int32 {
+// find returns the slab index of key, a key of the slab's length whose
+// width is wide (see wideKey), or -1 when key is absent.
+func (t *fpTable) find(fp uint64, key gcl.State, wide bool) int {
 	mask := len(t.ents) - 1
 	if mask < 0 {
-		return nil
+		return -1
 	}
 	for i := t.homeSlot(fp); ; i = (i + 1) & mask {
 		e := t.ents[i]
 		if e == 0 {
-			return nil
+			return -1
 		}
-		if uint64(e)>>32 == fp>>32 && t.slab.match(e.ref(), head, key) {
-			return t.slab.value(e.ref())
+		if uint64(e)>>32 == fp>>32 && t.slab.match(e.index(), wide, key) {
+			return int(e.index())
 		}
 	}
-}
-
-func (t *fpTable) lookup(fp uint64, key gcl.State) (int32, bool) {
-	return t.lookupHead(fp, key, keyHead(key))
-}
-
-// lookupHead is lookup for a key whose head the caller has computed.
-func (t *fpTable) lookupHead(fp uint64, key gcl.State, head int32) (int32, bool) {
-	if val := t.find(fp, key, head); val != nil {
-		return *val, true
-	}
-	return -1, false
 }
 
 // prefetch loads the home slot of every probe in ps, so the lookups that
@@ -241,25 +232,11 @@ func (t *fpTable) prefetch(ps []prep) {
 	t.sink ^= acc
 }
 
-// insert stores val under (fp, key), replacing the value if the key is
-// already present; a fresh key is copied into the slab, so the caller keeps
-// ownership of key.
-func (t *fpTable) insert(fp uint64, key gcl.State, val int32) {
-	head := keyHead(key)
-	if old := t.find(fp, key, head); old != nil {
-		*old = val
-		return
-	}
-	ref, _ := t.slab.appendTail(key, head, 0)
-	t.insertRef(fp, ref, val)
-}
-
-// insertRef stores val under a key already in the table's slab, which must
-// not be in the table yet — the engines call it right after a missed
-// lookupHead, so the vector they just numbered doubles as the key. It
-// doubles the table first when it is at its load limit.
-func (t *fpTable) insertRef(fp uint64, ref uint32, val int32) {
-	*t.slab.value(ref) = val
+// add enters slab entry i under fp. The entry must not be in the table
+// yet: callers add right after a missed find, so the vector they just
+// appended doubles as the key. It doubles the table first when it is at
+// its load limit.
+func (t *fpTable) add(fp uint64, i uint32) {
 	if t.ents == nil {
 		t.init(fpTableMinSize)
 	} else if t.n >= t.limit {
@@ -271,7 +248,7 @@ func (t *fpTable) insertRef(fp uint64, ref uint32, val int32) {
 			}
 		}
 	}
-	t.place(newFpEntry(fp, ref))
+	t.place(newFpEntry(fp, i))
 	t.n++
 }
 
@@ -287,24 +264,31 @@ func (t *fpTable) place(e fpEntry) {
 }
 
 // slabStore is implemented by the exact in-heap store, whose keys live in
-// a keySlab. The engines number their states in that same slab and insert
-// by reference, so each state is stored once: the concrete vector, which
-// is its own key, or under symmetry the canonical key with the tail the
-// concrete state is decoded from.
+// a keySlab. The engines number their states in that same slab — a state's
+// number is its slab index — so each state is stored once: the concrete
+// vector, which is its own key, or under symmetry the canonical key with
+// the tail the concrete state is decoded from.
 type slabStore interface {
 	keys() *keySlab
 	// table is the store's table, through which the engines probe with the
-	// heads they computed and insert by reference (fpTable.insertRef); the
-	// caller must have exclusive access to the store.
+	// widths they computed and add the states they append (fpTable.add);
+	// the caller must have exclusive access to the store. An engine that
+	// numbers its states in the slab uses the table alone, never Lookup or
+	// Insert: the values are the indices.
 	table() *fpTable
 }
 
-// seqStore is the exact in-heap store: one table, no locks.
+// seqStore is the exact in-heap store: one table, no locks. Its keys are
+// of one length (the keySlab's shape): Insert panics on a key of another
+// length, and Lookup misses it. vals holds the value of each slab entry,
+// for callers whose values are payloads (the FCFS product, the refinement
+// memo, the compact store's shadow).
 type seqStore struct {
 	p    *gcl.Prog
 	plan Plan
 	slab keySlab
 	t    fpTable
+	vals []int32
 }
 
 func newSeqStore(p *gcl.Prog, plan Plan) *seqStore {
@@ -318,11 +302,25 @@ func (st *seqStore) Prepare(s gcl.State, extra ...int32) (uint64, gcl.State) {
 }
 
 func (st *seqStore) Lookup(fp uint64, key gcl.State) (int32, bool) {
-	return st.t.lookup(fp, key)
+	if !st.slab.fits(len(key), 0) {
+		return -1, false
+	}
+	if i := st.t.find(fp, key, wideKey(key)); i >= 0 {
+		return st.vals[i], true
+	}
+	return -1, false
 }
 
 func (st *seqStore) Insert(fp uint64, key gcl.State, val int32) {
-	st.t.insert(fp, key, val)
+	st.slab.mustFit(len(key), 0)
+	wide := wideKey(key)
+	if i := st.t.find(fp, key, wide); i >= 0 {
+		st.vals[i] = val
+		return
+	}
+	i, _ := st.slab.appendTail(key, wide, 0)
+	st.t.add(fp, i)
+	st.vals = append(st.vals, val)
 }
 
 func (st *seqStore) keys() *keySlab { return &st.slab }

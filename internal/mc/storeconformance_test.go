@@ -14,6 +14,7 @@ package mc
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -30,7 +31,8 @@ type storeVariant struct {
 	// which answers membership only).
 	values bool
 	// extras: Prepare accepts extra key words (false for the full-orbit
-	// symmetry store, which panics on them by contract).
+	// symmetry store, which panics on them by contract). A store keys on
+	// one length, so the contract feeds extras to a store of their own.
 	extras bool
 	// concurrent: Insert may race with Insert/Lookup (false for the exact
 	// in-heap store and its keyings, the one implementation without
@@ -119,7 +121,8 @@ func dedupeByKey(st StateStore, states []gcl.State) []gcl.State {
 // against every variant: a fresh store misses, Insert does not keep the
 // caller's key buffer, Prepare is a pure function of the state,
 // insert→lookup round-trips, re-insert is idempotent, value replacement
-// sticks, and extra key words open a separate key space. Lossy stores must satisfy all of it too — their failure mode is
+// sticks, and on a store keyed with extras, distinct extra words open
+// separate key spaces. Lossy stores must satisfy all of it too — their failure mode is
 // false HITS across distinct states (covered probabilistically by the
 // parity matrix and the fuzz targets), never a false miss of an inserted
 // key.
@@ -192,25 +195,56 @@ func TestStoreConformanceContract(t *testing.T) {
 				}
 				st.Insert(fp, key, 7) // restore
 			}
-			// Extra key words address a disjoint key space.
+			// Distinct extra key words address disjoint key spaces, on a
+			// store keyed with extras throughout (a store keys on one
+			// length).
 			if v.extras {
-				fpX, keyX := st.Prepare(states[7], 42)
-				if fpX == fp && keyX.Equal(key) {
-					t.Fatal("extra-word probe equals the bare probe")
+				xs := newStateStore(p, v.plan, nil)
+				fpX, keyX := xs.Prepare(states[7], 42)
+				fpY, keyY := xs.Prepare(states[7], 43)
+				if fpX == fpY && keyX.Equal(keyY) {
+					t.Fatal("probes under extra words 42 and 43 are one key")
 				}
-				if _, ok := st.Lookup(fpX, keyX); ok {
+				xs.Insert(fpX, keyX, 1042)
+				if _, ok := xs.Lookup(fpY, keyY); ok {
 					t.Fatal("extra-word key hit before its own insert")
 				}
-				st.Insert(fpX, keyX, 1042)
-				if val, ok := st.Lookup(fpX, keyX); !ok || (v.values && val != 1042) {
-					t.Fatalf("extra-word entry lost: (%d, %v)", val, ok)
+				xs.Insert(fpY, keyY, 1043)
+				if val, ok := xs.Lookup(fpX, keyX); !ok || (v.values && val != 1042) {
+					t.Fatalf("entry under extra word 42 lost or disturbed: (%d, %v)", val, ok)
 				}
-				if val, ok := st.Lookup(fp, key); !ok || (v.values && val != 7) {
-					t.Fatalf("bare entry disturbed by extra-word insert: (%d, %v)", val, ok)
+				if val, ok := xs.Lookup(fpY, keyY); !ok || (v.values && val != 1043) {
+					t.Fatalf("entry under extra word 43 lost: (%d, %v)", val, ok)
 				}
 			}
 		})
 	}
+}
+
+// TestSeqStoreOneKeyLength pins the exact in-heap store's one-length
+// contract: its first key fixes the length, a key of another length is
+// refused by Insert with a panic naming both lengths, and Lookup misses
+// it rather than reading a neighbouring entry.
+func TestSeqStoreOneKeyLength(t *testing.T) {
+	p := conformanceProg()
+	st := newStateStore(p, Plan{}, nil)
+	fp, key := st.Prepare(p.InitState())
+	st.Insert(fp, key, 1)
+	fpX, keyX := st.Prepare(p.InitState(), 42)
+	if _, ok := st.Lookup(fpX, keyX); ok {
+		t.Fatal("lookup of a longer key hit")
+	}
+	if _, ok := st.Lookup(fp, key[:len(key)-1]); ok {
+		t.Fatal("lookup of a shorter key hit")
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		want := fmt.Sprintf("holds %d-word keys with 0-word tails, not %d-word keys", len(key), len(keyX))
+		if !strings.Contains(msg, want) {
+			t.Fatalf("insert of a %d-word key into a store of %d-word keys: recovered %q, want a panic naming both", len(keyX), len(key), msg)
+		}
+	}()
+	st.Insert(fpX, keyX, 2)
 }
 
 // TestStoreConformanceOrbitKeying pins the symmetry variants' defining

@@ -340,8 +340,8 @@ func (s *shardSim) schedule(w int, class des.Class, units int64) {
 	s.k.At(w, s.model.Cost(class, w, units), s.execFns[w])
 }
 
-// enabled is the allocation-free guard check (plain Prog.Enabled builds
-// an escaping evaluation context per call; EnabledMask reuses buf's).
+// enabled is the allocation-free guard check: EnabledMask evaluates the
+// guards through buf's scratch context.
 func (s *shardSim) enabled(pid int) bool {
 	return s.prog.EnabledMask(s.state, pid, &s.buf) != 0
 }
