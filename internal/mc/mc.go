@@ -334,9 +334,11 @@ const crashLabelIdx = int32(-1)
 // pre-pass's two chunk buffers keeps one per worker. buf is reset once per
 // head expanded alone, or once per pre-pass chunk, recycling every decoded
 // head, successor vector, canonical key copy, and crash state generated
-// since; canon is the reusable canonicalizer and key the scratch a
-// symmetric head's canonical key is decoded into (nil when the run is not
-// symmetry-reduced).
+// since. A pre-pass worker may claim nearly all of a chunk's heads, so its
+// scratch grows to hold up to one chunk (maxChunk heads) of successors and
+// probe records, and no more (TestPrepassMemoryBound). canon is the
+// reusable canonicalizer and key the scratch a symmetric head's canonical
+// key is decoded into (nil when the run is not symmetry-reduced).
 type wctx struct {
 	buf   gcl.SuccBuf
 	canon *gcl.Canonicalizer

@@ -47,10 +47,17 @@ import (
 
 const (
 	// maxChunk is how many queued heads one pre-pass chunk covers: wide
-	// enough to amortise the spawn/join cost over real work, narrow enough
-	// that a bounded run (MaxStates, early violation stop) wastes at most
-	// one chunk of speculative expansion.
-	maxChunk = 4096
+	// enough to amortise the spawn/join cost over real work (a full chunk
+	// is 0.5–1 ms of expansion), narrow enough that a bounded run
+	// (MaxStates, early violation stop) wastes at most one chunk of
+	// speculative expansion. It also bounds the pre-pass's memory: workers
+	// claim heads dynamically, so one worker can take nearly a whole chunk
+	// and its scratch grows to hold that chunk's successors and probe
+	// records — two buffers × Workers × one chunk of records at peak. At
+	// 4096 those records doubled a two-worker run's peak heap; states/s is
+	// level from 256 to 4096 (docs/model-checking.md, "Parallel
+	// expansion").
+	maxChunk = 1024
 	// minChunk is the narrowest queue the pre-pass takes on; below it (the
 	// first few BFS levels) heads are expanded one at a time, as in
 	// sequential mode.

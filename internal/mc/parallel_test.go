@@ -151,6 +151,11 @@ func TestParallelCheckMatchesSequential(t *testing.T) {
 			Options{Invariants: []Invariant{Mutex()}}},
 		{"bakerypp-N3-M2-bounded", func() *gcl.Prog { return specs.BakeryPP(specs.Config{N: 3, M: 2}) },
 			Options{Invariants: []Invariant{Mutex()}, MaxStates: 500}},
+		// Two cells that span many full pre-pass chunks.
+		{"bakery-N4-M4-overflow", func() *gcl.Prog { return specs.Bakery(specs.Config{N: 4, M: 4}) },
+			Options{Invariants: []Invariant{Mutex(), NoOverflow()}}},
+		{"bakerypp-N3-M4-clean", func() *gcl.Prog { return specs.BakeryPP(specs.Config{N: 3, M: 4}) },
+			Options{Invariants: []Invariant{Mutex(), NoOverflow()}}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -244,6 +249,8 @@ func TestEarlyStopJoinsChunkInFlight(t *testing.T) {
 		{"modbakery-N3-M3-mutex", func() *gcl.Prog { return specs.ModBakery(3, 3) }, 0},
 		{"bakery-N3-M3-overflow", func() *gcl.Prog { return specs.Bakery(specs.Config{N: 3, M: 3}) }, 0},
 		{"bakerypp-N3-M2-bounded", func() *gcl.Prog { return specs.BakeryPP(specs.Config{N: 3, M: 2}) }, 20000},
+		// Stops with a full chunk in flight (TestPrepassMemoryBound).
+		{"bakery-N4-M4-overflow", func() *gcl.Prog { return specs.Bakery(specs.Config{N: 4, M: 4}) }, 0},
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, c := range cases {

@@ -86,3 +86,71 @@ func testPrepassAllocFree(t *testing.T, p *gcl.Prog, sym bool) {
 			perSucc, avg, succs)
 	}
 }
+
+// TestPrepassMemoryBound pins the pre-pass's documented memory bound: each
+// of the two chunk buffers holds maxChunk head slots and expansion records,
+// and each of its workers' scratch holds at most one chunk's successor and
+// probe records (workers claim heads dynamically, so one worker can take
+// nearly a whole chunk, but never more). It drives a two-worker check of
+// bakery N=4 M=4 through the real merge loop to its overflow violation —
+// 197,655 states, about 190 chunks, most of them full — so a growth path
+// that never resets, or a chunk wider than maxChunk, fails it.
+func TestPrepassMemoryBound(t *testing.T) {
+	p := specs.Bakery(specs.Config{N: 4, M: 4})
+	opts := Options{Workers: 2, Invariants: []Invariant{Mutex(), NoOverflow()}}
+	plan, err := planFor(p, opts, SafetyAnalysis{Invariants: opts.Invariants})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := newExplorer(p, opts, plan)
+	if e.pre == nil {
+		t.Fatal("Workers: 2 built no pre-pass")
+	}
+	defer e.join()
+	e.addInit(p.InitState())
+	full, violated := 0, false
+	for head := int32(0); !violated && int(head) < e.numStates(); head++ {
+		x := e.expansionOf(head)
+		if head == e.pre.cur.lo && e.pre.cur.hi-e.pre.cur.lo == maxChunk {
+			full++
+		}
+		lo, hi := e.commit(x, e.depthOf(head))
+		for i := lo; i < hi && !violated; i++ {
+			_, fresh := e.addSucc(x, i, head)
+			violated = fresh && e.checkInvariants(x.succs[i].State) >= 0
+		}
+	}
+	if n := e.numStates(); !violated || n != 197655 {
+		t.Fatalf("stopped at %d states (violation %v), want the overflow at 197655", n, violated)
+	}
+	// TestEarlyStopJoinsChunkInFlight's bakery N=4 M=4 case relies on this.
+	if !e.pre.busy || e.pre.next.hi-e.pre.next.lo != maxChunk {
+		t.Errorf("no full chunk in flight at the violation (busy %v, %d heads)", e.pre.busy, e.pre.next.hi-e.pre.next.lo)
+	}
+	e.join()
+	if full < 100 {
+		t.Fatalf("only %d full chunks were merged; the bound is not exercised", full)
+	}
+
+	// A head's successors come from at most every branch of its label, for
+	// each process.
+	branches := 0
+	for li := range p.Labels() {
+		branches = max(branches, p.NumBranchesAt(li))
+	}
+	perHead := p.N * branches
+	for bi, c := range []*chunk{e.pre.cur, e.pre.next} {
+		if len(c.heads) != maxChunk || cap(c.heads) != maxChunk || len(c.exps) != maxChunk || cap(c.exps) != maxChunk {
+			t.Errorf("buffer %d: %d/%d head slots and %d/%d records (len/cap), want %d", bi,
+				len(c.heads), cap(c.heads), len(c.exps), cap(c.exps), maxChunk)
+		}
+		for wi := range c.wcs {
+			w := &c.wcs[wi]
+			succs, preps := cap(w.buf.Succs()), cap(w.preps)
+			if succs > maxChunk*perHead || preps > maxChunk*perHead {
+				t.Errorf("buffer %d worker %d: %d successor and %d probe records, bound %d (maxChunk %d × %d successors per head)",
+					bi, wi, succs, preps, maxChunk*perHead, maxChunk, perHead)
+			}
+		}
+	}
+}
