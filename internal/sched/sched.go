@@ -309,17 +309,20 @@ func Run(p *gcl.Prog, opts Options) (*Stats, error) {
 		tryStep[pid] = -1
 	}
 
+	// s is the current state and spare the buffer the next one is written
+	// into; the two swap every step. buf is the run's scratch for guards
+	// and successors, reset each step, so a steady-state step allocates
+	// nothing.
 	s := p.InitState()
-	var enabled []int
+	spare := make(gcl.State, len(s))
+	var buf gcl.SuccBuf
+	enabled := make([]int, 0, p.N)
 	inCS := 0
-	var succs []gcl.Succ
-	// guards is the run's scratch for evaluating guards: EnabledMask reads
-	// through its context, so enabledness costs no allocation.
-	var guards gcl.SuccBuf
 	for step := int64(0); step < opts.Steps; step++ {
 		if opts.CrashRate > 0 && rng.Float64() < opts.CrashRate {
 			pid := crashers[rng.Intn(len(crashers))]
-			s = p.CrashSucc(s, pid)
+			p.CrashSuccInto(spare, s, pid)
+			s, spare = spare, s
 			st.Crashes[pid]++
 			st.Steps++
 			// A crash aborts any pending attempt and doorway.
@@ -333,7 +336,7 @@ func Run(p *gcl.Prog, opts Options) (*Stats, error) {
 		}
 		enabled = enabled[:0]
 		for pid := 0; pid < p.N; pid++ {
-			if p.EnabledMask(s, pid, &guards) != 0 {
+			if p.EnabledMask(s, pid, &buf) != 0 {
 				enabled = append(enabled, pid)
 			}
 		}
@@ -343,9 +346,12 @@ func Run(p *gcl.Prog, opts Options) (*Stats, error) {
 			break
 		}
 		pid := opts.Sched.Pick(enabled, p.N, step, rng)
-		succs = p.Succs(s, pid, opts.Mode, succs[:0])
+		buf.Reset()
+		p.SuccsInto(s, pid, opts.Mode, &buf)
+		succs := buf.Succs()
 		sc := succs[rng.Intn(len(succs))]
-		s = sc.State
+		copy(spare, sc.State)
+		s, spare = spare, s
 		st.Steps++
 
 		if sc.Overflow {
