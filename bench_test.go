@@ -127,7 +127,7 @@ func BenchmarkModelChecker(b *testing.B) {
 		}
 		states = res.States
 	}
-	b.ReportMetric(float64(states)*float64(b.N)/b.Elapsed().Seconds()/float64(b.N), "states/s")
+	b.ReportMetric(float64(states)*float64(b.N)/b.Elapsed().Seconds(), "states/s")
 }
 
 // BenchmarkSimulator is the substrate bench behind E6/E10: interleaving
@@ -145,7 +145,7 @@ func BenchmarkSimulator(b *testing.B) {
 			b.Fatal("violation")
 		}
 	}
-	b.ReportMetric(float64(chunk)*float64(b.N)/b.Elapsed().Seconds()/float64(b.N), "steps/s")
+	b.ReportMetric(float64(chunk)*float64(b.N)/b.Elapsed().Seconds(), "steps/s")
 }
 
 // BenchmarkSimulatorWrap measures the wrap-mode simulation used by E3's

@@ -53,6 +53,15 @@ func (s *keySlab) at(i uint32) gcl.State {
 	return v
 }
 
+// nibbleKey builds a deterministic test key of n words in 0..15.
+func nibbleKey(i, n int) gcl.State {
+	k := make(gcl.State, n)
+	for j := range k {
+		k[j] = int32((i*7 + j*13) & 0xf)
+	}
+	return k
+}
+
 // slabKey builds a deterministic test key of n words, wide past i = 1.
 func slabKey(i, n int) gcl.State {
 	k := make(gcl.State, n)
@@ -81,7 +90,7 @@ func TestKeySlabRoundTrip(t *testing.T) {
 			var s keySlab
 			var early []packedKey
 			for i := 0; i < 2000; i++ {
-				j, tl := s.appendTail(byteKey(i, n), false, tail)
+				j, tl := s.appendTail(byteKey(i, n), widthOf(byteKey(i, n)), tail)
 				if int(j) != i {
 					t.Fatalf("n=%d tail=%d: key %d appended at index %d", n, tail, i, j)
 				}
@@ -121,45 +130,43 @@ func TestKeySlabRoundTrip(t *testing.T) {
 	}
 }
 
-// TestKeySlabBlockBoundary fills past several full blocks, at both widths:
-// entry i sits in block i>>shift at offset (i mod 2^shift) × stride, so
-// none straddles, a full block holds 2^shift entries in at most 1 MiB, and
-// indices address the right block.
+// TestKeySlabBlockBoundary fills past several full blocks, at each width:
+// entry i sits in block i>>shift at offset (i mod 2^shift) × the block's
+// stride, so none straddles; every block holds 2^shift entries, the most
+// a power of two fits in 1 MiB at byte width; and indices address the
+// right block.
 func TestKeySlabBlockBoundary(t *testing.T) {
 	const n = 37
-	for _, wide := range []bool{false, true} {
-		key := byteKey
-		if wide {
-			key = slabKey
-		}
+	for w, key := range []func(i, n int) gcl.State{nibbleKey, byteKey, slabKey} {
+		w := keyWidth(w)
 		var s keySlab
 		var last uint32
 		for i := 0; len(s.blocks) < 3; i++ {
 			last = s.append(key(i, n))
 		}
-		if s.wide != wide || s.stride != s.pay || (wide && s.pay != n) || (!wide && s.pay != (n+3)/4) {
-			t.Fatalf("wide=%v: slab wide %v, %d payload words, stride %d", wide, s.wide, s.pay, s.stride)
+		if s.width != w || s.stride != s.pays[w] || s.pays[w] != payLen(n, w) || payLen(n, w) != [...]int{5, 10, 37}[w] {
+			t.Fatalf("width %d: slab width %d, %d payload words, stride %d", w, s.width, s.pays[w], s.stride)
 		}
 		per := uint32(1) << s.shift
-		if s.stride<<s.shift > keySlabBlock || s.stride<<(s.shift+1) <= keySlabBlock {
-			t.Fatalf("wide=%v: %d entries of %d words per block, want the most a power of two fits in %d words", wide, per, s.stride, keySlabBlock)
+		if byteStride := s.pays[byteWidth]; byteStride<<s.shift > keySlabBlock || byteStride<<(s.shift+1) <= keySlabBlock {
+			t.Fatalf("width %d: %d entries per block, want the most a power of two fits in %d words of %d-word entries", w, per, keySlabBlock, byteStride)
 		}
 		if last != 2*per || last>>s.shift != 2 {
-			t.Fatalf("wide=%v: last key at index %d in block %d, want the first of block 2", wide, last, last>>s.shift)
+			t.Fatalf("width %d: last key at index %d in block %d, want the first of block 2", w, last, last>>s.shift)
 		}
 		for i := uint32(0); i <= last; i++ {
 			k := s.packed(i)
 			blk := s.blocks[i>>s.shift]
-			if off := int(i&(per-1)) * s.stride; &k.words[0] != &blk[off] || off+s.stride > len(blk) {
-				t.Fatalf("wide=%v: key %d is not at offset %d of block %d", wide, i, off, i>>s.shift)
+			if off := int(i&(per-1)) * s.stride; k.width != w || &k.words[0] != &blk[off] || off+s.stride > len(blk) {
+				t.Fatalf("width %d: key %d is not at offset %d of block %d", w, i, off, i>>s.shift)
 			}
 			if got := s.at(i); !got.Equal(key(int(i), n)) {
-				t.Fatalf("wide=%v: key %d: got %v", wide, i, got)
+				t.Fatalf("width %d: key %d: got %v", w, i, got)
 			}
 		}
 		for _, b := range s.blocks[:2] {
 			if len(b) != cap(b) || cap(b) != s.stride<<s.shift {
-				t.Fatalf("wide=%v: full block has length %d, capacity %d, want %d", wide, len(b), cap(b), s.stride<<s.shift)
+				t.Fatalf("width %d: full block has length %d, capacity %d, want %d", w, len(b), cap(b), s.stride<<s.shift)
 			}
 		}
 	}
@@ -178,7 +185,7 @@ func TestKeySlabFullPanics(t *testing.T) {
 		s.blocks[i] = full
 	}
 	s.n = keySlabMaxEntries
-	full[len(full)-2] = packWord(gcl.State{4, 5, 6})
+	full[len(full)-2] = packPart(gcl.State{4, 5, 6}, 4)
 	if got := s.at(1<<32 - 2); !got.Equal(gcl.State{4, 5, 6}) {
 		t.Fatalf("top index decodes as %v", got)
 	}
@@ -206,7 +213,7 @@ func TestKeySlabShapePanics(t *testing.T) {
 					t.Fatalf("append of %d words with a %d-word tail: recovered %q", c.n, c.tail, msg)
 				}
 			}()
-			s.appendTail(make(gcl.State, c.n), false, c.tail)
+			s.appendTail(make(gcl.State, c.n), nibbleWidth, c.tail)
 		}()
 	}
 }
@@ -264,7 +271,8 @@ func TestFpTableInsertAmortized(t *testing.T) {
 // state's own number, for both engines. Without symmetry the entry is the
 // concrete vector; under symmetry it is the canonical key plus a
 // witness-and-cursor tail, from which the engine decodes the concrete
-// state.
+// state. Every word of this cell fits four bits, so each key is packed
+// eight words to an int32.
 func TestExactTierSharesOneSlab(t *testing.T) {
 	p := specs.BakeryPP(specs.Config{N: 3, M: 2})
 	for _, workers := range []int{0, 2} {
@@ -295,7 +303,7 @@ func TestExactTierSharesOneSlab(t *testing.T) {
 			for _, b := range e.slab.blocks {
 				words += len(b)
 			}
-			if e.slab.len() != e.numStates() || words != e.numStates()*((p.StateLen()+3)/4+tail) {
+			if e.slab.len() != e.numStates() || words != e.numStates()*(payLen(p.StateLen(), nibbleWidth)+tail) {
 				t.Fatalf("workers=%d symmetry=%v: slab holds %d entries in %d words for %d states of %d words — vectors stored twice?",
 					workers, sym, e.slab.len(), words, e.numStates(), p.StateLen())
 			}
@@ -315,8 +323,8 @@ func TestExactTierSharesOneSlab(t *testing.T) {
 
 // TestSymmetricSlabFootprint pins the per-state cost of the symmetric
 // exact tier: the quotient of bakerypp N=4 M=2 (18,489 states) ends in one
-// slab holding, per state, its canonical key packed one byte per word and
-// the tail — 6 words, nothing else — at workers 0 and 2.
+// slab holding, per state, its canonical key packed four bits per word and
+// the tail — 4 words, nothing else — at workers 0 and 2.
 func TestSymmetricSlabFootprint(t *testing.T) {
 	p := specs.BakeryPP(specs.Config{N: 4, M: 2})
 	for _, workers := range []int{0, 2} {
@@ -332,9 +340,9 @@ func TestSymmetricSlabFootprint(t *testing.T) {
 		for _, b := range e.store.(*seqStore).slab.blocks {
 			words += len(b)
 		}
-		perState := (p.StateLen()+3)/4 + p.TailLen()
-		if perState != 6 || words != e.numStates()*perState {
-			t.Errorf("workers=%d: slab holds %d words, %d per state; want 6 per state, %d", workers, words, perState, 6*e.numStates())
+		perState := payLen(p.StateLen(), nibbleWidth) + p.TailLen()
+		if perState != 4 || words != e.numStates()*perState {
+			t.Errorf("workers=%d: slab holds %d words, %d per state; want 4 per state, %d", workers, words, perState, 4*e.numStates())
 		}
 	}
 }
@@ -419,76 +427,109 @@ func TestFpTableAdversarialFingerprints(t *testing.T) {
 }
 
 // TestExactTableFootprint pins the growth policy and the per-state cost of
-// the default exact tier: exploring bakerypp N=3 M=4 (87,724 states) ends
-// in a 2^17-slot table, the first power of two above 87,724/0.7, and in one
-// slab holding each state vector once, packed one byte per word and
-// nothing else — 3 words per state.
+// the default exact tier on two cells, explored through the merge loop to
+// their end at workers 0 and 2: bakerypp N=3 M=4 verifies at 87,724
+// states and bakery N=4 M=4 stops at its overflow at 197,655. The table
+// doubles at 7/8 load, so it ends with 2^17 and 2^18 slots, the first
+// powers of two above 87,724/0.875 and 197,655/0.875 (at 0.7 load the
+// second was 2^19). Every word of both cells fits four bits, so the slab
+// holds each state vector once, eight words to an int32 and nothing else:
+// 2 words per state.
 func TestExactTableFootprint(t *testing.T) {
-	p := specs.BakeryPP(specs.Config{N: 3, M: 4})
-	for _, workers := range []int{0, 2} {
-		g, err := BuildGraph(p, Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := g.expl
-		if n := e.numStates(); n != 87724 {
-			t.Fatalf("workers=%d: %d states, want 87724", workers, n)
-		}
-		st := e.store.(*seqStore)
-		if got := len(st.t.ents); got != 1<<17 {
-			t.Errorf("workers=%d: table has %d slots, want %d", workers, got, 1<<17)
-		}
-		words := 0
-		for _, b := range st.slab.blocks {
-			words += len(b)
-		}
-		perState := (p.StateLen() + 3) / 4
-		if perState != 3 || words != e.numStates()*perState {
-			t.Errorf("workers=%d: slab holds %d words, %d per state; want 3 per state, %d", workers, words, perState, 3*e.numStates())
+	for _, c := range []struct {
+		p      *gcl.Prog
+		states int
+		slots  int
+	}{
+		{specs.BakeryPP(specs.Config{N: 3, M: 4}), 87724, 1 << 17},
+		{specs.Bakery(specs.Config{N: 4, M: 4}), 197655, 1 << 18},
+	} {
+		for _, workers := range []int{0, 2} {
+			e := exploreToStop(t, c.p, workers)
+			if n := e.numStates(); n != c.states {
+				t.Fatalf("%s workers=%d: %d states, want %d", c.p.Name, workers, n, c.states)
+			}
+			st := e.store.(*seqStore)
+			if got := len(st.t.ents); got != c.slots {
+				t.Errorf("%s workers=%d: table has %d slots, want %d", c.p.Name, workers, got, c.slots)
+			}
+			words := 0
+			for _, b := range st.slab.blocks {
+				words += len(b)
+			}
+			perState := payLen(c.p.StateLen(), nibbleWidth)
+			if st.slab.width != nibbleWidth || perState != 2 || words != e.numStates()*perState {
+				t.Errorf("%s workers=%d: slab of width %d holds %d words, %d per state; want 2 per state, %d",
+					c.p.Name, workers, st.slab.width, words, perState, 2*e.numStates())
+			}
 		}
 	}
 }
 
-// TestKeySlabPacking round-trips vectors of both widths, one slab per
-// length: words at the byte boundary (255, 256), at the 16-bit boundary
-// (65535, 65536), negative ones, and zero-length vectors. Each slab takes
-// its byte-valued vectors first, so it widens mid-run at the first vector
-// with a word outside 0..255. Every vector must come back word for word —
-// through its entry after the widening, and through the entry taken when it
-// was appended, which keeps the width it was written in — and match itself
-// but none of the others, including near-collisions whose bytes would
-// coincide if a 256 were shifted into the next byte, such as [256,0]
-// against [0,1]. Entries taken before the first block grows must still
-// decode after it.
+// exploreToStop runs a safety check of p (mutual exclusion, no overflow)
+// through the merge loop, as Check does, stopping at the first violating
+// state, and returns the explorer for its store to be inspected.
+func exploreToStop(t *testing.T, p *gcl.Prog, workers int) *explorer {
+	t.Helper()
+	opts := Options{Workers: workers, Invariants: []Invariant{Mutex(), NoOverflow()}}
+	plan, err := planFor(p, opts, SafetyAnalysis{Invariants: opts.Invariants})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := newExplorer(p, opts, plan)
+	defer e.join()
+	e.addInit(p.InitState())
+	violated := false
+	for head := int32(0); !violated && int(head) < e.numStates(); head++ {
+		x := e.expansionOf(head)
+		lo, hi := e.commit(x, e.depthOf(head))
+		for i := lo; i < hi && !violated; i++ {
+			_, fresh := e.addSucc(x, i, head)
+			violated = fresh && e.checkInvariants(x.succs[i].State) >= 0
+		}
+	}
+	return e
+}
+
+// TestKeySlabPacking round-trips vectors of all three widths, one slab per
+// length: words at the nibble boundary (15, 16), at the byte boundary
+// (255, 256), at the 16-bit boundary (65535, 65536), negative ones, and
+// zero-length vectors. Each slab takes its narrowest vectors first, so it
+// widens mid-run, nibble to byte to raw, at the first vector too wide for
+// the open block. Every vector must come back word for word — through its
+// entry after the widenings, and through the entry taken when it was
+// appended, which keeps the width it was written in — and match itself but
+// none of the others, including near-collisions whose words would coincide
+// if a 16 or a 256 were shifted into the next nibble or byte, such as
+// [16,0] against [0,1] and [256,0] against [0,1]. Entries taken before the
+// first block grows must still decode after it.
 func TestKeySlabPacking(t *testing.T) {
 	groups := [][]gcl.State{
 		{{}},
-		{{0}, {255}, {256}, {-1}, {65535}, {65536}},
-		{{0, 1}, {1, 0}, {256, 0}, {0, 256}},
-		{{255, 255, 255, 255}, {1, 2, 3, 4}, {255, 255, 255, 256}, {-1, 255, 255, 255}},
-		{{1, 2, 3, 4, 5}, {1, 2, 3, 4, 5 + 256}},
+		{{0}, {15}, {16}, {255}, {256}, {-1}, {65535}, {65536}},
+		{{0, 1}, {1, 0}, {16, 0}, {0, 16}, {256, 0}, {0, 256}},
+		{{15, 15, 15, 15, 15, 15, 15, 15}, {1, 2, 3, 4, 5, 6, 7, 8}, {15, 15, 15, 15, 15, 15, 15, 16},
+			{0, 1, 0, 0, 0, 0, 0, 0}, {16, 0, 0, 0, 0, 0, 0, 0}, {255, 255, 255, 255, 255, 255, 255, 255},
+			{255, 255, 255, 256, 0, 0, 0, 0}, {-1, 255, 255, 255, 0, 0, 0, 0}},
+		{{1, 2, 3, 4, 5, 6, 7, 8, 9}, {1, 2, 3, 4, 5, 6, 7, 8, 9 + 16}, {1, 2, 3, 4, 5, 6, 7, 8, 9 + 256}},
 		{{1, 2, 3, 4, 5, 0}, {65535, 65536, -65536, 1 << 30, -1 << 31, 1<<31 - 1}},
-		{{7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 9}},
+		{{7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 9}},
 	}
 	for _, vecs := range groups {
 		var s keySlab
 		var early []packedKey
-		wideSoFar := false
+		widest := nibbleWidth
 		for i, v := range vecs {
-			wideSoFar = wideSoFar || wideKey(v)
+			widest = max(widest, widthOf(v))
 			if idx := s.append(v); int(idx) != i {
 				t.Fatalf("%v appended at index %d, want %d", v, idx, i)
 			}
-			if s.wide != wideSoFar {
-				t.Fatalf("after %v the slab is wide = %v, want %v", v, s.wide, wideSoFar)
+			if s.width != widest {
+				t.Fatalf("after %v the slab has width %d, want %d", v, s.width, widest)
 			}
 			k := s.packed(uint32(i))
-			want := (len(v) + 3) / 4
-			if wideSoFar {
-				want = len(v)
-			}
-			if len(k.words) != want {
-				t.Errorf("%v: payload of %d words, want %d", v, len(k.words), want)
+			if k.width != widest || len(k.words) != payLen(len(v), widest) {
+				t.Errorf("%v: payload of %d words at width %d, want %d at width %d", v, len(k.words), k.width, payLen(len(v), widest), widest)
 			}
 			early = append(early, k)
 		}
@@ -501,37 +542,116 @@ func TestKeySlabPacking(t *testing.T) {
 				got := make(gcl.State, len(v))
 				k.decode(got)
 				if !got.Equal(v) {
-					t.Fatalf("%v decoded as %v", v, got)
+					t.Fatalf("%v decoded as %v (width %d)", v, got, k.width)
 				}
 			}
 			for j, u := range vecs {
-				if got := s.match(uint32(i), wideKey(u), u); got != (i == j) {
+				if got := s.match(uint32(i), widthOf(u) == rawWidth, u); got != (i == j) {
 					t.Errorf("entry %v matches %v: %v", v, u, got)
 				}
+			}
+		}
+	}
+	t.Run("mixed blocks", testKeySlabMixedBlocks)
+}
+
+// testKeySlabMixedBlocks fills a slab whose long tails leave 128 entries
+// per block with nibble vectors for a block and a half, then byte vectors,
+// then raw ones, each width arriving partway into a block. The open block
+// is re-encoded at each widening and every full block keeps the width it
+// opened at, so the slab ends with nibble, byte and raw blocks. Every
+// entry must decode, with its tail, through the slab and through the entry
+// taken when it was appended, and match exactly the vectors Equal to it,
+// in blocks of every width.
+func testKeySlabMixedBlocks(t *testing.T) {
+	const n, tail = 9, 2000
+	vec := func(i int) gcl.State {
+		v := nibbleKey(i, n)
+		v[0], v[1], v[2] = int32(i&0xf), int32(i>>4&0xf), int32(i>>8)
+		switch {
+		case i >= 330:
+			v[3+i%(n-3)] = int32(-i)
+		case i >= 190:
+			v[3+i%(n-3)] = int32(16 + i%240)
+		}
+		return v
+	}
+	var s keySlab
+	var early []packedKey
+	const total = 460
+	for i := 0; i < total; i++ {
+		v := vec(i)
+		j, tl := s.appendTail(v, widthOf(v), tail)
+		if int(j) != i {
+			t.Fatalf("vector %d appended at index %d", i, j)
+		}
+		tl[0], tl[tail-1] = int32(i), int32(-i)
+		early = append(early, s.packed(j))
+	}
+	if per := 1 << s.shift; per != 128 {
+		t.Fatalf("%d entries per block, want 128", per)
+	}
+	want := []keyWidth{nibbleWidth, byteWidth, rawWidth, rawWidth}
+	for b, w := range want {
+		if got := s.blockWidth(uint32(b)); got != w {
+			t.Errorf("block %d has width %d, want %d", b, got, w)
+		}
+	}
+	got := make(gcl.State, n)
+	for i := 0; i < total; i++ {
+		for _, k := range []packedKey{s.packed(uint32(i)), early[i]} {
+			k.decode(got)
+			if tl := k.tail(); !got.Equal(vec(i)) || len(tl) != tail || tl[0] != int32(i) || tl[tail-1] != int32(-i) {
+				t.Fatalf("entry %d decodes as %v, tail [%d ... %d] at width %d; want %v", i, got, tl[0], tl[tail-1], k.width, vec(i))
+			}
+		}
+	}
+	probes := []int{0, 1, 127, 128, 150, 189, 190, 255, 256, 300, 329, 330, 459}
+	for _, i := range probes {
+		for _, j := range probes {
+			u := vec(j)
+			if m := s.match(uint32(i), widthOf(u) == rawWidth, u); m != (i == j) {
+				t.Errorf("entry %d (block width %d) matches vector %d: %v", i, s.blockWidth(uint32(i)>>s.shift), j, m)
 			}
 		}
 	}
 }
 
 // FuzzKeySlabPacked: on random vector pairs, decoding an appended vector
-// returns it, and a slab match holds exactly when State.Equal does — while
-// the slab holds bytes and after it widens. A vector is read from its
-// bytes one word per byte (mode bit 0 clear) or one little-endian int32
-// per four bytes (set), so both widths, and pairs that share their payload
-// bytes but not their width, come up; a slab holds one key length, so the
-// longer vector is cut to the shorter one's length. Every run then appends
-// a wide vector, widening a byte slab mid-run, and appends the pair again
-// after it: entries from before and after the widening, and the entries
-// taken before it, must decode, and match must still agree with Equal.
+// returns it, and a slab match holds exactly when State.Equal does, in
+// blocks of every width. A vector is read from its bytes one word per
+// nibble (mode bits 0-1 are 0 for the first vector, bits 2-3 for the
+// second), one word per byte (1) or one little-endian int32 per four bytes
+// (2 or 3), so all three widths, and pairs that share their payload bits
+// but not their width, come up; a slab holds one key length, so the longer
+// vector is cut to the shorter one's length. Long tails leave four entries
+// per block. The run appends the pair into a first block, then again
+// before a vector holding 16 and again before one holding 256, each of
+// which widens the open block partway, so the slab ends with blocks of
+// every width the pair allows: entries from every block, and the entries
+// taken before each re-encoding, must decode with their tails, and match
+// must agree with Equal throughout.
 func FuzzKeySlabPacked(f *testing.F) {
-	f.Add([]byte{0, 1, 0, 0, 0, 0, 0, 0}, []byte{0, 1}, byte(1))    // [256,0] vs [0,1]
-	f.Add([]byte{0, 1}, []byte{0, 1, 0, 0, 0, 0, 0, 0}, byte(2))    // [0,1] vs [256,0]
-	f.Add([]byte{255, 0, 0, 0}, []byte{255}, byte(1))               // [255] both widths
+	f.Add([]byte{0, 1, 0, 0, 0, 0, 0, 0}, []byte{0, 1}, byte(6))    // [256,0] vs [0,1]
+	f.Add([]byte{0, 1}, []byte{0, 1, 0, 0, 0, 0, 0, 0}, byte(9))    // [0,1] vs [256,0]
+	f.Add([]byte{255, 0, 0, 0}, []byte{255}, byte(6))               // [255] as byte and raw
 	f.Add([]byte{}, []byte{}, byte(0))                              // empty vectors
-	f.Add([]byte{1, 2, 3, 4, 5}, []byte{1, 2, 3, 4, 5, 0}, byte(0)) // byte pair, widened by the run
-	f.Add([]byte{255, 255, 255, 255}, []byte{255, 255, 255, 255}, byte(3))
-	vec := func(b []byte, wide bool) gcl.State {
-		if !wide {
+	f.Add([]byte{1, 2, 3, 4, 5}, []byte{1, 2, 3, 4, 5, 0}, byte(5)) // byte pair, widened by the run
+	f.Add([]byte{255, 255, 255, 255}, []byte{255, 255, 255, 255}, byte(10))
+	f.Add([]byte{0x10}, []byte{0x01}, byte(0))                                                 // [0,1] vs [1,0] as nibbles
+	f.Add([]byte{16, 0}, []byte{0x10}, byte(1))                                                // [16,0] vs [0,1]: 16 in the next nibble
+	f.Add([]byte{15, 15, 15, 15}, []byte{15, 15, 15, 15, 0}, byte(5))                          // nibble-valued bytes
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, []byte{0, 0, 0, 0}, byte(10))                        // [-1] vs [0]
+	f.Add([]byte{0x21, 0x43, 0x65, 0x87, 0xa9}, []byte{0x21, 0x43, 0x65, 0x87, 0xa8}, byte(0)) // [1..10] vs [1..8,8,10]: full nibble words
+	vec := func(b []byte, mode byte) gcl.State {
+		switch mode & 3 {
+		case 0:
+			v := make(gcl.State, 2*len(b))
+			for i, x := range b {
+				v[2*i], v[2*i+1] = int32(x&0xf), int32(x>>4)
+			}
+			return v
+		case 1:
 			v := make(gcl.State, len(b))
 			for i, x := range b {
 				v[i] = int32(x)
@@ -545,10 +665,11 @@ func FuzzKeySlabPacked(f *testing.F) {
 		return v
 	}
 	f.Fuzz(func(t *testing.T, a, b []byte, mode byte) {
-		va, vb := vec(a, mode&1 != 0), vec(b, mode&2 != 0)
+		va, vb := vec(a, mode), vec(b, mode>>2)
 		n := min(len(va), len(vb))
 		va, vb = va[:n], vb[:n]
 		var s keySlab
+		tail := keySlabBlock/4 - payLen(n, byteWidth)
 		type entry struct {
 			i uint32
 			k packedKey
@@ -556,22 +677,24 @@ func FuzzKeySlabPacked(f *testing.F) {
 		}
 		var ents []entry
 		add := func(v gcl.State) {
-			i := s.append(v)
+			i, tl := s.appendTail(v, widthOf(v), tail)
+			tl[0], tl[tail-1] = int32(i), int32(^i)
 			ents = append(ents, entry{i, s.packed(i), v})
 		}
+		probes := []gcl.State{va, vb}
 		check := func() {
 			t.Helper()
 			for _, e := range ents {
 				for _, k := range []packedKey{e.k, s.packed(e.i)} {
 					got := make(gcl.State, n)
 					k.decode(got)
-					if !got.Equal(e.v) {
-						t.Fatalf("%v decoded as %v (slab wide %v)", e.v, got, s.wide)
+					if tl := k.tail(); !got.Equal(e.v) || tl[0] != int32(e.i) || tl[tail-1] != int32(^e.i) {
+						t.Fatalf("%v decoded as %v with tail [%d ... %d] (width %d)", e.v, got, tl[0], tl[tail-1], k.width)
 					}
 				}
-				for _, u := range []gcl.State{va, vb} {
-					if got, want := s.match(e.i, wideKey(u), u), e.v.Equal(u); got != want {
-						t.Fatalf("entry %v matches %v: %v, Equal says %v (slab wide %v)", e.v, u, got, want, s.wide)
+				for _, u := range probes {
+					if got, want := s.match(e.i, widthOf(u) == rawWidth, u), e.v.Equal(u); got != want {
+						t.Fatalf("entry %v matches %v: %v, Equal says %v (block width %d)", e.v, u, got, want, s.blockWidth(e.i>>s.shift))
 					}
 				}
 			}
@@ -582,14 +705,27 @@ func FuzzKeySlabPacked(f *testing.F) {
 		if n == 0 {
 			return
 		}
-		w := make(gcl.State, n)
-		w[n-1] = 256
-		add(w)
-		add(va)
-		add(vb)
-		if !s.wide {
-			t.Fatal("a vector holding 256 left the slab one byte per word")
+		if s.shift != 2 {
+			t.Fatalf("%d entries per block, want 4", 1<<s.shift)
 		}
-		check()
+		zero := make(gcl.State, n)
+		add(zero)
+		add(zero)
+		for _, x := range []int32{16, 256} {
+			w := make(gcl.State, n)
+			w[n-1] = x
+			probes = append(probes, w)
+			add(va)
+			add(vb)
+			add(w)
+			add(zero)
+			check()
+			if want := widthOf(w); s.width < want || s.blockWidth(s.n>>s.shift-1) != s.width {
+				t.Fatalf("after %v the slab has width %d, its last block %d", w, s.width, s.blockWidth(s.n>>s.shift-1))
+			}
+		}
+		if got, want := s.blockWidth(0), max(widthOf(va), widthOf(vb)); got != want {
+			t.Fatalf("the first block, full before any widening, has width %d, want %d", got, want)
+		}
 	})
 }

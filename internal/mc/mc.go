@@ -605,7 +605,7 @@ func (e *explorer) appendState(pr *prep, wit []byte, s gcl.State) int32 {
 		e.states = append(e.states, append(gcl.State(nil), s...))
 		idx = int32(len(e.states) - 1)
 	default:
-		i, tail := e.slab.appendTail(pr.key, pr.wide, e.tailLen)
+		i, tail := e.slab.appendTail(pr.key, pr.width, e.tailLen)
 		if e.tailLen > 0 {
 			e.p.PackTail(tail, wit, s)
 		}
@@ -675,16 +675,16 @@ func crashersCoverAll(pids []int, n int) bool {
 }
 
 // prep is a successor's prepared store probe, cached across the C3
-// proviso check and the committed insertion. wide is the key's width
-// (wideKey), computed once in the same batch as the fingerprint, and only
+// proviso check and the committed insertion. width is the key's width
+// (widthOf), computed once in the same batch as the fingerprint, and only
 // for the exact in-heap store, so neither its compare nor its append
 // recomputes it. Under symmetry, slot is the key's index in the
 // expansion's KeySlab, which holds its witness.
 type prep struct {
-	fp   uint64
-	key  gcl.State
-	slot int32
-	wide bool
+	fp    uint64
+	key   gcl.State
+	slot  int32
+	width keyWidth
 }
 
 // expansion is one expanded BFS head, the unit the merge step consumes: its
@@ -753,7 +753,7 @@ func (e *explorer) prepSuccs(w *wctx, succs []gcl.Succ, dst []prep) {
 		w.fps, w.ors = gcl.FingerprintSuccsOr(succs, w.fps, w.ors)
 		for i := range succs {
 			d := &dst[i]
-			d.fp, d.key, d.wide = w.fps[i], succs[i].State, wideOr(w.ors[i])
+			d.fp, d.key, d.width = w.fps[i], succs[i].State, widthOr(w.ors[i])
 		}
 	case w.canon == nil:
 		w.fps = gcl.FingerprintSuccs(succs, w.fps)
@@ -767,7 +767,7 @@ func (e *explorer) prepSuccs(w *wctx, succs []gcl.Succ, dst []prep) {
 			d := &dst[i]
 			d.fp, d.key, d.slot = w.slab.Fp(base+i), w.slab.Key(base+i), int32(base+i)
 			if e.table != nil {
-				d.wide = wideKey(d.key)
+				d.width = widthOf(d.key)
 			}
 		}
 	}
@@ -1142,7 +1142,7 @@ func (e *explorer) ampleOK(x *expansion, d int32) bool {
 // its answer is the slab index.
 func (e *explorer) lookup(pr *prep) (int32, bool) {
 	if e.table != nil {
-		i := e.table.find(pr.fp, pr.key, pr.wide)
+		i := e.table.find(pr.fp, pr.key, pr.width == rawWidth)
 		return int32(i), i >= 0
 	}
 	return e.store.Lookup(pr.fp, pr.key)
@@ -1151,7 +1151,7 @@ func (e *explorer) lookup(pr *prep) (int32, bool) {
 // indexOf returns the number of the state stored under key, a store key as
 // Prepare derives it.
 func (e *explorer) indexOf(key gcl.State) (int32, bool) {
-	return e.lookup(&prep{fp: key.Fingerprint(), key: key, wide: wideKey(key)})
+	return e.lookup(&prep{fp: key.Fingerprint(), key: key, width: widthOf(key)})
 }
 
 // addSucc numbers successor i of head if it is new, returning its index and

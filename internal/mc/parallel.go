@@ -17,10 +17,10 @@ package mc
 // The workers touch neither the visited store nor the slab and parent
 // column the merge grows. A chunk's heads are captured on the merge
 // goroutine when the chunk launches, as stored: each slab entry as a
-// sub-slice of its packed payload and tail, carrying the slab's width at
+// sub-slice of its packed payload and tail, carrying its block's width at
 // capture. The slab never writes those words again — a growing first block
-// is copied and a widening builds new blocks, leaving the old ones to the
-// captured heads (spill decodes and release-mode clones, private copies,
+// is copied and a widening re-encodes the open block into a new one,
+// leaving the old ones to the captured heads (spill decodes and release-mode clones, private copies,
 // are wrapped as raw entries). Each worker decodes its own heads —
 // restoring them from key and tail under symmetry — into its scratch, so
 // no decoding runs on the merge. Everything else a worker writes is its chunk's own scratch and
