@@ -720,8 +720,8 @@ func FuzzKeySlabPacked(f *testing.F) {
 			add(w)
 			add(zero)
 			check()
-			if want := widthOf(w); s.width < want || s.blockWidth(s.n>>s.shift-1) != s.width {
-				t.Fatalf("after %v the slab has width %d, its last block %d", w, s.width, s.blockWidth(s.n>>s.shift-1))
+			if want := widthOf(w); s.width < want || s.blockWidth((s.n-1)>>s.shift) != s.width {
+				t.Fatalf("after %v the slab has width %d, its last block %d", w, s.width, s.blockWidth((s.n-1)>>s.shift))
 			}
 		}
 		if got, want := s.blockWidth(0), max(widthOf(va), widthOf(vb)); got != want {
