@@ -47,7 +47,7 @@ func runMain() int {
 		workers  = flag.Int("workers", 0, "parallel model-checking goroutines (0 = sequential, -1 = GOMAXPROCS; FCFS/refinement checks stay sequential)")
 		symmetry = flag.Bool("symmetry", false, "process-symmetry reduction for the safety-check experiments (specs declaring full symmetry explore one state per orbit; verdicts unchanged)")
 		por      = flag.Bool("por", false, "ample-set partial-order reduction for the safety-check experiments (composes with -symmetry; verdicts unchanged)")
-		store    = flag.String("store", "", "visited-set tier for the store-aware experiments (E17) and -bench-json: exact|compact[64|128]|bitstate, with ,spill and ,shadow modifiers; empty = experiment defaults")
+		store    = flag.String("store", "", "visited-set tier for the store-aware experiments (E17) and -bench-json: exact|bitstate, with the ,spill modifier; empty = experiment defaults")
 
 		benchJSON  = flag.String("bench-json", "", "run the model-checking benchmark grid and write it as JSON to this path (e.g. BENCH_mc.json), instead of the experiment suite")
 		benchSmall = flag.Bool("bench-small", false, "with -bench-json: run only the quick safety cells (the CI bench-compare gate's grid)")

@@ -9,8 +9,8 @@
 //	bakerymc -algo bakerypp -n 2 -m 2 -crash        # with crash-restart
 //	bakerymc -algo bakerypp -n 3 -m 2 -starve 2     # Section 6.3 livelock
 //	bakerymc -algo bakerypp -n 5 -m 2 -symmetry -por -workers -1  # composed reductions
-//	bakerymc -algo bakerypp -n 6 -m 2 -symmetry -por -store compact  # beyond-RAM, probabilistic
-//	bakerymc -algo bakerypp -n 4 -m 2 -store exact,spill             # exact with mmap spill
+//	bakerymc -algo bakerypp -n 6 -m 2 -symmetry -store bitstate  # probabilistic, smallest footprint
+//	bakerymc -algo bakerypp -n 4 -m 2 -store exact,spill         # exact with mmap spill
 package main
 
 import (
@@ -49,7 +49,7 @@ func run() int {
 		trace     = flag.Bool("trace", false, "print the counterexample trace, if any")
 		starve    = flag.Int("starve", -1, "search for a Section 6.3 livelock pinning this pid at l1")
 		fcfs      = flag.String("fcfs", "", "check FCFS for a pid pair, e.g. -fcfs 0,1")
-		store     = flag.String("store", "exact", "visited-set tier: exact|compact[64|128]|bitstate, with ,spill and ,shadow modifiers (e.g. compact, exact,spill, compact,spill). Lossy modes print a probabilistic-verdict banner and are refused for -starve/-fcfs")
+		store     = flag.String("store", "exact", "visited-set tier: exact|bitstate, with the ,spill modifier (e.g. bitstate, exact,spill, bitstate,spill). The lossy bitstate mode prints a probabilistic-verdict banner and is refused for -starve/-fcfs")
 		storeSeed = flag.Uint64("store-seed", 0, "hash seed for the lossy store modes (runs are deterministic per seed for any -workers)")
 		listing   = flag.Bool("listing", false, "print the algorithm's control-flow skeleton and exit")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")

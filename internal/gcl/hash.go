@@ -69,10 +69,9 @@ func (s State) Fingerprint() uint64 {
 
 // FingerprintSeeded returns a 64-bit hash of the state vector whose offset
 // basis is perturbed by seed, giving a family of independent-enough hash
-// functions for the lossy visited-set modes (internal/mc's compact and
-// bitstate stores): the 128-bit compact key pairs Fingerprint with a
-// fixed-seed second word, and per-run seeds let validation runs re-roll the
-// collision dice. The seed-spreading structure is unchanged from v1: a
+// functions for the lossy visited-set mode (internal/mc's bitstate store):
+// a fixed-seed second hash gives the double-hashing stride, and per-run
+// seeds let validation runs re-roll the collision dice. The seed-spreading structure is unchanged from v1: a
 // splitmix64 finalizer diffuses the seed across the offset basis so related
 // seeds (0, 1, 2, …) give unrelated hash functions, and seed 0 is NOT
 // Fingerprint.
@@ -82,14 +81,6 @@ func (s State) FingerprintSeeded(seed uint64) uint64 {
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	z ^= z >> 31
 	return fpAbsorb(fnvOffset64^z, s)
-}
-
-// Fingerprint128 returns a 128-bit fingerprint: the plain Fingerprint as
-// the low word and a fixed-seed FingerprintSeeded as the high word. The
-// compact store's 128-bit mode keys on both words, pushing the birthday
-// bound far below any reachable state count.
-func (s State) Fingerprint128() (lo, hi uint64) {
-	return s.Fingerprint(), s.FingerprintSeeded(0x243f6a8885a308d3)
 }
 
 // Equal reports whether two states are word-for-word identical.

@@ -43,8 +43,8 @@ type MCBenchRecord struct {
 	POR        bool `json:"por"`
 	PORApplied bool `json:"por_applied"`
 
-	// Store is the visited-set tier the run used ("exact", "compact",
-	// "bitstate", "exact,spill", ...); cells that measure a non-exact tier
+	// Store is the visited-set tier the run used ("exact", "bitstate",
+	// "exact,spill", ...); cells that measure a non-exact tier
 	// suffix Name with "/<store>".
 	Store string `json:"store"`
 
@@ -236,18 +236,14 @@ type storeBenchCell struct {
 
 // storeBenchCells crosses reduction modes with the visited-set tiers on
 // the n=4 cell — big enough (1.6M full states) that the tiers' memory
-// trade-offs show, small enough that six extra rows stay cheap.
+// trade-offs show, small enough that three extra rows stay cheap.
 func storeBenchCells() []storeBenchCell {
 	c := specs.Config{N: 4, M: 2}
 	symPor := benchMode{"symmetry+por", true, true}
 	none := benchMode{"none", false, false}
 	return []storeBenchCell{
-		{"bakerypp", c, symPor, "compact"},
-		{"bakerypp", c, symPor, "compact64"},
 		{"bakerypp", c, symPor, "bitstate"},
 		{"bakerypp", c, symPor, "exact,spill"},
-		{"bakerypp", c, symPor, "compact,spill"},
-		{"bakerypp", c, none, "compact"},
 		{"bakerypp", c, none, "exact,spill"},
 	}
 }

@@ -155,11 +155,9 @@ func TestStoreBenchRecords(t *testing.T) {
 	none := benchMode{"none", false, false}
 	c := specs.Config{N: 2, M: 2}
 	cells := []storeBenchCell{
-		{"bakerypp", c, none, "compact"},
-		{"bakerypp", c, none, "compact64"},
 		{"bakerypp", c, none, "bitstate"},
 		{"bakerypp", c, none, "exact,spill"},
-		{"bakerypp", c, none, "compact,spill"},
+		{"bakerypp", c, none, "bitstate,spill"},
 	}
 	if err := appendStoreBench(rep, ExpConfig{}, cells); err != nil {
 		t.Fatal(err)

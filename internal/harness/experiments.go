@@ -106,8 +106,8 @@ func Experiments() []Experiment {
 			"Scaling the Section 6.2 TLC-style verification further: ample-set partial-order reduction (the SPIN/TLC-family pairing) multiplies with the symmetry quotient while preserving every verdict, including the modbakery strawman's violation", runE15},
 		{"E16", "Liveness under reduction: starvation/no-progress/FCFS, full vs quotient",
 			"Section 6.3 livelock and the global-progress question at scales the full graph cannot reach: the unified analysis pipeline runs the cycle analyses orbit-aware on the quotient graph and the FCFS monitor on pinned-orbit keys, with verdict parity enforced and every quotient lasso replayed as a concrete execution", runE16},
-		{"E17", "Beyond-RAM state stores: exact / spill / compact / bitstate at a fixed spec",
-			"Scaling the Section 6.2 TLC-style verification past memory: hash compaction (TLC's fingerprint mode), bitstate hashing (SPIN's supertrace) and an mmap spill tier trade heap residency — and, for the lossy tiers, an explicitly bounded omission risk — for reach, with verdict parity against the exact baseline", runE17},
+		{"E17", "Beyond-RAM state stores: exact / bitstate, in the heap or spilled, at a fixed spec",
+			"Scaling the Section 6.2 TLC-style verification past memory: bitstate hashing (SPIN's supertrace) and an mmap spill tier trade heap residency — and, for the lossy tier, an explicitly bounded omission risk — for reach, with verdict parity against the exact baseline", runE17},
 		{"E18", "Latency-percentile contention sweep (closed-loop scenario, multi-seed)",
 			"Section 7 temporal-complexity claims restated as falsifiable queueing predictions: with closed-loop clients re-requesting right after service, Bakery++'s FCFS doorway makes the acquire tail grow with N, while closed-loop clients with exponential think time (mean 80) overlap less and keep the tail below it — tested per seed on one-shard lock-service scenarios with a jittered latency model", runE18},
 		{"E19", "Entry-gate reset frequency vs ticket budget (scenario fleet, multi-seed)",
@@ -941,14 +941,13 @@ func runE17(w io.Writer, cfg ExpConfig) error {
 	// Tiers run smallest footprint first: peak RSS (getrusage Maxrss) is a
 	// process-wide high-water mark, so each row's column is legible as
 	// "the high water after this tier" only when footprints ascend. Run
-	// alone at -workers -1 on a 2-vCPU Linux VM (three runs each) the tiers
-	// peaked at (MiB): exact 127-135, bitstate 167-209, compact64 270-273,
-	// compact 265-270, compact,spill 300-316, exact,spill 410-425. The
-	// exact in-heap tier keeps each vector once, one byte per word, in a
-	// pointer-free slab, which undercuts bitstate (a heap clone of every
-	// queued frontier vector) and both compact tiers' fingerprint maps; the
-	// spill tiers' RSS counts the mapped arena pages.
-	stores := []string{"exact", "bitstate", "compact64", "compact", "compact,spill", "exact,spill"}
+	// alone at -workers -1 on a 2-vCPU Linux VM (two runs each) the tiers
+	// peaked at (MiB): bitstate 41, bitstate,spill 44, exact 49,
+	// exact,spill 53-54. Every tier keeps each state once, packed, in one
+	// pointer-free slab; bitstate answers membership from its 16 MiB bit
+	// array instead of exact's slot table, and the spill tiers' RSS also
+	// counts the mapped slab pages.
+	stores := []string{"bitstate", "bitstate,spill", "exact", "exact,spill"}
 	if cfg.Store != nil {
 		// A pinned tier runs alone: the shape the CI memory smoke uses to
 		// drive one mode under GOMEMLIMIT without paying for the others.
@@ -986,7 +985,7 @@ func runE17(w io.Writer, cfg ExpConfig) error {
 	if exact != nil && lossyRef != nil && verdict(exact) != verdict(lossyRef) {
 		return fmt.Errorf("E17: lossy tier verdict %q diverges from exact %q", verdict(lossyRef), verdict(exact))
 	}
-	fmt.Fprintln(w, "The exact tiers agree state-for-state; the lossy tiers reach the same verdict while holding fingerprints (compact) or bits (bitstate) instead of state vectors, with the omission risk they accept printed next to the verdict — see docs/model-checking.md, \"State stores and memory\". Bitstate explores the same space but stores no values, so runs that need POR or traces must step up a tier. Peak RSS is a process high-water mark: each row shows the maximum over all tiers run so far, which is why the tiers run in ascending footprint order and the column never resets per row.")
+	fmt.Fprintln(w, "The exact tiers agree state-for-state; the bitstate tiers reach the same verdict while answering membership from a bit array instead of a table of stored keys, with the omission risk they accept printed next to the verdict — see docs/model-checking.md, \"State stores and memory\". Every tier keeps its states in a slab, so every tier prints counterexample traces; bitstate stores no values, so runs that need POR must step up to exact. Peak RSS is a process high-water mark: each row shows the maximum over all tiers run so far, which is why the tiers run in ascending footprint order and the column never resets per row.")
 	return nil
 }
 

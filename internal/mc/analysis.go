@@ -176,9 +176,8 @@ func planFor(p *gcl.Prog, opts Options, a Analysis) (Plan, error) {
 	// anything; a pinned or fully-pinned property may distinguish the
 	// very interleavings POR merges. The bitstate store stores no values,
 	// so the ample proviso's stored-depth lookups are impossible — POR is
-	// silently dropped there (the store is already probabilistic; the
-	// compact store keeps values and keeps POR).
-	pl.POR = opts.POR && st.hasValues() && !opts.Crash && !needs.Cycles &&
+	// silently dropped there (the store is already probabilistic).
+	pl.POR = opts.POR && st.Mode != StoreBitstate && !opts.Crash && !needs.Cycles &&
 		!needs.AllPids && len(needs.PinnedPids) == 0 &&
 		observationsKnown(needs.Observations)
 	return pl, nil

@@ -110,7 +110,7 @@ func CheckFCFS(p *gcl.Prog, first, second int, opts Options) (*FCFSResult, error
 	// out — but the plan may select pinned-orbit keying, which collapses
 	// states related by permutations of the remaining pids.
 	nodes := []node{{st: p.InitState(), phase: 0, parent: -1, byPid: -1}}
-	seen := newStateStore(p, plan, nil)
+	seen := newStateStore(p, plan)
 	fp0, key0 := seen.Prepare(nodes[0].st, 0)
 	seen.Insert(fp0, key0, 0)
 

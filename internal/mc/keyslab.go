@@ -8,11 +8,10 @@ import (
 )
 
 // keySlab is append-only storage for state vectors of one length: the exact
-// in-heap stores' keys and, in the default exact tier, the engine's
-// numbered states, where a state's number IS its slab index. Entry i is
-// the vector's packed payload followed, optionally, by a tail of words its
-// owner reads back (the symmetric engine's witness and cursor bytes, see
-// appendTail).
+// stores' keys and, in every tier, the engine's numbered states, where a
+// state's number IS its slab index. Entry i is the vector's packed payload
+// followed, optionally, by a tail of words its owner reads back (the
+// symmetric engine's witness and cursor bytes, see appendTail).
 //
 // Every entry has one shape, fixed at the first append: keyLen key words
 // and tailLen tail words (appending another shape panics, naming both).
@@ -47,6 +46,10 @@ import (
 // one: a packedKey taken earlier keeps aliasing it, carrying the width it
 // was written in, so it stays valid across growth too.
 //
+// Under spill the blocks are mapped from an mmap arena (spill.go) instead
+// of allocated on the heap; the slab asks the arena for memory only when it
+// opens a block or grows the first one, so nothing else differs.
+//
 // Not goroutine-safe: appends need exclusive access. The payload and tail
 // of an entry are never written again in place, though, so a packedKey may
 // be handed to another goroutine and decoded there while appends continue
@@ -54,6 +57,8 @@ import (
 type keySlab struct {
 	blocks [][]int32
 	n      uint32
+	// ar, when set, maps the blocks from the spill arena.
+	ar *arena
 	// shaped is set by the first append, which fixes keyLen and tailLen.
 	shaped          bool
 	keyLen, tailLen int
@@ -185,12 +190,6 @@ type packedKey struct {
 	width keyWidth
 }
 
-// rawKey wraps a vector held outside the slab as a raw-width packedKey, so
-// callers that decode entries read it the same way.
-func rawKey(v gcl.State) packedKey {
-	return packedKey{words: v, pay: int32(len(v)), width: rawWidth}
-}
-
 // decode writes the stored vector into dst, which must have its length.
 func (k packedKey) decode(dst gcl.State) {
 	i := 0
@@ -283,11 +282,11 @@ func (s *keySlab) appendTail(v gcl.State, w keyWidth, tail int) (uint32, []int32
 		if b == 0 && s.stride > 0 {
 			size = min(size, max(keySlabFirst/s.stride, 1)*s.stride)
 		}
-		s.blocks = append(s.blocks, make([]int32, 0, size))
+		s.blocks = append(s.blocks, s.block(size))
 	}
 	blk := s.blocks[b]
 	if len(blk)+s.stride > cap(blk) {
-		grown := make([]int32, len(blk), min(2*cap(blk), s.stride<<s.shift))
+		grown := s.block(min(2*cap(blk), s.stride<<s.shift))[:len(blk)]
 		copy(grown, blk)
 		blk = grown
 	}
@@ -297,6 +296,15 @@ func (s *keySlab) appendTail(v gcl.State, w keyWidth, tail int) (uint32, []int32
 	s.blocks[b] = blk
 	s.n++
 	return i, blk[off+pay : off+s.stride : off+s.stride]
+}
+
+// block returns an empty block of capacity words: from the spill arena
+// when the slab has one, from the heap otherwise.
+func (s *keySlab) block(words int) []int32 {
+	if s.ar != nil {
+		return s.ar.block(words)
+	}
+	return make([]int32, 0, words)
 }
 
 // widen raises the slab's width to w, from the open block on. Full blocks

@@ -266,9 +266,8 @@ func TestFpTableInsertAmortized(t *testing.T) {
 }
 
 // TestExactTierSharesOneSlab pins the residency of the default exact tier:
-// no per-state vectors in explorer.states, and one slab, shared by the
-// engine and the store, holding each state once, as its entry at the
-// state's own number, for both engines. Without symmetry the entry is the
+// one slab, shared by the engine and its table, holding each state once,
+// as its entry at the state's own number, for both engines. Without symmetry the entry is the
 // concrete vector; under symmetry it is the canonical key plus a
 // witness-and-cursor tail, from which the engine decodes the concrete
 // state. Every word of this cell fits four bits, so each key is packed
@@ -285,12 +284,8 @@ func TestExactTierSharesOneSlab(t *testing.T) {
 			if e.trackPerms != sym {
 				t.Fatalf("workers=%d symmetry=%v: quotient %v", workers, sym, e.trackPerms)
 			}
-			if e.states != nil {
-				t.Fatalf("workers=%d symmetry=%v: exact tier kept %d per-state slices", workers, sym, len(e.states))
-			}
-			ss := e.store.(slabStore)
-			if e.table != ss.table() || e.slab != ss.keys() {
-				t.Fatalf("workers=%d symmetry=%v: the store does not share the engine's slab", workers, sym)
+			if e.table.slab != e.slab {
+				t.Fatalf("workers=%d symmetry=%v: the table does not probe the engine's slab", workers, sym)
 			}
 			tail := 0
 			if sym {
@@ -337,7 +332,7 @@ func TestSymmetricSlabFootprint(t *testing.T) {
 			t.Fatalf("workers=%d: %d states, want 18489", workers, n)
 		}
 		words := 0
-		for _, b := range e.store.(*seqStore).slab.blocks {
+		for _, b := range e.slab.blocks {
 			words += len(b)
 		}
 		perState := payLen(p.StateLen(), nibbleWidth) + p.TailLen()
@@ -449,18 +444,17 @@ func TestExactTableFootprint(t *testing.T) {
 			if n := e.numStates(); n != c.states {
 				t.Fatalf("%s workers=%d: %d states, want %d", c.p.Name, workers, n, c.states)
 			}
-			st := e.store.(*seqStore)
-			if got := len(st.t.ents); got != c.slots {
+			if got := len(e.table.ents); got != c.slots {
 				t.Errorf("%s workers=%d: table has %d slots, want %d", c.p.Name, workers, got, c.slots)
 			}
 			words := 0
-			for _, b := range st.slab.blocks {
+			for _, b := range e.slab.blocks {
 				words += len(b)
 			}
 			perState := payLen(c.p.StateLen(), nibbleWidth)
-			if st.slab.width != nibbleWidth || perState != 2 || words != e.numStates()*perState {
+			if e.slab.width != nibbleWidth || perState != 2 || words != e.numStates()*perState {
 				t.Errorf("%s workers=%d: slab of width %d holds %d words, %d per state; want 2 per state, %d",
-					c.p.Name, workers, st.slab.width, words, perState, 2*e.numStates())
+					c.p.Name, workers, e.slab.width, words, perState, 2*e.numStates())
 			}
 		}
 	}
@@ -516,43 +510,108 @@ func TestKeySlabPacking(t *testing.T) {
 		{{7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 9}},
 	}
 	for _, vecs := range groups {
-		var s keySlab
-		var early []packedKey
-		widest := nibbleWidth
-		for i, v := range vecs {
-			widest = max(widest, widthOf(v))
-			if idx := s.append(v); int(idx) != i {
-				t.Fatalf("%v appended at index %d, want %d", v, idx, i)
-			}
-			if s.width != widest {
-				t.Fatalf("after %v the slab has width %d, want %d", v, s.width, widest)
-			}
-			k := s.packed(uint32(i))
-			if k.width != widest || len(k.words) != payLen(len(v), widest) {
-				t.Errorf("%v: payload of %d words at width %d, want %d at width %d", v, len(k.words), k.width, payLen(len(v), widest), widest)
-			}
-			early = append(early, k)
+		for _, s := range []*keySlab{{}, {ar: testArena(t)}} {
+			checkKeySlabPacking(t, s, vecs)
 		}
-		// Grow the first block past its initial capacity.
-		for i := 0; s.stride > 0 && cap(s.blocks[0]) <= keySlabFirst; i++ {
-			s.append(byteKey(i, len(vecs[0])))
+	}
+	t.Run("mixed blocks", func(t *testing.T) { testKeySlabMixedBlocks(t, &keySlab{}) })
+	t.Run("mixed blocks spilled", func(t *testing.T) {
+		ar := testArena(t)
+		testKeySlabMixedBlocks(t, &keySlab{ar: ar})
+		if ar.bytes() == 0 {
+			t.Fatal("the spilled slab mapped no arena chunk")
 		}
-		for i, v := range vecs {
-			for _, k := range []packedKey{s.packed(uint32(i)), early[i]} {
-				got := make(gcl.State, len(v))
-				k.decode(got)
-				if !got.Equal(v) {
-					t.Fatalf("%v decoded as %v (width %d)", v, got, k.width)
-				}
+	})
+}
+
+// checkKeySlabPacking appends vecs to s, one group of TestKeySlabPacking,
+// and checks their widths, decodes and matches.
+func checkKeySlabPacking(t *testing.T, s *keySlab, vecs []gcl.State) {
+	t.Helper()
+	var early []packedKey
+	widest := nibbleWidth
+	for i, v := range vecs {
+		widest = max(widest, widthOf(v))
+		if idx := s.append(v); int(idx) != i {
+			t.Fatalf("%v appended at index %d, want %d", v, idx, i)
+		}
+		if s.width != widest {
+			t.Fatalf("after %v the slab has width %d, want %d", v, s.width, widest)
+		}
+		k := s.packed(uint32(i))
+		if k.width != widest || len(k.words) != payLen(len(v), widest) {
+			t.Errorf("%v: payload of %d words at width %d, want %d at width %d", v, len(k.words), k.width, payLen(len(v), widest), widest)
+		}
+		early = append(early, k)
+	}
+	// Grow the first block past its initial capacity.
+	for i := 0; s.stride > 0 && cap(s.blocks[0]) <= keySlabFirst; i++ {
+		s.append(byteKey(i, len(vecs[0])))
+	}
+	for i, v := range vecs {
+		for _, k := range []packedKey{s.packed(uint32(i)), early[i]} {
+			got := make(gcl.State, len(v))
+			k.decode(got)
+			if !got.Equal(v) {
+				t.Fatalf("%v decoded as %v (width %d)", v, got, k.width)
 			}
-			for j, u := range vecs {
-				if got := s.match(uint32(i), widthOf(u) == rawWidth, u); got != (i == j) {
-					t.Errorf("entry %v matches %v: %v", v, u, got)
-				}
+		}
+		for j, u := range vecs {
+			if got := s.match(uint32(i), widthOf(u) == rawWidth, u); got != (i == j) {
+				t.Errorf("entry %v matches %v: %v", v, u, got)
 			}
 		}
 	}
-	t.Run("mixed blocks", testKeySlabMixedBlocks)
+}
+
+// testArena returns a spill arena in the test's temporary directory,
+// unmapped when the test ends.
+func testArena(t *testing.T) *arena {
+	t.Helper()
+	ar, err := newArena(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ar.close)
+	return ar
+}
+
+// TestArenaBlocks: blocks carved from the spill arena have the capacity
+// asked for and keep what is written into them, and a block that does not
+// fit the rest of the newest chunk opens the next one; a block larger than
+// a chunk panics.
+func TestArenaBlocks(t *testing.T) {
+	ar := testArena(t)
+	const chunk = arenaChunkSize / 4 // words
+	sizes := []int{chunk / 2, chunk / 4, chunk/4 + 1, 2, chunk}
+	chunks := []int64{1, 1, 2, 2, 3}
+	var blocks [][]int32
+	for i, n := range sizes {
+		b := ar.block(n)
+		if len(b) != 0 || cap(b) != n {
+			t.Fatalf("block %d: len %d cap %d, want 0 and %d", i, len(b), cap(b), n)
+		}
+		b = b[:n]
+		b[0], b[n-1] = int32(i+1), int32(-i-1)
+		blocks = append(blocks, b)
+		if got := ar.bytes(); got != chunks[i]*arenaChunkSize {
+			t.Fatalf("after block %d the arena maps %d bytes, want %d chunks", i, got, chunks[i])
+		}
+	}
+	for i, b := range blocks {
+		if b[0] != int32(i+1) || b[len(b)-1] != int32(-i-1) {
+			t.Fatalf("block %d lost its words: [%d ... %d]", i, b[0], b[len(b)-1])
+		}
+	}
+	if b := ar.block(0); b != nil {
+		t.Fatalf("empty block is %v, want nil", b)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a block larger than a chunk did not panic")
+		}
+	}()
+	ar.block(chunk + 1)
 }
 
 // testKeySlabMixedBlocks fills a slab whose long tails leave 128 entries
@@ -563,7 +622,7 @@ func TestKeySlabPacking(t *testing.T) {
 // entry must decode, with its tail, through the slab and through the entry
 // taken when it was appended, and match exactly the vectors Equal to it,
 // in blocks of every width.
-func testKeySlabMixedBlocks(t *testing.T) {
+func testKeySlabMixedBlocks(t *testing.T, s *keySlab) {
 	const n, tail = 9, 2000
 	vec := func(i int) gcl.State {
 		v := nibbleKey(i, n)
@@ -576,7 +635,6 @@ func testKeySlabMixedBlocks(t *testing.T) {
 		}
 		return v
 	}
-	var s keySlab
 	var early []packedKey
 	const total = 460
 	for i := 0; i < total; i++ {

@@ -179,13 +179,13 @@ type Options struct {
 	// point; symmetry still applies there).
 	POR bool
 	// Store selects the visited-set tier (storeopts.go): the zero value is
-	// the historical exact in-heap store; StoreCompact/StoreBitstate trade
-	// exactness for memory (probabilistic verdicts, Result.Store reports
-	// the omission bound), Spill moves state vectors into an mmap-backed
-	// arena so the working set can exceed RAM. planFor refuses lossy modes
-	// for analyses needing exactness; Check panics on malformed options
-	// (commands pre-validate via ParseStoreSpec). Deterministic per Seed
-	// for any Workers count.
+	// the exact in-heap store; StoreBitstate trades exactness for memory
+	// (probabilistic verdicts, Result.Store reports the omission bound),
+	// Spill maps the state slab from an mmap-backed arena so the working
+	// set can exceed RAM. planFor refuses the lossy mode for analyses
+	// needing exactness; Check panics on malformed options (commands
+	// pre-validate via ParseStoreSpec). Deterministic per Seed for any
+	// Workers count.
 	Store StoreOptions
 }
 
@@ -357,13 +357,13 @@ type wctx struct {
 }
 
 // explorer is the shared BFS engine behind Check and BuildGraph. Its
-// visited set is a StateStore (store.go): fingerprint-keyed, Equal- (or,
-// under symmetry, canonical-)confirmed.
+// visited set is an fpTable over its state slab — fingerprint-keyed,
+// Equal- (or, under symmetry, canonical-)confirmed — or, in the bitstate
+// tier, a bit array.
 type explorer struct {
 	p        *gcl.Prog
 	opts     Options
 	plan     Plan
-	store    StateStore
 	symmetry bool // orbit dedup actually applied
 	por      bool // ample-set reduction actually applied
 	// trackPerms annotates graph edges with the permutation relating each
@@ -389,40 +389,32 @@ type explorer struct {
 	// chaseCap bounds local-chain compression so a cycle of local actions
 	// (a local spin) cannot chase forever.
 	chaseCap int
-	// State-vector residency (stateAt/appendState/releaseState). In the
-	// default exact tier state i is entry i of slab — a state's number is
-	// its slab index, so nothing maps one to the other and no per-state Go
-	// pointer exists. slab IS the store's key slab and table its table,
-	// which the engines probe and add to directly, so each state is stored
-	// once, packed (see keySlab). Without symmetry the entry is the
-	// concrete vector, which is its own key. Under symmetry it is the
-	// canonical key followed by a tailLen-word tail (gcl.PackTail: the
-	// witness permutation and the raw scan-cursor values), and the concrete
-	// state is restored from the two (decodeEntry); tailLen is 0 otherwise.
-	// Either way a state is decoded into a buffer of the reader's whenever
-	// it is read. Under Spill the vectors live in the mmap arena ar
-	// instead, offs holding one offset per state. Under a lossy store
-	// without spill, vectors are kept in states only until their state is
-	// expanded (release true) — the visited set holds fingerprints, the
-	// frontier holds the only live vectors, and traces are gone (traceable
-	// false).
+	// State-vector residency (stateAt/appendState), one for every tier:
+	// state i is entry i of slab — a state's number is its slab index, so
+	// nothing maps one to the other and no per-state Go pointer exists —
+	// and each state is stored once, packed (see keySlab). Under Spill the
+	// slab's blocks are mapped from an mmap arena. Without symmetry the
+	// entry is the concrete vector, which is its own key. Under symmetry
+	// it is the canonical key followed by a tailLen-word tail
+	// (gcl.PackTail: the witness permutation and the raw scan-cursor
+	// values), and the concrete state is restored from the two
+	// (decodeEntry); tailLen is 0 otherwise. Either way a state is decoded
+	// into a buffer of the reader's whenever it is read. The tier only
+	// answers membership: the exact tier through table, an fpTable over
+	// the slab, the bitstate tier through bits (table nil).
 	//
-	// One per-state column remains, parent (traceable runs only), paged so
-	// it is never copied as it grows (column.go). BFS numbers states in
-	// nondecreasing depth, so levels[d], the number of the first state at
-	// depth d, gives every depth (depthOf); and the action that produced a
-	// state is re-derived from its parent when a trace needs it (producer).
-	slab      *keySlab
-	table     *fpTable
-	tailLen   int
-	ar        *arena
-	offs      column[int64]
-	release   bool
-	traceable bool
-	states    []gcl.State
-	parent    column[int32]
-	levels    []int32
-	crashers  []int
+	// One per-state column remains, parent, paged so it is never copied as
+	// it grows (column.go). BFS numbers states in nondecreasing depth, so
+	// levels[d], the number of the first state at depth d, gives every
+	// depth (depthOf); and the action that produced a state is re-derived
+	// from its parent when a trace needs it (producer).
+	slab     *keySlab
+	table    *fpTable
+	bits     *bitstateStore
+	tailLen  int
+	parent   column[int32]
+	levels   []int32
+	crashers []int
 	// wc and seq expand the heads the explorer expands alone: every head in
 	// sequential mode, and in parallel mode those met while the queue is
 	// too narrow for the pre-pass. pre is parallel mode's pre-pass (nil in
@@ -444,15 +436,14 @@ func newExplorer(p *gcl.Prog, opts Options, plan Plan) *explorer {
 			opts.MaxStates = BeyondRAMMaxStates
 		}
 	}
-	e := &explorer{p: p, opts: opts, plan: plan}
-	e.traceable = !plan.Store.Lossy() || plan.Store.Spill
-	e.release = plan.Store.Lossy() && !plan.Store.Spill
-	if plan.Store.Spill {
-		ar, err := newArena(plan.Store.SpillDir)
-		if err != nil {
-			panic(err)
-		}
-		e.ar = ar
+	e := &explorer{p: p, opts: opts, plan: plan, slab: &keySlab{ar: spillArena(plan.Store)}}
+	if plan.Store.Mode == StoreBitstate {
+		e.bits = newBitstateStore(p, plan)
+	} else {
+		e.table = &fpTable{slab: e.slab}
+	}
+	if plan.Symmetry {
+		e.tailLen = p.TailLen()
 	}
 	e.crashers = crashersOf(p, opts)
 	e.symmetry = plan.Symmetry
@@ -477,15 +468,6 @@ func newExplorer(p *gcl.Prog, opts Options, plan Plan) *explorer {
 	if plan.TrackPerms {
 		e.perm = make([]int, p.N)
 	}
-	e.store = newStateStore(p, plan, e.ar)
-	if e.ar == nil && !e.release {
-		// Neither spilled nor lossy: the store is the exact in-heap one.
-		ss := e.store.(slabStore)
-		e.slab, e.table = ss.keys(), ss.table()
-		if plan.Symmetry {
-			e.tailLen = p.TailLen()
-		}
-	}
 	e.pre = newPrepass(e)
 	return e
 }
@@ -499,17 +481,8 @@ func (e *explorer) initCtx(w *wctx) {
 	}
 }
 
-// numStates is the count of numbered states, independent of where their
-// vectors live.
-func (e *explorer) numStates() int {
-	switch {
-	case e.ar != nil:
-		return e.offs.len()
-	case e.release:
-		return len(e.states)
-	}
-	return e.slab.len()
-}
+// numStates is the count of numbered states.
+func (e *explorer) numStates() int { return e.slab.len() }
 
 // depthOf returns the BFS depth of state i: the last level starting at or
 // before i.
@@ -521,33 +494,14 @@ func (e *explorer) depthOf(i int32) int32 {
 	return int32(d)
 }
 
-// stateAt returns state i's vector: a fresh decode of its slab entry or
-// of its spill arena record, or the in-heap clone (callers must not modify
-// it). Under a lossy non-spill store that clone is only valid until
-// releaseState(i) runs (after i's expansion).
+// stateAt returns state i's vector, a fresh decode of its slab entry that
+// aliases no slab block.
 func (e *explorer) stateAt(i int32) gcl.State {
-	switch {
-	case e.ar != nil:
-		return e.ar.state(e.offs.at(i))
-	case e.release:
-		return e.states[i]
-	}
 	var key gcl.State
 	if e.tailLen > 0 {
 		key = make(gcl.State, e.p.StateLen())
 	}
-	return e.decodeEntry(make(gcl.State, e.p.StateLen()), key, e.headEntry(i))
-}
-
-// headEntry returns state i as stored, for decodeEntry: its slab entry,
-// or, when the vector lives elsewhere, the spill decode or release-mode
-// clone wrapped as a raw entry. A slab entry aliases words the slab never
-// writes again, so it may be decoded on another goroutine.
-func (e *explorer) headEntry(i int32) packedKey {
-	if e.slab == nil {
-		return rawKey(e.stateAt(i))
-	}
-	return e.slab.packed(uint32(i))
+	return e.decodeEntry(make(gcl.State, e.p.StateLen()), key, e.slab.packed(uint32(i)))
 }
 
 // decodeEntry writes into dst the concrete state stored as k and returns
@@ -571,68 +525,47 @@ func (e *explorer) headState(w *wctx, k packedKey) gcl.State {
 }
 
 // witnessIndex returns the permutation-table index of state i's canonical
-// witness: read from its slab tail, or — when the vector lives elsewhere —
-// recomputed by canonicalizing it. Merge goroutine only (it uses the
-// explorer's scratch).
+// witness, read from its slab tail (the graph tracks permutations only
+// under symmetry, where every entry has one).
 func (e *explorer) witnessIndex(i int32) int {
-	if e.tailLen > 0 {
-		e.p.TailWitness(e.perm, e.slab.packed(uint32(i)).tail())
-		return e.p.PermIndexOf(e.perm)
-	}
-	_, perm := e.wc.canon.CanonicalizeWithPerm(e.stateAt(i))
-	return e.p.PermIndexOf(perm)
+	e.p.TailWitness(e.perm, e.slab.packed(uint32(i)).tail())
+	return e.p.PermIndexOf(e.perm)
 }
 
-// appendState numbers a fresh state, stores it per the residency mode and
-// inserts its store key; returns the new index. The incoming vectors may
-// live in a worker's recycled scratch buffer, so every residency mode
-// copies: spill into the mmap arena, release mode into a short-lived heap
-// clone (freed at expansion), and the default exact mode into the slab
-// that the store shares — the concrete vector, or under symmetry the
-// canonical key and the tail packed from wit and s — whose index, the
-// state's number, goes into the table. pr is the state's probe, whose
-// width the slab entry takes.
+// appendState numbers a fresh state and enters it into the visited set;
+// returns the new index. The incoming vectors may live in a worker's
+// recycled scratch buffer, so the state is copied into the slab — the
+// concrete vector, or under symmetry the canonical key and the tail packed
+// from wit and s — whose index, the state's number, goes into the table or
+// the bit array. pr is the state's probe, whose width the slab entry takes.
 func (e *explorer) appendState(pr *prep, wit []byte, s gcl.State) int32 {
-	var idx int32
-	switch {
-	case e.ar != nil:
-		off, err := e.ar.append(s)
-		if err != nil {
-			panic(err) // disk exhaustion mid-exploration: nothing sound to do
-		}
-		idx = e.offs.push(off)
-	case e.release:
-		e.states = append(e.states, append(gcl.State(nil), s...))
-		idx = int32(len(e.states) - 1)
-	default:
-		i, tail := e.slab.appendTail(pr.key, pr.width, e.tailLen)
-		if e.tailLen > 0 {
-			e.p.PackTail(tail, wit, s)
-		}
+	i, tail := e.slab.appendTail(pr.key, pr.width, e.tailLen)
+	if e.tailLen > 0 {
+		e.p.PackTail(tail, wit, s)
+	}
+	if e.table != nil {
 		e.table.add(pr.fp, i)
-		return int32(i)
+	} else {
+		e.bits.Insert(pr.fp, pr.key, int32(i))
 	}
-	e.store.Insert(pr.fp, pr.key, idx)
-	return idx
+	return int32(i)
 }
 
-// releaseState drops state i's vector once it has been expanded — the
-// lossy non-spill memory win: only the frontier holds vectors.
-func (e *explorer) releaseState(i int) {
-	if e.release {
-		e.states[i] = nil
-	}
-}
-
-// storeReport extracts the store tier's accounting, stamping engine-side
-// traceability; nil for the plain exact in-heap stores.
+// storeReport returns the store tier's accounting: the bitstate store's,
+// or the spill arena's for the exact tier; nil for the exact in-heap tier.
 func (e *explorer) storeReport() *StoreReport {
-	sr, ok := e.store.(StoreReporter)
-	if !ok {
+	var rep StoreReport
+	switch {
+	case e.bits != nil:
+		rep = e.bits.Report()
+	case e.slab.ar != nil:
+		rep = StoreReport{Mode: "exact,spill", Entries: int64(e.numStates()), Confidence: 1}
+	default:
 		return nil
 	}
-	rep := sr.Report()
-	rep.Traceable = e.traceable
+	if e.slab.ar != nil {
+		rep.SpillBytes = e.slab.ar.bytes()
+	}
 	return &rep
 }
 
@@ -676,10 +609,10 @@ func crashersCoverAll(pids []int, n int) bool {
 
 // prep is a successor's prepared store probe, cached across the C3
 // proviso check and the committed insertion. width is the key's width
-// (widthOf), computed once in the same batch as the fingerprint, and only
-// for the exact in-heap store, so neither its compare nor its append
-// recomputes it. Under symmetry, slot is the key's index in the
-// expansion's KeySlab, which holds its witness.
+// (widthOf), computed once in the same batch as the fingerprint, so neither
+// the table's compare nor the slab's append recomputes it. Under symmetry,
+// slot is the key's index in the expansion's KeySlab, which holds its
+// witness.
 type prep struct {
 	fp    uint64
 	key   gcl.State
@@ -735,41 +668,31 @@ func (e *explorer) addInit(s gcl.State) int32 {
 // canonicalized, witnesses included, into the context's key slab — a
 // contiguous structure-of-arrays pass with no per-state scratch copy
 // (gcl.KeySlab); otherwise the key is the successor state itself and only
-// the fingerprint batch is computed. For the exact in-heap store each
-// key's width is computed in the same batch, on the workers in parallel
-// mode. The engines reach the canon == nil arm exactly when the
-// plan involves no canonicalization and no extra key words, where every
-// store tier's Prepare degenerates to (s.Fingerprint(), s) — see
-// prepare().
+// the fingerprint batch is computed. Each key's width is computed in the
+// same batch, on the workers in parallel mode. The engines reach the
+// canon == nil arm exactly when the plan involves no canonicalization and
+// no extra key words, where every store tier's Prepare degenerates to
+// (s.Fingerprint(), s) — see prepare().
 func (e *explorer) prepSuccs(w *wctx, succs []gcl.Succ, dst []prep) {
 	if len(succs) == 0 {
 		return
 	}
 	// Fields are stored one by one: a composite literal is staged on the
 	// stack and copied in 16-byte moves that stall on store forwarding.
-	switch {
-	case w.canon == nil && e.table != nil:
+	if w.canon == nil {
 		// The words' OR, the width test, comes out of the fingerprint pass.
 		w.fps, w.ors = gcl.FingerprintSuccsOr(succs, w.fps, w.ors)
 		for i := range succs {
 			d := &dst[i]
 			d.fp, d.key, d.width = w.fps[i], succs[i].State, widthOr(w.ors[i])
 		}
-	case w.canon == nil:
-		w.fps = gcl.FingerprintSuccs(succs, w.fps)
-		for i := range succs {
-			d := &dst[i]
-			d.fp, d.key = w.fps[i], succs[i].State
-		}
-	default:
-		base := w.canon.CanonicalizeBatch(succs, &w.slab)
-		for i := range succs {
-			d := &dst[i]
-			d.fp, d.key, d.slot = w.slab.Fp(base+i), w.slab.Key(base+i), int32(base+i)
-			if e.table != nil {
-				d.width = widthOf(d.key)
-			}
-		}
+		return
+	}
+	base := w.canon.CanonicalizeBatch(succs, &w.slab)
+	for i := range succs {
+		d := &dst[i]
+		d.fp, d.key, d.slot = w.slab.Fp(base+i), w.slab.Key(base+i), int32(base+i)
+		d.width = widthOf(d.key)
 	}
 }
 
@@ -816,11 +739,6 @@ func (e *explorer) edgePermIdx(succWit []byte, to int32, fresh bool) int32 {
 // intermediate transitions, so traces are always step-by-step real
 // executions.
 func (e *explorer) trace(idx int32) Trace {
-	if !e.traceable {
-		// Lossy non-spill runs freed the ancestor vectors; the verdict
-		// stands, the witness path does not (the banner says how to get it).
-		return Trace{Prog: e.p, Init: e.p.InitState()}
-	}
 	var rev []int32
 	for i := idx; i >= 0; i = e.parent.at(i) {
 		rev = append(rev, i)
@@ -1049,7 +967,7 @@ func (e *explorer) expansionOf(head int32) *expansion {
 	x := &e.seq
 	e.wc.buf.Reset()
 	e.wc.slab.Reset()
-	e.expandInto(e.headState(&e.wc, e.headEntry(head)), x, &e.wc)
+	e.expandInto(e.headState(&e.wc, e.slab.packed(uint32(head))), x, &e.wc)
 	x.preps = grow(x.preps, len(x.succs))
 	if e.wc.canon != nil {
 		x.keys = &e.wc.slab
@@ -1108,8 +1026,8 @@ func (e *explorer) commit(x *expansion, d int32) (lo, hi int) {
 	return 0, len(x.succs)
 }
 
-// prefetch loads the exact in-heap store's home slots of probes ps ahead of
-// their lookups (fpTable.prefetch); other stores take no prefetch.
+// prefetch loads the exact tier's home slots of probes ps ahead of their
+// lookups (fpTable.prefetch); the bitstate tier takes no prefetch.
 func (e *explorer) prefetch(ps []prep) {
 	if e.table != nil {
 		e.table.prefetch(ps)
@@ -1138,14 +1056,15 @@ func (e *explorer) ampleOK(x *expansion, d int32) bool {
 }
 
 // lookup makes the store lookup for a prepared probe, returning the state's
-// number; the exact in-heap store takes the width prepSuccs computed, and
-// its answer is the slab index.
+// number; the exact tier's table takes the width prepSuccs computed, and
+// its answer is the slab index. The bitstate tier answers membership only
+// (number -1).
 func (e *explorer) lookup(pr *prep) (int32, bool) {
 	if e.table != nil {
 		i := e.table.find(pr.fp, pr.key, pr.width == rawWidth)
 		return int32(i), i >= 0
 	}
-	return e.store.Lookup(pr.fp, pr.key)
+	return e.bits.Lookup(pr.fp, pr.key)
 }
 
 // indexOf returns the number of the state stored under key, a store key as
@@ -1168,9 +1087,7 @@ func (e *explorer) addSucc(x *expansion, i int, head int32) (int32, bool) {
 		return idx, false
 	}
 	idx := e.appendState(pr, x.witness(i), x.succs[i].State)
-	if e.traceable {
-		e.parent.push(head)
-	}
+	e.parent.push(head)
 	if len(e.levels) == 0 || head >= e.levels[len(e.levels)-1] {
 		e.levels = append(e.levels, idx)
 	}
@@ -1196,8 +1113,8 @@ func Check(p *gcl.Prog, opts Options) *Result {
 	res := &Result{Prog: p, Symmetry: e.symmetry, POR: e.por}
 
 	// finish completes the result, building the counterexample, if any,
-	// after the store report: tracing probes the store again (producer),
-	// which a shadowed compact store would count.
+	// after the store report: tracing may probe the store again (producer),
+	// which must not reach the report.
 	finish := func(counterexample func()) *Result {
 		res.States = e.numStates()
 		res.Store = e.storeReport()
@@ -1246,9 +1163,6 @@ func Check(p *gcl.Prog, opts Options) *Result {
 				res.Deadlock = &t
 			})
 		}
-		// Safe in parallel mode too: the pre-pass captures the heads of a
-		// chunk when it launches, before any of them is merged.
-		e.releaseState(int(head))
 	}
 	res.Complete = true
 	return finish(nil)

@@ -20,13 +20,14 @@ package mc
 // sub-slice of its packed payload and tail, carrying its block's width at
 // capture. The slab never writes those words again — a growing first block
 // is copied and a widening re-encodes the open block into a new one,
-// leaving the old ones to the captured heads (spill decodes and release-mode clones, private copies,
-// are wrapped as raw entries). Each worker decodes its own heads —
-// restoring them from key and tail under symmetry — into its scratch, so
-// no decoding runs on the merge. Everything else a worker writes is its chunk's own scratch and
-// records. Two chunk buffers alternate: cur, whose records the merge is
-// walking, and next, in flight on the pool. Each owns its workers' scratch,
-// so expanding next never recycles memory the merge of cur still reads.
+// leaving the old ones to the captured heads, and a spilled block stays
+// mapped as long as the slab's arena lives. Each worker decodes its own
+// heads — restoring them from key and tail under symmetry — into its
+// scratch, so no decoding runs on the merge. Everything else a worker
+// writes is its chunk's own scratch and records. Two chunk buffers
+// alternate: cur, whose records the merge is walking, and next, in flight
+// on the pool. Each owns its workers' scratch, so expanding next never
+// recycles memory the merge of cur still reads.
 // The merge joins next when it reaches it, and Check and BuildGraph join it
 // on every return (explorer.join), early stops included.
 //
@@ -145,7 +146,7 @@ func (pp *prepass) launch(e *explorer, lo, hi int32) {
 	n := int(hi - lo)
 	c.lo, c.hi = lo, hi
 	for i := range n {
-		c.heads[i] = e.headEntry(lo + int32(i))
+		c.heads[i] = e.slab.packed(uint32(lo) + uint32(i))
 	}
 	// The buffer's previous chunk is fully merged (fresh states and keys
 	// were copied out), so every worker's scratch can be recycled.

@@ -184,7 +184,7 @@ func (pr *product) viewInto(buf gcl.State, nd prodNode) {
 		// An unreduced graph: entries carry no symmetry tail, so decoding
 		// needs no key scratch.
 		e := pr.g.expl
-		e.decodeEntry(buf, nil, e.headEntry(nd.rep))
+		e.decodeEntry(buf, nil, e.slab.packed(uint32(nd.rep)))
 		return
 	}
 	pr.p.PermuteInto(buf, pr.normOf(nd.rep), pr.p.PermAt(int(nd.perm)))

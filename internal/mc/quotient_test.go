@@ -114,9 +114,8 @@ func TestQuotientProductExactForEquivariantProgram(t *testing.T) {
 
 // Every quotient edge's permutation annotation satisfies its defining
 // invariant: NormalizeCursors(successor) equals the annotated image of the
-// stored target representative's normal form. The exact tier reads the
-// target's witness from its slab tail; the spill tier recomputes it from
-// the spilled vector.
+// stored target representative's normal form. Both tiers read the
+// target's witness from its slab tail, the spill tier from a mapped block.
 func TestQuotientEdgePermInvariant(t *testing.T) {
 	for _, store := range []string{"exact", "exact,spill"} {
 		p := specs.BakeryPP(specs.Config{N: 3, M: 2})

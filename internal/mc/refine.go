@@ -100,7 +100,7 @@ func CheckBoundedRefinement(impl, spec *gcl.Prog, opts RefinementOptions) (*Refi
 		return nil, err
 	}
 	r := &refiner{impl: impl, spec: spec, opts: opts,
-		beliefIDs: map[string]int{}, memo: newStateStore(impl, plan, nil)}
+		beliefIDs: map[string]int{}, memo: newStateStore(impl, plan)}
 	res := &RefinementResult{}
 
 	initBelief := r.tauClosure([]gcl.State{spec.InitState()})
@@ -218,7 +218,7 @@ func (r *refiner) withinCeiling(s gcl.State) bool {
 // tauClosure expands a set of spec states with every state reachable by
 // internal (non-event) transitions, pruning above the ceiling.
 func (r *refiner) tauClosure(seed []gcl.State) []gcl.State {
-	seen := newStateStore(r.spec, Plan{}, nil)
+	seen := newStateStore(r.spec, Plan{})
 	var out []gcl.State
 	var queue []gcl.State
 	push := func(s gcl.State) {
@@ -252,7 +252,7 @@ func (r *refiner) tauClosure(seed []gcl.State) []gcl.State {
 // by exactly one occurrence of event ev.
 func (r *refiner) move(belief []gcl.State, ev string) []gcl.State {
 	var landed []gcl.State
-	seen := newStateStore(r.spec, Plan{}, nil)
+	seen := newStateStore(r.spec, Plan{})
 	for _, s := range belief {
 		for _, sc := range r.spec.AllSuccs(s, gcl.ModeUnbounded) {
 			got := eventOf(r.spec, sc.Pid, r.spec.PCLabel(s, sc.Pid), r.spec.PCLabel(sc.State, sc.Pid))

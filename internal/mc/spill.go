@@ -1,56 +1,43 @@
 package mc
 
-// The mmap-backed spill tier: an append-only arena of state vectors living
-// in an unlinked temp file instead of the Go heap. The OS pages the arena
-// in and out under memory pressure, the garbage collector never scans it,
-// and GOMEMLIMIT does not count it — which is what lets a visited set plus
-// frontier exceed RAM. Two consumers share one arena per exploration:
+// The mmap-backed spill tier: the blocks of a keySlab (keyslab.go) mapped
+// from an unlinked temp file instead of allocated on the Go heap. The OS
+// pages the blocks in and out under memory pressure, the garbage collector
+// never scans them, and GOMEMLIMIT does not count them — which is what lets
+// a visited set plus frontier exceed RAM. The slab calls the arena only
+// when it opens a block or grows its first one, never per entry, so a
+// spilled slab packs, probes and decodes exactly as an in-heap one.
 //
-//   - the engine's state pager (explorer.appendState/stateAt): every
-//     numbered state's vector is encoded into the arena and decoded on
-//     demand, so e.states holds nothing;
-//   - the exact spill store (spillStore below): key vectors are kept as
-//     arena offsets and membership compares run directly against the
-//     mapped bytes, so exactness survives without heap copies.
-//
-// The arena grows in fixed 64 MiB chunks that are mapped once and never
-// remapped or moved, so a reader holding a decoded offset can never be
-// invalidated by growth. Appends are serialized by a mutex; readers run
-// lock-free against already-written entries (the engines' phase barriers —
-// and the conformance tests' — provide the happens-before edge).
+// The arena maps the file in fixed 64 MiB chunks and carves blocks from
+// the newest one; a chunk is never remapped or moved, so a block stays
+// valid for the arena's life. Nothing handed out of the explorer may alias
+// a block: readers decode entries into memory of their own (packedKey
+// decode), so the mapping can go when the arena does.
 
 import (
 	"fmt"
 	"os"
 	"runtime"
 	"sync"
-	"sync/atomic"
-
-	"bakerypp/internal/gcl"
+	"unsafe"
 )
 
 const (
-	// arenaChunkLog2 sizes one mapped chunk: 64 MiB. Entries never
-	// straddle chunks (the tail is padded), so a chunk bounds the largest
-	// storable vector at ~16M words — far beyond any state.
+	// arenaChunkLog2 sizes one mapped chunk: 64 MiB, sixteen times the
+	// largest slab block (a raw-width block of keySlabBlock byte-width
+	// entries' worth, at most 4 MiB).
 	arenaChunkLog2 = 26
 	arenaChunkSize = 1 << arenaChunkLog2
-	arenaChunkMask = arenaChunkSize - 1
-	// arenaMaxChunks caps the chunk table so its backing array never
-	// reallocates (readers index it lock-free): 16384 chunks = 1 TiB.
-	arenaMaxChunks = 1 << 14
 )
 
-// arena is the append-only spill file. Entry encoding: a 4-byte
-// little-endian word count n followed by n little-endian 4-byte state
-// words; the returned offset is global (chunk index × chunk size + offset
-// within the chunk).
+// arena is the spill file and the chunks mapped from it. Blocks never
+// straddle chunks: a block that does not fit the newest chunk's rest opens
+// the next chunk, and the rest is left unused.
 type arena struct {
 	mu     sync.Mutex
-	f      *os.File // nil on the no-mmap fallback
+	f      *os.File // nil once closed
 	chunks [][]byte
-	off    int64 // next global write offset
-	dir    string
+	used   int // bytes of the newest chunk handed out
 }
 
 // newArena creates the spill file in dir ("" = os.TempDir()) and unlinks
@@ -59,13 +46,12 @@ func newArena(dir string) (*arena, error) {
 	if dir == "" {
 		dir = os.TempDir()
 	}
-	a := &arena{dir: dir, chunks: make([][]byte, 0, arenaMaxChunks)}
 	f, err := os.CreateTemp(dir, "mc-spill-*.arena")
 	if err != nil {
 		return nil, fmt.Errorf("mc: spill arena: %w", err)
 	}
 	os.Remove(f.Name())
-	a.f = f
+	a := &arena{f: f}
 	runtime.SetFinalizer(a, func(a *arena) { a.close() })
 	return a, nil
 }
@@ -78,75 +64,36 @@ func (a *arena) close() {
 	for _, c := range a.chunks {
 		unmapChunk(c)
 	}
-	a.chunks = a.chunks[:0]
+	a.chunks = nil
 	if a.f != nil {
 		a.f.Close()
 		a.f = nil
 	}
 }
 
-// grow maps the next chunk. Caller holds a.mu.
-func (a *arena) grow() error {
-	if len(a.chunks) >= arenaMaxChunks {
-		return fmt.Errorf("mc: spill arena exceeded %d chunks (%d GiB)", arenaMaxChunks, arenaMaxChunks>>4)
+// block returns an empty block of capacity words, mapped from the file.
+// It panics when the file cannot grow (disk exhaustion mid-exploration:
+// nothing sound is left to do) or on a block larger than a chunk.
+func (a *arena) block(words int) []int32 {
+	if words == 0 {
+		return nil
 	}
-	b, err := mapChunk(a.f, int64(len(a.chunks))<<arenaChunkLog2, arenaChunkSize)
-	if err != nil {
-		return fmt.Errorf("mc: spill arena: %w", err)
-	}
-	a.chunks = append(a.chunks, b)
-	return nil
-}
-
-// append encodes s and returns its global offset.
-func (a *arena) append(s gcl.State) (int64, error) {
-	need := 4 + 4*len(s)
+	need := 4 * words
 	if need > arenaChunkSize {
-		return 0, fmt.Errorf("mc: state of %d words exceeds the spill chunk size", len(s))
+		panic(fmt.Sprintf("mc: slab block of %d words exceeds the spill chunk size", words))
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if int(a.off&arenaChunkMask)+need > arenaChunkSize {
-		a.off = (a.off>>arenaChunkLog2 + 1) << arenaChunkLog2 // pad to next chunk
-	}
-	for int(a.off>>arenaChunkLog2) >= len(a.chunks) {
-		if err := a.grow(); err != nil {
-			return 0, err
+	if len(a.chunks) == 0 || a.used+need > arenaChunkSize {
+		c, err := mapChunk(a.f, int64(len(a.chunks))<<arenaChunkLog2, arenaChunkSize)
+		if err != nil {
+			panic(fmt.Errorf("mc: spill arena: %w", err))
 		}
+		a.chunks, a.used = append(a.chunks, c), 0
 	}
-	off := a.off
-	b := a.chunks[off>>arenaChunkLog2][off&arenaChunkMask:]
-	putle32(b, uint32(len(s)))
-	for i, v := range s {
-		putle32(b[4+4*i:], uint32(v))
-	}
-	a.off += int64(need)
-	return off, nil
-}
-
-// state decodes a fresh copy of the entry at off.
-func (a *arena) state(off int64) gcl.State {
-	b := a.chunks[off>>arenaChunkLog2][off&arenaChunkMask:]
-	n := int(le32(b))
-	s := make(gcl.State, n)
-	for i := range s {
-		s[i] = int32(le32(b[4+4*i:]))
-	}
-	return s
-}
-
-// equalAt compares the entry at off with key, allocation-free.
-func (a *arena) equalAt(off int64, key gcl.State) bool {
-	b := a.chunks[off>>arenaChunkLog2][off&arenaChunkMask:]
-	if int(le32(b)) != len(key) {
-		return false
-	}
-	for i, v := range key {
-		if int32(le32(b[4+4*i:])) != v {
-			return false
-		}
-	}
-	return true
+	b := a.chunks[len(a.chunks)-1][a.used : a.used+need]
+	a.used += need
+	return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), words)[:0]
 }
 
 // bytes reports the arena's reserved size on disk.
@@ -154,98 +101,4 @@ func (a *arena) bytes() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return int64(len(a.chunks)) << arenaChunkLog2
-}
-
-func le32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func putle32(b []byte, v uint32) {
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-}
-
-// skv is one spill-store entry: the key's arena offset and its value.
-type skv struct {
-	off int64
-	val int32
-}
-
-// spillShard is one stripe of the spill store's fingerprint index.
-type spillShard struct {
-	mu sync.RWMutex
-	m  map[uint64][]skv
-}
-
-// spillStore is the exact store with its key vectors in the arena: the
-// in-heap residue is one (offset, value) pair per state plus the map
-// buckets. Membership stays fingerprint+Equal exact — comparisons run
-// against the mapped bytes — so every analysis that needs exactness can
-// use it. Concurrent-safe (striped RWMutexes; arena appends serialized).
-type spillStore struct {
-	p       *gcl.Prog
-	plan    Plan
-	ar      *arena
-	entries atomic.Int64
-	shards  [lockStripes]spillShard
-}
-
-// newSpillStore wraps arena ar (creating a private one when nil — the
-// monitor/memo searches pass nil; the engines share their pager arena).
-func newSpillStore(p *gcl.Prog, plan Plan, ar *arena) (*spillStore, error) {
-	if ar == nil {
-		var err error
-		if ar, err = newArena(plan.Store.SpillDir); err != nil {
-			return nil, err
-		}
-	}
-	st := &spillStore{p: p, plan: plan, ar: ar}
-	for i := range st.shards {
-		st.shards[i].m = map[uint64][]skv{}
-	}
-	return st, nil
-}
-
-func (st *spillStore) Prepare(s gcl.State, extra ...int32) (uint64, gcl.State) {
-	return prepare(st.p, st.plan, s, extra)
-}
-
-func (st *spillStore) Lookup(fp uint64, key gcl.State) (int32, bool) {
-	sh := &st.shards[fp&(lockStripes-1)]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	for _, e := range sh.m[fp] {
-		if st.ar.equalAt(e.off, key) {
-			return e.val, true
-		}
-	}
-	return -1, false
-}
-
-func (st *spillStore) Insert(fp uint64, key gcl.State, val int32) {
-	sh := &st.shards[fp&(lockStripes-1)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	bucket := sh.m[fp]
-	for i := range bucket {
-		if st.ar.equalAt(bucket[i].off, key) {
-			bucket[i].val = val
-			return
-		}
-	}
-	off, err := st.ar.append(key)
-	if err != nil {
-		panic(err) // disk exhaustion mid-exploration: nothing sound to do
-	}
-	sh.m[fp] = append(bucket, skv{off: off, val: val})
-	st.entries.Add(1)
-}
-
-func (st *spillStore) Report() StoreReport {
-	return StoreReport{
-		Mode:       "exact,spill",
-		Entries:    st.entries.Load(),
-		Confidence: 1,
-		SpillBytes: st.ar.bytes(),
-		Traceable:  true,
-	}
 }

@@ -1,29 +1,29 @@
 package mc
 
-// StateStore is the visited-set abstraction every exploration loop in this
-// package — Check/BuildGraph, the FCFS monitor product, and the
-// bounded-refinement memo — routes through. All implementations share one
-// scheme: states are keyed by a 64-bit fingerprint and the rare
+// StateStore is the visited-set abstraction the product searches in this
+// package — the FCFS monitor product and the bounded-refinement memo —
+// route through. States are keyed by a 64-bit fingerprint and the rare
 // fingerprint collisions are resolved by comparing full key vectors, so
 // membership stays exact (unlike TLC's default trust-the-fingerprint
 // mode).
 //
-// The exact in-heap store (seqStore) is one open-addressed linear-probe
-// table (fpTable) of 8-byte slots free of Go pointers, each a fingerprint
-// tag and an index into a keySlab (keyslab.go) that holds the key vectors
-// at a fixed stride per block, headerless, packed four bits or one byte
-// per word while every word allows; a probe compares the unpacked key
-// against the packed entry. The
-// engines number their states in the same slab — a state's number is its
-// slab index — so each state is stored once, with nothing beside it; the
-// store keeps a value column only for callers whose values are payloads.
-// Fingerprints are computed over the unpacked words, so packing changes no
-// fingerprint in any tier. It takes no locks: every exploration
-// loop uses its store from one goroutine — in Check and BuildGraph the
-// single-threaded merge, which makes every lookup and insert, also in
-// parallel mode, whose pre-pass workers never touch the store. The other
-// tiers (spill, compact, bitstate) still synchronise internally, though no
-// engine needs it any more. Its keying variants:
+// The exact store (seqStore) is one open-addressed linear-probe table
+// (fpTable) of 8-byte slots free of Go pointers, each a fingerprint tag and
+// an index into a keySlab (keyslab.go) that holds the key vectors at a
+// fixed stride per block, headerless, packed four bits or one byte per word
+// while every word allows; a probe compares the unpacked key against the
+// packed entry. Under spill the slab's blocks are mapped from an mmap
+// arena (spill.go); nothing else changes. Check and BuildGraph do not go
+// through StateStore: they number their states in a keySlab of their own —
+// a state's number is its slab index — and probe an fpTable over it
+// directly, or, in the bitstate tier, the bit array (bitstateStore), so
+// each state is stored once in every tier. The store keeps a value column
+// for callers whose values are payloads. Fingerprints are computed over the
+// unpacked words, so packing changes no fingerprint in any tier. The exact
+// store takes no locks: every exploration loop uses its store from one
+// goroutine — in Check and BuildGraph the single-threaded merge, which
+// makes every lookup and insert, also in parallel mode, whose pre-pass
+// workers never touch the store. Its keying variants:
 //
 //   - symmetry-aware (Plan.Symmetry): Prepare canonicalizes the state
 //     before probing, so all states of one process-permutation orbit
@@ -31,10 +31,10 @@ package mc
 //     engine keeps and expands the concrete, first-encountered
 //     representative, which is what keeps counterexample traces concrete
 //     and replayable — see docs/model-checking.md, "Symmetry reduction".
-//     In the exact tier that representative is not stored beside its key:
-//     the slab entry carries the canonical key plus a tail with the
-//     witness permutation and the raw scan-cursor values, and the engine
-//     decodes the concrete state from them (gcl.Prog.Restore).
+//     That representative is not stored beside its key: the engine's slab
+//     entry carries the canonical key plus a tail with the witness
+//     permutation and the raw scan-cursor values, and the engine decodes
+//     the concrete state from them (gcl.Prog.Restore).
 //   - pinned-symmetry (Plan.Pinned): Prepare canonicalizes over the
 //     subgroup of permutations that fix the pinned pids, the keying the
 //     FCFS monitor product uses — the monitor distinguishes its (first,
@@ -44,15 +44,13 @@ package mc
 import (
 	"math"
 	"math/bits"
-	"sync"
 	"sync/atomic"
 
 	"bakerypp/internal/gcl"
 )
 
-// StateStore maps key states to int32 values (state numbers for the
-// engines, monitor/memo payloads for the product searches) with
-// fingerprint+Equal exactness.
+// StateStore maps key states to int32 values (monitor/memo payloads for
+// the product searches) with fingerprint+Equal exactness.
 type StateStore interface {
 	// Prepare computes the probe for s: a fingerprint and the key state it
 	// was computed from. Non-symmetric stores key on s itself (no copy);
@@ -60,11 +58,11 @@ type StateStore interface {
 	// orbit. Optional extra words (a monitor phase, a belief id) are
 	// appended to the key; they are rejected by symmetry-aware stores.
 	// A store keys on one length: every caller passes the same number of
-	// extra words to a store (the exact in-heap store panics on a key of
-	// another length, and its Lookup misses one).
+	// extra words to a store (the exact store panics on a key of another
+	// length, and its Lookup misses one).
 	Prepare(s gcl.State, extra ...int32) (uint64, gcl.State)
-	// Lookup returns the value stored under key, if present. The engines
-	// call it from one goroutine; every tier but the exact in-heap one also
+	// Lookup returns the value stored under key, if present. The exact
+	// store must be used from one goroutine; the bitstate store also
 	// tolerates concurrent Lookups and Inserts.
 	Lookup(fp uint64, key gcl.State) (int32, bool)
 	// Insert stores val under key, replacing any previous value. Stores
@@ -73,28 +71,15 @@ type StateStore interface {
 	Insert(fp uint64, key gcl.State, val int32)
 }
 
-// newStateStore builds the store variant an exploration plan needs.
+// newStateStore builds the store variant a product search's plan needs.
 // Plan.Symmetry requires p.CanCanonicalize() and Plan.Pinned requires
 // p.CanTrackPerms(); planFor gates on those and falls back to the full
-// search otherwise. Plan.Store selects the representation tier: exact
-// in-heap, exact with arena-spilled keys (spill.go), hash-compaction, or
-// bitstate (both below); planFor has already refused lossy tiers for
-// analyses that need exactness. ar is the engine's spill arena for key
-// sharing (nil when the caller has none — the monitor and memo searches —
-// in which case a spill store makes its own).
-func newStateStore(p *gcl.Prog, plan Plan, ar *arena) StateStore {
-	switch plan.Store.Mode {
-	case StoreCompact:
-		return newCompactStore(p, plan)
-	case StoreBitstate:
+// search otherwise. Plan.Store selects the tier: exact, with its slab on
+// the heap or spilled, or bitstate; planFor has already refused the lossy
+// tier for analyses that need exactness.
+func newStateStore(p *gcl.Prog, plan Plan) StateStore {
+	if plan.Store.Mode == StoreBitstate {
 		return newBitstateStore(p, plan)
-	}
-	if plan.Store.Spill {
-		st, err := newSpillStore(p, plan, ar)
-		if err != nil {
-			panic(err) // arena creation: disk/temp-dir failure
-		}
-		return st
 	}
 	return newSeqStore(p, plan)
 }
@@ -267,26 +252,9 @@ func (t *fpTable) place(e fpEntry) {
 	}
 }
 
-// slabStore is implemented by the exact in-heap store, whose keys live in
-// a keySlab. The engines number their states in that same slab — a state's
-// number is its slab index — so each state is stored once: the concrete
-// vector, which is its own key, or under symmetry the canonical key with
-// the tail the concrete state is decoded from.
-type slabStore interface {
-	keys() *keySlab
-	// table is the store's table, through which the engines probe with the
-	// widths they computed and add the states they append (fpTable.add);
-	// the caller must have exclusive access to the store. An engine that
-	// numbers its states in the slab uses the table alone, never Lookup or
-	// Insert: the values are the indices.
-	table() *fpTable
-}
-
-// seqStore is the exact in-heap store: one table, no locks. Its keys are
-// of one length (the keySlab's shape): Insert panics on a key of another
-// length, and Lookup misses it. vals holds the value of each slab entry,
-// for callers whose values are payloads (the FCFS product, the refinement
-// memo, the compact store's shadow).
+// seqStore is the exact store: one table, no locks. Its keys are of one
+// length (the keySlab's shape): Insert panics on a key of another length,
+// and Lookup misses it. vals holds the value of each slab entry.
 type seqStore struct {
 	p    *gcl.Prog
 	plan Plan
@@ -297,8 +265,23 @@ type seqStore struct {
 
 func newSeqStore(p *gcl.Prog, plan Plan) *seqStore {
 	st := &seqStore{p: p, plan: plan}
+	st.slab.ar = spillArena(plan.Store)
 	st.t.slab = &st.slab
 	return st
+}
+
+// spillArena returns a fresh spill arena when so spills, else nil. It
+// panics when the arena file cannot be created (a disk or temp-dir
+// failure before the exploration starts).
+func spillArena(so StoreOptions) *arena {
+	if !so.Spill {
+		return nil
+	}
+	ar, err := newArena(so.SpillDir)
+	if err != nil {
+		panic(err)
+	}
+	return ar
 }
 
 func (st *seqStore) Prepare(s gcl.State, extra ...int32) (uint64, gcl.State) {
@@ -327,162 +310,17 @@ func (st *seqStore) Insert(fp uint64, key gcl.State, val int32) {
 	st.vals = append(st.vals, val)
 }
 
-func (st *seqStore) keys() *keySlab { return &st.slab }
-
-func (st *seqStore) table() *fpTable { return &st.t }
-
-// lockStripes is the number of independently locked stripes of the
-// compact and spill stores' maps; a power of two so stripe selection is a
-// fingerprint mask.
-const lockStripes = 64
-
-// hiSeedBase seeds the compact store's second fingerprint word; xor-ing the
-// run seed in re-rolls both words together. Matches gcl.Fingerprint128's
-// high-word seed so a seed-0 wide key IS the state's Fingerprint128.
+// hiSeedBase seeds the bitstate store's second hash, the double-hashing
+// stride; xor-ing the run seed in re-rolls both hashes together.
 const hiSeedBase = 0x243f6a8885a308d3
-
-// centry is one compact-store entry: the second fingerprint word (0 in
-// 64-bit mode) and the value. The key vector itself is gone — that is the
-// compression.
-type centry struct {
-	hi  uint64
-	val int32
-}
-
-// compactShard is one stripe of the compact store.
-type compactShard struct {
-	mu sync.RWMutex
-	m  map[uint64][]centry
-}
-
-// compactStore is hash compaction (TLC's default trust-the-fingerprint
-// scheme, SPIN -DHC): states are represented by a 64- or 128-bit
-// fingerprint only. A fingerprint collision makes a fresh state look
-// visited — a false HIT, silently omitting the state — so verdicts are
-// probabilistic; Report bounds the expected omissions with the birthday
-// estimate. False MISSES cannot happen: an inserted key always probes back
-// to the same fingerprint (the fuzz target FuzzCompactStoreNoFalseMiss
-// pins this). Concurrent-safe via striped RWMutexes.
-type compactStore struct {
-	p    *gcl.Prog
-	plan Plan
-	wide bool // 128-bit keys
-	seed uint64
-	// shadow is the exact cross-check when Plan.Store.Shadow; shadowMu
-	// makes it as concurrent-safe as the compact maps.
-	shadow   StateStore
-	shadowMu sync.RWMutex
-	diverge  atomic.Int64
-	entries  atomic.Int64
-	shards   [lockStripes]compactShard
-}
-
-func newCompactStore(p *gcl.Prog, plan Plan) *compactStore {
-	st := &compactStore{p: p, plan: plan,
-		wide: plan.Store.CompactBits == 128, seed: plan.Store.Seed}
-	for i := range st.shards {
-		st.shards[i].m = map[uint64][]centry{}
-	}
-	if plan.Store.Shadow {
-		st.shadow = newSeqStore(p, plan)
-	}
-	return st
-}
-
-func (st *compactStore) Prepare(s gcl.State, extra ...int32) (uint64, gcl.State) {
-	return prepare(st.p, st.plan, s, extra)
-}
-
-// slots derives the store key words from the prepared probe: the low word
-// is the standard fingerprint (reused from Prepare) unless a seed re-rolls
-// it, the high word the independent second hash in 128-bit mode.
-func (st *compactStore) slots(fp uint64, key gcl.State) (lo, hi uint64) {
-	lo = fp
-	if st.seed != 0 {
-		lo = key.FingerprintSeeded(st.seed)
-	}
-	if st.wide {
-		hi = key.FingerprintSeeded(hiSeedBase ^ st.seed)
-	}
-	return lo, hi
-}
-
-func (st *compactStore) Lookup(fp uint64, key gcl.State) (int32, bool) {
-	lo, hi := st.slots(fp, key)
-	sh := &st.shards[lo&(lockStripes-1)]
-	sh.mu.RLock()
-	val, ok := int32(-1), false
-	for _, e := range sh.m[lo] {
-		if e.hi == hi {
-			val, ok = e.val, true
-			break
-		}
-	}
-	sh.mu.RUnlock()
-	if st.shadow != nil {
-		st.shadowMu.RLock()
-		sval, sok := st.shadow.Lookup(fp, key)
-		st.shadowMu.RUnlock()
-		if sok != ok || (ok && sval != val) {
-			st.diverge.Add(1)
-		}
-	}
-	return val, ok
-}
-
-func (st *compactStore) Insert(fp uint64, key gcl.State, val int32) {
-	lo, hi := st.slots(fp, key)
-	sh := &st.shards[lo&(lockStripes-1)]
-	sh.mu.Lock()
-	bucket := sh.m[lo]
-	replaced := false
-	for i := range bucket {
-		if bucket[i].hi == hi {
-			bucket[i].val = val
-			replaced = true
-			break
-		}
-	}
-	if !replaced {
-		sh.m[lo] = append(bucket, centry{hi: hi, val: val})
-		st.entries.Add(1)
-	}
-	sh.mu.Unlock()
-	if st.shadow != nil {
-		st.shadowMu.Lock()
-		st.shadow.Insert(fp, key, val)
-		st.shadowMu.Unlock()
-	}
-}
-
-func (st *compactStore) Report() StoreReport {
-	k := float64(st.entries.Load())
-	bits := 64
-	mode := "compact64"
-	if st.wide {
-		bits, mode = 128, "compact"
-	}
-	// Birthday bound: expected colliding pairs ≈ k(k-1)/2^(bits+1); each
-	// collision omits at least the later state, so this bounds expected
-	// omissions from fingerprint aliasing.
-	expected := math.Ldexp(k*(k-1), -(bits + 1))
-	return StoreReport{
-		Mode:              mode,
-		Lossy:             true,
-		Seed:              st.seed,
-		Entries:           st.entries.Load(),
-		ExpectedOmissions: expected,
-		Confidence:        confidenceFrom(expected),
-		ShadowDivergences: st.diverge.Load(),
-	}
-}
 
 // bitstateStore is SPIN's supertrace/bitstate hashing: a fixed array of
 // 2^log2 bits, k bits per state by double hashing. It stores no values
 // (Lookup reports membership with val -1), so the planner disables POR
 // alongside (the proviso needs stored depths) and every value-carrying
-// analysis refuses it. Omission risk is far higher than compact mode —
-// this is the frontier-probing tier; Report converts the final fill ratio
+// analysis refuses it. It answers membership only: the engines number
+// their states in a slab of their own beside it, which keeps traces. This
+// is the frontier-probing tier; Report converts the final fill ratio
 // into an expected-omission bound and a coverage confidence, which the
 // verdict banner reports instead of claiming exhaustiveness. Lock-free:
 // bit sets use CAS, probes use atomic loads, so it is concurrent-safe for

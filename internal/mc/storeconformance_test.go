@@ -1,15 +1,13 @@
 package mc
 
 // The store-conformance suite: every StateStore implementation behind
-// newStateStore — seq, symmetry-keyed, pinned-keyed, spill, compact (both
-// widths, with and without shadow), bitstate — is pushed through one
-// shared contract (insert/lookup idempotence, value stability, Insert
-// copying the caller's key, concurrent lookups and, for the lock-bearing
-// tiers, concurrent inserts under -race) and, at the engine level, through
-// a verdict-parity matrix
-// against the exact store on every registered specification. The
-// companion fuzz targets live in storefuzz_test.go, the lossy-refusal
-// tests in storegate_test.go.
+// newStateStore — seq, symmetry-keyed, pinned-keyed, spill, bitstate — is
+// pushed through one shared contract (insert/lookup idempotence, value
+// stability, Insert copying the caller's key, concurrent lookups and, for
+// the lock-free bitstate tier, concurrent inserts under -race) and, at the
+// engine level, through a verdict-parity matrix against the exact store on
+// every registered specification. The companion fuzz target lives in
+// storefuzz_test.go, the lossy-refusal tests in storegate_test.go.
 
 import (
 	"fmt"
@@ -35,8 +33,8 @@ type storeVariant struct {
 	// one length, so the contract feeds extras to a store of their own.
 	extras bool
 	// concurrent: Insert may race with Insert/Lookup (false for the exact
-	// in-heap store and its keyings, the one implementation without
-	// internal locking; every variant takes racing Lookups).
+	// store and its keyings, spilled or not, which take no locks; every
+	// variant takes racing Lookups).
 	concurrent bool
 }
 
@@ -57,10 +55,7 @@ func storeVariants(t *testing.T) []storeVariant {
 		{"seq", Plan{Store: exact}, true, true, false},
 		{"symmetry", Plan{Symmetry: true, Store: exact}, true, false, false},
 		{"pinned", Plan{Pinned: []int{0, 1}, Store: exact}, true, true, false},
-		{"spill", Plan{Store: mustStore(t, "exact,spill")}, true, true, true},
-		{"compact", Plan{Store: mustStore(t, "compact")}, true, true, true},
-		{"compact64", Plan{Store: mustStore(t, "compact64")}, true, true, true},
-		{"compact-shadow", Plan{Store: mustStore(t, "compact,shadow")}, true, true, true},
+		{"spill", Plan{Store: mustStore(t, "exact,spill")}, true, true, false},
 		{"bitstate", Plan{Store: mustStore(t, "bitstate")}, false, true, true},
 	}
 }
@@ -124,7 +119,7 @@ func dedupeByKey(st StateStore, states []gcl.State) []gcl.State {
 // sticks, and on a store keyed with extras, distinct extra words open
 // separate key spaces. Lossy stores must satisfy all of it too — their failure mode is
 // false HITS across distinct states (covered probabilistically by the
-// parity matrix and the fuzz targets), never a false miss of an inserted
+// parity matrix and the fuzz target), never a false miss of an inserted
 // key.
 func TestStoreConformanceContract(t *testing.T) {
 	p := conformanceProg()
@@ -134,7 +129,7 @@ func TestStoreConformanceContract(t *testing.T) {
 	}
 	for _, v := range storeVariants(t) {
 		t.Run(v.name, func(t *testing.T) {
-			st := newStateStore(p, v.plan, nil)
+			st := newStateStore(p, v.plan)
 			states := dedupeByKey(st, allStates)
 			// Empty store: every probe misses.
 			for _, s := range states[:32] {
@@ -147,7 +142,7 @@ func TestStoreConformanceContract(t *testing.T) {
 			// after which the original content still hits and the new one
 			// misses (checked on a fresh store, so nothing else is in it).
 			{
-				own := newStateStore(p, v.plan, nil)
+				own := newStateStore(p, v.plan)
 				fpA, keyA := own.Prepare(states[0])
 				fpB, keyB := own.Prepare(states[1])
 				buf := append(gcl.State(nil), keyA...)
@@ -199,7 +194,7 @@ func TestStoreConformanceContract(t *testing.T) {
 			// store keyed with extras throughout (a store keys on one
 			// length).
 			if v.extras {
-				xs := newStateStore(p, v.plan, nil)
+				xs := newStateStore(p, v.plan)
 				fpX, keyX := xs.Prepare(states[7], 42)
 				fpY, keyY := xs.Prepare(states[7], 43)
 				if fpX == fpY && keyX.Equal(keyY) {
@@ -227,7 +222,7 @@ func TestStoreConformanceContract(t *testing.T) {
 // it rather than reading a neighbouring entry.
 func TestSeqStoreOneKeyLength(t *testing.T) {
 	p := conformanceProg()
-	st := newStateStore(p, Plan{}, nil)
+	st := newStateStore(p, Plan{})
 	fp, key := st.Prepare(p.InitState())
 	st.Insert(fp, key, 1)
 	fpX, keyX := st.Prepare(p.InitState(), 42)
@@ -259,7 +254,7 @@ func TestStoreConformanceOrbitKeying(t *testing.T) {
 	b := p.Clone(base)
 	p.SetShared(b, "number", 2, 2) // orbit-mate: process 2 holds it
 
-	sym := newStateStore(p, Plan{Symmetry: true, Store: StoreOptions{}}, nil)
+	sym := newStateStore(p, Plan{Symmetry: true, Store: StoreOptions{}})
 	fpA, keyA := sym.Prepare(a)
 	fpB, keyB := sym.Prepare(b)
 	if fpA != fpB || !keyA.Equal(keyB) {
@@ -268,7 +263,7 @@ func TestStoreConformanceOrbitKeying(t *testing.T) {
 
 	// Pinning 1 and 2 keeps them apart: swapping their roles is no longer
 	// in the subgroup the pinned store canonicalizes over.
-	pinned := newStateStore(p, Plan{Pinned: []int{1, 2}, Store: StoreOptions{}}, nil)
+	pinned := newStateStore(p, Plan{Pinned: []int{1, 2}, Store: StoreOptions{}})
 	fpA, keyA = pinned.Prepare(a)
 	fpB, keyB = pinned.Prepare(b)
 	if fpA == fpB && keyA.Equal(keyB) {
@@ -278,12 +273,11 @@ func TestStoreConformanceOrbitKeying(t *testing.T) {
 
 // TestStoreConformanceConcurrent drives every variant from several
 // goroutines under -race. Every variant must answer racing lookups while
-// nothing inserts — the parallel pre-pass probes the store that way
-// between merges. The lock-bearing variants must also take racing inserts:
-// disjoint writers must all land, contending writers of the same key must
-// collapse to one entry, and readers racing the writers must never see a
-// torn value (only "absent" or an inserted value). The exact in-heap store
-// is exempt from those by contract — only the single-threaded merge
+// nothing inserts. The lock-free bitstate store must also take racing
+// inserts: disjoint writers must all land, contending writers of the same
+// key must collapse to one entry, and readers racing the writers must never
+// see a torn value (only "absent" or an inserted value). The exact store,
+// spilled or not, is exempt from those by contract — only one goroutine
 // inserts into it.
 func TestStoreConformanceConcurrent(t *testing.T) {
 	p := conformanceProg()
@@ -291,12 +285,12 @@ func TestStoreConformanceConcurrent(t *testing.T) {
 	const writers = 8
 	for _, v := range storeVariants(t) {
 		t.Run(v.name, func(t *testing.T) {
-			st := newStateStore(p, v.plan, nil)
+			st := newStateStore(p, v.plan)
 			states := dedupeByKey(st, allStates)
 			// Phase 0: racing readers of a store nobody writes, holding the
 			// even-indexed states. Inserted states must hit with their
 			// values; the others must miss, except in the lossy tiers,
-			// whose false hits the parity matrix and fuzz targets bound.
+			// whose false hits the parity matrix and fuzz target bound.
 			for i := 0; i < len(states); i += 2 {
 				fp, key := st.Prepare(states[i])
 				st.Insert(fp, key, int32(i))
@@ -385,11 +379,11 @@ func TestStoreConformanceConcurrent(t *testing.T) {
 // TestStoreVerdictParityMatrix is the engine-level conformance clause:
 // on every registered specification, at sizes up to N=4, every store
 // tier must reach the exact store's verdict. The exact spill tier must
-// match the exact baseline state-for-state (same search, different
-// residency); the lossy tiers must agree on the verdict and carry an
-// honest StoreReport; the shadow run must catch zero divergences (a
-// divergence at these sizes would be a real fingerprint collision —
-// expected never in ~1e30 runs).
+// match the exact baseline state-for-state and trace-for-trace (same
+// search, different residency); the lossy tiers must agree on the verdict
+// and carry an honest StoreReport. Every tier keeps its states in a slab,
+// so every violating cell's counterexample must replay step by step, in
+// the lossy tiers too.
 func TestStoreVerdictParityMatrix(t *testing.T) {
 	cells := []struct {
 		n, m     int
@@ -399,7 +393,7 @@ func TestStoreVerdictParityMatrix(t *testing.T) {
 		{3, 2, false, false},
 		{4, 2, true, true}, // reductions keep the N=4 row affordable
 	}
-	modes := []string{"exact,spill", "compact", "compact64", "compact,shadow", "bitstate", "compact,spill"}
+	modes := []string{"exact,spill", "bitstate", "bitstate,spill"}
 	// Every run of a cell gets the same explicit state budget: the lossy
 	// tiers' larger DEFAULT budget (BeyondRAMMaxStates) would otherwise
 	// let them finish a search the exact baseline truncated, which reads
@@ -444,15 +438,18 @@ func TestStoreVerdictParityMatrix(t *testing.T) {
 					if res.Store.Lossy != so.Lossy() {
 						t.Fatalf("StoreReport.Lossy = %v for mode %s", res.Store.Lossy, mode)
 					}
+					if res.Violation != nil {
+						replayCounterexample(t, pr, res.Violation, []Invariant{Mutex(), NoOverflow()})
+					}
 					if mode == "exact,spill" {
 						if res.States != base.States || res.Transitions != base.Transitions || res.Depth != base.Depth {
 							t.Fatalf("spill run (%d states, %d transitions, depth %d) is not byte-identical to exact (%d, %d, %d)",
 								res.States, res.Transitions, res.Depth, base.States, base.Transitions, base.Depth)
 						}
-					}
-					if so.Shadow && res.Store.ShadowDivergences != 0 {
-						t.Fatalf("shadow caught %d divergences — a real 128-bit collision at %d states is not credible; suspect the compact keying",
-							res.Store.ShadowDivergences, res.States)
+						if res.Violation != nil && res.Violation.Trace.String() != base.Violation.Trace.String() {
+							t.Fatalf("spill counterexample differs from exact's:\n%s\nexact:\n%s",
+								res.Violation.Trace.String(), base.Violation.Trace.String())
+						}
 					}
 					if res.Store.Lossy {
 						if res.Store.Entries <= 0 {
@@ -477,7 +474,7 @@ func TestStoreVerdictParityMatrix(t *testing.T) {
 // across engines (the property the CI determinism smoke re-checks on the
 // bigger headline configuration).
 func TestStoreEngineDeterminism(t *testing.T) {
-	for _, mode := range []string{"exact,spill", "compact", "compact64", "bitstate"} {
+	for _, mode := range []string{"exact,spill", "bitstate", "bitstate,spill"} {
 		for _, seed := range []uint64{0, 0xfeed} {
 			so := mustStore(t, mode)
 			so.Seed = seed
@@ -505,12 +502,12 @@ func TestStoreEngineDeterminism(t *testing.T) {
 }
 
 // TestLossyStoreReportIndependentOfWorkers pins the whole store report of
-// the lossy tiers — entries, bits set, and the omission bound, which for
+// the lossy tier, in the heap and spilled — entries, bits set, and the omission bound, which for
 // bitstate depends on the probe count — as identical at Workers 0, 2 and
 // 4: only the merge probes the store, once per successor, for any worker
 // count, so the verdict banner does not depend on -workers either.
 func TestLossyStoreReportIndependentOfWorkers(t *testing.T) {
-	for _, mode := range []string{"compact", "bitstate"} {
+	for _, mode := range []string{"bitstate", "bitstate,spill"} {
 		for _, reduce := range []bool{false, true} {
 			check := func(workers int) *Result {
 				return Check(specs.BakeryPP(specs.Config{N: 3, M: 2}), Options{

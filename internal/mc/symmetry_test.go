@@ -263,7 +263,7 @@ func TestStateStoreBasics(t *testing.T) {
 	p.SetShared(s2, "number", 1, 2)
 	s3 := p.Clone(s1)
 	p.SetShared(s3, "number", 2, 2) // orbit-mate of s2
-	st := newStateStore(p, Plan{}, nil)
+	st := newStateStore(p, Plan{})
 	fp1, k1 := st.Prepare(s1)
 	if _, ok := st.Lookup(fp1, k1); ok {
 		t.Fatal("empty store reported a hit")
@@ -286,7 +286,7 @@ func TestStateStoreBasics(t *testing.T) {
 		t.Fatal("extra-word key collided with the bare key")
 	}
 
-	sym := newStateStore(p, Plan{Symmetry: true}, nil)
+	sym := newStateStore(p, Plan{Symmetry: true})
 	fpS2, kS2 := sym.Prepare(s2)
 	fpS3, kS3 := sym.Prepare(s3)
 	if fpS2 != fpS3 || !kS2.Equal(kS3) {
