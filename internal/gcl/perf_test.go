@@ -9,6 +9,7 @@ package gcl
 import (
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -29,6 +30,59 @@ func TestSuccsIntoAllocFree(t *testing.T) {
 	if avg := testing.AllocsPerRun(100, expand); avg != 0 {
 		t.Errorf("AllSuccsInto allocates %.2f objects per %d-state sweep, want 0", avg, len(states))
 	}
+}
+
+// TestSuccBufGrowth pins the arena's growth policy: blocks start at
+// succBufFirst words and double up to succBufBlock, every block survives
+// Reset, so a buffer whose cycles each need W words retains at most 2W
+// words plus the first block, and a warmed cycle allocates nothing. The
+// state lengths are powers of two, which fill every block to its end.
+func TestSuccBufGrowth(t *testing.T) {
+	for _, n := range []int{1, 8, 16} {
+		for _, states := range []int{1, 64, 128, 129, 1000, 5000, 20000, 100000} {
+			w := n * states
+			var buf SuccBuf
+			cycle := func() {
+				buf.Reset()
+				for range states {
+					buf.Alloc(n)
+				}
+			}
+			for range 3 {
+				cycle()
+			}
+			words := 0
+			for i, blk := range buf.blocks {
+				words += len(blk)
+				if want := min(succBufFirst<<i, succBufBlock); len(blk) != want {
+					t.Errorf("n=%d W=%d: block %d holds %d words, want %d", n, w, i, len(blk), want)
+				}
+			}
+			if words > 2*w+succBufFirst {
+				t.Errorf("n=%d: cycles of %d words retain %d block words, want <= %d", n, w, words, 2*w+succBufFirst)
+			}
+			if avg := testing.AllocsPerRun(20, cycle); avg != 0 {
+				t.Errorf("n=%d W=%d: a warmed cycle allocates %.2f objects, want 0", n, w, avg)
+			}
+		}
+	}
+	// A vector wider than the next block gets a block of its own length,
+	// and the block after an oversize one is capped again.
+	var buf SuccBuf
+	buf.Alloc(succBufFirst + 1)
+	buf.Alloc(4*succBufBlock + 1)
+	buf.Alloc(1)
+	if l := blockLens(&buf); !slices.Equal(l, []int{succBufFirst + 1, 4*succBufBlock + 1, succBufBlock}) {
+		t.Errorf("oversize vectors: blocks %d, want [%d %d %d]", l, succBufFirst+1, 4*succBufBlock+1, succBufBlock)
+	}
+}
+
+func blockLens(b *SuccBuf) []int {
+	var l []int
+	for _, blk := range b.blocks {
+		l = append(l, len(blk))
+	}
+	return l
 }
 
 // TestApplyIntoAllocFree pins the single-branch variant (the POR chase's

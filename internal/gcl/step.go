@@ -164,11 +164,14 @@ func (cp *compiler) assign(a Assign, writes *cellMap) resEff {
 // SuccBuf is a chunked slab arena for successor generation: SuccsInto
 // writes each successor's state vector into a slab block and appends its
 // Succ record, so a BFS loop that Resets the buffer per expanded state (or
-// per chunk) performs zero steady-state heap allocations. Blocks are never
-// reallocated once handed out, so every State obtained from the buffer
-// stays valid until the next Reset — at which point all of them are
-// recycled at once. The zero value is ready to use; a SuccBuf must not be
-// shared between goroutines.
+// per chunk) performs zero steady-state heap allocations. Blocks grow
+// geometrically — the first holds succBufFirst words, each later one
+// twice its predecessor up to succBufBlock — and all of them are kept
+// across Reset, so a buffer holds about twice the most words one Reset
+// cycle used. Blocks are never reallocated once handed out, so every
+// State obtained from the buffer stays valid until the next Reset — at
+// which point all of them are recycled at once. The zero value is ready to
+// use; a SuccBuf must not be shared between goroutines.
 type SuccBuf struct {
 	blocks [][]int32
 	ci     int // index of the block currently being filled
@@ -179,6 +182,7 @@ type SuccBuf struct {
 	// one heap allocation per evaluation; pointing them at a field of the
 	// (already heap-resident, single-goroutine) buffer costs none.
 	ectx Ctx
+	next int // size of the next block to open; 0 before the first
 }
 
 // ctxFor primes the buffer's scratch evaluation context for (s, pid).
@@ -194,10 +198,15 @@ func (b *SuccBuf) ctxFor(p *Prog, s State, pid int) *Ctx {
 	return &b.ectx
 }
 
-// succBufBlock is the slab block size in int32 words (256 KiB per block):
-// large enough that a full BFS chunk of successors fits in a handful of
-// blocks, small enough that a mostly-idle buffer wastes little.
-const succBufBlock = 1 << 16
+const (
+	// succBufFirst is the first slab block's size in int32 words (4 KiB):
+	// enough for one head's successors in the shipped specs, so a buffer
+	// that expands one head at a time stays at one block.
+	succBufFirst = 1 << 10
+	// succBufBlock caps the block size in int32 words (256 KiB): once a
+	// buffer holds several blocks, doubling again would only add slack.
+	succBufBlock = 1 << 16
+)
 
 // Reset recycles every block and truncates the successor list. All states
 // previously returned by Alloc become invalid.
@@ -221,25 +230,22 @@ func (b *SuccBuf) Truncate(n int) { b.succs = b.succs[:n] }
 func (b *SuccBuf) Append(sc Succ) { b.succs = append(b.succs, sc) }
 
 // Alloc returns an uninitialised n-word state vector carved from the arena,
-// valid until the next Reset.
+// valid until the next Reset. It runs once per successor, so it is kept
+// within the compiler's inlining budget.
 func (b *SuccBuf) Alloc(n int) State {
 	for {
 		if b.ci < len(b.blocks) {
-			blk := b.blocks[b.ci]
-			if b.off+n <= len(blk) {
-				s := blk[b.off : b.off+n : b.off+n]
+			if free := b.blocks[b.ci][b.off:]; n <= len(free) {
 				b.off += n
-				return s
+				return free[:n:n]
 			}
 			b.ci++
 			b.off = 0
 			continue
 		}
-		sz := succBufBlock
-		if n > sz {
-			sz = n
-		}
+		sz := max(b.next, succBufFirst, n)
 		b.blocks = append(b.blocks, make([]int32, sz))
+		b.next = min(2*sz, succBufBlock)
 	}
 }
 

@@ -336,7 +336,9 @@ const crashLabelIdx = int32(-1)
 // head, successor vector, canonical key copy, and crash state generated
 // since. A pre-pass worker may claim nearly all of a chunk's heads, so its
 // scratch grows to hold up to one chunk (maxChunk heads) of successors and
-// probe records, and no more (TestPrepassMemoryBound). canon is the
+// probe records, and no more (TestPrepassMemoryBound). The scratch grows
+// with use (buf's arena blocks double from 4 KiB), so a context that
+// expands one head at a time stays a few KiB. canon is the
 // reusable canonicalizer and key the scratch a symmetric head's canonical
 // key is decoded into (nil when the run is not symmetry-reduced).
 type wctx struct {
@@ -736,8 +738,8 @@ func (e *explorer) edgePermIdx(succWit []byte, to int32, fresh bool) int32 {
 // step's action re-derived from its parent (producer) through one
 // expansion context for the whole path. Under partial-order reduction an
 // edge may be a compressed local chain; edgeSteps re-derives the concrete
-// intermediate transitions, so traces are always step-by-step real
-// executions.
+// intermediate transitions into replay, one buffer for the whole path that
+// is never reset, so traces are always step-by-step real executions.
 func (e *explorer) trace(idx int32) Trace {
 	var rev []int32
 	for i := idx; i >= 0; i = e.parent.at(i) {
@@ -745,13 +747,14 @@ func (e *explorer) trace(idx int32) Trace {
 	}
 	t := Trace{Prog: e.p, Init: e.stateAt(rev[len(rev)-1])}
 	var w wctx
+	var replay gcl.SuccBuf
 	e.initCtx(&w)
 	from := t.Init
 	for k := len(rev) - 2; k >= 0; k-- {
 		s := e.stateAt(rev[k])
 		pid, lb := e.producer(&w, rev[k+1], from, s)
 		if e.por {
-			t.Steps = append(t.Steps, e.edgeSteps(from, s, pid, e.labelName(lb))...)
+			t.Steps = append(t.Steps, e.edgeSteps(&replay, from, s, pid, e.labelName(lb))...)
 		} else {
 			t.Steps = append(t.Steps, Step{Pid: pid, Label: e.labelName(lb), State: s})
 		}
@@ -796,20 +799,19 @@ func (e *explorer) producer(w *wctx, head int32, hs, s gcl.State) (int, int32) {
 // plain edge is a single real transition of the producing process and
 // label; a chained edge is re-derived by finding the first action of the
 // parent whose state-deterministic local chain ends at the child, and
-// replaying it step by step. Every returned step is a real transition.
-func (e *explorer) edgeSteps(parent, child gcl.State, pid int, label string) []Step {
+// replaying it step by step into replay. Every returned step is a real
+// transition. The caller must never reset replay, so the returned Steps'
+// state vectors stay valid.
+func (e *explorer) edgeSteps(replay *gcl.SuccBuf, parent, child gcl.State, pid int, label string) []Step {
 	for _, sc := range e.p.Succs(parent, pid, e.opts.Mode, nil) {
 		if sc.Label(e.p) == label && sc.State.Equal(child) {
 			return []Step{{Pid: pid, Label: label, State: child}}
 		}
 	}
-	// Cold path: replay chains through a local buffer that is never reset,
-	// so the returned Steps' state vectors stay valid.
-	var buf gcl.SuccBuf
 	for _, sc := range e.p.AllSuccs(parent, e.opts.Mode) {
 		steps := []Step{{Pid: sc.Pid, Label: sc.Label(e.p), State: sc.State}}
 		for hops := 0; hops < e.chaseCap && !sc.State.Equal(child); hops++ {
-			next, ok := e.ampleSingle(sc.State, &buf)
+			next, ok := e.ampleSingle(sc.State, replay)
 			if !ok {
 				break
 			}
@@ -975,11 +977,12 @@ func (e *explorer) expansionOf(head int32) *expansion {
 	return x
 }
 
-// join waits for the pre-pass chunk in flight, if any. Check and
-// BuildGraph defer it, so no worker outlives the exploration.
+// join waits for the pre-pass chunk in flight, if any, and stops the
+// pool. Check and BuildGraph defer it, so no worker outlives the
+// exploration.
 func (e *explorer) join() {
 	if e.pre != nil {
-		e.pre.join()
+		e.pre.stop()
 	}
 }
 

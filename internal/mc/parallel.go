@@ -29,7 +29,13 @@ package mc
 // on the pool. Each owns its workers' scratch, so expanding next never
 // recycles memory the merge of cur still reads.
 // The merge joins next when it reaches it, and Check and BuildGraph join it
-// on every return (explorer.join), early stops included.
+// and stop the pool on every return (explorer.join), early stops included.
+//
+// The pool's goroutines start at the first launch and live until that
+// stop. Between chunks a worker, and the merge in join, spins for up to
+// spinFor, yielding the processor, before it blocks: a worker that blocked
+// would wait for its thread to be woken at every launch, and a chunk of
+// maxChunk heads is short enough for that delay to cost throughput.
 //
 // Profiling: the pool goroutines run under the runtime/pprof labels
 // "mc-stage"=expand and "mc-worker"=<index>; see the Performance section of
@@ -42,27 +48,34 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"bakerypp/internal/gcl"
 )
 
 const (
 	// maxChunk is how many queued heads one pre-pass chunk covers: wide
-	// enough to amortise the spawn/join cost over real work (a full chunk
-	// is 0.5–1 ms of expansion), narrow enough that a bounded run
-	// (MaxStates, early violation stop) wastes at most one chunk of
-	// speculative expansion. It also bounds the pre-pass's memory: workers
-	// claim heads dynamically, so one worker can take nearly a whole chunk
-	// and its scratch grows to hold that chunk's successors and probe
-	// records — two buffers × Workers × one chunk of records at peak. At
-	// 4096 those records doubled a two-worker run's peak heap; states/s is
-	// level from 256 to 4096 (docs/model-checking.md, "Parallel
-	// expansion").
-	maxChunk = 1024
+	// enough to amortise the hand-off between the merge and the pool (a
+	// full chunk is about 0.1–0.25 ms of expansion), narrow enough that a
+	// bounded run (MaxStates, early violation stop) wastes at most one
+	// chunk of speculative expansion. It also bounds the pre-pass's memory:
+	// workers claim heads dynamically, so one worker can take nearly a
+	// whole chunk and its scratch grows to hold that chunk's successors and
+	// probe records — two buffers × Workers × one chunk of records at peak.
+	// Their arenas grow with use, so the scratch shrinks with the chunk: on
+	// a two-worker run, peak heap is 9.6 MB at 1024 and 6.9 MB at 256, and
+	// with the standing pool states/s is no lower at 256
+	// (docs/model-checking.md, "Parallel expansion").
+	maxChunk = 256
 	// minChunk is the narrowest queue the pre-pass takes on; below it (the
 	// first few BFS levels) heads are expanded one at a time, as in
 	// sequential mode.
 	minChunk = 64
+	// spinFor is how long a pool goroutine, or the merge in join, polls
+	// before it blocks. With 256-head chunks on two cores, blocking at once
+	// was about 20% slower than polling for 50 µs (docs/model-checking.md,
+	// "Parallel expansion").
+	spinFor = 50 * time.Microsecond
 )
 
 // chunk is one pre-pass buffer: the heads [lo, hi) as stored, their
@@ -78,11 +91,25 @@ type chunk struct {
 
 // prepass is parallel mode's worker pool state: the chunk being merged, the
 // chunk in flight (when busy), and one pprof label context per worker.
+//
+// A launch publishes its chunk in run and its batch size, sets pending to
+// the pool's size and then bumps gen; each pool goroutine waits for gen to
+// move, expands its share of run, and counts pending down, and join waits
+// for pending to reach zero. A nil run tells the pool to exit. wake and
+// done carry one token each to whoever stopped spinning and blocked.
 type prepass struct {
 	cur, next *chunk
 	busy      bool
-	wg        sync.WaitGroup
 	labels    []context.Context
+
+	started bool
+	run     *chunk
+	batch   int64
+	gen     atomic.Uint64
+	pending atomic.Int32
+	wake    []chan struct{}
+	done    chan struct{}
+	live    sync.WaitGroup
 }
 
 // newPrepass returns the pre-pass for Options.Workers, or nil when the run
@@ -95,10 +122,12 @@ func newPrepass(e *explorer) *prepass {
 	if w < 2 {
 		return nil
 	}
-	pp := &prepass{cur: newChunk(e, w), next: newChunk(e, w), labels: make([]context.Context, w)}
+	pp := &prepass{cur: newChunk(e, w), next: newChunk(e, w), labels: make([]context.Context, w),
+		wake: make([]chan struct{}, w), done: make(chan struct{}, 1)}
 	for i := range pp.labels {
 		pp.labels[i] = pprof.WithLabels(context.Background(),
 			pprof.Labels("mc-stage", "expand", "mc-worker", strconv.Itoa(i)))
+		pp.wake[i] = make(chan struct{}, 1)
 	}
 	return pp
 }
@@ -156,29 +185,59 @@ func (pp *prepass) launch(e *explorer, lo, hi int32) {
 		w.slab.Reset()
 		w.preps = w.preps[:0]
 	}
-	workers := min(len(c.wcs), n)
-	batch := int64(min(max(n/(workers*4), 1), 64))
 	c.cursor.Store(0)
+	if !pp.started {
+		pp.started = true
+		pp.live.Add(len(pp.wake))
+		for wi := range pp.wake {
+			go pp.work(e, wi, pp.gen.Load())
+		}
+	}
+	pp.run = c
+	workers := min(len(c.wcs), n)
+	pp.batch = int64(min(max(n/(workers*4), 1), 64))
+	pp.pending.Store(int32(len(pp.wake)))
 	pp.busy = true
-	pp.wg.Add(workers)
-	for wi := range workers {
-		go pp.work(e, c, &c.wcs[wi], pp.labels[wi], batch)
+	pp.signal()
+}
+
+// signal publishes a launch, or a stop when run is nil, to the pool.
+func (pp *prepass) signal() {
+	pp.gen.Add(1)
+	for _, ch := range pp.wake {
+		post(ch)
 	}
 }
 
-// work is one pool goroutine's share of chunk c.
-func (pp *prepass) work(e *explorer, c *chunk, w *wctx, labels context.Context, batch int64) {
-	defer pp.wg.Done()
-	pprof.SetGoroutineLabels(labels)
-	n := int64(c.hi - c.lo)
+// work is one pool goroutine: it expands its share of every chunk launched
+// after generation seen, until the pool is stopped.
+func (pp *prepass) work(e *explorer, wi int, seen uint64) {
+	defer pp.live.Done()
+	pprof.SetGoroutineLabels(pp.labels[wi])
 	for {
-		end := c.cursor.Add(batch)
-		start := end - batch
-		if start >= n {
+		if !spin(func() bool { return pp.gen.Load() != seen }) {
+			for pp.gen.Load() == seen {
+				<-pp.wake[wi]
+			}
+		}
+		seen = pp.gen.Load()
+		c := pp.run
+		if c == nil {
 			return
 		}
-		for i := start; i < min(end, n); i++ {
-			e.expandAhead(e.headState(w, c.heads[i]), &c.exps[i], w)
+		w := &c.wcs[wi]
+		for n := int64(c.hi - c.lo); ; {
+			end := c.cursor.Add(pp.batch)
+			start := end - pp.batch
+			if start >= n {
+				break
+			}
+			for i := start; i < min(end, n); i++ {
+				e.expandAhead(e.headState(w, c.heads[i]), &c.exps[i], w)
+			}
+		}
+		if pp.pending.Add(-1) == 0 {
+			post(pp.done)
 		}
 	}
 }
@@ -186,9 +245,49 @@ func (pp *prepass) work(e *explorer, c *chunk, w *wctx, labels context.Context, 
 // join waits for the chunk in flight, if any; its records are complete
 // when join returns.
 func (pp *prepass) join() {
-	if pp.busy {
-		pp.wg.Wait()
-		pp.busy = false
+	if !pp.busy {
+		return
+	}
+	if !spin(func() bool { return pp.pending.Load() == 0 }) {
+		for pp.pending.Load() != 0 {
+			<-pp.done
+		}
+	}
+	pp.busy = false
+}
+
+// stop joins the chunk in flight and ends the pool's goroutines; the next
+// launch starts them again.
+func (pp *prepass) stop() {
+	pp.join()
+	if pp.started {
+		pp.run = nil
+		pp.signal()
+		pp.live.Wait()
+		pp.started = false
+	}
+}
+
+// spin polls ready for up to spinFor, yielding the processor between
+// polls, and reports whether it came true.
+func spin(ready func() bool) bool {
+	deadline := time.Now().Add(spinFor)
+	for !ready() {
+		if time.Now().After(deadline) {
+			return false
+		}
+		runtime.Gosched()
+	}
+	return true
+}
+
+// post leaves a token in ch, a channel of capacity one, unless one is
+// already there: a blocked receiver wakes, and a spinning one finds the
+// token stale when it next blocks, checks its condition and blocks again.
+func post(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
 	}
 }
 
