@@ -256,15 +256,14 @@ func (pp *prepass) join() {
 	pp.busy = false
 }
 
-// stop joins the chunk in flight and ends the pool's goroutines; the next
-// launch starts them again.
+// stop joins the chunk in flight and ends the pool's goroutines. It is
+// final: nothing is launched after it.
 func (pp *prepass) stop() {
 	pp.join()
 	if pp.started {
 		pp.run = nil
 		pp.signal()
 		pp.live.Wait()
-		pp.started = false
 	}
 }
 

@@ -233,13 +233,14 @@ func requireResultsIdentical(t *testing.T, seq, par *Result) {
 // at MaxStates — while the pool is expanding the chunk after the one being
 // merged return the sequential Result, and no pool goroutine outlives
 // them. Each case stops thousands of states into a wide BFS level, where
-// the chunk after the one being merged has launched. The runs are pinned to
-// one P, so pool goroutines run only when the merge goroutine yields. The
-// invariants are called once per fresh state in numbering order at any
-// worker count, so the first-listed one can sample the goroutine count at
-// the parallel run's stop: the call that was the sequential run's last.
-// Pool goroutines must be alive there, and the count must fall back to
-// what it was before Check once Check returns.
+// the chunk after the one being merged has launched; inFlightAtStop drives
+// Check's merge loop to the same stop and shows the chunk is in flight
+// there. The runs are pinned to one P, so pool goroutines run only when
+// the merge goroutine yields. The invariants are called once per fresh
+// state in numbering order at any worker count, so a counting invariant
+// shows the parallel run stops at the sequential run's last call. The
+// goroutine count must fall back to what it was before Check once Check
+// returns.
 func TestEarlyStopJoinsChunkInFlight(t *testing.T) {
 	cases := []struct {
 		name string
@@ -255,39 +256,61 @@ func TestEarlyStopJoinsChunkInFlight(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			calls, stop, atStop := 0, 0, 0
+			calls := 0
 			count := Invariant{Name: "count", Holds: func(*gcl.Prog, gcl.State) bool {
 				calls++
 				return true
 			}}
-			sample := Invariant{Name: "sample", Holds: func(*gcl.Prog, gcl.State) bool {
-				if calls++; calls == stop {
-					atStop = runtime.NumGoroutine()
-				}
-				return true
-			}}
-			opts := func(workers int, first Invariant) Options {
-				return Options{Invariants: []Invariant{first, Mutex(), NoOverflow()}, MaxStates: c.max, Workers: workers}
+			opts := func(workers int) Options {
+				return Options{Invariants: []Invariant{count, Mutex(), NoOverflow()}, MaxStates: c.max, Workers: workers}
 			}
-			seq := Check(c.p(), opts(0, count))
+			seq := Check(c.p(), opts(0))
 			if seq.Complete {
 				t.Fatalf("sequential run completed (%d states); the case must stop early", seq.States)
 			}
-			stop, calls = calls, 0
+			stop := calls
+			calls = 0
 			before := runtime.NumGoroutine()
-			par := Check(c.p(), opts(2, sample))
+			par := Check(c.p(), opts(2))
 			requireResultsIdentical(t, seq, par)
 			if calls != stop {
 				t.Fatalf("parallel run made %d invariant calls, sequential %d", calls, stop)
 			}
-			if atStop <= before {
-				t.Fatalf("%d goroutines at the stop, %d before Check: no chunk was in flight", atStop, before)
-			}
 			if n := runtime.NumGoroutine(); n > before {
 				t.Fatalf("%d goroutines running after the early stop, %d before", n, before)
 			}
+			if states, busy := inFlightAtStop(t, c.p(), opts(2)); states != seq.States || !busy {
+				t.Fatalf("merge loop stopped at %d states (Check: %d) with a chunk in flight %v, want one in flight", states, seq.States, busy)
+			}
 		})
 	}
+}
+
+// inFlightAtStop drives an explorer through Check's merge loop to Check's
+// stop — the first violating fresh state, or MaxStates — and reports the
+// states stored there and whether the pre-pass had a chunk in flight.
+func inFlightAtStop(t *testing.T, p *gcl.Prog, opts Options) (states int, busy bool) {
+	t.Helper()
+	plan, err := planFor(p, opts, SafetyAnalysis{Invariants: opts.Invariants})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := newExplorer(p, opts, plan)
+	if e.pre == nil {
+		t.Fatalf("Workers: %d built no pre-pass", opts.Workers)
+	}
+	defer e.join()
+	e.addInit(p.InitState())
+	for head := int32(0); int(head) < e.numStates() && e.numStates() < e.opts.MaxStates; head++ {
+		x := e.expansionOf(head)
+		lo, hi := e.commit(x, e.depthOf(head))
+		for i := lo; i < hi; i++ {
+			if _, fresh := e.addSucc(x, i, head); fresh && e.checkInvariants(x.succs[i].State) >= 0 {
+				return e.numStates(), e.pre.busy
+			}
+		}
+	}
+	return e.numStates(), e.pre.busy
 }
 
 // TestParallelWorkerCountsAgree pins that the graph does not depend on the

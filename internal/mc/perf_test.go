@@ -57,7 +57,7 @@ func testPrepassAllocFree(t *testing.T, p *gcl.Prog, sym bool) {
 	if e.numStates()-int(head) < maxChunk {
 		t.Fatalf("state space too small to exercise the pre-pass: %d states, %d queued", e.numStates(), e.numStates()-int(head))
 	}
-	e.join()
+	e.pre.join()
 
 	// Relaunching the buffer the pipeline launches into, over a full
 	// chunk, is side-effect free (a chunk writes only its workers' scratch
@@ -124,7 +124,7 @@ func TestPrepassMemoryBound(t *testing.T) {
 	if n := e.numStates(); !violated || n != 197655 {
 		t.Fatalf("stopped at %d states (violation %v), want the overflow at 197655", n, violated)
 	}
-	// TestEarlyStopJoinsChunkInFlight's bakery N=4 M=4 case relies on this.
+	// The violation stops the run with a full chunk in flight.
 	if !e.pre.busy || e.pre.next.hi-e.pre.next.lo != maxChunk {
 		t.Errorf("no full chunk in flight at the violation (busy %v, %d heads)", e.pre.busy, e.pre.next.hi-e.pre.next.lo)
 	}
