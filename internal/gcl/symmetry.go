@@ -94,7 +94,7 @@ const maxEnumProcs = 8
 const maxCursorProcs = 32
 
 // maxCanonProcs caps the process count of every canonicalizable program:
-// a witness permutation is recorded one byte per pid (see PackTail).
+// a witness permutation is carried one byte per pid (KeySlab.Witness).
 const maxCanonProcs = 255
 
 // SetSymmetry declares the program's process-permutation group. Must be
@@ -295,70 +295,86 @@ func (p *Prog) permuteInto(out State, s State, perm []int) {
 }
 
 // A symmetry tail records, next to a state's canonical key, what
-// canonicalization dropped: the witness permutation, one byte per pid
-// (byte i is the slot process i moved to), then the raw value of every
-// scan cursor, one byte per pid per cursor in pid-major order. The bytes
-// are packed four to an int32 word, low byte first. Restore rebuilds the
-// concrete state, dead cursor values included, from the key and its tail,
-// so a store can keep the key alone in place of both vectors.
+// canonicalization dropped: the witness permutation, one field per pid
+// (field i is the slot process i moved to), then the raw value of every
+// scan cursor, one field per pid per cursor in pid-major order. Every field
+// is bits.Len(N) bits wide — a witness entry lies in 0..N-1 and a cursor in
+// 0..N (PidLocal) — and the fields are packed low bits first into int32
+// words, a field straddling two words where it falls so. Restore rebuilds
+// the concrete state, dead cursor values included, from the key and its
+// tail, so a store can keep the key alone in place of both vectors.
 
-// TailLen returns the number of int32 words of a symmetry tail.
+// tailBits is the width of one tail field.
+func (p *Prog) tailBits() uint { return uint(bits.Len(uint(p.N))) }
+
+// TailLen returns the number of int32 words of a symmetry tail:
+// ⌈N·(1+cursors)·bits.Len(N)/32⌉.
 func (p *Prog) TailLen() int {
-	return (p.N*(1+len(p.pidLocalOffs)) + 3) / 4
+	return (p.N*(1+len(p.pidLocalOffs))*int(p.tailBits()) + 31) / 32
 }
 
-// tailByte returns byte i of a packed tail.
-func tailByte(tail []int32, i int) int { return int(uint32(tail[i>>2]) >> (8 * uint(i&3)) & 0xff) }
+// tailField returns the b-bit field of a packed tail that starts at bit pos.
+func tailField(tail []int32, pos, b uint) int {
+	w := pos >> 5
+	x := uint64(uint32(tail[w]))
+	if pos&31+b > 32 {
+		x |= uint64(uint32(tail[w+1])) << 32
+	}
+	return int(x >> (pos & 31) & (1<<b - 1))
+}
 
 // PackTail writes into tail (TailLen words) the tail of concrete state s
 // canonicalized with witness wit (N bytes, as KeySlab.Witness returns). It
-// panics, naming the state, on a cursor value outside 0..255.
+// panics, naming the state, on a cursor value outside 0..N.
 func (p *Prog) PackTail(tail []int32, wit []byte, s State) {
 	n, sl, ll := p.N, p.sharedLen, p.localLen
 	if len(tail) != p.TailLen() || len(wit) != n || len(s) != sl+n*ll {
 		panic(fmt.Sprintf("gcl: %s: PackTail needs a %d-word tail, a %d-byte witness and a %d-word state, got %d, %d and %d",
 			p.Name, p.TailLen(), n, sl+n*ll, len(tail), len(wit), len(s)))
 	}
-	// Bytes accumulate in acc and are stored a word at a time.
-	var acc uint32
-	i := 0
-	for _, b := range wit {
-		acc |= uint32(b) << (8 * uint(i&3))
-		if i&3 == 3 {
-			tail[i>>2], acc = int32(acc), 0
+	// Fields accumulate in acc, have bits of it pending, and are stored a
+	// word at a time.
+	b := p.tailBits()
+	var acc uint64
+	var have uint
+	w := 0
+	put := func(v uint32) {
+		acc |= uint64(v) << have
+		if have += b; have >= 32 {
+			tail[w], acc, have = int32(uint32(acc)), acc>>32, have-32
+			w++
 		}
-		i++
+	}
+	for _, x := range wit {
+		put(uint32(x))
 	}
 	for q := 0; q < n; q++ {
 		blk := s[sl+q*ll : sl+(q+1)*ll]
 		for _, lo := range p.pidLocalOffs {
 			v := uint32(blk[lo])
-			if v > 255 {
+			if v > uint32(n) {
 				p.cursorOverflow(s, q, blk[lo])
 			}
-			acc |= v << (8 * uint(i&3))
-			if i&3 == 3 {
-				tail[i>>2], acc = int32(acc), 0
-			}
-			i++
+			put(v)
 		}
 	}
-	if i&3 != 0 {
-		tail[i>>2] = int32(acc)
+	if have > 0 {
+		tail[w] = int32(uint32(acc))
 	}
 }
 
 // cursorOverflow panics on a cursor value PackTail cannot record.
 func (p *Prog) cursorOverflow(s State, q int, v int32) {
-	panic(fmt.Sprintf("gcl: %s: scan cursor of process %d holds %d, outside the 0..255 a symmetry tail records, in state %s",
-		p.Name, q, v, p.Format(s)))
+	panic(fmt.Sprintf("gcl: %s: scan cursor of process %d holds %d, outside the 0..%d a symmetry tail records, in state %s",
+		p.Name, q, v, p.N, p.Format(s)))
 }
 
 // TailWitness writes the witness permutation recorded in tail into perm
 // (N entries).
 func (p *Prog) TailWitness(perm []int, tail []int32) {
+	b := p.tailBits()
 	for q := range perm[:p.N] {
-		perm[q] = tailByte(tail, q)
+		perm[q] = tailField(tail, uint(q)*b, b)
 	}
 }
 
@@ -375,9 +391,10 @@ func (p *Prog) Restore(dst, key State, tail []int32) {
 	}
 	copy(dst[:sl], key[:sl])
 	arrays, cursors := p.pidArrayOffs, p.pidLocalOffs
-	ci := n // byte index of the next cursor value
+	b := p.tailBits()
+	ci := uint(n) * b // bit position of the next cursor value
 	for q := 0; q < n; q++ {
-		src := tailByte(tail, q)
+		src := tailField(tail, uint(q)*b, b)
 		for _, off := range arrays {
 			dst[off+q] = key[off+src]
 		}
@@ -388,8 +405,8 @@ func (p *Prog) Restore(dst, key State, tail []int32) {
 			d[k] = from[k]
 		}
 		for _, lo := range cursors {
-			d[lo] = int32(tailByte(tail, ci))
-			ci++
+			d[lo] = int32(tailField(tail, ci, b))
+			ci += b
 		}
 	}
 }
@@ -420,7 +437,7 @@ func (p *Prog) PermValid(s State, perm []int) bool {
 
 // CanCanonicalize reports whether the program supports canonicalization:
 // full symmetry declared, at most maxCanonProcs processes (witnesses are
-// recorded one byte per pid), and — when it has scan cursors — no more
+// carried one byte per pid), and — when it has scan cursors — no more
 // than maxCursorProcs.
 func (p *Prog) CanCanonicalize() bool {
 	return p.built && p.sym == FullSymmetry && p.N <= maxCanonProcs &&

@@ -11,7 +11,7 @@ import (
 // stores' keys and, in every tier, the engine's numbered states, where a
 // state's number IS its slab index. Entry i is the vector's packed payload
 // followed, optionally, by a tail of words its owner reads back (the
-// symmetric engine's witness and cursor bytes, see appendTail).
+// symmetric engine's bit-packed witness and cursor fields, see appendTail).
 //
 // Every entry has one shape, fixed at the first append: keyLen key words
 // and tailLen tail words (appending another shape panics, naming both).
@@ -25,30 +25,34 @@ import (
 // open block re-encodes that block alone, once, at the new width (widen).
 // So block widths never decrease with the block index, and two block
 // indices, byteFrom and rawFrom, give every block's width. Entries are
-// fixed-stride within a block and carry no header: every block holds
-// 2^shift entries whatever its width, so entry i sits in block i>>shift at
-// word offset (i mod 2^shift) × that block's stride. A probe compares
+// fixed-stride within a block and carry no header, so an entry sits at its
+// position in its block times that block's stride. A probe compares
 // against the packed payload (match), never unpacking the entry; whoever
 // reads a vector back decodes it into a buffer of its own
 // (packedKey.decode).
 //
-// 2^shift is the most entries that fit keySlabBlock words (1 MiB) at byte
-// width, so a nibble block takes about half of that and a raw one up to
-// four times it. Whoever holds indices (table slots, the engine's parent
-// column) holds no Go pointers, and the collector sees one pointer per
-// block instead of one per vector. A full block never moves. The table
-// keeps index+1 in 32 bits, so no index exceeds 2^32-2.
+// Blocks grow geometrically and are never copied. Block 0 holds 2^first
+// entries, about keySlabFirst words at byte width, and block b holds
+// 2^(first+b), each doubling the one before, up to 2^shift entries, the
+// most that fit keySlabBlock words (1 MiB) at byte width — a nibble block
+// takes about half of that and a raw one up to four times it; every later
+// block holds 2^shift too. locate finds an index's block from its bit
+// length. The many short-lived stores of the refinement search so cost
+// kilobytes, not a megabyte each, and the open block's unused capacity is
+// at most 2^first more than the entries stored before it, and never more
+// than a full block. Whoever holds indices (table slots,
+// the engine's parent column) holds no Go pointers, and the collector sees
+// one pointer per block instead of one per vector. The table keeps index+1
+// in 32 bits, so no index exceeds 2^32-2.
 //
-// Only the first block starts small (about keySlabFirst words) and doubles
-// up to the full block size, so the many short-lived stores of the
-// refinement search cost kilobytes, not a megabyte each. A doubling copies
-// the block and a re-encoding builds a new one, but neither writes the old
-// one: a packedKey taken earlier keeps aliasing it, carrying the width it
-// was written in, so it stays valid across growth too.
+// A block, once opened, keeps its memory: only a widening builds a new
+// block, at most twice per slab, and it leaves the old one as it is, so a
+// packedKey taken earlier keeps aliasing it, carrying the width it was
+// written in, and stays valid.
 //
 // Under spill the blocks are mapped from an mmap arena (spill.go) instead
 // of allocated on the heap; the slab asks the arena for memory only when it
-// opens a block or grows the first one, so nothing else differs.
+// opens a block, so nothing else differs.
 //
 // Not goroutine-safe: appends need exclusive access. The payload and tail
 // of an entry are never written again in place, though, so a packedKey may
@@ -66,12 +70,13 @@ type keySlab struct {
 	// open block's width, the widest of any vector appended so far, and
 	// stride its entry length; byteFrom and rawFrom are the first blocks
 	// at byte and at raw width (noBlock while there is none), every block
-	// before byteFrom being a nibble block. 2^shift entries per block.
+	// before byteFrom being a nibble block. Block b holds
+	// 2^min(first+b, shift) entries (locate).
 	pays              [rawWidth + 1]int
 	width             keyWidth
 	stride            int
 	byteFrom, rawFrom uint32
-	shift             uint
+	first, shift      uint
 }
 
 // keyWidth is how a block stores its payload words: nibbleWidth packs
@@ -93,8 +98,8 @@ const (
 	keySlabBlock     = 1 << keySlabBlockLog2
 	// keySlabMaxEntries bounds the entry count: indices run to 2^32-2.
 	keySlabMaxEntries = 1<<32 - 1
-	// keySlabFirst is the first block's initial capacity in words, rounded
-	// down to whole entries.
+	// keySlabFirst sizes the first block: the most entries, a power of
+	// two, that fit 2^10 words at byte width, and at least one.
 	keySlabFirst = 1 << 10
 	// noBlock is byteFrom and rawFrom while no block has that width.
 	noBlock = ^uint32(0)
@@ -248,7 +253,28 @@ func (s *keySlab) layout() {
 	}
 	s.width, s.stride = nibbleWidth, s.pays[nibbleWidth]+s.tailLen
 	s.byteFrom, s.rawFrom = noBlock, noBlock
-	s.shift = uint(bits.Len(uint(keySlabBlock/max(s.pays[byteWidth]+s.tailLen, 1)))) - 1
+	byteStride := uint(max(s.pays[byteWidth]+s.tailLen, 1))
+	s.shift = uint(bits.Len(keySlabBlock/byteStride)) - 1
+	s.first = uint(max(bits.Len(keySlabFirst/byteStride), 1)) - 1
+}
+
+// locate returns the block that holds entry i and the entry's position in
+// it. Counting from 2^first, u = i + 2^first, the geometric blocks start
+// at the powers of two below 2^(shift+1); past them, full blocks start at
+// the multiples of 2^shift.
+func (s *keySlab) locate(i uint32) (b, j uint32) {
+	u := uint64(i) + 1<<s.first
+	if h := u >> s.shift; h > 1 {
+		return uint32(h) + uint32(s.shift-s.first) - 1, uint32(u) & (1<<s.shift - 1)
+	}
+	top := uint(bits.Len64(u)) - 1
+	return uint32(top - s.first), uint32(u &^ (1 << top))
+}
+
+// entries returns the capacity of block b in entries: 2^(first+b) up to
+// 2^shift.
+func (s *keySlab) entries(b uint32) int {
+	return 1 << min(s.first+uint(b), s.shift)
 }
 
 // append copies v into the slab and returns its index. It panics on a
@@ -276,20 +302,11 @@ func (s *keySlab) appendTail(v gcl.State, w keyWidth, tail int) (uint32, []int32
 		s.widen(w)
 	}
 	i := s.n
-	b := int(i >> s.shift)
-	if b == len(s.blocks) {
-		size := s.stride << s.shift
-		if b == 0 && s.stride > 0 {
-			size = min(size, max(keySlabFirst/s.stride, 1)*s.stride)
-		}
-		s.blocks = append(s.blocks, s.block(size))
+	b, _ := s.locate(i)
+	if int(b) == len(s.blocks) {
+		s.blocks = append(s.blocks, s.block(s.stride*s.entries(b)))
 	}
 	blk := s.blocks[b]
-	if len(blk)+s.stride > cap(blk) {
-		grown := s.block(min(2*cap(blk), s.stride<<s.shift))[:len(blk)]
-		copy(grown, blk)
-		blk = grown
-	}
 	off, pay := len(blk), s.pays[s.width]
 	blk = blk[:off+s.stride]
 	pack(blk[off:off+pay], v, s.width)
@@ -312,7 +329,7 @@ func (s *keySlab) block(words int) []int32 {
 // w into a new block, the old one left as it is for the packedKeys that
 // alias it.
 func (s *keySlab) widen(w keyWidth) {
-	b := s.n >> s.shift
+	b, j := s.locate(s.n)
 	s.byteFrom = min(s.byteFrom, b)
 	if w == rawWidth {
 		s.rawFrom = b
@@ -324,7 +341,7 @@ func (s *keySlab) widen(w keyWidth) {
 		return
 	}
 	blk := s.blocks[b]
-	s.blocks, s.n = s.blocks[:b], b<<s.shift
+	s.blocks, s.n = s.blocks[:b], s.n-j
 	key := make(gcl.State, s.keyLen)
 	for off := 0; off < len(blk); off += oldStride {
 		old.words = blk[off : off+oldStride]
@@ -346,11 +363,14 @@ func (s *keySlab) blockWidth(b uint32) keyWidth {
 }
 
 // packed returns entry i.
-func (s *keySlab) packed(i uint32) packedKey {
-	b := i >> s.shift
+func (s *keySlab) packed(i uint32) packedKey { return s.entry(s.locate(i)) }
+
+// entry returns the entry at position j of block b. It and locate each fit
+// the inliner, where packed does not, so match calls the two.
+func (s *keySlab) entry(b, j uint32) packedKey {
 	w := s.blockWidth(b)
 	stride := s.pays[w] + s.tailLen
-	off := int(i&(1<<s.shift-1)) * stride
+	off := int(j) * stride
 	return packedKey{words: s.blocks[b][off : off+stride], pay: int32(s.pays[w]), width: w}
 }
 
@@ -361,7 +381,7 @@ func (s *keySlab) packed(i uint32) packedKey {
 // block checks that v's words fit a nibble as it goes, which wide does
 // not tell.
 func (s *keySlab) match(i uint32, wide bool, v gcl.State) bool {
-	k := s.packed(i)
+	k := s.entry(s.locate(i))
 	p := k.words
 	if k.width == rawWidth {
 		return gcl.State(p[:len(v)]).Equal(v)

@@ -3,8 +3,10 @@ package mc
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"bakerypp/internal/gcl"
 	"bakerypp/internal/specs"
@@ -82,8 +84,8 @@ func byteKey(i, n int) gcl.State {
 
 // TestKeySlabRoundTrip appends keys of one length per slab, empty ones
 // included, with and without a tail, and reads every key and tail back —
-// also after the first block has doubled several times, through entries
-// taken before the growth.
+// also after the slab has opened several geometrically growing blocks,
+// through entries taken before the growth.
 func TestKeySlabRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 5, 22} {
 		for _, tail := range []int{0, 3} {
@@ -101,9 +103,10 @@ func TestKeySlabRoundTrip(t *testing.T) {
 					early = append(early, s.packed(j))
 				}
 			}
-			if s.stride > 0 && (len(s.blocks) != 1 || cap(s.blocks[0]) <= keySlabFirst) {
-				t.Fatalf("n=%d tail=%d: expected one grown first block, got %d blocks (cap %d)", n, tail, len(s.blocks), cap(s.blocks[0]))
+			if s.stride > 0 && len(s.blocks) < 2 {
+				t.Fatalf("n=%d tail=%d: expected blocks past the first, got %d", n, tail, len(s.blocks))
 			}
+			checkSlabBlocks(t, &s)
 			check := func(i int, k packedKey) {
 				t.Helper()
 				got := make(gcl.State, n)
@@ -130,18 +133,46 @@ func TestKeySlabRoundTrip(t *testing.T) {
 	}
 }
 
+// checkSlabBlocks checks the geometric block layout of s: block b holds
+// 2^min(first+b, shift) entries; every block was opened at exactly its
+// capacity and every block but the open one is full, so no block was ever
+// grown or copied.
+func checkSlabBlocks(t *testing.T, s *keySlab) {
+	t.Helper()
+	start := 0
+	for b, blk := range s.blocks {
+		want := 1 << min(int(s.first)+b, int(s.shift))
+		stride := s.pays[s.blockWidth(uint32(b))] + s.tailLen
+		if got := s.entries(uint32(b)); got != want || cap(blk) != want*stride {
+			t.Fatalf("block %d: %d entries in %d words of %d-word entries, want %d entries", b, got, cap(blk), stride, want)
+		}
+		if b < len(s.blocks)-1 && len(blk) != cap(blk) {
+			t.Fatalf("block %d of %d is not full: length %d, capacity %d", b, len(s.blocks), len(blk), cap(blk))
+		}
+		if lb, j := s.locate(uint32(start)); lb != uint32(b) || j != 0 {
+			t.Fatalf("index %d, the first of block %d, locates to block %d position %d", start, b, lb, j)
+		}
+		if start > 0 {
+			if lb, j := s.locate(uint32(start - 1)); lb != uint32(b-1) || int(j) != s.entries(lb)-1 {
+				t.Fatalf("index %d, the last of block %d, locates to block %d position %d", start-1, b-1, lb, j)
+			}
+		}
+		start += want
+	}
+}
+
 // TestKeySlabBlockBoundary fills past several full blocks, at each width:
-// entry i sits in block i>>shift at offset (i mod 2^shift) × the block's
-// stride, so none straddles; every block holds 2^shift entries, the most
-// a power of two fits in 1 MiB at byte width; and indices address the
-// right block.
+// entry i sits at its position in its block (locate) × the block's stride,
+// so none straddles; the blocks grow geometrically from about keySlabFirst
+// words to 2^shift entries, the most a power of two fits in 1 MiB at byte
+// width, and are never copied; and indices address the right block.
 func TestKeySlabBlockBoundary(t *testing.T) {
 	const n = 37
 	for w, key := range []func(i, n int) gcl.State{nibbleKey, byteKey, slabKey} {
 		w := keyWidth(w)
 		var s keySlab
 		var last uint32
-		for i := 0; len(s.blocks) < 3; i++ {
+		for i := 0; len(s.blocks) < 3+int(s.shift-s.first); i++ {
 			last = s.append(key(i, n))
 		}
 		if s.width != w || s.stride != s.pays[w] || s.pays[w] != payLen(n, w) || payLen(n, w) != [...]int{5, 10, 37}[w] {
@@ -151,41 +182,53 @@ func TestKeySlabBlockBoundary(t *testing.T) {
 		if byteStride := s.pays[byteWidth]; byteStride<<s.shift > keySlabBlock || byteStride<<(s.shift+1) <= keySlabBlock {
 			t.Fatalf("width %d: %d entries per block, want the most a power of two fits in %d words of %d-word entries", w, per, keySlabBlock, byteStride)
 		}
-		if last != 2*per || last>>s.shift != 2 {
-			t.Fatalf("width %d: last key at index %d in block %d, want the first of block 2", w, last, last>>s.shift)
+		if byteStride := s.pays[byteWidth]; byteStride<<s.first > keySlabFirst || byteStride<<(s.first+1) <= keySlabFirst {
+			t.Fatalf("width %d: %d entries in the first block, want the most a power of two fits in %d words", w, 1<<s.first, keySlabFirst)
 		}
+		if b, j := s.locate(last); int(b) != len(s.blocks)-1 || j != 0 || s.entries(b-2) != int(per) {
+			t.Fatalf("width %d: last key at index %d, position %d of block %d, want the first of the third full block", w, last, j, b)
+		}
+		checkSlabBlocks(t, &s)
 		for i := uint32(0); i <= last; i++ {
 			k := s.packed(i)
-			blk := s.blocks[i>>s.shift]
-			if off := int(i&(per-1)) * s.stride; k.width != w || &k.words[0] != &blk[off] || off+s.stride > len(blk) {
-				t.Fatalf("width %d: key %d is not at offset %d of block %d", w, i, off, i>>s.shift)
+			b, j := s.locate(i)
+			blk := s.blocks[b]
+			if off := int(j) * s.stride; k.width != w || &k.words[0] != &blk[off] || off+s.stride > len(blk) {
+				t.Fatalf("width %d: key %d is not at offset %d of block %d", w, i, off, b)
 			}
 			if got := s.at(i); !got.Equal(key(int(i), n)) {
 				t.Fatalf("width %d: key %d: got %v", w, i, got)
 			}
 		}
-		for _, b := range s.blocks[:2] {
-			if len(b) != cap(b) || cap(b) != s.stride<<s.shift {
-				t.Fatalf("width %d: full block has length %d, capacity %d, want %d", w, len(b), cap(b), s.stride<<s.shift)
-			}
-		}
 	}
 }
 
+// presetFull makes every block of s before the one holding index i share
+// one full-size block, so a test reaches the top indices allocating 1 MiB,
+// not 16 GiB; the blocks hold nothing a test reads. It returns that block.
+func presetFull(s *keySlab, i uint32) []int32 {
+	full := make([]int32, s.stride<<s.shift)
+	b, j := s.locate(i)
+	s.blocks = make([][]int32, b)
+	for k := range s.blocks {
+		s.blocks[k] = full[:s.entries(uint32(k))*s.stride]
+	}
+	s.n = i - j
+	return full
+}
+
 // TestKeySlabFullPanics presets a slab whose every index is taken (the
-// blocks all share one full block, so the test allocates 1 MiB, not 16
-// GiB): the top index, 2^32-2, must still address its entry, and the next
-// append must panic clearly rather than wrap the index.
+// blocks all share one full block, see presetFull): the top index, 2^32-2,
+// must still address its entry, and the next append must panic clearly
+// rather than wrap the index.
 func TestKeySlabFullPanics(t *testing.T) {
 	var s keySlab
 	s.append(gcl.State{1, 2, 3})
-	full := make([]int32, s.stride<<s.shift)
-	s.blocks = make([][]int32, (keySlabMaxEntries>>s.shift)+1)
-	for i := range s.blocks {
-		s.blocks[i] = full
-	}
+	full := presetFull(&s, keySlabMaxEntries)
+	s.blocks = append(s.blocks, full)
 	s.n = keySlabMaxEntries
-	full[len(full)-2] = packPart(gcl.State{4, 5, 6}, 4)
+	_, j := s.locate(1<<32 - 2)
+	full[int(j)*s.stride] = packPart(gcl.State{4, 5, 6}, 4)
 	if got := s.at(1<<32 - 2); !got.Equal(gcl.State{4, 5, 6}) {
 		t.Fatalf("top index decodes as %v", got)
 	}
@@ -318,8 +361,9 @@ func TestExactTierSharesOneSlab(t *testing.T) {
 
 // TestSymmetricSlabFootprint pins the per-state cost of the symmetric
 // exact tier: the quotient of bakerypp N=4 M=2 (18,489 states) ends in one
-// slab holding, per state, its canonical key packed four bits per word and
-// the tail — 4 words, nothing else — at workers 0 and 2.
+// slab holding, per state, its canonical key packed four bits per word (2
+// words) and the tail, eight 3-bit fields in one word — 3 words, nothing
+// else — at workers 0 and 2.
 func TestSymmetricSlabFootprint(t *testing.T) {
 	p := specs.BakeryPP(specs.Config{N: 4, M: 2})
 	for _, workers := range []int{0, 2} {
@@ -336,33 +380,28 @@ func TestSymmetricSlabFootprint(t *testing.T) {
 			words += len(b)
 		}
 		perState := payLen(p.StateLen(), nibbleWidth) + p.TailLen()
-		if perState != 4 || words != e.numStates()*perState {
-			t.Errorf("workers=%d: slab holds %d words, %d per state; want 4 per state, %d", workers, words, perState, 4*e.numStates())
+		if perState != 3 || words != e.numStates()*perState {
+			t.Errorf("workers=%d: slab holds %d words, %d per state; want 3 per state, %d", workers, words, perState, 3*e.numStates())
 		}
 	}
 }
 
-// TestFpTableAdversarialFingerprints grows a table from fpTableMinSize slots
-// through nine doublings under chosen fingerprints. Keys come in groups of
-// four that share one tag and so one home slot: two of them share the whole
-// 64-bit fingerprint, the other two differ from it in the low 32 bits. The
-// slab is preset so that every block but its last is taken (all aliasing
-// one block the test never reads), and the last key lands at the top
-// index, 2^32-2, under fingerprint 0, the slot word closest to the empty
-// one. Every key must come back with its index, and absent keys — byte
-// keys past every inserted one, and wide keys, which a byte slab cannot
-// hold — must miss under every fingerprint.
+// TestFpTableAdversarialFingerprints grows a table from one segment
+// through eight rounds of splits under chosen fingerprints. Keys come in
+// groups of four that share one tag and so one home slot: two of them
+// share the whole 64-bit fingerprint, the other two differ from it in the
+// low 32 bits. The slab is preset so that every block but its last two is
+// taken (presetFull), and the last key lands at the top index, 2^32-2,
+// under fingerprint 0, the slot word closest to the empty one. Every key
+// must come back with its index, and absent keys — byte keys past every
+// inserted one, and wide keys, which a byte slab cannot hold — must miss
+// under every fingerprint. The subtests add probe runs that wrap inside a
+// segment, tag groups that a split takes apart, and a directory that
+// deepens far past its segment count.
 func TestFpTableAdversarialFingerprints(t *testing.T) {
-	key := func(i int) gcl.State { return gcl.State{int32(i & 0xff), int32(i >> 8 & 0xff), int32(i >> 16 & 0xff)} }
 	slab := &keySlab{shaped: true, keyLen: 3}
 	slab.layout()
-	per := 1 << slab.shift
-	full := make([]int32, slab.stride*per)
-	slab.blocks = make([][]int32, keySlabMaxEntries>>slab.shift)
-	for i := range slab.blocks {
-		slab.blocks[i] = full
-	}
-	slab.n = uint32(len(slab.blocks) * per)
+	presetFull(slab, keySlabMaxEntries-1-1<<slab.shift)
 	tab := &fpTable{slab: slab}
 	fp := func(i int) uint64 {
 		base := gcl.State{int32(i / 4)}.Fingerprint()
@@ -374,19 +413,19 @@ func TestFpTableAdversarialFingerprints(t *testing.T) {
 
 	var fps []uint64
 	var top uint32
+	base := uint32(slab.len())
 	for i := 0; slab.len() < keySlabMaxEntries; i++ {
 		f := fp(i)
 		if slab.len() == keySlabMaxEntries-1 {
 			f = 0
 		}
-		if got := tab.find(f, key(i), false); got >= 0 {
+		if got := tab.find(f, tableKey(i), false); got >= 0 {
 			t.Fatalf("key %d found at index %d before its insert", i, got)
 		}
-		top = slab.append(key(i))
+		top = slab.append(tableKey(i))
 		tab.add(f, top)
 		fps = append(fps, f)
 	}
-	base := uint32(len(slab.blocks)-1) << slab.shift
 	if top != 1<<32-2 {
 		t.Fatalf("last key stored at index %#x, want %#x", top, uint32(1<<32-2))
 	}
@@ -399,21 +438,96 @@ func TestFpTableAdversarialFingerprints(t *testing.T) {
 	if v, ok := low.Lookup(0, gcl.State{}); !ok || v != 7 {
 		t.Fatalf("empty key at index 0 under fingerprint 0: got %d, %v", v, ok)
 	}
-	if got := len(tab.ents); got < fpTableMinSize<<8 {
-		t.Fatalf("table ended with %d slots for %d keys, want at least 8 doublings from %d",
-			got, len(fps), fpTableMinSize)
+	if got := tableSlots(tab); got < fpSegSlots<<8 {
+		t.Fatalf("table ended with %d slots for %d keys, want at least 8 rounds of splits from %d",
+			got, len(fps), fpSegSlots)
 	}
-	if tab.n != len(fps) {
-		t.Fatalf("table counts %d entries, inserted %d", tab.n, len(fps))
-	}
+	checkFpTable(t, tab, len(fps))
+	checkFpFinds(t, tab, fps, base)
+
+	// Keys whose tags' low bits put them at the last slots of their
+	// segment: the runs wrap to the segment's first slots.
+	t.Run("wrapping runs", func(t *testing.T) {
+		var fps []uint64
+		for i := 0; i < 3000; i++ {
+			f := gcl.State{int32(i)}.Fingerprint()&^(fpSegMask<<32) | uint64(fpSegMask-i%3)<<32
+			fps = append(fps, f)
+		}
+		tab := fillFpTable(t, fps)
+		wrapped := 0
+		for _, sg := range tableSegments(tab) {
+			for i := 0; sg.slots[i] != 0; i++ {
+				wrapped++
+			}
+		}
+		if wrapped == 0 {
+			t.Fatal("no probe run wrapped past the end of its segment")
+		}
+	})
+	// Groups of tags that differ in one bit of their top ten, each split
+	// by the split at that depth, with one home slot per group.
+	t.Run("groups across a split", func(t *testing.T) {
+		var fps []uint64
+		for g := 0; len(fps) < 12000; g++ {
+			f := gcl.State{int32(g)}.Fingerprint()
+			for d := 0; d < 10; d++ {
+				fps = append(fps, f, f^1<<(63-d), f^1<<(63-d)^0xffff)
+			}
+		}
+		tab := fillFpTable(t, fps)
+		if segs := len(tableSegments(tab)); segs < 16 {
+			t.Fatalf("%d keys fill %d segments, want at least 16", len(fps), segs)
+		}
+	})
+	// Tags sharing their top twelve bits: the one segment that holds them
+	// splits twelve times, so the directory deepens to 2^13 entries over a
+	// handful of segments.
+	t.Run("deep directory", func(t *testing.T) {
+		var fps []uint64
+		for i := 0; i < 3*fpSegLimit; i++ {
+			fps = append(fps, 0xabc<<52|gcl.State{int32(i)}.Fingerprint()>>12)
+		}
+		tab := fillFpTable(t, fps)
+		if segs := len(tableSegments(tab)); len(tab.dir) < 1<<13 || segs > 20 {
+			t.Fatalf("directory of %d entries over %d segments, want at least %d entries over at most 20", len(tab.dir), segs, 1<<13)
+		}
+	})
+}
+
+// tableKey is the i-th key of the fpTable tests: three byte words.
+func tableKey(i int) gcl.State {
+	return gcl.State{int32(i & 0xff), int32(i >> 8 & 0xff), int32(i >> 16 & 0xff)}
+}
+
+// fillFpTable enters tableKey(i) under fps[i] into a fresh slab and table,
+// each absent before its insert, and checks the table's structure and
+// that every key comes back.
+func fillFpTable(t *testing.T, fps []uint64) *fpTable {
+	t.Helper()
+	slab := &keySlab{}
+	tab := &fpTable{slab: slab}
 	for i, f := range fps {
-		if got := tab.find(f, key(i), false); got != int(base)+i {
+		if got := tab.find(f, tableKey(i), false); got >= 0 {
+			t.Fatalf("key %d found at index %d before its insert", i, got)
+		}
+		tab.add(f, slab.append(tableKey(i)))
+	}
+	checkFpTable(t, tab, len(fps))
+	checkFpFinds(t, tab, fps, 0)
+	return tab
+}
+
+// checkFpFinds checks that tableKey(i), entered under fps[i], is found at
+// index base+i, and that absent keys miss under every fingerprint: a byte
+// key past every inserted one, and a wide key.
+func checkFpFinds(t *testing.T, tab *fpTable, fps []uint64, base uint32) {
+	t.Helper()
+	for i, f := range fps {
+		if got := tab.find(f, tableKey(i), false); got != int(base)+i {
 			t.Fatalf("key %d (fp %#x): found at index %d, want %d", i, f, got, int(base)+i)
 		}
-		// Same fingerprint, different key: a byte key past every inserted
-		// one, and a wide key.
-		if got := tab.find(f, key(len(fps)+i), false); got >= 0 {
-			t.Fatalf("absent key %v under fp %#x found at index %d", key(len(fps)+i), f, got)
+		if got := tab.find(f, tableKey(len(fps)+i), false); got >= 0 {
+			t.Fatalf("absent key %v under fp %#x found at index %d", tableKey(len(fps)+i), f, got)
 		}
 		if wide := (gcl.State{int32(i), 256, 0}); tab.find(f, wide, true) >= 0 {
 			t.Fatalf("absent wide key %v under fp %#x found", wide, f)
@@ -421,13 +535,75 @@ func TestFpTableAdversarialFingerprints(t *testing.T) {
 	}
 }
 
+// tableSegments returns the distinct segments of tab in directory order.
+func tableSegments(tab *fpTable) []fpSegment {
+	var segs []fpSegment
+	for k := 0; k < len(tab.dir); k += 1 << (64 - tab.dshift - tab.dir[k].depth) {
+		segs = append(segs, tab.dir[k])
+	}
+	return segs
+}
+
+// tableSlots returns tab's slot count, fpSegSlots per segment.
+func tableSlots(tab *fpTable) int { return len(tableSegments(tab)) * fpSegSlots }
+
+// checkFpTable checks the extendible-hashing structure of tab, which holds
+// keys keys: each segment is the target of exactly the 2^(D-d) aligned
+// directory entries of its d-bit prefix, holds only tags with that prefix,
+// counts its used slots, and keeps every entry reachable from its home
+// slot without crossing an empty one; the counts add up to keys.
+func checkFpTable(t *testing.T, tab *fpTable, keys int) {
+	t.Helper()
+	depth := 64 - tab.dshift
+	if len(tab.dir) != 1<<depth {
+		t.Fatalf("directory of %d entries at depth %d", len(tab.dir), depth)
+	}
+	n := 0
+	for k := 0; k < len(tab.dir); {
+		sg := tab.dir[k]
+		span := 1 << (depth - sg.depth)
+		if k%span != 0 || sg.depth > fpMaxDepth {
+			t.Fatalf("segment of depth %d first referenced at entry %d of %d", sg.depth, k, len(tab.dir))
+		}
+		for j := k; j < k+span; j++ {
+			if tab.dir[j] != sg {
+				t.Fatalf("entry %d does not point to the segment of entries %d..%d", j, k, k+span-1)
+			}
+		}
+		used := 0
+		for i, e := range sg.slots {
+			if e == 0 {
+				continue
+			}
+			used++
+			if int(uint64(e)>>(tab.dshift&63))>>(depth-sg.depth) != k>>(depth-sg.depth) {
+				t.Fatalf("tag %#x in the segment of entries %d..%d", uint64(e)>>32, k, k+span-1)
+			}
+			for h := homeSlot(uint64(e)); h != uint64(i); h = (h + 1) & fpSegMask {
+				if sg.slots[h] == 0 {
+					t.Fatalf("entry %#x at slot %d: empty slot %d on its probe from %d", uint64(e), i, h, homeSlot(uint64(e)))
+				}
+			}
+		}
+		if used != sg.n || (sg.n > fpSegLimit && sg.depth < fpMaxDepth) {
+			t.Fatalf("segment at entry %d counts %d used slots, holds %d (limit %d)", k, sg.n, used, fpSegLimit)
+		}
+		n += used
+		k += span
+	}
+	if n != keys {
+		t.Fatalf("table holds %d keys, want %d", n, keys)
+	}
+}
+
 // TestExactTableFootprint pins the growth policy and the per-state cost of
 // the default exact tier on two cells, explored through the merge loop to
 // their end at workers 0 and 2: bakerypp N=3 M=4 verifies at 87,724
-// states and bakery N=4 M=4 stops at its overflow at 197,655. The table
-// doubles at 7/8 load, so it ends with 2^17 and 2^18 slots, the first
-// powers of two above 87,724/0.875 and 197,655/0.875 (at 0.7 load the
-// second was 2^19). Every word of both cells fits four bits, so the slab
+// states and bakery N=4 M=4 stops at its overflow at 197,655. A segment
+// splits at 7/8 load, so the tables end with 2^7 and 2^8 segments of 1024
+// slots, no segment split past the first depth at which 87,724/0.875 and
+// 197,655/0.875 keys fit, the same 2^17 and 2^18 slots a table doubling at
+// 7/8 load ended with (at 0.7 load the second was 2^19). Every word of both cells fits four bits, so the slab
 // holds each state vector once, eight words to an int32 and nothing else:
 // 2 words per state.
 func TestExactTableFootprint(t *testing.T) {
@@ -440,11 +616,11 @@ func TestExactTableFootprint(t *testing.T) {
 		{specs.Bakery(specs.Config{N: 4, M: 4}), 197655, 1 << 18},
 	} {
 		for _, workers := range []int{0, 2} {
-			e := exploreToStop(t, c.p, workers)
+			e := exploreToStop(t, c.p, Options{Workers: workers})
 			if n := e.numStates(); n != c.states {
 				t.Fatalf("%s workers=%d: %d states, want %d", c.p.Name, workers, n, c.states)
 			}
-			if got := len(e.table.ents); got != c.slots {
+			if got := tableSlots(e.table); got != c.slots {
 				t.Errorf("%s workers=%d: table has %d slots, want %d", c.p.Name, workers, got, c.slots)
 			}
 			words := 0
@@ -460,12 +636,70 @@ func TestExactTableFootprint(t *testing.T) {
 	}
 }
 
+// TestStoreGrowthCopiesNothing: the store allocates only memory it keeps.
+// A Check's allocated bytes (runtime.MemStats.TotalAlloc) stay within
+// 1.15 times the capacity of its final store — slab blocks, table segments
+// and directory, parent column — plus a fixed allowance for the expansion
+// scratch, the pre-pass's included, and the counterexample, so no growth
+// step may copy the store or leave a garbage copy behind. The store's
+// capacity is read off the same exploration run through the merge loop
+// (exploreToStop). Copying growth — a table doubling into a fresh array, a
+// first slab block doubling by copy — allocated 7.28 MB for about 4.8 MB
+// of store on bakery N=4 M=4.
+func TestStoreGrowthCopiesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	const allowance = 1 << 20
+	for _, c := range []struct {
+		p    *gcl.Prog
+		opts Options
+	}{
+		{specs.Bakery(specs.Config{N: 4, M: 4}), Options{}},
+		{specs.Bakery(specs.Config{N: 4, M: 4}), Options{Workers: 2}},
+		{specs.BakeryPP(specs.Config{N: 5, M: 3}), Options{Symmetry: true, POR: true}},
+	} {
+		name := fmt.Sprintf("%s workers=%d symmetry=%v", c.p.Name, c.opts.Workers, c.opts.Symmetry)
+		store := storeBytes(exploreToStop(t, c.p, c.opts))
+		opts := c.opts
+		opts.Invariants = []Invariant{Mutex(), NoOverflow()}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		res := Check(c.p, opts)
+		runtime.ReadMemStats(&after)
+		alloc := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: %d states, store %d bytes, Check allocated %d (%.2fx)", name, res.States, store, alloc, float64(alloc)/float64(store))
+		if limit := uint64(store)*115/100 + allowance; alloc > limit {
+			t.Errorf("%s: Check allocated %d bytes for a store of %d, over 1.15x + %d = %d", name, alloc, store, allowance, limit)
+		}
+	}
+}
+
+// storeBytes returns the capacity of e's store in bytes: its slab blocks,
+// its table's segments, segment records, directory and scratch, and its
+// parent column.
+func storeBytes(e *explorer) int {
+	n := 0
+	for _, b := range e.slab.blocks {
+		n += 4 * cap(b)
+	}
+	if t := e.table; t != nil {
+		segs := len(tableSegments(t))
+		n += segs*(8*fpSegSlots+int(unsafe.Sizeof(fpSegMeta{}))) + len(t.dir)*int(unsafe.Sizeof(fpSegment{}))
+		if t.scratch != nil {
+			n += 8 * fpSegSlots
+		}
+	}
+	return n + len(e.parent.pages)*columnPage*4
+}
+
 // exploreToStop runs a safety check of p (mutual exclusion, no overflow)
-// through the merge loop, as Check does, stopping at the first violating
-// state, and returns the explorer for its store to be inspected.
-func exploreToStop(t *testing.T, p *gcl.Prog, workers int) *explorer {
+// under opts through the merge loop, as Check does, stopping at the first
+// violating state, and returns the explorer for its store to be inspected.
+func exploreToStop(t *testing.T, p *gcl.Prog, opts Options) *explorer {
 	t.Helper()
-	opts := Options{Workers: workers, Invariants: []Invariant{Mutex(), NoOverflow()}}
+	opts.Invariants = []Invariant{Mutex(), NoOverflow()}
 	plan, err := planFor(p, opts, SafetyAnalysis{Invariants: opts.Invariants})
 	if err != nil {
 		t.Fatal(err)
@@ -496,7 +730,7 @@ func exploreToStop(t *testing.T, p *gcl.Prog, workers int) *explorer {
 // none of the others, including near-collisions whose words would coincide
 // if a 16 or a 256 were shifted into the next nibble or byte, such as
 // [16,0] against [0,1] and [256,0] against [0,1]. Entries taken before the
-// first block grows must still decode after it.
+// slab opens its later blocks must still decode after it.
 func TestKeySlabPacking(t *testing.T) {
 	groups := [][]gcl.State{
 		{{}},
@@ -544,10 +778,11 @@ func checkKeySlabPacking(t *testing.T, s *keySlab, vecs []gcl.State) {
 		}
 		early = append(early, k)
 	}
-	// Grow the first block past its initial capacity.
-	for i := 0; s.stride > 0 && cap(s.blocks[0]) <= keySlabFirst; i++ {
+	// Open several blocks past the first.
+	for i := 0; s.stride > 0 && len(s.blocks) < 4; i++ {
 		s.append(byteKey(i, len(vecs[0])))
 	}
+	checkSlabBlocks(t, s)
 	for i, v := range vecs {
 		for _, k := range []packedKey{s.packed(uint32(i)), early[i]} {
 			got := make(gcl.State, len(v))
@@ -649,12 +884,15 @@ func testKeySlabMixedBlocks(t *testing.T, s *keySlab) {
 	if per := 1 << s.shift; per != 128 {
 		t.Fatalf("%d entries per block, want 128", per)
 	}
-	want := []keyWidth{nibbleWidth, byteWidth, rawWidth, rawWidth}
-	for b, w := range want {
-		if got := s.blockWidth(uint32(b)); got != w {
-			t.Errorf("block %d has width %d, want %d", b, got, w)
+	// The geometric blocks hold 1, 2, ..., 64 entries up to index 126 and
+	// were full before any widening; the full-size blocks start at 127,
+	// 255 and 383, and the first two were open at a widening.
+	for i, w := range map[uint32]keyWidth{0: nibbleWidth, 126: nibbleWidth, 127: byteWidth, 254: byteWidth, 255: rawWidth, 383: rawWidth} {
+		if b, _ := s.locate(i); s.blockWidth(b) != w {
+			t.Errorf("entry %d's block %d has width %d, want %d", i, b, s.blockWidth(b), w)
 		}
 	}
+	checkSlabBlocks(t, s)
 	got := make(gcl.State, n)
 	for i := 0; i < total; i++ {
 		for _, k := range []packedKey{s.packed(uint32(i)), early[i]} {
@@ -669,7 +907,8 @@ func testKeySlabMixedBlocks(t *testing.T, s *keySlab) {
 		for _, j := range probes {
 			u := vec(j)
 			if m := s.match(uint32(i), widthOf(u) == rawWidth, u); m != (i == j) {
-				t.Errorf("entry %d (block width %d) matches vector %d: %v", i, s.blockWidth(uint32(i)>>s.shift), j, m)
+				b, _ := s.locate(uint32(i))
+				t.Errorf("entry %d (block width %d) matches vector %d: %v", i, s.blockWidth(b), j, m)
 			}
 		}
 	}
@@ -683,7 +922,8 @@ func testKeySlabMixedBlocks(t *testing.T, s *keySlab) {
 // (2 or 3), so all three widths, and pairs that share their payload bits
 // but not their width, come up; a slab holds one key length, so the longer
 // vector is cut to the shorter one's length. Long tails leave four entries
-// per block. The run appends the pair into a first block, then again
+// per full block, and the geometric blocks before them hold one and two
+// entries. The run appends the pair into the first blocks, then again
 // before a vector holding 16 and again before one holding 256, each of
 // which widens the open block partway, so the slab ends with blocks of
 // every width the pair allows: entries from every block, and the entries
@@ -752,7 +992,8 @@ func FuzzKeySlabPacked(f *testing.F) {
 				}
 				for _, u := range probes {
 					if got, want := s.match(e.i, widthOf(u) == rawWidth, u), e.v.Equal(u); got != want {
-						t.Fatalf("entry %v matches %v: %v, Equal says %v (block width %d)", e.v, u, got, want, s.blockWidth(e.i>>s.shift))
+						b, _ := s.locate(e.i)
+						t.Fatalf("entry %v matches %v: %v, Equal says %v (block width %d)", e.v, u, got, want, s.blockWidth(b))
 					}
 				}
 			}
@@ -778,12 +1019,15 @@ func FuzzKeySlabPacked(f *testing.F) {
 			add(w)
 			add(zero)
 			check()
-			if want := widthOf(w); s.width < want || s.blockWidth((s.n-1)>>s.shift) != s.width {
-				t.Fatalf("after %v the slab has width %d, its last block %d", w, s.width, s.blockWidth((s.n-1)>>s.shift))
+			last, _ := s.locate(s.n - 1)
+			if want := widthOf(w); s.width < want || s.blockWidth(last) != s.width {
+				t.Fatalf("after %v the slab has width %d, its last block %d", w, s.width, s.blockWidth(last))
 			}
 		}
-		if got, want := s.blockWidth(0), max(widthOf(va), widthOf(vb)); got != want {
-			t.Fatalf("the first block, full before any widening, has width %d, want %d", got, want)
+		if b, _ := s.locate(1); s.blockWidth(b) != max(widthOf(va), widthOf(vb)) {
+			t.Fatalf("the block holding the pair's second, full before any widening, has width %d, want %d",
+				s.blockWidth(b), max(widthOf(va), widthOf(vb)))
 		}
+		checkSlabBlocks(t, &s)
 	})
 }

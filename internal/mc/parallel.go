@@ -18,9 +18,9 @@ package mc
 // column the merge grows. A chunk's heads are captured on the merge
 // goroutine when the chunk launches, as stored: each slab entry as a
 // sub-slice of its packed payload and tail, carrying its block's width at
-// capture. The slab never writes those words again — a growing first block
-// is copied and a widening re-encodes the open block into a new one,
-// leaving the old ones to the captured heads, and a spilled block stays
+// capture. The slab never writes those words again — no block moves as it
+// grows, a widening re-encodes the open block into a new one, leaving the
+// old one to the captured heads, and a spilled block stays
 // mapped as long as the slab's arena lives. Each worker decodes its own
 // heads — restoring them from key and tail under symmetry — into its
 // scratch, so no decoding runs on the merge. Everything else a worker

@@ -42,8 +42,8 @@ package mc
 //     monitor phase) are appended after the pinned-canonical state.
 
 import (
+	"fmt"
 	"math"
-	"math/bits"
 	"sync/atomic"
 
 	"bakerypp/internal/gcl"
@@ -150,52 +150,90 @@ func newFpEntry(fp uint64, i uint32) fpEntry { return fpEntry(fp>>32<<32 | uint6
 
 func (e fpEntry) index() uint32 { return uint32(e) - 1 }
 
-// fpTable is the exact store's hash table: open addressing with linear
-// probing over one flat slot array, mapping keys to their keySlab indices.
-// A probe matches on the fingerprint tag first (one integer compare) and
-// confirms against the packed key in the slab, so membership is exact.
-// Growth rehashes the slots alone — keys never move, and a slot's home is
-// read off its tag. Not goroutine-safe: the merge is its only user.
+// fpTable is the exact store's hash table, mapping keys to their keySlab
+// indices: extendible hashing (Fagin, Nievergelt, Pippenger and Strong,
+// ACM TODS 1979) over segments of fpSegSlots slots, each an open-addressed
+// table probed linearly, wrapping inside the segment. A directory of 2^D
+// entries picks a key's segment by the top D bits of its fingerprint tag;
+// a segment of local depth d holds every tag with its d-bit prefix and is
+// the target of 2^(D-d) consecutive entries. The tag's low fpSegLog2 bits
+// give the home slot in the segment, so neither a split nor a deeper
+// directory moves an entry off its home slot. A probe matches on the tag
+// first (one integer compare) and confirms against the packed key in the
+// slab, so membership is exact.
+//
+// Growth splits one segment at a time, never copying the table: a segment
+// at 7/8 load moves its slots into a scratch segment and places them back,
+// from their tags, into itself and one new segment, by the tag bit below
+// its prefix; the directory doubles (a copy of its 2^D entries) only when
+// the splitting segment's depth is D. Segments so stay between 7/16 and 7/8
+// full, and the table never holds two copies of its slots. Not
+// goroutine-safe: the merge is its only user.
 type fpTable struct {
-	ents []fpEntry
-	slab *keySlab
-	n    int
-	// shift is 64 - log2(len(ents)), at least 32: a home slot is the top
-	// bits of the fingerprint, which the slot's tag keeps.
-	shift uint
-	// limit is the occupancy at which the table doubles: 7/8 load, so the
-	// table is between 7/16 and 7/8 full. Its probes stay short enough —
-	// eight slots share a cache line — and the table is a fifth smaller
-	// across its life than at 0.7 load.
-	limit int
+	dir []fpSegment
+	// dshift is 64 - D, at most 63: a key's directory entry is its
+	// fingerprint's top D bits. The directory starts at two entries, so
+	// the shift needs no out-of-range case.
+	dshift uint
+	slab   *keySlab
+	// scratch is the segment a split moves its slots into, allocated at
+	// the first split and reused by every later one.
+	scratch *[fpSegSlots]fpEntry
 	// sink keeps prefetch's loads live; nothing reads it.
 	sink fpEntry
 }
 
-// fpTableMinSize is the initial slot count (power of two).
-const fpTableMinSize = 1024
-
-// homeSlot returns the initial probe position of a fingerprint, or of a
-// slot by its tag: fmix64-finalized fingerprints are equidistributed in
-// their top bits.
-func (t *fpTable) homeSlot(x uint64) int { return int(x >> t.shift) }
-
-func (t *fpTable) init(size int) {
-	t.ents = make([]fpEntry, size)
-	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
-	t.limit = size * 7 / 8
+// fpSegment is a segment as a directory entry holds it: its slots, which a
+// probe so reaches in one load, and the count and depth that all of the
+// segment's entries share.
+type fpSegment struct {
+	slots *[fpSegSlots]fpEntry
+	*fpSegMeta
 }
+
+// fpSegMeta is a segment's used-slot count and local depth, the length of
+// the tag prefix its keys share.
+type fpSegMeta struct {
+	n     int
+	depth uint
+}
+
+const (
+	// fpSegLog2 sizes a segment: 1024 slots, 8 KiB, also the smallest
+	// table, so the refinement search's short-lived stores stay small.
+	fpSegLog2  = 10
+	fpSegSlots = 1 << fpSegLog2
+	fpSegMask  = fpSegSlots - 1
+	// fpSegLimit is the load at which a segment splits: 7/8. Its probes
+	// stay short enough — eight slots share a cache line — and the table
+	// is a fifth smaller across its life than at 0.7 load.
+	fpSegLimit = fpSegSlots * 7 / 8
+	// fpMaxDepth is the deepest a segment splits: its prefix then reaches
+	// the home-slot bits of the tag. A segment at this depth fills past
+	// fpSegLimit instead, which takes over 2^fpMaxDepth·fpSegLimit keys
+	// or tags clustered far beyond what fmix64-finalized fingerprints
+	// produce; it caps the directory at 2^22 entries either way.
+	fpMaxDepth = 32 - fpSegLog2
+)
+
+// entry returns the directory entry of a fingerprint's tag.
+func (t *fpTable) entry(fp uint64) *fpSegment { return &t.dir[fp>>(t.dshift&63)] }
+
+// homeSlot returns a fingerprint's, or a slot's by its tag, first probe
+// position in its segment: fmix64-finalized fingerprints are
+// equidistributed in their tag bits.
+func homeSlot(x uint64) uint64 { return x >> 32 & fpSegMask }
 
 // find returns the slab index of key, a key of the slab's length, or -1
 // when key is absent; wide reports whether key needs raw words
 // (widthOf(key) == rawWidth).
 func (t *fpTable) find(fp uint64, key gcl.State, wide bool) int {
-	mask := len(t.ents) - 1
-	if mask < 0 {
+	if t.dir == nil {
 		return -1
 	}
-	for i := t.homeSlot(fp); ; i = (i + 1) & mask {
-		e := t.ents[i]
+	slots := t.entry(fp).slots
+	for i := homeSlot(fp); ; i++ {
+		e := slots[i&fpSegMask]
 		if e == 0 {
 			return -1
 		}
@@ -206,47 +244,94 @@ func (t *fpTable) find(fp uint64, key gcl.State, wide bool) int {
 }
 
 // prefetch loads the home slot of every probe in ps, so the lookups that
-// follow find their first slot in cache. The slot array is far larger than
+// follow find their first slot in cache. The slots are far larger than
 // the caches, so nearly every probe's first load misses; issued back to
 // back here, those misses overlap, where each lookup's own first load would
 // wait behind the compares of the lookup before it.
 func (t *fpTable) prefetch(ps []prep) {
-	if len(t.ents) == 0 {
+	if t.dir == nil {
 		return
 	}
 	var acc fpEntry
 	for i := range ps {
-		acc ^= t.ents[t.homeSlot(ps[i].fp)]
+		fp := ps[i].fp
+		acc ^= t.entry(fp).slots[homeSlot(fp)]
 	}
 	t.sink ^= acc
 }
 
 // add enters slab entry i under fp. The entry must not be in the table
 // yet: callers add right after a missed find, so the vector they just
-// appended doubles as the key. It doubles the table first when it is at
-// its load limit.
+// appended doubles as the key. It splits the key's segment first while
+// that is at its load limit. It panics when a segment at fpMaxDepth is
+// full: 1023 keys sharing a 22-bit tag prefix, which takes more keys than
+// a slab indexes or fingerprints clustered far beyond fmix64's spread.
 func (t *fpTable) add(fp uint64, i uint32) {
-	if t.ents == nil {
-		t.init(fpTableMinSize)
-	} else if t.n >= t.limit {
-		old := t.ents
-		t.init(2 * len(old))
-		for _, e := range old {
-			if e != 0 {
-				t.place(e)
-			}
-		}
+	if t.dir == nil {
+		d := newFpSegment(0)
+		t.dir, t.dshift = []fpSegment{d, d}, 63
 	}
-	t.place(newFpEntry(fp, i))
-	t.n++
+	seg := t.entry(fp)
+	for seg.n >= fpSegLimit && seg.depth < fpMaxDepth {
+		t.split(*seg, fp)
+		seg = t.entry(fp)
+	}
+	if seg.n == fpSegSlots-1 {
+		panic(fmt.Sprintf("mc: fingerprint table segment full: %d keys share its %d-bit tag prefix", seg.n, seg.depth))
+	}
+	seg.place(newFpEntry(fp, i))
 }
 
-// place puts a slot into the first free position of its probe sequence.
-func (t *fpTable) place(e fpEntry) {
-	mask := len(t.ents) - 1
-	for i := t.homeSlot(uint64(e)); ; i = (i + 1) & mask {
-		if t.ents[i] == 0 {
-			t.ents[i] = e
+// newFpSegment returns a new, empty segment of local depth d.
+func newFpSegment(d uint) fpSegment {
+	return fpSegment{new([fpSegSlots]fpEntry), &fpSegMeta{depth: d}}
+}
+
+// split divides seg, the segment of fingerprint fp, in two by the tag bit
+// below its prefix: the keys with that bit clear stay, the others move to
+// a new segment, each re-placed from its tag through the scratch segment.
+// The directory doubles first when seg is as deep as it is.
+func (t *fpTable) split(seg fpSegment, fp uint64) {
+	d := seg.depth
+	if d == 64-t.dshift {
+		dir := make([]fpSegment, 2*len(t.dir))
+		for k, e := range t.dir {
+			dir[2*k], dir[2*k+1] = e, e
+		}
+		t.dir, t.dshift = dir, t.dshift-1
+	}
+	if t.scratch == nil {
+		t.scratch = new([fpSegSlots]fpEntry)
+	}
+	*t.scratch = *seg.slots
+	clear(seg.slots[:])
+	up := newFpSegment(d + 1)
+	seg.n, seg.depth = 0, d+1
+	for _, e := range t.scratch {
+		switch {
+		case e == 0:
+		case uint64(e)>>(63-d)&1 == 0:
+			seg.place(e)
+		default:
+			up.place(e)
+		}
+	}
+	// seg's directory entries are the span of indices sharing fp's top d
+	// bits; their upper half now points to the new segment.
+	span := 1 << (64 - t.dshift - d)
+	lo := int(fp>>(t.dshift&63)) &^ (span - 1)
+	for k := lo + span/2; k < lo+span; k++ {
+		t.dir[k] = up
+	}
+}
+
+// place puts a slot into the first free position of its probe sequence in
+// the segment.
+func (seg fpSegment) place(e fpEntry) {
+	for i := homeSlot(uint64(e)); ; i++ {
+		if seg.slots[i&fpSegMask] == 0 {
+			seg.slots[i&fpSegMask] = e
+			seg.n++
 			return
 		}
 	}

@@ -144,3 +144,52 @@ func FuzzBitstateCoverageBound(f *testing.F) {
 		}
 	})
 }
+
+// FuzzFpTableSplits drives the exact store through forced segment splits
+// against a map oracle. Up to 5000 inserts, a quarter of them overwriting
+// an earlier key's value, go through a seqStore under seeded fingerprints
+// whose top bits are forced to one shared prefix (top bits, so the segment
+// holding them splits that many times over a directory that deepens past
+// it) and whose home-slot bits are forced toward the segment's end (home
+// bits set, so probe runs pile up and wrap). Every Lookup before an insert
+// and every key and absent key after must agree with the map, and the
+// table's structure must hold (checkFpTable).
+func FuzzFpTableSplits(f *testing.F) {
+	f.Add(uint64(1), uint16(3000), uint8(0), uint8(0))
+	f.Add(uint64(2), uint16(4000), uint8(12), uint8(0))
+	f.Add(uint64(3), uint16(3000), uint8(0), uint8(8))
+	f.Add(uint64(4), uint16(2500), uint8(5), uint8(10))
+	f.Fuzz(func(t *testing.T, seed uint64, n uint16, topBits, homeBits uint8) {
+		count, top, home := int(n%5000), uint(topBits%16), uint(homeBits%(fpSegLog2+1))
+		fp := func(k gcl.State) uint64 {
+			h := k.FingerprintSeeded(seed)
+			h = h&^(^uint64(0)<<(64-top)) | seed<<(64-top)
+			return h | (1<<home-1)<<(32+fpSegLog2-home)
+		}
+		key := func(j int) gcl.State { return gcl.State{int32(j & 0xff), int32(j >> 8)} }
+		distinct := max(count*3/4, 1)
+		st := newSeqStore(nil, Plan{})
+		oracle := map[int]int32{}
+		for i := 0; i < count; i++ {
+			j := i % distinct
+			v, ok := st.Lookup(fp(key(j)), key(j))
+			if want, present := oracle[j]; ok != present || ok && v != want {
+				t.Fatalf("insert %d: key %d looks up as %d, %v; the oracle has %d, %v", i, j, v, ok, want, present)
+			}
+			st.Insert(fp(key(j)), key(j), int32(i))
+			oracle[j] = int32(i)
+		}
+		if count > 0 {
+			checkFpTable(t, &st.t, len(oracle))
+		}
+		for j := 0; j < distinct+100; j++ {
+			v, ok := st.Lookup(fp(key(j)), key(j))
+			if want, present := oracle[j]; ok != present || ok && v != want {
+				t.Fatalf("key %d looks up as %d, %v; the oracle has %d, %v", j, v, ok, want, present)
+			}
+		}
+		if segs := len(tableSegments(&st.t)); len(oracle) > fpSegLimit && segs < 2 {
+			t.Fatalf("%d keys in %d segment: no split", len(oracle), segs)
+		}
+	})
+}
