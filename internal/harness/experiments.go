@@ -941,9 +941,10 @@ func runE17(w io.Writer, cfg ExpConfig) error {
 	// Tiers run smallest footprint first: peak RSS (getrusage Maxrss) is a
 	// process-wide high-water mark, so each row's column is legible as
 	// "the high water after this tier" only when footprints ascend. Run
-	// alone at -workers -1 on a 2-vCPU Linux VM (two runs each) the tiers
-	// peaked at (MiB): bitstate 41, bitstate,spill 44, exact 49,
-	// exact,spill 53-54. Every tier keeps each state once, packed, in one
+	// alone at -workers -1 on a 2-vCPU Linux VM (two runs each) all four
+	// tiers peak at 39 MiB since the exact store grows in place; with a
+	// doubling table exact peaked at 47 and exact,spill at 50, against
+	// bitstate's 39. Every tier keeps each state once, packed, in one
 	// pointer-free slab; bitstate answers membership from its 16 MiB bit
 	// array instead of exact's slot table, and the spill tiers' RSS also
 	// counts the mapped slab pages.

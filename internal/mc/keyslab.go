@@ -261,14 +261,16 @@ func (s *keySlab) layout() {
 // locate returns the block that holds entry i and the entry's position in
 // it. Counting from 2^first, u = i + 2^first, the geometric blocks start
 // at the powers of two below 2^(shift+1); past them, full blocks start at
-// the multiples of 2^shift.
+// the multiples of 2^shift. The shift counts are masked to their range so
+// the compiler drops its out-of-range handling from the probe path.
 func (s *keySlab) locate(i uint32) (b, j uint32) {
-	u := uint64(i) + 1<<s.first
-	if h := u >> s.shift; h > 1 {
-		return uint32(h) + uint32(s.shift-s.first) - 1, uint32(u) & (1<<s.shift - 1)
+	first, shift := s.first&31, s.shift&31
+	u := uint64(i) + 1<<first
+	if h := u >> shift; h > 1 {
+		return uint32(h) + uint32(shift-first) - 1, uint32(u) & (1<<shift - 1)
 	}
-	top := uint(bits.Len64(u)) - 1
-	return uint32(top - s.first), uint32(u &^ (1 << top))
+	top := uint(bits.Len64(u)-1) & 63
+	return uint32(top - first), uint32(u &^ (1 << top))
 }
 
 // entries returns the capacity of block b in entries: 2^(first+b) up to
