@@ -8,6 +8,7 @@
 //	bakerymc -algo modbakery -n 2 -m 2 -trace       # modulo strawman breaks
 //	bakerymc -algo bakerypp -n 2 -m 2 -crash        # with crash-restart
 //	bakerymc -algo bakerypp -n 3 -m 2 -starve 2     # Section 6.3 livelock
+//	bakerymc -algo bakerypp -n 5 -m 2 -starve 4 -workers 2  # the same at N=5, 12.9M reset states
 //	bakerymc -algo bakerypp -n 5 -m 2 -symmetry -por -workers -1  # composed reductions
 //	bakerymc -algo bakerypp -n 6 -m 2 -symmetry -store bitstate  # probabilistic, smallest footprint
 //	bakerymc -algo bakerypp -n 4 -m 2 -store exact,spill         # exact with mmap spill
@@ -44,10 +45,10 @@ func run() int {
 		deadlock  = flag.Bool("deadlock", false, "also detect deadlocks")
 		maxStates = flag.Int("maxstates", 0, "state bound (0 = default)")
 		workers   = flag.Int("workers", 0, "parallel exploration goroutines for check/graph/starve modes (0 = sequential, -1 = GOMAXPROCS; -fcfs always runs sequentially)")
-		symmetry  = flag.Bool("symmetry", false, "process-symmetry reduction: explore one state per permutation orbit (specs declaring full symmetry only; deterministic for any -workers; composes with -starve/-fcfs — cycle analyses run orbit-aware on the quotient graph, FCFS canonicalizes the non-pinned pids)")
+		symmetry  = flag.Bool("symmetry", false, "process-symmetry reduction: explore one state per permutation orbit (specs declaring full symmetry only; deterministic for any -workers; composes with -fcfs, which canonicalizes the non-pinned pids; does not apply to -starve, whose cycle analysis runs on the dead-cursor-reset graph)")
 		por       = flag.Bool("por", false, "ample-set partial-order reduction: compress independent local actions instead of interleaving them (composes with -symmetry; deterministic for any -workers; cycle-sensitive -starve/-fcfs and -crash runs fall back to the full interleaving, see docs/model-checking.md)")
 		trace     = flag.Bool("trace", false, "print the counterexample trace, if any")
-		starve    = flag.Int("starve", -1, "search for a Section 6.3 livelock pinning this pid at l1")
+		starve    = flag.Int("starve", -1, "search for a Section 6.3 livelock pinning this pid at l1, on the graph with dead scan cursors reset (an exact reduction; -symmetry and -por do not apply)")
 		fcfs      = flag.String("fcfs", "", "check FCFS for a pid pair, e.g. -fcfs 0,1")
 		store     = flag.String("store", "exact", "visited-set tier: exact|bitstate, with the ,spill modifier (e.g. bitstate, exact,spill, bitstate,spill). The lossy bitstate mode prints a probabilistic-verdict banner and is refused for -starve/-fcfs")
 		storeSeed = flag.Uint64("store-seed", 0, "hash seed for the lossy store modes (runs are deterministic per seed for any -workers)")
@@ -93,7 +94,10 @@ func run() int {
 		Store:      storeOpts,
 	}
 	if *por && (*fcfs != "" || *starve >= 0) {
-		fmt.Fprintln(os.Stderr, "bakerymc: note: -por does not apply to -starve/-fcfs (cycle- and identity-sensitive properties need every interleaving; -symmetry composes)")
+		fmt.Fprintln(os.Stderr, "bakerymc: note: -por does not apply to -starve/-fcfs (cycle- and identity-sensitive properties need every interleaving)")
+	}
+	if *symmetry && *fcfs == "" && *starve >= 0 {
+		fmt.Fprintln(os.Stderr, "bakerymc: note: -symmetry does not apply to -starve (the cycle analysis runs on the dead-cursor-reset graph, which the symmetry quotient does not shrink)")
 	}
 
 	if *listing {
@@ -143,7 +147,7 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "bakerymc: %s declares no gate label to starve at\n", p.Name)
 			return 2
 		}
-		g, err := mc.BuildGraph(p, mc.Options{MaxStates: opts.MaxStates, Workers: opts.Workers, Symmetry: opts.Symmetry, Store: opts.Store})
+		g, err := mc.BuildGraph(p, mc.Options{MaxStates: opts.MaxStates, Workers: opts.Workers, Store: opts.Store})
 		if err != nil {
 			if opts.Store.Lossy() {
 				fmt.Fprintf(os.Stderr, "bakerymc: %v\n", err)
@@ -151,10 +155,6 @@ func run() int {
 			}
 			fmt.Fprintln(os.Stderr, err)
 			return 1
-		}
-		graphKind := "graph"
-		if g.Quotient() {
-			graphKind = "quotient graph"
 		}
 		l1 := p.LabelIndex(live.StarveAt)
 		var fast []int
@@ -167,16 +167,12 @@ func run() int {
 			return pr.PC(s, *starve) == l1
 		}, fast)
 		if rep == nil {
-			fmt.Printf("%s: no livelock cycle pins process %d at %s (%s: %d states)\n",
-				p.Name, *starve, live.StarveAt, graphKind, g.NumStates())
+			fmt.Printf("%s: no livelock cycle pins process %d at %s (graph: %d states)\n",
+				p.Name, *starve, live.StarveAt, g.NumStates())
 			return 0
 		}
-		how := ""
-		if rep.Quotient {
-			how = fmt.Sprintf(" (orbit-level search on a %d-state quotient; lasso replayed and re-verified concretely)", g.NumStates())
-		}
-		fmt.Printf("%s: livelock cycle found — %d states keep process %d at %s; per-process moves %v; entry depth %d%s\n",
-			p.Name, rep.ComponentSize, *starve, live.StarveAt, rep.MovesByPid, rep.EntryLen, how)
+		fmt.Printf("%s: livelock cycle found — %d states keep process %d at %s; per-process moves %v; entry depth %d\n",
+			p.Name, rep.ComponentSize, *starve, live.StarveAt, rep.MovesByPid, rep.EntryLen)
 		if *trace {
 			fmt.Printf("path into the cycle:\n%s", rep.Entry.String())
 			if len(rep.Cycle) > 0 {

@@ -93,10 +93,6 @@ type Prog struct {
 	pidArrayOffs []int               // offsets of pid-indexed arrays, declaration order
 	pidLocalOffs []int               // block offsets of pid scan cursors
 	cursorLive   []uint32            // per-label cursor-liveness bitsets
-	permsOnce    sync.Once
-	perms        [][]int
-	invPerms     [][]int
-	invIdx       []int32
 	canonPool    sync.Pool
 }
 

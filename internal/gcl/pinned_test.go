@@ -5,10 +5,10 @@ import (
 )
 
 // permProg builds a small fully-symmetric program with a pid-indexed array
-// and a scan cursor, the bakery-family shape the permutation API serves.
+// and a scan cursor, the bakery-family shape pinned canonicalization serves.
 func permProg(t *testing.T, n int) *Prog {
 	t.Helper()
-	p := New("permtrack", n)
+	p := New("pinned", n)
 	p.SharedArray("number", n, 0)
 	p.Own("number")
 	p.LocalVar("j", 0)
@@ -22,68 +22,6 @@ func permProg(t *testing.T, n int) *Prog {
 	p.Label("bump", Goto("ncs", SetSelf("number", Add(ShSelf("number"), C(1)))))
 	p.MustBuild()
 	return p
-}
-
-// The permutation table is ranked lexicographically with the identity at
-// index 0, PermIndexOf inverts PermAt, and inversion/composition agree
-// with the array-level definitions.
-func TestPermIndexRoundTrip(t *testing.T) {
-	p := permProg(t, 4)
-	n := p.NumPerms()
-	if n != 24 {
-		t.Fatalf("NumPerms = %d, want 24", n)
-	}
-	for i := 0; i < n; i++ {
-		perm := p.PermAt(i)
-		if got := p.PermIndexOf(perm); got != i {
-			t.Fatalf("PermIndexOf(PermAt(%d)) = %d", i, got)
-		}
-		inv := p.InvPermAt(i)
-		for k := range perm {
-			if inv[perm[k]] != k {
-				t.Fatalf("InvPermAt(%d) is not the inverse of PermAt(%d)", i, i)
-			}
-		}
-		if got := p.ComposePermIndex(p.InvPermIndex(i), i); got != 0 {
-			t.Fatalf("inv(%d) ∘ %d = %d, want identity (0)", i, i, got)
-		}
-	}
-	id := p.PermAt(0)
-	for k, v := range id {
-		if v != k {
-			t.Fatalf("PermAt(0) = %v, want identity", id)
-		}
-	}
-}
-
-// ComposePermIndex applies its second argument first: (a∘b)(i) = a(b(i)).
-func TestComposePermIndexOrder(t *testing.T) {
-	p := permProg(t, 3)
-	a := p.PermIndexOf([]int{1, 2, 0})
-	b := p.PermIndexOf([]int{0, 2, 1})
-	got := p.PermAt(p.ComposePermIndex(a, b))
-	want := []int{1, 0, 2} // i -> a(b(i)): 0->a(0)=1, 1->a(2)=0, 2->a(1)=2
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("a∘b = %v, want %v", got, want)
-		}
-	}
-}
-
-// CanonicalizeWithPerm's witness ranks consistently with the table: the
-// canonical state equals Permute(NormalizeCursors(s), PermAt(rank)).
-func TestCanonicalPermRanks(t *testing.T) {
-	p := permProg(t, 3)
-	s := p.InitState()
-	p.SetShared(s, "number", 0, 2)
-	p.SetShared(s, "number", 2, 1)
-	p.SetPC(s, 1, p.LabelIndex("scan"))
-	p.SetLocal(s, 1, "j", 1)
-	c, perm := p.CanonicalizeWithPerm(s)
-	img := p.Permute(p.NormalizeCursors(s), p.PermAt(p.PermIndexOf(perm)))
-	if !c.Equal(img) {
-		t.Fatalf("canonical %v != permuted image %v", c, img)
-	}
 }
 
 // Pinned canonicalization is invariant under valid permutations that fix
@@ -103,8 +41,7 @@ func TestCanonicalizePinned(t *testing.T) {
 	}
 	// Every permutation fixing pid 1 (no cursors active here, so all are
 	// prefix-valid) must canonicalize to the same representative.
-	for i := 0; i < p.NumPerms(); i++ {
-		perm := p.PermAt(i)
+	for _, perm := range allPerms(p.N) {
 		if perm[1] != 1 {
 			continue
 		}

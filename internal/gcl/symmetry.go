@@ -34,7 +34,7 @@ package gcl
 //     segment, O(N²) column comparisons, as in Murphi's scalarset
 //     canonicalization. Stability makes the witness the lexicographically
 //     first permutation reaching that image. Pinned canonicalization
-//     (permtrack.go) is the same sort with the pinned slots left out.
+//     (pinned.go) is the same sort with the pinned slots left out.
 //
 // The naive alternative — remapping cursor VALUES through the permutation
 // and canonicalizing over the full group — is measurably unsound here: it
@@ -83,10 +83,9 @@ func (y Symmetry) String() string {
 	return fmt.Sprintf("symmetry(%d)", uint8(y))
 }
 
-// maxEnumProcs caps the permutation table that permutation tracking
-// (permtrack.go) materialises: 8! = 40320 permutations, already far beyond
-// what explicit-state exploration can cover anyway. Canonicalization needs
-// no table.
+// maxEnumProcs caps the process count pinned canonicalization (pinned.go)
+// serves, the FCFS monitor's reduction: 8 processes, already far beyond
+// what explicit-state exploration of that product can cover anyway.
 const maxEnumProcs = 8
 
 // maxCursorProcs caps the process count of programs with scan cursors:
@@ -215,8 +214,8 @@ func (p *Prog) buildSymmetry() error {
 // NormalizeCursors returns a copy of s with every dead scan cursor zeroed:
 // for each process, cursors whose bit is clear in the liveness mask of the
 // process's current label are set to 0. This is the key-normalization the
-// canonical layer applies; the exploration engines never store or expand
-// normalized states.
+// canonical layer applies; the graph exploration stores every state
+// normalized (the dead-cursor reset), Check never does.
 func (p *Prog) NormalizeCursors(s State) State {
 	out := p.Clone(s)
 	p.normalizeCursorsInPlace(out)
@@ -224,8 +223,8 @@ func (p *Prog) NormalizeCursors(s State) State {
 }
 
 // NormalizeCursorsInPlace is NormalizeCursors mutating a caller-owned
-// state — the allocation-free variant for hot paths that already hold a
-// private copy (the model checker's quotient-product expansion).
+// state — the allocation-free variant the model checker's dead-cursor
+// reset applies to every successor of a graph exploration.
 func (p *Prog) NormalizeCursorsInPlace(s State) { p.normalizeCursorsInPlace(s) }
 
 // normalizeCursorsInPlace is NormalizeCursors on a caller-owned copy.
@@ -253,16 +252,6 @@ func (p *Prog) Permute(s State, perm []int) State {
 	out := make(State, len(s))
 	p.permuteInto(out, s, perm)
 	return out
-}
-
-// PermuteInto is Permute into a caller-owned destination buffer of
-// StateLen words — the allocation-free variant the model checker's
-// quotient-product analyses use on their hot path.
-func (p *Prog) PermuteInto(dst, s State, perm []int) {
-	if len(dst) != len(s) {
-		panic(fmt.Sprintf("gcl: %s: PermuteInto needs a %d-word destination, got %d", p.Name, len(s), len(dst)))
-	}
-	p.permuteInto(dst, s, perm)
 }
 
 // permuteInto is Permute into a caller-owned buffer.
@@ -369,15 +358,6 @@ func (p *Prog) cursorOverflow(s State, q int, v int32) {
 		p.Name, q, v, p.N, p.Format(s)))
 }
 
-// TailWitness writes the witness permutation recorded in tail into perm
-// (N entries).
-func (p *Prog) TailWitness(perm []int, tail []int32) {
-	b := p.tailBits()
-	for q := range perm[:p.N] {
-		perm[q] = tailField(tail, uint(q)*b, b)
-	}
-}
-
 // Restore writes into dst the concrete state whose canonical key is key
 // and whose symmetry tail is tail: key permuted back through the witness
 // (process q's column is the key's column at slot witness[q]), then every
@@ -468,21 +448,6 @@ func (p *Prog) CanonicalFingerprint(s State) uint64 {
 	return w.canonicalize(s).Fingerprint()
 }
 
-// CanonicalizeWithPerm returns the canonical representative together with
-// the witnessing permutation mapping the normalized state onto it
-// (Permute(NormalizeCursors(s), perm) equals the returned state, and
-// PermValid(NormalizeCursors(s), perm) holds). Safe for concurrent use.
-func (p *Prog) CanonicalizeWithPerm(s State) (State, []int) {
-	w := p.canonWorker()
-	defer p.canonPool.Put(w)
-	c := w.canonicalize(s)
-	out := make(State, len(c))
-	copy(out, c)
-	perm := make([]int, p.N)
-	copy(perm, w.bestPerm)
-	return out, perm
-}
-
 // Canonicalizer is a reusable canonicalization context: it owns the
 // normalization, image, permutation and order scratch buffers that the
 // pooled Prog.Canonicalize variants copy out of, so a caller that holds one
@@ -508,13 +473,6 @@ func (p *Prog) NewCanonicalizer() *Canonicalizer {
 // context's scratch buffer — the zero-allocation form of Prog.Canonicalize.
 func (c *Canonicalizer) Canonicalize(s State) State {
 	return c.w.canonicalize(s)
-}
-
-// CanonicalizeWithPerm returns the canonical representative together with
-// the witnessing permutation, both aliasing the context's scratch — the
-// zero-allocation form of Prog.CanonicalizeWithPerm.
-func (c *Canonicalizer) CanonicalizeWithPerm(s State) (State, []int) {
-	return c.w.canonicalize(s), c.w.bestPerm
 }
 
 // Fingerprint returns the fingerprint of the canonical representative of
@@ -662,39 +620,4 @@ func compareColumns(p *Prog, s State, i, j int) int {
 		}
 	}
 	return 0
-}
-
-// allPerms returns every permutation of 0..n-1 (identity first, then
-// lexicographic order) and the inverse of each.
-func allPerms(n int) (perms, invs [][]int) {
-	cur := make([]int, n)
-	for i := range cur {
-		cur[i] = i
-	}
-	for {
-		perm := make([]int, n)
-		copy(perm, cur)
-		inv := make([]int, n)
-		for i, v := range perm {
-			inv[v] = i
-		}
-		perms = append(perms, perm)
-		invs = append(invs, inv)
-		// Next lexicographic permutation.
-		i := n - 2
-		for i >= 0 && cur[i] >= cur[i+1] {
-			i--
-		}
-		if i < 0 {
-			return perms, invs
-		}
-		j := n - 1
-		for cur[j] <= cur[i] {
-			j--
-		}
-		cur[i], cur[j] = cur[j], cur[i]
-		for l, r := i+1, n-1; l < r; l, r = l+1, r-1 {
-			cur[l], cur[r] = cur[r], cur[l]
-		}
-	}
 }

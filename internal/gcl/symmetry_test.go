@@ -130,12 +130,46 @@ next:
 	return best, witness
 }
 
+// canonWithWitness canonicalizes s through a fresh canonicalizer and
+// returns copies of the key and of the lexicographically first permutation
+// mapping the normalized state onto it.
+func canonWithWitness(p *Prog, s State) (State, []int) {
+	w := newCanonicalizer(p)
+	return slices.Clone(w.canonicalize(s)), slices.Clone(w.bestPerm)
+}
+
+// allPerms returns every permutation of 0..n-1, identity first, then in
+// lexicographic order.
+func allPerms(n int) [][]int {
+	cur := make([]int, n)
+	for i := range cur {
+		cur[i] = i
+	}
+	var perms [][]int
+	for {
+		perms = append(perms, slices.Clone(cur))
+		i := n - 2
+		for i >= 0 && cur[i] >= cur[i+1] {
+			i--
+		}
+		if i < 0 {
+			return perms
+		}
+		j := n - 1
+		for cur[j] <= cur[i] {
+			j--
+		}
+		cur[i], cur[j] = cur[j], cur[i]
+		slices.Reverse(cur[i+1:])
+	}
+}
+
 // TestCanonicalizeAgainstOracle cross-checks canonicalization against the
 // brute-force oracle in both image and witness: unpinned on toy programs
 // with and without a scan cursor at N=3, and pinned (whose witness is
 // internal) on the cursor program at N=4 and N=5.
 func TestCanonicalizeAgainstOracle(t *testing.T) {
-	perms3, _ := allPerms(3)
+	perms3 := allPerms(3)
 	for _, tc := range []struct {
 		name string
 		p    *Prog
@@ -147,7 +181,7 @@ func TestCanonicalizeAgainstOracle(t *testing.T) {
 			p := tc.p
 			for _, s := range walkStates(p, 400) {
 				best, witness := oracleCanon(p, perms3, s, nil)
-				got, perm := p.CanonicalizeWithPerm(s)
+				got, perm := canonWithWitness(p, s)
 				if !got.Equal(best) {
 					t.Fatalf("canonical of %v:\n got %v\nwant %v", s, got, best)
 				}
@@ -155,14 +189,14 @@ func TestCanonicalizeAgainstOracle(t *testing.T) {
 					t.Fatalf("witness of %v: got %v, want %v", s, perm, witness)
 				}
 				if !p.Canonicalize(s).Equal(best) || got.Fingerprint() != p.CanonicalFingerprint(s) {
-					t.Fatal("Canonicalize/CanonicalFingerprint disagree with CanonicalizeWithPerm")
+					t.Fatal("Canonicalize/CanonicalFingerprint disagree with the witnessed canonicalization")
 				}
 			}
 		})
 	}
 	for _, n := range []int{4, 5} {
 		p := symProg(n)
-		perms, _ := allPerms(n)
+		perms := allPerms(n)
 		c := p.NewCanonicalizer()
 		for _, s := range walkStates(p, 300) {
 			for _, pinned := range [][]int{nil, {0}, {n - 1}, {0, n - 1}} {
@@ -227,7 +261,7 @@ func TestCanonicalizeBeyondPermTable(t *testing.T) {
 		if got := p.CanonicalFingerprint(p.Permute(norm, perm)); got != want {
 			t.Fatalf("canonical fingerprint varies under %v at %v", perm, s)
 		}
-		canon, witness := p.CanonicalizeWithPerm(s)
+		canon, witness := canonWithWitness(p, s)
 		if !p.PermValid(norm, witness) || !p.Permute(norm, witness).Equal(canon) {
 			t.Fatalf("witness %v invalid or does not reproduce the key at %v", witness, s)
 		}
@@ -274,7 +308,7 @@ func lexLess(a, b State) bool {
 // valid permutation image of it, and canonicalization is idempotent.
 func TestCanonicalInvariantUnderValidPerms(t *testing.T) {
 	p := symProg(3)
-	perms3, _ := allPerms(3)
+	perms3 := allPerms(3)
 	for _, s := range walkStates(p, 400) {
 		want := p.CanonicalFingerprint(s)
 		norm := p.NormalizeCursors(s)
@@ -286,7 +320,7 @@ func TestCanonicalInvariantUnderValidPerms(t *testing.T) {
 				t.Fatalf("canonical fingerprint varies over the orbit of %v (perm %v)", s, perm)
 			}
 		}
-		canon, perm := p.CanonicalizeWithPerm(s)
+		canon, perm := canonWithWitness(p, s)
 		if !p.Permute(norm, perm).Equal(canon) {
 			t.Fatalf("witnessing permutation %v does not map the normalized state onto the canonical form", perm)
 		}
@@ -395,7 +429,7 @@ func FuzzCanonicalFingerprint(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{9, 9, 9, 1, 0, 4, 2, 250, 17, 3})
 	p := symProg(3)
-	perms3, _ := allPerms(3)
+	perms3 := allPerms(3)
 	f.Fuzz(func(t *testing.T, choices []byte) {
 		s := p.InitState()
 		for _, b := range choices {

@@ -26,7 +26,7 @@ type MCBenchRecord struct {
 	N    int    `json:"n"`
 	M    int    `json:"m"`
 	// Analysis identifies what the record measures: "" (plain safety
-	// check), "starve" (graph build + orbit-aware starvation search), or
+	// check), "starve" (reset-graph build + starvation search), or
 	// "fcfs" (monitor product). For "starve" the States column counts
 	// graph states; for "fcfs", monitor-product states.
 	Analysis string `json:"analysis,omitempty"`
@@ -125,7 +125,8 @@ func mcBenchGrid() []mcBenchCell {
 }
 
 // RunMCBench runs the benchmark grid — the safety-check cells plus the
-// liveness rows (starvation on full vs quotient graphs, FCFS on concrete
+// liveness rows (starvation with and without a symmetry request, which the
+// reset graph does not apply; FCFS on concrete
 // vs pinned-orbit product keys) the unified analysis pipeline added, plus
 // the store-mode rows (reduction modes × visited-set tiers with peak-RSS).
 // cfg.MCWorkers selects the engine; cfg.Symmetry is ignored (the grid
@@ -322,7 +323,9 @@ func livenessBenchCells() []livenessBenchCell {
 }
 
 // appendLivenessBench measures the liveness analyses across reduction
-// modes: E7's starvation question on the full and the quotient graph, and
+// modes: E7's starvation question with and without a symmetry request
+// (which the cycle analysis does not apply: it runs on the dead-cursor-reset
+// graph either way, and the row's symmetry_applied says so), and
 // the FCFS monitor on concrete and pinned-orbit keys. Cells are a
 // parameter so the schema test can run a trimmed grid.
 func appendLivenessBench(rep *MCBenchReport, cfg ExpConfig, cells []livenessBenchCell) error {
@@ -375,7 +378,7 @@ func appendLivenessBench(rep *MCBenchReport, cfg ExpConfig, cells []livenessBenc
 			}
 			mode := map[bool]string{false: "none", true: "symmetry"}[sym]
 			record(fmt.Sprintf("%s-n%d-m%d/starve/%s", c.algo, c.cfg.N, c.cfg.M, mode),
-				c.algo, c.cfg, "starve", cfg.MCWorkers, sym, g.Quotient(),
+				c.algo, c.cfg, "starve", cfg.MCWorkers, sym, g.Summary.Symmetry,
 				g.NumStates(), g.Summary.Transitions, verdict, g.Summary.Complete,
 				time.Since(start).Seconds())
 		}

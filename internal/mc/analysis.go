@@ -10,9 +10,11 @@ package mc
 // its predicates observe), and planFor picks the strongest reduction that
 // is still sound for those needs:
 //
-//   - a property symmetric in all pids        → full-orbit symmetry dedup,
-//     and, when the analysis consumes the transition graph, permutation-
-//     tracked edges so cycle analyses can run on the quotient (quotient.go);
+//   - a safety property symmetric in all pids → full-orbit symmetry dedup;
+//   - an analysis consuming the graph         → the dead-cursor reset
+//     (Plan.Reset), an exact bisimulation, and no symmetry: on the reset
+//     graph the symmetry quotient buys the cycle analyses no reduction
+//     (cycles.go);
 //   - a property pinning a few pids (FCFS)    → orbit dedup over the
 //     subgroup of permutations fixing the pinned pids;
 //   - a property distinguishing every pid     → no symmetry (refinement);
@@ -82,9 +84,8 @@ func (a SafetyAnalysis) Needs() Needs {
 
 // GraphAnalysis is BuildGraph's declaration, covering the SCC, starvation
 // and no-progress analyses that consume the graph: cycle-sensitive, needs
-// edges and depths. Its predicates may pin pids (the starved process), but
-// pid identity is recovered through permutation-tracked edges rather than
-// by refusing the quotient, so PinnedPids stays empty.
+// edges and depths. Its predicates may pin pids (the starved process); the
+// graph is never symmetry-reduced, so PinnedPids stays empty.
 type GraphAnalysis struct{ Invariants []Invariant }
 
 func (GraphAnalysis) Name() string { return "graph" }
@@ -124,10 +125,12 @@ type Plan struct {
 	Pinned []int
 	// POR: ample-set partial-order reduction with local-chain compression.
 	POR bool
-	// TrackPerms: annotate every graph edge with the permutation relating
-	// the concrete successor to the stored representative of its orbit,
-	// enabling the quotient-product cycle analyses.
-	TrackPerms bool
+	// Reset: zero every successor's dead scan cursors
+	// (gcl.NormalizeCursorsInPlace), crash successors included. A dead
+	// cursor is rewritten before it is next read (the PidLocal liveAt
+	// contract), so the reset graph is an exact bisimulation of the full
+	// one: every cycle verdict transfers. Planned for graph analyses.
+	Reset bool
 	// Store is the normalized visited-set configuration (storeopts.go).
 	Store StoreOptions
 }
@@ -148,25 +151,15 @@ func planFor(p *gcl.Prog, opts Options, a Analysis) (Plan, error) {
 	}
 	pl.Store = st
 	crashSymOK := !opts.Crash || crashersCoverAll(crashersOf(p, opts), p.N)
-	if opts.Symmetry && !needs.AllPids && crashSymOK {
-		switch {
-		case len(needs.PinnedPids) > 0:
-			// Pinned canonicalization always enumerates the permutation
-			// table, so it needs the table to exist.
+	pl.Reset = needs.Edges
+	if opts.Symmetry && !needs.AllPids && !needs.Edges && crashSymOK {
+		if len(needs.PinnedPids) > 0 {
 			if p.CanTrackPerms() {
 				pinned := make([]int, len(needs.PinnedPids))
 				copy(pinned, needs.PinnedPids)
 				pl.Pinned = pinned
 			}
-		case needs.Edges:
-			// Graph consumers must be able to lift paths and cycles back
-			// through the edges' permutations; without a permutation table
-			// the quotient would be a dead end, so fall back to full.
-			if p.CanCanonicalize() && p.CanTrackPerms() {
-				pl.Symmetry = true
-				pl.TrackPerms = true
-			}
-		default:
+		} else {
 			pl.Symmetry = p.CanCanonicalize()
 		}
 	}

@@ -23,13 +23,13 @@ func TestPlanForReductionChoices(t *testing.T) {
 	}
 
 	safety := mustPlan(p, opts, SafetyAnalysis{Invariants: opts.Invariants})
-	if !safety.Symmetry || !safety.POR || safety.Pinned != nil || safety.TrackPerms {
+	if !safety.Symmetry || !safety.POR || safety.Pinned != nil || safety.Reset {
 		t.Errorf("safety plan = %+v, want full symmetry + POR", safety)
 	}
 
 	graph := mustPlan(p, opts, GraphAnalysis{Invariants: opts.Invariants})
-	if !graph.Symmetry || !graph.TrackPerms {
-		t.Errorf("graph plan = %+v, want permutation-tracked symmetry", graph)
+	if graph.Symmetry || !graph.Reset {
+		t.Errorf("graph plan = %+v, want the dead-cursor reset without symmetry", graph)
 	}
 	if graph.POR {
 		t.Error("graph analyses are cycle-sensitive; POR must never be planned")
@@ -40,7 +40,7 @@ func TestPlanForReductionChoices(t *testing.T) {
 	}
 
 	fcfs := mustPlan(p, opts, FCFSAnalysis{First: 2, Second: 0})
-	if fcfs.Symmetry || fcfs.POR || fcfs.TrackPerms {
+	if fcfs.Symmetry || fcfs.POR || fcfs.Reset {
 		t.Errorf("fcfs plan = %+v, want pinned-orbit dedup only", fcfs)
 	}
 	if len(fcfs.Pinned) != 2 || fcfs.Pinned[0] != 2 || fcfs.Pinned[1] != 0 {
@@ -48,7 +48,7 @@ func TestPlanForReductionChoices(t *testing.T) {
 	}
 
 	refine := mustPlan(p, opts, RefinementAnalysis{})
-	if refine.Symmetry || refine.POR || refine.TrackPerms || refine.Pinned != nil {
+	if refine.Symmetry || refine.POR || refine.Reset || refine.Pinned != nil {
 		t.Errorf("refinement plan = %+v, want no reduction", refine)
 	}
 
@@ -68,7 +68,7 @@ func TestPlanForReductionChoices(t *testing.T) {
 
 	// Declared-asymmetric specs fall back entirely.
 	bw := specs.BlackWhite(3)
-	if pl := mustPlan(bw, opts, GraphAnalysis{Invariants: opts.Invariants}); pl.Symmetry || pl.TrackPerms {
-		t.Errorf("asymmetric-spec graph plan = %+v, want full search", pl)
+	if pl := mustPlan(bw, opts, GraphAnalysis{Invariants: opts.Invariants}); pl.Symmetry || !pl.Reset {
+		t.Errorf("asymmetric-spec graph plan = %+v, want the reset alone", pl)
 	}
 }

@@ -138,9 +138,10 @@ func BenchmarkFindStarvation(b *testing.B) {
 	}
 }
 
-// n4m2Graph lazily builds the full (unreduced) Bakery++ N=4 M=2 graph —
-// ≈1.6M states — shared by the SCC-analysis benchmarks below. Building it
-// dominates any single analysis, so the benchmarks pay it once.
+// n4m2Graph lazily builds the Bakery++ N=4 M=2 graph — 414,788 states
+// with dead cursors reset — shared by the SCC-analysis benchmarks below.
+// Building it dominates any single analysis, so the benchmarks pay it
+// once.
 var n4m2Graph *Graph
 
 func n4m2(b *testing.B) *Graph {
@@ -154,12 +155,8 @@ func n4m2(b *testing.B) *Graph {
 	return n4m2Graph
 }
 
-// The cycle analyses on the unreduced n4m2 graph run on its identity
-// product (quotient.go), read straight from the adjacency lists and cached
-// on the graph: the first analysis pays its construction, later ones only
-// the filtered Tarjan and the lasso replay. Run each alone to time the
-// construction too:
-// `go test ./internal/mc/ -run xxx -bench 'FindNoProgressN4M2' -benchtime 1x`.
+// The cycle analyses read the n4m2 graph's edges in place (cycles.go):
+// each run is the filtered Tarjan and the lasso replay.
 func BenchmarkFindStarvationN4M2(b *testing.B) {
 	g := n4m2(b)
 	p := g.expl.p

@@ -74,8 +74,7 @@ func TestGraphSingleState(t *testing.T) {
 	if g.NumStates() != 1 {
 		t.Errorf("states = %d, want 1", g.NumStates())
 	}
-	all := func(int32) bool { return true }
-	if sccs := g.buildProduct().sccs(all, func(v, ei int32) bool { return true }); len(sccs) != 1 || len(sccs[0]) != 1 {
+	if sccs := allSCCs(g); len(sccs) != 1 || len(sccs[0]) != 1 {
 		t.Errorf("SCCs = %v", sccs)
 	}
 	if rep := g.FindNoProgress([]int{0}); rep != nil {
@@ -83,11 +82,11 @@ func TestGraphSingleState(t *testing.T) {
 	}
 }
 
-// Edge.Branch fills the padding after Pid: adjacency lists stay 16 bytes
-// per edge.
-func TestEdgeIs16Bytes(t *testing.T) {
-	if n := unsafe.Sizeof(Edge{}); n != 16 {
-		t.Errorf("unsafe.Sizeof(Edge{}) = %d, want 16", n)
+// Edge.Branch fills the padding after Pid: the graph stores 12 bytes per
+// edge.
+func TestEdgeIs12Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Edge{}); n != 12 {
+		t.Errorf("unsafe.Sizeof(Edge{}) = %d, want 12", n)
 	}
 }
 

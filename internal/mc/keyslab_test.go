@@ -319,13 +319,9 @@ func TestExactTierSharesOneSlab(t *testing.T) {
 	p := specs.BakeryPP(specs.Config{N: 3, M: 2})
 	for _, workers := range []int{0, 2} {
 		for _, sym := range []bool{false, true} {
-			g, err := BuildGraph(p, Options{Workers: workers, Symmetry: sym})
-			if err != nil {
-				t.Fatal(err)
-			}
-			e := g.expl
-			if e.trackPerms != sym {
-				t.Fatalf("workers=%d symmetry=%v: quotient %v", workers, sym, e.trackPerms)
+			e := checkExplorer(t, p, Options{Workers: workers, Symmetry: sym})
+			if e.symmetry != sym {
+				t.Fatalf("workers=%d symmetry=%v: reduced %v", workers, sym, e.symmetry)
 			}
 			if e.table.slab != e.slab {
 				t.Fatalf("workers=%d symmetry=%v: the table does not probe the engine's slab", workers, sym)
@@ -347,7 +343,7 @@ func TestExactTierSharesOneSlab(t *testing.T) {
 			}
 			for i := 0; i < e.numStates(); i++ {
 				key := e.slab.at(uint32(i))
-				want := g.State(i)
+				want := e.stateAt(int32(i))
 				if sym {
 					want = p.Canonicalize(want)
 				}
@@ -367,11 +363,7 @@ func TestExactTierSharesOneSlab(t *testing.T) {
 func TestSymmetricSlabFootprint(t *testing.T) {
 	p := specs.BakeryPP(specs.Config{N: 4, M: 2})
 	for _, workers := range []int{0, 2} {
-		g, err := BuildGraph(p, Options{Workers: workers, Symmetry: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := g.expl
+		e := checkExplorer(t, p, Options{Workers: workers, Symmetry: true})
 		if n := e.numStates(); n != 18489 {
 			t.Fatalf("workers=%d: %d states, want 18489", workers, n)
 		}

@@ -2,20 +2,25 @@ package mc
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"bakerypp/internal/gcl"
 	"bakerypp/internal/specs"
 )
 
-// This file pins the reduction-aware liveness pipeline's central contract:
-// for every registered finite-state specification at N <= 4, the
-// starvation, no-progress, and FCFS analyses return IDENTICAL verdicts on
-// the full state space and on the symmetry-reduced quotient, sequentially
-// and with -workers -1 — and every quotient counterexample lasso replays
-// as a concrete execution, re-verified here step by step with independent
-// successor generation. (Classic Bakery's unbounded graph cannot be built
-// exhaustively, so it is swept on the bounded FCFS monitor only.)
+// This file pins the liveness pipeline's central contract for every
+// registered finite-state specification at N <= 4: the starvation and
+// no-progress analyses run on one dead-cursor-reset graph, identical edge
+// for edge whether it is built sequentially or with -workers -1 and
+// whether or not -symmetry is requested (cycle analyses never reduce by
+// symmetry); every counterexample lasso replays as a concrete execution of
+// the unreset system, re-verified here step by step with independent
+// successor generation; and FCFS returns identical verdicts on the full
+// product and under pinned-orbit symmetry. (Classic Bakery's unbounded
+// graph cannot be built exhaustively, so it is swept on the bounded FCFS
+// monitor only.) TestLivenessMatchesNaiveOracle checks the same verdicts
+// against a naive search of the unreset graph.
 
 // raceEnabled is set by race_enabled_test.go under the race detector; the
 // heavy parity cell would take tens of minutes there.
@@ -24,7 +29,7 @@ var raceEnabled bool
 type parityCell struct {
 	algo  string
 	cfg   specs.Config
-	heavy bool // skipped with -short and under -race (full side explores >1M states)
+	heavy bool // skipped with -short and under -race (the full FCFS product explores >1M states)
 }
 
 func parityCells() []parityCell {
@@ -79,13 +84,13 @@ func replayTrace(t *testing.T, p *gcl.Prog, init gcl.State, steps []Step) ([]str
 
 // verifyStarvationLasso re-verifies a starvation report by concrete
 // execution: entry path real, cycle real, predicate invariant on the
-// cycle, all mustMove pids moving, and the cycle closing on its orbit
-// position (on its start state, on an unreduced graph).
-func verifyStarvationLasso(t *testing.T, p *gcl.Prog, g *Graph, rep *StarvationReport,
+// cycle, all mustMove pids moving, and the cycle closing on its start
+// state up to dead scan cursors.
+func verifyStarvationLasso(t *testing.T, p *gcl.Prog, rep *StarvationReport,
 	pred func(*gcl.Prog, gcl.State) bool, mustMove []int) {
 	t.Helper()
-	if rep.Quotient != g.Quotient() || len(rep.Cycle) == 0 {
-		t.Fatalf("report (quotient %v) on a graph (quotient %v) without a verified cycle", rep.Quotient, g.Quotient())
+	if len(rep.Cycle) == 0 {
+		t.Fatal("report without a verified cycle")
 	}
 	if !rep.Entry.Init.Equal(p.InitState()) {
 		t.Fatal("entry trace does not start at the initial state")
@@ -109,27 +114,25 @@ func verifyStarvationLasso(t *testing.T, p *gcl.Prog, g *Graph, rep *StarvationR
 			t.Fatalf("required mover %d takes no step on the replayed cycle", pid)
 		}
 	}
-	closes(t, p, g, start, end)
+	closes(t, p, start, end)
 }
 
-// closes requires a replayed cycle to end where it started: on the same
-// state on an unreduced graph, on the same orbit position on a quotient.
-func closes(t *testing.T, p *gcl.Prog, g *Graph, start, end gcl.State) {
+// closes requires a replayed cycle to end where it started, up to dead
+// scan cursors: the graph's cycle is one of reset states, and the replay
+// carries the cursor values the reset drops.
+func closes(t *testing.T, p *gcl.Prog, start, end gcl.State) {
 	t.Helper()
-	if !g.Quotient() && !end.Equal(start) {
-		t.Fatal("replayed cycle does not return to its start state")
-	}
 	if !p.NormalizeCursors(end).Equal(p.NormalizeCursors(start)) {
-		t.Fatal("replayed cycle does not close on its orbit position")
+		t.Fatal("replayed cycle does not return to its start state up to dead cursors")
 	}
 }
 
 // verifyNoProgressLasso is the analogue for no-progress reports: the
 // replayed cycle must additionally take no cs-enter branch.
-func verifyNoProgressLasso(t *testing.T, p *gcl.Prog, g *Graph, rep *NoProgressReport, mustMove []int) {
+func verifyNoProgressLasso(t *testing.T, p *gcl.Prog, rep *NoProgressReport, mustMove []int) {
 	t.Helper()
-	if rep.Quotient != g.Quotient() || len(rep.Cycle) == 0 {
-		t.Fatalf("report (quotient %v) on a graph (quotient %v) without a verified cycle", rep.Quotient, g.Quotient())
+	if len(rep.Cycle) == 0 {
+		t.Fatal("report without a verified cycle")
 	}
 	_, start := replayTrace(t, p, rep.Entry.Init, rep.Entry.Steps)
 	tags, end := replayTrace(t, p, start, rep.Cycle)
@@ -147,9 +150,13 @@ func verifyNoProgressLasso(t *testing.T, p *gcl.Prog, g *Graph, rep *NoProgressR
 			t.Fatalf("required mover %d takes no step on the replayed cycle", pid)
 		}
 	}
-	closes(t, p, g, start, end)
+	closes(t, p, start, end)
 }
 
+// TestLivenessVerdictParityFullVsQuotient: the graph a -symmetry request
+// builds, in parallel, is the sequential full reset graph, edge for edge,
+// and the analyses on the two agree on every verdict, component and move
+// count; each lasso is re-verified by concrete execution.
 func TestLivenessVerdictParityFullVsQuotient(t *testing.T) {
 	for _, cell := range parityCells() {
 		cell := cell
@@ -171,23 +178,13 @@ func TestLivenessVerdictParityFullVsQuotient(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			quot, err := BuildGraph(mk(), Options{Symmetry: true})
+			par, err := BuildGraph(mk(), Options{Symmetry: true, Workers: -1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			quotPar, err := BuildGraph(mk(), Options{Symmetry: true, Workers: -1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if quot.Summary.States != quotPar.Summary.States ||
-				quot.Summary.Transitions != quotPar.Summary.Transitions {
-				t.Fatalf("quotient graph differs between engines: %d/%d vs %d/%d states/transitions",
-					quot.Summary.States, quot.Summary.Transitions,
-					quotPar.Summary.States, quotPar.Summary.Transitions)
-			}
-			wantQuotient := specs.Symmetric(cell.algo) && p.CanTrackPerms()
-			if quot.Quotient() != wantQuotient {
-				t.Fatalf("Quotient() = %v, want %v", quot.Quotient(), wantQuotient)
+			requireGraphsIdentical(t, full, par)
+			if full.Summary.Symmetry || par.Summary.Symmetry {
+				t.Fatal("a graph was symmetry-reduced")
 			}
 
 			slow := p.N - 1
@@ -197,20 +194,26 @@ func TestLivenessVerdictParityFullVsQuotient(t *testing.T) {
 					mustMoveFast = append(mustMoveFast, pid)
 				}
 			}
+			sameStarvation := func(what string, fr, pr *StarvationReport) {
+				t.Helper()
+				if (fr == nil) != (pr == nil) {
+					t.Fatalf("%s verdicts diverge: sequential=%v parallel=%v", what, fr != nil, pr != nil)
+				}
+				if fr != nil && (fr.ComponentSize != pr.ComponentSize || fr.EntryLen != pr.EntryLen ||
+					!slices.Equal(fr.MovesByPid, pr.MovesByPid) || len(fr.Cycle) != len(pr.Cycle)) {
+					t.Fatalf("%s reports diverge: %d states, moves %v, entry %d vs %d states, moves %v, entry %d",
+						what, fr.ComponentSize, fr.MovesByPid, fr.EntryLen, pr.ComponentSize, pr.MovesByPid, pr.EntryLen)
+				}
+			}
 
 			// Pinned starvation at the spec's declared gate label.
 			if live.StarveAt != "" {
 				li := p.LabelIndex(live.StarveAt)
 				pred := func(pr *gcl.Prog, s gcl.State) bool { return pr.PC(s, slow) == li }
 				fr := full.FindStarvation(pred, mustMoveFast)
-				qr := quot.FindStarvation(pred, mustMoveFast)
-				qpr := quotPar.FindStarvation(pred, mustMoveFast)
-				if (fr == nil) != (qr == nil) || (qr == nil) != (qpr == nil) {
-					t.Errorf("starvation@%s verdicts diverge: full=%v quotient=%v parallel=%v",
-						live.StarveAt, fr != nil, qr != nil, qpr != nil)
-				} else if qr != nil {
-					verifyStarvationLasso(t, p, full, fr, pred, mustMoveFast)
-					verifyStarvationLasso(t, p, quot, qr, pred, mustMoveFast)
+				sameStarvation("starvation@"+live.StarveAt, fr, par.FindStarvation(pred, mustMoveFast))
+				if fr != nil {
+					verifyStarvationLasso(t, p, fr, pred, mustMoveFast)
 				}
 			}
 
@@ -220,27 +223,23 @@ func TestLivenessVerdictParityFullVsQuotient(t *testing.T) {
 			activePred := func(pr *gcl.Prog, s gcl.State) bool { return pr.PC(s, slow) != cs }
 			all := allPids(p.N)
 			fr := full.FindStarvation(activePred, all)
-			qr := quot.FindStarvation(activePred, all)
-			qpr := quotPar.FindStarvation(activePred, all)
-			if (fr == nil) != (qr == nil) || (qr == nil) != (qpr == nil) {
-				t.Errorf("active-starvation verdicts diverge: full=%v quotient=%v parallel=%v",
-					fr != nil, qr != nil, qpr != nil)
-			} else if qr != nil {
-				verifyStarvationLasso(t, p, full, fr, activePred, all)
-				verifyStarvationLasso(t, p, quot, qr, activePred, all)
+			sameStarvation("active starvation", fr, par.FindStarvation(activePred, all))
+			if fr != nil {
+				verifyStarvationLasso(t, p, fr, activePred, all)
 			}
 
 			// Global no-progress.
 			if live.NoProgress {
 				fn := full.FindNoProgress(all)
-				qn := quot.FindNoProgress(all)
-				qpn := quotPar.FindNoProgress(all)
-				if (fn == nil) != (qn == nil) || (qn == nil) != (qpn == nil) {
-					t.Errorf("no-progress verdicts diverge: full=%v quotient=%v parallel=%v",
-						fn != nil, qn != nil, qpn != nil)
-				} else if qn != nil {
-					verifyNoProgressLasso(t, p, full, fn, all)
-					verifyNoProgressLasso(t, p, quot, qn, all)
+				pn := par.FindNoProgress(all)
+				if (fn == nil) != (pn == nil) {
+					t.Errorf("no-progress verdicts diverge: sequential=%v parallel=%v", fn != nil, pn != nil)
+				} else if fn != nil {
+					if fn.ComponentSize != pn.ComponentSize || !slices.Equal(fn.MovesByPid, pn.MovesByPid) {
+						t.Errorf("no-progress reports diverge: %d states, moves %v vs %d, %v",
+							fn.ComponentSize, fn.MovesByPid, pn.ComponentSize, pn.MovesByPid)
+					}
+					verifyNoProgressLasso(t, p, fn, all)
 				}
 			}
 

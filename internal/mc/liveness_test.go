@@ -121,44 +121,47 @@ func TestFindNoProgressPositiveControl(t *testing.T) {
 	}
 }
 
-// The unreduced graph's product is read from Adj, so its edges must be the
-// states' successors in generation order: checked edge by edge against
-// independent successor generation — target, mover, ordinal (crash edges
-// count down from -1), and the cs-enter bit against the Succs tag.
+// The cycle searches read the graph's edges in place and replay a program
+// edge by its ordinal, so each state's edges must be its successors in
+// generation order: checked edge by edge against independent successor
+// generation — target (the successor with its dead cursors reset), mover,
+// label and branch, ordinal (crash edges last) — and the cs-enter bit the
+// no-progress search derives from the branch against the Succs tag.
 func TestTagRecovery(t *testing.T) {
 	p := specs.BakeryPP(specs.Config{N: 2, M: 2})
 	g, err := BuildGraph(p, Options{Crash: true, CrashPids: []int{1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr := g.buildProduct()
 	enters := 0
 	for v := int32(0); v < int32(g.NumStates()); v++ {
 		s := g.State(int(v))
 		succs := p.AllSuccs(s, gcl.ModeUnbounded)
-		if int(pr.degree(v)) != len(succs)+1 {
-			t.Fatalf("state %d: %d product edges, %d successors plus one crash", v, pr.degree(v), len(succs))
+		if int(g.degree(v)) != len(succs)+1 {
+			t.Fatalf("state %d: %d edges, %d successors plus one crash", v, g.degree(v), len(succs))
 		}
-		for k := int32(0); k < pr.degree(v); k++ {
-			ge := pr.offs[v] + k
-			want, pid, ord, tag := p.CrashSucc(s, 1), 1, -1, ""
+		for k := int32(0); k < g.degree(v); k++ {
+			e := g.edge(v, k)
+			want, pid, label, branch, tag := p.CrashSucc(s, 1), 1, int32(crashLabelIdx), 0, ""
 			if int(k) < len(succs) {
 				sc := succs[k]
-				want, pid, ord, tag = sc.State, sc.Pid, int(k), sc.Tag(p)
+				want, pid, label, branch, tag = sc.State, sc.Pid, sc.LabelIdx, sc.Branch, sc.Tag(p)
 			}
-			if !g.State(int(pr.targets[ge])).Equal(want) || int(pr.movers[ge]) != pid || int(pr.ords[ge]) != ord {
-				t.Fatalf("state %d edge %d: product edge (to %d, pid %d, ord %d) is not successor p%d ord %d",
-					v, k, pr.targets[ge], pr.movers[ge], pr.ords[ge], pid, ord)
+			if !g.State(int(e.To)).Equal(p.NormalizeCursors(want)) || int(e.Pid) != pid ||
+				e.LabelIdx != label || int(e.Branch) != branch {
+				t.Fatalf("state %d edge %d: (to %d, p%d, label %d, branch %d) is not successor p%d label %d branch %d",
+					v, k, e.To, e.Pid, e.LabelIdx, e.Branch, pid, label, branch)
 			}
-			if pr.enters[ge] != (tag == "cs-enter") {
-				t.Fatalf("state %d edge %d: cs-enter bit %v, Succs tag %q", v, k, pr.enters[ge], tag)
+			enter := e.LabelIdx >= 0 && p.BranchTag(int(e.LabelIdx), int(e.Branch)) == "cs-enter"
+			if enter != (tag == "cs-enter") {
+				t.Fatalf("state %d edge %d: cs-enter bit %v, Succs tag %q", v, k, enter, tag)
 			}
-			if pr.enters[ge] {
+			if enter {
 				enters++
 			}
 		}
 	}
 	if enters == 0 {
-		t.Error("no cs-enter edge in the product")
+		t.Error("no cs-enter edge in the graph")
 	}
 }

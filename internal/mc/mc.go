@@ -149,11 +149,11 @@ type Options struct {
 	// processes, which breaks the symmetry — the full search runs and
 	// Result.Symmetry reports false. Invariants must be symmetric in the
 	// process ids (the stock ones are). Deterministic for any Workers
-	// setting. BuildGraph composes too: it produces the quotient graph
-	// with permutation-annotated edges, on which the SCC/starvation/
-	// no-progress analyses run orbit-aware (see quotient.go); CheckFCFS
-	// canonicalizes over the subgroup fixing its pinned pair. Each entry
-	// point's reduction gating is declared in analysis.go.
+	// setting. BuildGraph ignores it: its cycle analyses run on the
+	// dead-cursor-reset graph, which the symmetry quotient does not shrink
+	// (see cycles.go); CheckFCFS canonicalizes over the subgroup fixing its
+	// pinned pair. Each entry point's reduction gating is declared in
+	// analysis.go.
 	Symmetry bool
 	// POR enables ample-set partial-order reduction: at states where some
 	// process's every enabled branch is local (touches nothing shared —
@@ -368,12 +368,8 @@ type explorer struct {
 	plan     Plan
 	symmetry bool // orbit dedup actually applied
 	por      bool // ample-set reduction actually applied
-	// trackPerms annotates graph edges with the permutation relating each
-	// concrete successor to its orbit's stored representative (see
-	// quotient.go); perm is the scratch edgePermIdx and witnessIndex rank
-	// witnesses in.
-	trackPerms bool
-	perm       []int
+	// reset zeroes every successor's dead scan cursors (Plan.Reset).
+	reset bool
 	// porOK[label][branch] marks branches eligible to form ample sets:
 	// local-only per the gcl footprint analysis, and invisible (neither
 	// endpoint label observed by any invariant).
@@ -449,7 +445,7 @@ func newExplorer(p *gcl.Prog, opts Options, plan Plan) *explorer {
 	}
 	e.crashers = crashersOf(p, opts)
 	e.symmetry = plan.Symmetry
-	e.trackPerms = plan.TrackPerms
+	e.reset = plan.Reset
 	e.por = plan.POR
 	if e.por {
 		e.porOK = porEligibility(p, opts.Invariants)
@@ -467,9 +463,6 @@ func newExplorer(p *gcl.Prog, opts Options, plan Plan) *explorer {
 		e.chaseCap = p.N*len(p.Labels()) + 8
 	}
 	e.initCtx(&e.wc)
-	if plan.TrackPerms {
-		e.perm = make([]int, p.N)
-	}
 	e.pre = newPrepass(e)
 	return e
 }
@@ -524,14 +517,6 @@ func (e *explorer) decodeEntry(dst, key gcl.State, k packedKey) gcl.State {
 // buffer, for expansion in w.
 func (e *explorer) headState(w *wctx, k packedKey) gcl.State {
 	return e.decodeEntry(w.buf.Alloc(e.p.StateLen()), w.key, k)
-}
-
-// witnessIndex returns the permutation-table index of state i's canonical
-// witness, read from its slab tail (the graph tracks permutations only
-// under symmetry, where every entry has one).
-func (e *explorer) witnessIndex(i int32) int {
-	e.p.TailWitness(e.perm, e.slab.packed(uint32(i)).tail())
-	return e.p.PermIndexOf(e.perm)
 }
 
 // appendState numbers a fresh state and enters it into the visited set;
@@ -718,22 +703,6 @@ func (e *explorer) labelName(idx int32) string {
 	return e.p.LabelName(int(idx))
 }
 
-// edgePermIdx computes ρ, the permutation annotating a graph edge: the
-// concrete successor canonicalizes with witness π_t (succWit), the stored
-// representative of its orbit with witness π_j (witnessIndex(to)), so
-// norm(succ) = Permute(norm(states[to]), ρ) with ρ = π_t⁻¹ ∘ π_j. Fresh
-// states ARE their own stored representative (ρ = identity).
-func (e *explorer) edgePermIdx(succWit []byte, to int32, fresh bool) int32 {
-	if !e.trackPerms || fresh {
-		return 0
-	}
-	for q, b := range succWit {
-		e.perm[q] = int(b)
-	}
-	succ := e.p.PermIndexOf(e.perm)
-	return int32(e.p.ComposePermIndex(e.p.InvPermIndex(succ), e.witnessIndex(to)))
-}
-
 // trace reconstructs the path from the initial state to states[idx], each
 // step's action re-derived from its parent (producer) through one
 // expansion context for the whole path. Under partial-order reduction an
@@ -837,8 +806,9 @@ func (e *explorer) checkInvariants(s gcl.State) int32 {
 }
 
 // successors yields all program successors of s plus crash transitions,
-// together with the ample segment: when POR is on and some process's
-// every enabled branch is ample-eligible, succs[aLo:aHi] are exactly the
+// each with its dead scan cursors zeroed when the plan resets them
+// (Plan.Reset), together with the ample segment: when POR is on and some
+// process's every enabled branch is ample-eligible, succs[aLo:aHi] are exactly the
 // successors of the lowest such pid (aLo == aHi when there is none). The
 // caller commits to the segment only if every state in it is absent from
 // the visited store (the C3 proviso); the full list is always returned so
@@ -879,7 +849,13 @@ func (e *explorer) successors(s gcl.State, w *wctx) (succs []gcl.Succ, aLo, aHi 
 		e.p.CrashSuccInto(dst, s, pid)
 		buf.Append(gcl.Succ{State: dst, Pid: pid, LabelIdx: crashLabelIdx})
 	}
-	return buf.Succs()[base:], aLo, aHi
+	succs = buf.Succs()[base:]
+	if e.reset {
+		for i := range succs {
+			e.p.NormalizeCursorsInPlace(succs[i].State)
+		}
+	}
+	return succs, aLo, aHi
 }
 
 // ampleProcessOK reports whether a process's complete branch set at pc
@@ -1068,12 +1044,6 @@ func (e *explorer) lookup(pr *prep) (int32, bool) {
 		return int32(i), i >= 0
 	}
 	return e.bits.Lookup(pr.fp, pr.key)
-}
-
-// indexOf returns the number of the state stored under key, a store key as
-// Prepare derives it.
-func (e *explorer) indexOf(key gcl.State) (int32, bool) {
-	return e.lookup(&prep{fp: key.Fingerprint(), key: key, width: widthOf(key)})
 }
 
 // addSucc numbers successor i of head if it is new, returning its index and

@@ -256,22 +256,41 @@ func TestAtMostAtLabel(t *testing.T) {
 	}
 }
 
+// The graph is Check's state space with dead scan cursors reset: its
+// states are exactly the distinct NormalizeCursors images of the states
+// Check stores, and each keeps every one of its successors.
 func TestBuildGraphMatchesCheck(t *testing.T) {
 	p := specs.BakeryPP(specs.Config{N: 2, M: 2})
 	res := Check(p, Options{Invariants: safety()})
+	e := checkExplorer(t, p, Options{Invariants: safety()})
+	if e.numStates() != res.States {
+		t.Fatalf("Check's loop numbered %d states, Check reports %d", e.numStates(), res.States)
+	}
+	images := map[string]bool{}
+	for i := 0; i < e.numStates(); i++ {
+		images[p.Key(p.NormalizeCursors(e.stateAt(int32(i))))] = true
+	}
 	g, err := BuildGraph(p, Options{Invariants: safety()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.NumStates() != res.States {
-		t.Errorf("graph states %d != check states %d", g.NumStates(), res.States)
+	if g.NumStates() != len(images) || g.NumStates() >= res.States {
+		t.Errorf("graph states %d, want the %d distinct reset images of Check's %d states",
+			g.NumStates(), len(images), res.States)
+	}
+	transitions := 0
+	for i := 0; i < g.NumStates(); i++ {
+		s := g.State(i)
+		if !images[p.Key(s)] {
+			t.Fatalf("graph state %d (%s) is not the reset image of a Check state", i, p.Format(s))
+		}
+		transitions += len(p.AllSuccs(s, gcl.ModeUnbounded))
 	}
 	if g.Summary.Violation != nil {
 		t.Error("graph found violation where check did not")
 	}
-	if g.Summary.Transitions != res.Transitions {
-		t.Errorf("graph transitions %d != check transitions %d",
-			g.Summary.Transitions, res.Transitions)
+	if g.Summary.Transitions != transitions {
+		t.Errorf("graph transitions %d, its states have %d successors", g.Summary.Transitions, transitions)
 	}
 }
 
@@ -292,8 +311,7 @@ func TestSCCsOnToggle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := func(int32) bool { return true }
-	sccs := g.buildProduct().sccs(all, func(v, ei int32) bool { return true })
+	sccs := allSCCs(g)
 	// Reachable states: (a,0) -> (b,1) -> (a,0): one SCC of size 2.
 	if len(sccs) != 1 || len(sccs[0]) != 2 {
 		t.Errorf("SCCs = %v, want one component of size 2", sccs)
@@ -384,11 +402,9 @@ func TestCrashLabelAppearsInCrashTraces(t *testing.T) {
 		t.Fatal(err)
 	}
 	found := false
-	for _, edges := range g.Adj {
-		for _, e := range edges {
-			if e.LabelIdx < 0 {
-				found = true
-			}
+	for k := 0; k < g.edges.len(); k++ {
+		if g.edges.at(int32(k)).LabelIdx < 0 {
+			found = true
 		}
 	}
 	if !found {

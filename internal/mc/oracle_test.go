@@ -450,8 +450,8 @@ func naiveOrbitKey(p *gcl.Prog, s gcl.State, perms [][]int) gcl.State {
 //
 //   - Canonicalize equals the brute-force key on every naively reachable
 //     state (up to the first violation, for the violating specs);
-//   - every state the quotient graph stores is naively reachable, one per
-//     orbit;
+//   - every state Check's symmetry-reduced store holds is naively
+//     reachable, one per orbit;
 //   - for the violating specs, Check under symmetry, and under symmetry
 //     plus POR, names the invariant the naive search breaks first;
 //   - the stored and reachable orbit counts are pinned. The quotient does
@@ -495,16 +495,13 @@ func TestSymmetryMatchesNaiveOrbits(t *testing.T) {
 					}
 					return
 				}
-				g, err := BuildGraph(p, Options{Invariants: invs, Symmetry: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !g.Quotient() {
-					t.Fatal("BuildGraph did not reduce")
+				e := checkExplorer(t, p, Options{Invariants: invs, Symmetry: true})
+				if !e.symmetry {
+					t.Fatal("Check did not reduce")
 				}
 				stored := map[string]bool{}
-				for i := 0; i < g.NumStates(); i++ {
-					s := g.State(i)
+				for i := 0; i < e.numStates(); i++ {
+					s := e.stateAt(int32(i))
 					if _, ok := want.dist[naiveKey(s)]; !ok {
 						t.Fatalf("stored state %d (%s) is not naively reachable", i, p.Format(s))
 					}

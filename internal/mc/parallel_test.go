@@ -57,17 +57,18 @@ func requireGraphsIdentical(t *testing.T, seq, par *Graph) {
 				i, s.parent.at(j), s.depthOf(j), q.parent.at(j), q.depthOf(j))
 		}
 	}
-	if len(seq.Adj) != len(par.Adj) {
-		t.Fatalf("adjacency length differs: %d vs %d", len(seq.Adj), len(par.Adj))
+	if seq.offs.len() != par.offs.len() || seq.edges.len() != par.edges.len() {
+		t.Fatalf("edge arrays differ in size: %d offsets and %d edges vs %d and %d",
+			seq.offs.len(), seq.edges.len(), par.offs.len(), par.edges.len())
 	}
-	for v := range seq.Adj {
-		if len(seq.Adj[v]) != len(par.Adj[v]) {
-			t.Fatalf("out-degree of state %d differs: %d vs %d", v, len(seq.Adj[v]), len(par.Adj[v]))
+	for v := int32(0); int(v) < seq.offs.len(); v++ {
+		if seq.offs.at(v) != par.offs.at(v) {
+			t.Fatalf("edges of state %d start at %d vs %d", v, seq.offs.at(v), par.offs.at(v))
 		}
-		for k, e := range seq.Adj[v] {
-			if e != par.Adj[v][k] {
-				t.Fatalf("edge %d of state %d differs: sequential %+v, parallel %+v", k, v, e, par.Adj[v][k])
-			}
+	}
+	for k := int32(0); int(k) < seq.edges.len(); k++ {
+		if seq.edges.at(k) != par.edges.at(k) {
+			t.Fatalf("edge %d differs: sequential %+v, parallel %+v", k, seq.edges.at(k), par.edges.at(k))
 		}
 	}
 }

@@ -84,17 +84,9 @@ func newStateStore(p *gcl.Prog, plan Plan) StateStore {
 	return newSeqStore(p, plan)
 }
 
-// kv is one entry of a small fingerprint-bucket index (the quotient
-// product's supplementary orbit table): a key vector and its value.
-type kv struct {
-	key gcl.State
-	val int32
-}
-
 // prepare implements Prepare's key derivation for every store tier. A
 // derived key (canonical, or carrying extra words) is a fresh allocation,
-// so callers may hold several prepared keys at once (graph edge
-// identification compares two). The engines' hot paths do not come here:
+// so callers may hold several prepared keys at once. The engines' hot paths do not come here:
 // they prepare probes in batches into per-worker scratch (prepSuccs), which
 // is safe because Insert copies whatever it keeps.
 func prepare(p *gcl.Prog, plan Plan, s gcl.State, extra []int32) (uint64, gcl.State) {
@@ -116,27 +108,6 @@ func prepare(p *gcl.Prog, plan Plan, s gcl.State, extra []int32) (uint64, gcl.St
 	copy(key, s)
 	copy(key[len(s):], extra)
 	return key.Fingerprint(), key
-}
-
-// bucketLookup scans one fingerprint bucket for the key.
-func bucketLookup(bucket []kv, key gcl.State) (int32, bool) {
-	for _, e := range bucket {
-		if e.key.Equal(key) {
-			return e.val, true
-		}
-	}
-	return -1, false
-}
-
-// bucketInsert inserts or replaces the key's entry.
-func bucketInsert(bucket []kv, key gcl.State, val int32) []kv {
-	for i := range bucket {
-		if bucket[i].key.Equal(key) {
-			bucket[i].val = val
-			return bucket
-		}
-	}
-	return append(bucket, kv{key: key, val: val})
 }
 
 // fpEntry is one fpTable slot, 8 bytes with no Go pointers — eight slots

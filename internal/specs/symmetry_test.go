@@ -137,7 +137,7 @@ func TestCanonicalFingerprintInvariance(t *testing.T) {
 							b.name, n, perm, p.Format(s))
 					}
 				}
-				canon, perm := p.CanonicalizeWithPerm(s)
+				canon, perm := canonWithWitness(p.NewCanonicalizer(), s)
 				if !p.Permute(norm, perm).Equal(canon) {
 					t.Fatalf("%s N=%d: witnessing permutation does not reproduce the canonical form", b.name, n)
 				}
@@ -176,7 +176,7 @@ func TestCanonicalizeAgainstOracle(t *testing.T) {
 					if pinned != nil {
 						continue
 					}
-					got, perm := c.CanonicalizeWithPerm(s)
+					got, perm := canonWithWitness(c, s)
 					if !got.Equal(best) || !p.Canonicalize(s).Equal(best) {
 						t.Fatalf("%s N=%d: canonical of %s is %v, want %v", b.name, n, p.Format(s), got, best)
 					}
@@ -189,17 +189,27 @@ func TestCanonicalizeAgainstOracle(t *testing.T) {
 	}
 }
 
+// canonWithWitness canonicalizes s through c's batch path and returns the
+// key with its witness permutation: process q moves to slot perm[q].
+func canonWithWitness(c *gcl.Canonicalizer, s gcl.State) (gcl.State, []int) {
+	var ks gcl.KeySlab
+	base := c.CanonicalizeBatch([]gcl.Succ{{State: s}}, &ks)
+	var perm []int
+	for _, b := range ks.Witness(base) {
+		perm = append(perm, int(b))
+	}
+	return ks.Key(base), perm
+}
+
 // oracleCanon returns the least image of the normalized state over the
-// permutations in the table that are valid for it and fix every pinned
-// pid, and the first permutation in table (lexicographic) order that
-// reaches it.
+// permutations of 0..N-1 that are valid for it and fix every pinned pid,
+// and the lexicographically first permutation that reaches it.
 func oracleCanon(p *gcl.Prog, s gcl.State, pinned []int) (gcl.State, []int) {
 	norm := p.NormalizeCursors(s)
 	var best gcl.State
 	var witness []int
 next:
-	for i := 0; i < p.NumPerms(); i++ {
-		perm := p.PermAt(i)
+	for _, perm := range permutations(p.N) {
 		for _, pid := range pinned {
 			if perm[pid] != pid {
 				continue next
@@ -208,7 +218,8 @@ next:
 		if !p.PermValid(norm, perm) {
 			continue
 		}
-		if img := p.Permute(norm, perm); best == nil || lexLess(img, best) {
+		img := p.Permute(norm, perm)
+		if best == nil || lexLess(img, best) || (img.Equal(best) && slices.Compare(perm, witness) < 0) {
 			best, witness = img, perm
 		}
 	}
