@@ -44,7 +44,7 @@ func runMain() int {
 	var (
 		run      = flag.String("run", "all", "comma-separated experiment IDs, or 'all'")
 		list     = flag.Bool("list", false, "list experiments and exit")
-		workers  = flag.Int("workers", 0, "parallel model-checking goroutines (0 = sequential, -1 = GOMAXPROCS; FCFS/refinement checks stay sequential)")
+		workers  = flag.Int("workers", 0, "parallel model-checking goroutines (0 = sequential, -1 = GOMAXPROCS; refinement checks stay sequential)")
 		symmetry = flag.Bool("symmetry", false, "process-symmetry reduction for the safety-check experiments (specs declaring full symmetry explore one state per orbit; verdicts unchanged)")
 		por      = flag.Bool("por", false, "ample-set partial-order reduction for the safety-check experiments (composes with -symmetry; verdicts unchanged)")
 		store    = flag.String("store", "", "visited-set tier for the store-aware experiments (E17) and -bench-json: exact|bitstate, with the ,spill modifier; empty = experiment defaults")

@@ -44,7 +44,7 @@ func run() int {
 		crash     = flag.Bool("crash", false, "add crash/restart transitions (paper conditions 3-4)")
 		deadlock  = flag.Bool("deadlock", false, "also detect deadlocks")
 		maxStates = flag.Int("maxstates", 0, "state bound (0 = default)")
-		workers   = flag.Int("workers", 0, "parallel exploration goroutines for check/graph/starve modes (0 = sequential, -1 = GOMAXPROCS; -fcfs always runs sequentially)")
+		workers   = flag.Int("workers", 0, "parallel exploration goroutines for check, -starve and -fcfs (0 = sequential, -1 = GOMAXPROCS; output is identical for any value)")
 		symmetry  = flag.Bool("symmetry", false, "process-symmetry reduction: explore one state per permutation orbit (specs declaring full symmetry only; deterministic for any -workers; composes with -fcfs, which canonicalizes the non-pinned pids; does not apply to -starve, whose cycle analysis runs on the dead-cursor-reset graph)")
 		por       = flag.Bool("por", false, "ample-set partial-order reduction: compress independent local actions instead of interleaving them (composes with -symmetry; deterministic for any -workers; cycle-sensitive -starve/-fcfs and -crash runs fall back to the full interleaving, see docs/model-checking.md)")
 		trace     = flag.Bool("trace", false, "print the counterexample trace, if any")

@@ -35,7 +35,8 @@ func TestCanonicalizePinned(t *testing.T) {
 	p.SetShared(s, "number", 3, 1)
 	pinned := []int{1}
 
-	base := p.CanonicalizePinned(s, pinned)
+	c := p.NewPinnedCanonicalizer(pinned)
+	base := p.Clone(c.Canonicalize(s))
 	if got := p.Shared(base, "number", 1); got != 1 {
 		t.Fatalf("pinned pid's cell moved: number[1] = %d, want 1", got)
 	}
@@ -46,18 +47,18 @@ func TestCanonicalizePinned(t *testing.T) {
 			continue
 		}
 		img := p.Permute(s, perm)
-		if got := p.CanonicalizePinned(img, pinned); !got.Equal(base) {
+		if got := c.Canonicalize(img); !got.Equal(base) {
 			t.Fatalf("perm %v: pinned canonical %v != %v", perm, got, base)
 		}
 	}
 	// A permutation moving the pinned pid generally lands elsewhere.
 	moved := p.Permute(s, []int{1, 0, 2, 3})
-	if got := p.CanonicalizePinned(moved, pinned); got.Equal(base) {
+	if got := c.Canonicalize(moved); got.Equal(base) {
 		t.Fatal("moving the pinned pid should change the pinned representative here")
 	}
 
 	// Pinning every pid degrades to cursor normalization only.
-	all := p.CanonicalizePinned(s, []int{0, 1, 2, 3})
+	all := p.NewPinnedCanonicalizer([]int{0, 1, 2, 3}).Canonicalize(s)
 	if !all.Equal(p.NormalizeCursors(s)) {
 		t.Fatalf("all-pinned canonical %v != normalized state", all)
 	}
@@ -73,7 +74,7 @@ func TestCanonicalizePinnedRespectsCursors(t *testing.T) {
 	p.SetShared(s, "number", 3, 1)
 	p.SetPC(s, 0, p.LabelIndex("scan"))
 	p.SetLocal(s, 0, "j", 2) // pid 0 has visited {0,1}
-	c := p.CanonicalizePinned(s, []int{0})
+	c := p.NewPinnedCanonicalizer([]int{0}).Canonicalize(s)
 	// The witnessing permutation must preserve {0,1} as a set and fix 0,
 	// so slots 2 and 3 may swap but 5 can never land in slots 0/1.
 	if p.Shared(c, "number", 0) == 5 || p.Shared(c, "number", 1) == 5 {

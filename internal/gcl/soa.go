@@ -93,19 +93,6 @@ func (ks *KeySlab) alloc(stride int) (int, State) {
 	return i, State(ks.words[i*stride : need])
 }
 
-// AppendKey copies key plus optional extra words (a monitor phase, a
-// belief id) into the slab as one slot and fingerprints it over the full
-// stride, returning the slot index. This is the slab entry point for
-// callers whose key is already prepared — the FCFS monitor product packs
-// its pinned-canonical keys this way instead of allocating one per probe.
-func (ks *KeySlab) AppendKey(key State, extra ...int32) int {
-	i, slot := ks.alloc(len(key) + len(extra))
-	copy(slot, key)
-	copy(slot[len(key):], extra)
-	ks.fps[i] = slot.Fingerprint()
-	return i
-}
-
 // fingerprintFrom fills fps[i] for every i >= base in one pass over the
 // packed slab words.
 func (ks *KeySlab) fingerprintFrom(base int) {
@@ -118,7 +105,8 @@ func (ks *KeySlab) fingerprintFrom(base int) {
 // CanonicalizeBatch canonicalizes every successor state in succs, appending
 // one canonical key per successor to ks (in order) with its witness bytes
 // (Witness), and fingerprinting the batch in a single pass over the packed
-// slab. It returns the slab index of the first appended key. The per-state
+// slab; a pinned context (NewPinnedCanonicalizer) leaves its pinned pids in
+// place. It returns the slab index of the first appended key. The per-state
 // normalization, ordering and permutation scratch is the context's own,
 // reused across the whole batch; nothing is allocated once the slab has
 // warmed up.
@@ -135,7 +123,7 @@ func (c *Canonicalizer) CanonicalizeBatch(succs []Succ, ks *KeySlab) int {
 	for si := range succs {
 		i, slot := ks.alloc(stride)
 		ks.wits = ks.wits[:(i+1)*n]
-		w.canonicalizeInto(slot, ks.wits[i*n:], succs[si].State, 0)
+		w.canonicalizeInto(slot, ks.wits[i*n:], succs[si].State, c.pinned)
 	}
 	ks.fingerprintFrom(base)
 	return base

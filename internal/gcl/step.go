@@ -249,13 +249,6 @@ func (b *SuccBuf) Alloc(n int) State {
 	}
 }
 
-// CopyIn copies s into the arena and returns the copy.
-func (b *SuccBuf) CopyIn(s State) State {
-	out := b.Alloc(len(s))
-	copy(out, s)
-	return out
-}
-
 // EnabledMask returns a bitmask of the enabled branches at process pid's
 // current label (bit i set = branch i enabled), evaluating guards only —
 // no successor states are materialised. Build refuses labels of more than

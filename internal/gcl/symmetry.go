@@ -457,6 +457,9 @@ func (p *Prog) CanonicalFingerprint(s State) uint64 {
 // Canonicalizer must not be shared between goroutines.
 type Canonicalizer struct {
 	w *canonicalizer
+	// pinned is the mask of pids whose slots every canonicalization leaves
+	// in place (NewPinnedCanonicalizer); 0 for the full group.
+	pinned uint32
 }
 
 // NewCanonicalizer returns a dedicated canonicalization context for the
@@ -472,23 +475,14 @@ func (p *Prog) NewCanonicalizer() *Canonicalizer {
 // Canonicalize returns the canonical representative of s's orbit in the
 // context's scratch buffer — the zero-allocation form of Prog.Canonicalize.
 func (c *Canonicalizer) Canonicalize(s State) State {
-	return c.w.canonicalize(s)
+	c.w.canonicalizeInto(c.w.buf, nil, s, c.pinned)
+	return c.w.buf
 }
 
 // Fingerprint returns the fingerprint of the canonical representative of
 // s's orbit — the zero-allocation form of Prog.CanonicalFingerprint.
 func (c *Canonicalizer) Fingerprint(s State) uint64 {
-	return c.w.canonicalize(s).Fingerprint()
-}
-
-// CanonicalizePinned returns the least valid image over the permutations
-// fixing every pid in pinned, in the context's scratch buffer — the
-// zero-allocation form of Prog.CanonicalizePinned. Requires CanTrackPerms.
-func (c *Canonicalizer) CanonicalizePinned(s State, pinned []int) State {
-	p := c.w.p
-	p.mustTrackPerms()
-	c.w.canonicalizeInto(c.w.buf, nil, s, p.pinnedMaskOf(pinned))
-	return c.w.buf
+	return c.Canonicalize(s).Fingerprint()
 }
 
 // canonWorker hands out a scratch canonicalizer from the program's pool.

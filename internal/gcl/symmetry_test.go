@@ -197,11 +197,11 @@ func TestCanonicalizeAgainstOracle(t *testing.T) {
 	for _, n := range []int{4, 5} {
 		p := symProg(n)
 		perms := allPerms(n)
-		c := p.NewCanonicalizer()
 		for _, s := range walkStates(p, 300) {
 			for _, pinned := range [][]int{nil, {0}, {n - 1}, {0, n - 1}} {
 				best, witness := oracleCanon(p, perms, s, pinned)
-				got := c.CanonicalizePinned(s, pinned)
+				c := p.NewPinnedCanonicalizer(pinned)
+				got := c.Canonicalize(s)
 				if !got.Equal(best) {
 					t.Fatalf("N=%d pinned %v canonical of %v:\n got %v\nwant %v", n, pinned, s, got, best)
 				}

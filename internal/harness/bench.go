@@ -390,7 +390,7 @@ func appendLivenessBench(rep *MCBenchReport, cfg ExpConfig, cells []livenessBenc
 			return err
 		}
 		start := time.Now()
-		res, err := mc.CheckFCFS(p, 2, 0, mc.Options{Symmetry: sym})
+		res, err := mc.CheckFCFS(p, 2, 0, mc.Options{Symmetry: sym, Workers: cfg.MCWorkers})
 		if err != nil {
 			return err
 		}
@@ -398,11 +398,11 @@ func appendLivenessBench(rep *MCBenchReport, cfg ExpConfig, cells []livenessBenc
 		if !res.Holds {
 			verdict = "VIOLATED"
 		}
-		// CheckFCFS always runs sequentially; recording Workers 0 keeps the
-		// machine-readable surface honest about which engine produced it.
+		// CheckFCFS runs Check's engine on the monitored program, so the
+		// row records the engine setting like the safety rows.
 		mode := map[bool]string{false: "none", true: "symmetry"}[sym]
 		record(fmt.Sprintf("bakerypp-n%d-m%d/fcfs/%s", c.N, c.M, mode),
-			"bakerypp", c, "fcfs", 0, sym, res.Symmetry,
+			"bakerypp", c, "fcfs", cfg.MCWorkers, sym, res.Symmetry,
 			res.States, 0, verdict, res.Complete, time.Since(start).Seconds())
 	}
 	return nil

@@ -23,10 +23,10 @@ type ExpConfig struct {
 	// mc.Check and mc.BuildGraph call an experiment makes: 0 and 1 expand
 	// states sequentially, a larger count on that many goroutines, -1 one
 	// per GOMAXPROCS. Results are identical either way (exploration is
-	// deterministic); only
-	// wall-clock time changes. The FCFS monitor (E6) and bounded
-	// refinement (E11) checkers have their own exploration loops and
-	// always run sequentially.
+	// deterministic); only wall-clock time changes. The FCFS checks (E6,
+	// E16) run on the same engine and take it too; the bounded refinement
+	// checker (E11) has its own exploration loop and always runs
+	// sequentially.
 	MCWorkers int
 	// SweepWorkers sizes the worker pool of the deterministic contention
 	// sweep (E13): 0/1 sequential, a positive count that many cells in
@@ -403,7 +403,7 @@ func runE5(w io.Writer, _ ExpConfig) error {
 	return err
 }
 
-func runE6(w io.Writer, _ ExpConfig) error {
+func runE6(w io.Writer, cfg ExpConfig) error {
 	tb := stats.NewTable("FCFS order in the interleaving simulator (N=3, 300k steps, random scheduler)",
 		"algorithm", "cs entries", "doorways", "FCFS inversions", "fairness ratio")
 	progs := []*gcl.Prog{
@@ -443,7 +443,7 @@ func runE6(w io.Writer, _ ExpConfig) error {
 		{specs.Szymanski(2), [2]int{1, 0}, 0},
 	}
 	for _, c := range checks {
-		res, err := mc.CheckFCFS(c.p, c.fs[0], c.fs[1], mc.Options{MaxStates: c.bounds})
+		res, err := mc.CheckFCFS(c.p, c.fs[0], c.fs[1], mc.Options{MaxStates: c.bounds, Workers: cfg.MCWorkers})
 		if err != nil {
 			return err
 		}
@@ -890,7 +890,7 @@ func runE16(w io.Writer, cfg ExpConfig) error {
 		if err != nil {
 			return err
 		}
-		full, err := mc.CheckFCFS(pf, c.first, c.second, mc.Options{})
+		full, err := mc.CheckFCFS(pf, c.first, c.second, mc.Options{Workers: cfg.MCWorkers})
 		if err != nil {
 			return err
 		}
@@ -898,7 +898,7 @@ func runE16(w io.Writer, cfg ExpConfig) error {
 		if err != nil {
 			return err
 		}
-		red, err := mc.CheckFCFS(pq, c.first, c.second, mc.Options{Symmetry: true})
+		red, err := mc.CheckFCFS(pq, c.first, c.second, mc.Options{Symmetry: true, Workers: cfg.MCWorkers})
 		if err != nil {
 			return err
 		}

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"encoding/json"
-	"strings"
 	"testing"
 
 	"bakerypp/internal/specs"
@@ -14,8 +13,8 @@ import (
 // none/symmetry pairs with matching verdicts, and the rows stay honest
 // about engine, completeness and what was applied: a starve row's
 // symmetry request is not applied (the cycle analysis runs on the
-// dead-cursor-reset graph either way), FCFS's is, and FCFS always runs
-// sequentially.
+// dead-cursor-reset graph either way), FCFS's is, and every row records
+// the engine setting it ran at (FCFS runs on Check's engine).
 func TestLivenessBenchJSONSchema(t *testing.T) {
 	rep := &MCBenchReport{}
 	cells := []livenessBenchCell{{"bakerypp", specs.Config{N: 3, M: 2}, true}}
@@ -51,8 +50,8 @@ func TestLivenessBenchJSONSchema(t *testing.T) {
 		if rec.Symmetry != (rec.Reduction == "symmetry") || rec.Applied != (rec.Symmetry && analysis == "fcfs") {
 			t.Errorf("record %q: inconsistent reduction flags %+v", rec.Name, rec)
 		}
-		if strings.HasPrefix(rec.Name, "bakerypp-n3-m2/fcfs") && rec.Workers != 0 {
-			t.Errorf("record %q: FCFS always runs sequentially, Workers = %d", rec.Name, rec.Workers)
+		if rec.Workers != -1 {
+			t.Errorf("record %q: Workers = %d, want the run's -1", rec.Name, rec.Workers)
 		}
 		if rec.States <= 0 || rec.WallSeconds < 0 {
 			t.Errorf("record %q: implausible measurements %+v", rec.Name, rec)

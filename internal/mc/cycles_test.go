@@ -8,11 +8,6 @@ import (
 	"bakerypp/internal/specs"
 )
 
-// Quotient reports whether the graph's visited store was symmetry-reduced;
-// TestLivenessMatchesNaiveOracle prints it beside each verdict. BuildGraph
-// never plans symmetry, so it is false.
-func (g *Graph) Quotient() bool { return g.expl.symmetry }
-
 // allSCCs collects every component sccs hands out, unfiltered.
 func allSCCs(g *Graph) [][]int32 {
 	var out [][]int32

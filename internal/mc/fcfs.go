@@ -10,8 +10,10 @@ import (
 // first remarkable property (paper Section 1.2) — as a model-checked
 // property rather than a simulation statistic. FCFS is not a state
 // invariant: it relates the order of doorway completions to the order of
-// critical-section entries along an execution, so it is checked as a
-// monitor automaton composed with the program:
+// critical-section entries along an execution. So a monitor automaton is
+// composed into the program as one shared cell (gcl.Prog.WithMonitor, the
+// never-claim construction), and FCFS becomes the invariant "the monitor is
+// not in phase 3", which Check's engine verifies:
 //
 //	phase 0: watching. When `first` completes its doorway
 //	         (tag "doorway-done") -> phase 1.
@@ -19,11 +21,17 @@ import (
 //	         order). If `second` leaves its noncritical section
 //	         (tag "try") -> phase 2.
 //	phase 2: second arrived strictly after first's doorway completed.
-//	         If second enters cs before first -> FCFS VIOLATION.
-//	         If first enters cs -> phase 0.
+//	         If first enters cs -> phase 0. If second enters cs before
+//	         first -> phase 3, the FCFS VIOLATION.
 //
-// The product state space (program state × phase) is explored exhaustively;
-// a violation comes with the shortest witnessing interleaving.
+// The monitored program's state space is explored exhaustively; a
+// violation comes with the shortest witnessing interleaving.
+
+// fcfsCell names the monitor's phase cell in the monitored program.
+const fcfsCell = "fcfs-phase"
+
+// fcfsViolated is the monitor phase of a violation.
+const fcfsViolated = 3
 
 // FCFSResult reports an FCFS check.
 type FCFSResult struct {
@@ -35,12 +43,15 @@ type FCFSResult struct {
 	Holds bool
 	// Complete is false if the state bound was hit first.
 	Complete bool
-	States   int
-	// Witness is the violating execution when Holds is false.
+	// States counts the monitored program's states, the violating one
+	// included.
+	States int
+	// Witness is the violating execution when Holds is false, over Prog's
+	// states (the monitor cell dropped).
 	Witness *Trace
-	// Symmetry reports that the product was deduplicated on pinned-orbit
-	// representatives: states related by a permutation of the NON-pinned
-	// pids share one product entry. Requested via Options.Symmetry,
+	// Symmetry reports that the monitored program was deduplicated on
+	// pinned-orbit representatives: states related by a permutation of the
+	// NON-pinned pids share one entry. Requested via Options.Symmetry,
 	// applied when the spec supports it (see analysis.go).
 	Symmetry bool
 }
@@ -61,21 +72,55 @@ func (r *FCFSResult) String() string {
 		r.Prog.Name, status, r.First, r.Second, r.States, sym)
 }
 
+// fcfsUpdate returns the monitor's phase step per branch tag, for
+// WithMonitor: each adds to the phase the indicator of its transitions.
+func fcfsUpdate(first, second int) func(tag string) (gcl.Expr, bool) {
+	phase := gcl.Sh(fcfsCell)
+	// at is 1 when process pid moves while the monitor is in phase k.
+	at := func(pid, k int) gcl.Expr {
+		return gcl.And(gcl.Eq(gcl.Self(), gcl.C(pid)), gcl.Eq(phase, gcl.C(k)))
+	}
+	return func(tag string) (gcl.Expr, bool) {
+		switch tag {
+		case "doorway-done":
+			return gcl.Add(phase, at(first, 0)), true
+		case "try":
+			return gcl.Add(phase, at(second, 1)), true
+		case "cs-enter":
+			// second: 2 -> 3; first: 1 -> 0 and 2 -> 0.
+			return gcl.Sub(gcl.Add(phase, at(second, 2)),
+				gcl.Add(at(first, 1), gcl.Add(at(first, 2), at(first, 2)))), true
+		}
+		return gcl.Expr{}, false
+	}
+}
+
+// fcfsMonitored returns p composed with the FCFS monitor for the pair, and
+// the monitor's invariant. WithMonitor declares the phase cell last among
+// the shared words.
+func fcfsMonitored(p *gcl.Prog, first, second int) (*gcl.Prog, Invariant) {
+	mp := p.WithMonitor(fcfsCell, fcfsUpdate(first, second))
+	cell := mp.SharedCells() - 1
+	return mp, Invariant{Name: "fcfs", Holds: func(_ *gcl.Prog, s gcl.State) bool {
+		return s[cell] != fcfsViolated
+	}}
+}
+
 // CheckFCFS verifies first-come-first-served entry for the ordered process
 // pair (first, second): whenever first completes its doorway before second
 // begins competing, first enters the critical section before second. The
 // program must carry the specs package's "doorway-done", "try" and
-// "cs-enter" branch tags. Options.MaxStates bounds the product exploration
-// (0 = DefaultMaxStates); Options.Symmetry requests pinned-orbit
-// deduplication — the monitor names the pair, so the pipeline
-// canonicalizes over the permutations fixing first and second only
-// (FCFSAnalysis in analysis.go). Dedup is again representative-only:
-// stored product nodes are concrete states discovered from their concrete
-// parents, so a violation witness is a real execution. Other Options
-// fields (Workers, POR, Crash) do not apply to the monitor product. A
-// lossy Options.Store is refused with an error: the monitor prunes whole
-// product subtrees on membership answers, so one fingerprint collision
-// could silently mask a violation (exact,spill is fine).
+// "cs-enter" branch tags. It runs Check's engine on the monitored program
+// in ModeUnbounded (the phase may exceed M) with the monitor's invariant
+// alone, under FCFSAnalysis's plan. Options.MaxStates bounds the
+// exploration (0 = DefaultMaxStates) and Options.Workers sets the engine's
+// goroutines; the result does not depend on it. Options.Symmetry requests
+// pinned-orbit deduplication — the monitor names the pair, so the engine
+// canonicalizes over the permutations fixing first and second only. Dedup
+// is again representative-only: a violation witness is a real execution.
+// Options.Invariants, Deadlock, Crash and POR do not apply. A lossy
+// Options.Store is refused with an error: one false membership hit could
+// prune the states that hold a violation (exact,spill is fine).
 func CheckFCFS(p *gcl.Prog, first, second int, opts Options) (*FCFSResult, error) {
 	if first == second || first < 0 || second < 0 || first >= p.N || second >= p.N {
 		panic(fmt.Sprintf("mc: bad FCFS pair (%d, %d) for N=%d", first, second, p.N))
@@ -86,113 +131,31 @@ func CheckFCFS(p *gcl.Prog, first, second int, opts Options) (*FCFSResult, error
 			panic(fmt.Sprintf("mc: %s lacks the %q tag needed for FCFS checking", p.Name, need))
 		}
 	}
-	maxStates := opts.MaxStates
-	if maxStates == 0 {
-		maxStates = DefaultMaxStates
+	if opts.MaxStates == 0 {
+		opts.MaxStates = DefaultMaxStates
 	}
-	plan, err := planFor(p, opts, FCFSAnalysis{First: first, Second: second})
+	mp, inv := fcfsMonitored(p, first, second)
+	res, err := check(mp, Options{
+		Invariants: []Invariant{inv},
+		MaxStates:  opts.MaxStates,
+		Mode:       gcl.ModeUnbounded,
+		Workers:    opts.Workers,
+		Symmetry:   opts.Symmetry,
+		Store:      opts.Store,
+	}, FCFSAnalysis{First: first, Second: second})
 	if err != nil {
 		return nil, err
 	}
-	res := &FCFSResult{Prog: p, First: first, Second: second, Holds: true,
-		Symmetry: plan.Pinned != nil}
-
-	type node struct {
-		st     gcl.State
-		phase  int8
-		parent int32
-		byPid  int8
-		label  string
-	}
-	// The visited set over (program state, monitor phase) product nodes:
-	// the shared StateStore keyed on the state with the phase appended.
-	// The monitor pins a concrete process pair, so full-orbit symmetry is
-	// out — but the plan may select pinned-orbit keying, which collapses
-	// states related by permutations of the remaining pids.
-	nodes := []node{{st: p.InitState(), phase: 0, parent: -1, byPid: -1}}
-	seen := newStateStore(p, plan)
-	fp0, key0 := seen.Prepare(nodes[0].st, 0)
-	seen.Insert(fp0, key0, 0)
-
-	// The product loop probes the store through a per-head key slab instead
-	// of the allocating Prepare path: successors are generated into a
-	// reusable SuccBuf, and each probe key (pinned-canonical under symmetry,
-	// concrete otherwise, plus the phase word) is packed into the slab —
-	// Insert copies the keys of FRESH product nodes, and only their states
-	// are copied out, into nodeStates, an arena that is never reset.
-	// Duplicates — the vast majority in a dense product — cost no
-	// allocation at all.
-	var (
-		buf        gcl.SuccBuf
-		scratch    gcl.KeySlab
-		nodeStates gcl.SuccBuf
-		canon      *gcl.Canonicalizer
-	)
-	if plan.Pinned != nil {
-		canon = p.NewCanonicalizer()
-	}
-
-	buildTrace := func(i int32, extra *gcl.Succ) *Trace {
-		var rev []int32
-		for k := i; k >= 0; k = nodes[k].parent {
-			rev = append(rev, k)
-		}
-		t := &Trace{Prog: p, Init: nodes[rev[len(rev)-1]].st}
-		for k := len(rev) - 2; k >= 0; k-- {
-			nd := nodes[rev[k]]
-			t.Steps = append(t.Steps, Step{Pid: int(nd.byPid), Label: nd.label, State: nd.st})
-		}
-		if extra != nil {
-			t.Steps = append(t.Steps, Step{Pid: extra.Pid, Label: extra.Label(p), State: extra.State})
-		}
-		return t
-	}
-
-	for head := int32(0); head < int32(len(nodes)); head++ {
-		if len(nodes) >= maxStates {
-			res.Complete = false
-			res.States = len(nodes)
-			return res, nil
-		}
-		nd := nodes[head]
-		buf.Reset()
-		scratch.Reset()
-		p.AllSuccsInto(nd.st, gcl.ModeUnbounded, &buf)
-		for _, sc := range buf.Succs() {
-			phase, tag := nd.phase, sc.Tag(p)
-			switch {
-			case phase == 0 && sc.Pid == first && tag == "doorway-done":
-				phase = 1
-			case phase == 1 && sc.Pid == first && tag == "cs-enter":
-				phase = 0
-			case phase == 1 && sc.Pid == second && tag == "try":
-				phase = 2
-			case phase == 2 && sc.Pid == first && tag == "cs-enter":
-				phase = 0
-			case phase == 2 && sc.Pid == second && tag == "cs-enter":
-				res.Holds = false
-				res.States = len(nodes)
-				sc := sc
-				res.Witness = buildTrace(head, &sc)
-				return res, nil
-			}
-			probe := sc.State
-			if canon != nil {
-				probe = canon.CanonicalizePinned(sc.State, plan.Pinned)
-			}
-			ki := scratch.AppendKey(probe, int32(phase))
-			fp, key := scratch.Fp(ki), scratch.Key(ki)
-			if _, dup := seen.Lookup(fp, key); dup {
-				continue
-			}
-			seen.Insert(fp, key, int32(len(nodes)))
-			nodes = append(nodes, node{
-				st: nodeStates.CopyIn(sc.State), phase: phase, parent: head,
-				byPid: int8(sc.Pid), label: sc.Label(p),
-			})
+	out := &FCFSResult{Prog: p, First: first, Second: second, Holds: res.Violation == nil,
+		Complete: res.Complete, States: res.States, Symmetry: res.Symmetry}
+	if v := res.Violation; v != nil {
+		// drop removes the monitor cell, leaving a state of p.
+		cell := mp.SharedCells() - 1
+		drop := func(s gcl.State) gcl.State { return append(s[:cell:cell], s[cell+1:]...) }
+		out.Witness = &Trace{Prog: p, Init: drop(v.Trace.Init)}
+		for _, st := range v.Trace.Steps {
+			out.Witness.Steps = append(out.Witness.Steps, Step{Pid: st.Pid, Label: st.Label, State: drop(st.State)})
 		}
 	}
-	res.Complete = true
-	res.States = len(nodes)
-	return res, nil
+	return out, nil
 }

@@ -264,7 +264,7 @@ func TestKeySlabShapePanics(t *testing.T) {
 // warmTable returns a sequential store holding keys under their
 // fingerprints, key i with value i.
 func warmTable(keys []gcl.State, fps []uint64) *seqStore {
-	st := newSeqStore(nil, Plan{})
+	st := newSeqStore(StoreOptions{})
 	for i, k := range keys {
 		st.Insert(fps[i], k, int32(i))
 	}
@@ -425,7 +425,7 @@ func TestFpTableAdversarialFingerprints(t *testing.T) {
 		t.Fatalf("top index encodes as %#x", uint64(e))
 	}
 	// Index 0 under fingerprint 0 is the other slot word next to empty.
-	low := newSeqStore(nil, Plan{})
+	low := newSeqStore(StoreOptions{})
 	low.Insert(0, gcl.State{}, 7)
 	if v, ok := low.Lookup(0, gcl.State{}); !ok || v != 7 {
 		t.Fatalf("empty key at index 0 under fingerprint 0: got %d, %v", v, ok)

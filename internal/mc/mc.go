@@ -151,8 +151,9 @@ type Options struct {
 	// process ids (the stock ones are). Deterministic for any Workers
 	// setting. BuildGraph ignores it: its cycle analyses run on the
 	// dead-cursor-reset graph, which the symmetry quotient does not shrink
-	// (see cycles.go); CheckFCFS canonicalizes over the subgroup fixing its
-	// pinned pair. Each entry point's reduction gating is declared in
+	// (see cycles.go). CheckFCFS's monitor tells its pair apart, so there
+	// the engine canonicalizes over the permutations fixing the pair only
+	// (Plan.Pinned). Each entry point's reduction gating is declared in
 	// analysis.go.
 	Symmetry bool
 	// POR enables ample-set partial-order reduction: at states where some
@@ -172,11 +173,11 @@ type Options struct {
 	// for any Workers count. Falls back to the full search (Result.POR
 	// false) when crash transitions are on (crashes reset owned shared
 	// cells from every state, so no action is ever safe) or when any
-	// invariant omits its Observes declaration. BuildGraph and the
-	// graph-based analyses ignore POR: SCC, starvation, FCFS, and
-	// refinement are cycle- or identity-sensitive, which the ample
-	// reduction does not preserve (analysis.go declares this per entry
-	// point; symmetry still applies there).
+	// invariant omits its Observes declaration. BuildGraph, CheckFCFS and
+	// the refinement check ignore POR: the SCC and starvation analyses are
+	// cycle-sensitive and the FCFS monitor and refinement identity- and
+	// tag-sensitive, which the ample reduction does not preserve
+	// (analysis.go declares this per entry point).
 	POR bool
 	// Store selects the visited-set tier (storeopts.go): the zero value is
 	// the exact in-heap store; StoreBitstate trades exactness for memory
@@ -366,7 +367,7 @@ type explorer struct {
 	p        *gcl.Prog
 	opts     Options
 	plan     Plan
-	symmetry bool // orbit dedup actually applied
+	symmetry bool // orbit dedup, full or pinned, actually applied
 	por      bool // ample-set reduction actually applied
 	// reset zeroes every successor's dead scan cursors (Plan.Reset).
 	reset bool
@@ -436,15 +437,15 @@ func newExplorer(p *gcl.Prog, opts Options, plan Plan) *explorer {
 	}
 	e := &explorer{p: p, opts: opts, plan: plan, slab: &keySlab{ar: spillArena(plan.Store)}}
 	if plan.Store.Mode == StoreBitstate {
-		e.bits = newBitstateStore(p, plan)
+		e.bits = newBitstateStore(plan.Store)
 	} else {
 		e.table = &fpTable{slab: e.slab}
 	}
-	if plan.Symmetry {
+	e.symmetry = plan.Symmetry || plan.Pinned != nil
+	if e.symmetry {
 		e.tailLen = p.TailLen()
 	}
 	e.crashers = crashersOf(p, opts)
-	e.symmetry = plan.Symmetry
 	e.reset = plan.Reset
 	e.por = plan.POR
 	if e.por {
@@ -468,12 +469,18 @@ func newExplorer(p *gcl.Prog, opts Options, plan Plan) *explorer {
 }
 
 // initCtx readies an expansion context for the run: under symmetry, its
-// canonicalizer and key scratch.
+// canonicalizer — over the subgroup fixing the pinned pids under
+// Plan.Pinned — and key scratch.
 func (e *explorer) initCtx(w *wctx) {
-	if e.plan.Symmetry {
+	switch {
+	case e.plan.Pinned != nil:
+		w.canon = e.p.NewPinnedCanonicalizer(e.plan.Pinned)
+	case e.plan.Symmetry:
 		w.canon = e.p.NewCanonicalizer()
-		w.key = make(gcl.State, e.p.StateLen())
+	default:
+		return
 	}
+	w.key = make(gcl.State, e.p.StateLen())
 }
 
 // numStates is the count of numbered states.
@@ -656,10 +663,7 @@ func (e *explorer) addInit(s gcl.State) int32 {
 // contiguous structure-of-arrays pass with no per-state scratch copy
 // (gcl.KeySlab); otherwise the key is the successor state itself and only
 // the fingerprint batch is computed. Each key's width is computed in the
-// same batch, on the workers in parallel mode. The engines reach the
-// canon == nil arm exactly when the plan involves no canonicalization and
-// no extra key words, where every store tier's Prepare degenerates to
-// (s.Fingerprint(), s) — see prepare().
+// same batch, on the workers in parallel mode.
 func (e *explorer) prepSuccs(w *wctx, succs []gcl.Succ, dst []prep) {
 	if len(succs) == 0 {
 		return
@@ -1073,12 +1077,23 @@ func (e *explorer) addSucc(x *expansion, i int, head int32) (int32, bool) {
 // Options.Workers sets how many goroutines expand states; the result does
 // not depend on it.
 func Check(p *gcl.Prog, opts Options) *Result {
-	plan, err := planFor(p, opts, SafetyAnalysis{Invariants: opts.Invariants})
+	res, err := check(p, opts, SafetyAnalysis{Invariants: opts.Invariants})
 	if err != nil {
 		// Safety never needs exactness, so only malformed StoreOptions land
 		// here — a programming error (commands pre-validate via
 		// ParseStoreSpec).
 		panic(err)
+	}
+	return res
+}
+
+// check is Check executing the plan planFor makes for analysis a: the
+// safety analysis, or the FCFS monitor's invariant over a monitored
+// program (fcfs.go). It returns planFor's refusal as its error.
+func check(p *gcl.Prog, opts Options, a Analysis) (*Result, error) {
+	plan, err := planFor(p, opts, a)
+	if err != nil {
+		return nil, err
 	}
 	start := time.Now()
 	e := newExplorer(p, opts, plan)
@@ -1088,16 +1103,16 @@ func Check(p *gcl.Prog, opts Options) *Result {
 	// finish completes the result, building the counterexample, if any,
 	// after the store report: tracing may probe the store again (producer),
 	// which must not reach the report.
-	finish := func(counterexample func()) *Result {
+	finish := func(counterexample func()) (*Result, error) {
 		res.States = e.numStates()
 		res.Store = e.storeReport()
 		if counterexample != nil {
 			counterexample()
 		}
 		res.Elapsed = time.Since(start)
-		return res
+		return res, nil
 	}
-	violation := func(v, idx int32) *Result {
+	violation := func(v, idx int32) (*Result, error) {
 		return finish(func() {
 			res.Violation = &Violation{Invariant: e.opts.Invariants[v].Name, Trace: e.trace(idx)}
 		})

@@ -114,15 +114,21 @@ func replayCounterexample(t *testing.T, p *gcl.Prog, v *Violation, invs []Invari
 	t.Fatalf("counterexample names unknown invariant %q", v.Invariant)
 }
 
-// TestCheckMatchesNaiveOracle cross-checks Check, sequentially and with the
-// parallel pre-pass, against the naive search on every registered
-// specification at N <= 3 (full search, exact store): same verdict, same
-// state, transition and depth counts — at the early stop of a violating
-// run too, since both search in the same order — and every counterexample
-// replays, ends in a state breaking the named invariant, and is as short
-// as the oracle's BFS distance to that state.
-func TestCheckMatchesNaiveOracle(t *testing.T) {
-	invs := []Invariant{Mutex(), NoOverflow()}
+// oracleCell is one program TestCheckMatchesNaiveOracle checks, with its
+// invariants.
+type oracleCell struct {
+	name string
+	p    *gcl.Prog
+	invs []Invariant
+}
+
+// oracleCells lists every registered specification at N <= 3 under the
+// stock invariants, then FCFS-monitored programs (fcfsMonitored) under the
+// monitor's invariant: Bakery++ at N=2 and 3, Peterson at N=3 (violated),
+// and Szymanski at N=2 in both directions (violated with the lower id
+// second).
+func oracleCells(t *testing.T) []oracleCell {
+	var cells []oracleCell
 	for _, name := range specs.Names() {
 		for _, n := range []int{2, 3} {
 			cfg := specs.Config{N: n, M: 2}
@@ -130,34 +136,62 @@ func TestCheckMatchesNaiveOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := naiveCheck(p, invs)
-			for _, workers := range []int{0, 2} {
-				t.Run(fmt.Sprintf("%s-n%d-m%d/w%d", name, cfg.N, cfg.M, workers), func(t *testing.T) {
-					res := Check(p, Options{Invariants: invs, Workers: workers})
-					got := ""
-					if res.Violation != nil {
-						got = res.Violation.Invariant
-					}
-					if got != want.violated || res.Complete != (want.violated == "") {
-						t.Fatalf("verdict: Check violated %q (complete %v), oracle %q", got, res.Complete, want.violated)
-					}
-					if res.States != want.states || res.Transitions != want.transitions || res.Depth != want.depth {
-						t.Fatalf("Check (%d states, %d transitions, depth %d), oracle (%d, %d, %d)",
-							res.States, res.Transitions, res.Depth, want.states, want.transitions, want.depth)
-					}
-					if res.Violation == nil {
-						return
-					}
-					replayCounterexample(t, p, res.Violation, invs)
-					last := res.Violation.Trace.Init
-					if k := res.Violation.Trace.Len(); k > 0 {
-						last = res.Violation.Trace.Steps[k-1].State
-					}
-					if d := want.dist[naiveKey(last)]; res.Violation.Trace.Len() != d {
-						t.Fatalf("counterexample has %d steps, the oracle reaches its last state in %d", res.Violation.Trace.Len(), d)
-					}
-				})
-			}
+			cells = append(cells, oracleCell{fmt.Sprintf("%s-n%d-m%d", name, cfg.N, cfg.M), p, []Invariant{Mutex(), NoOverflow()}})
+		}
+	}
+	for _, c := range []struct {
+		p             *gcl.Prog
+		first, second int
+	}{
+		{specs.BakeryPP(specs.Config{N: 2, M: 2}), 0, 1},
+		{specs.BakeryPP(specs.Config{N: 3, M: 2}), 2, 0},
+		{specs.Peterson(3), 0, 1},
+		{specs.Szymanski(2), 0, 1},
+		{specs.Szymanski(2), 1, 0},
+	} {
+		mp, inv := fcfsMonitored(c.p, c.first, c.second)
+		cells = append(cells, oracleCell{fmt.Sprintf("fcfs-%s-n%d-%d,%d", c.p.Name, c.p.N, c.first, c.second), mp, []Invariant{inv}})
+	}
+	return cells
+}
+
+// TestCheckMatchesNaiveOracle cross-checks Check, sequentially and with the
+// parallel pre-pass, against the naive search on every oracle cell (full
+// search, exact store): same verdict, same state, transition and depth
+// counts — at the early stop of a violating run too, since both search in
+// the same order — and every counterexample replays, ends in a state
+// breaking the named invariant, and is as short as the oracle's BFS
+// distance to that state.
+func TestCheckMatchesNaiveOracle(t *testing.T) {
+	for _, cell := range oracleCells(t) {
+		p, invs := cell.p, cell.invs
+		want := naiveCheck(p, invs)
+		for _, workers := range []int{0, 2} {
+			t.Run(fmt.Sprintf("%s/w%d", cell.name, workers), func(t *testing.T) {
+				res := Check(p, Options{Invariants: invs, Workers: workers})
+				got := ""
+				if res.Violation != nil {
+					got = res.Violation.Invariant
+				}
+				if got != want.violated || res.Complete != (want.violated == "") {
+					t.Fatalf("verdict: Check violated %q (complete %v), oracle %q", got, res.Complete, want.violated)
+				}
+				if res.States != want.states || res.Transitions != want.transitions || res.Depth != want.depth {
+					t.Fatalf("Check (%d states, %d transitions, depth %d), oracle (%d, %d, %d)",
+						res.States, res.Transitions, res.Depth, want.states, want.transitions, want.depth)
+				}
+				if res.Violation == nil {
+					return
+				}
+				replayCounterexample(t, p, res.Violation, invs)
+				last := res.Violation.Trace.Init
+				if k := res.Violation.Trace.Len(); k > 0 {
+					last = res.Violation.Trace.Steps[k-1].State
+				}
+				if d := want.dist[naiveKey(last)]; res.Violation.Trace.Len() != d {
+					t.Fatalf("counterexample has %d steps, the oracle reaches its last state in %d", res.Violation.Trace.Len(), d)
+				}
+			})
 		}
 	}
 }
@@ -345,9 +379,11 @@ func naiveFairCycle(g naiveGraph, ok func(gcl.State) bool, avoid string, mustMov
 }
 
 // TestLivenessMatchesNaiveOracle cross-checks FindStarvation (pinned at the
-// spec's gate label, and active) and FindNoProgress, on the full graph and
-// on the symmetry quotient, against the naive lasso oracle for every
-// liveness parity cell at N <= 3.
+// spec's gate label, and active) and FindNoProgress on the dead-cursor-reset
+// graph against the naive lasso oracle, which searches the unreset graph,
+// for every liveness parity cell at N <= 3. A -symmetry request leaves the
+// graph unchanged (TestLivenessVerdictParityFullVsQuotient), so one graph
+// per cell is checked.
 func TestLivenessMatchesNaiveOracle(t *testing.T) {
 	for _, cell := range parityCells() {
 		if cell.cfg.N > 3 {
@@ -355,31 +391,21 @@ func TestLivenessMatchesNaiveOracle(t *testing.T) {
 		}
 		cell := cell
 		t.Run(fmt.Sprintf("%s-n%d-m%d", cell.algo, cell.cfg.N, cell.cfg.M), func(t *testing.T) {
-			mk := func() *gcl.Prog {
-				p, err := specs.Get(cell.algo, cell.cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return p
+			p, err := specs.Get(cell.algo, cell.cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			p := mk()
 			live := specs.LivenessOf(p)
 			oracle := naiveBuildGraph(p)
-			var graphs []*Graph
-			for _, sym := range []bool{false, true} {
-				g, err := BuildGraph(mk(), Options{Symmetry: sym})
-				if err != nil {
-					t.Fatal(err)
-				}
-				graphs = append(graphs, g)
+			g, err := BuildGraph(p, Options{})
+			if err != nil {
+				t.Fatal(err)
 			}
 			check := func(what string, want bool, got func(g *Graph) bool) {
 				t.Helper()
 				t.Logf("%s: oracle finds a cycle: %v", what, want)
-				for _, g := range graphs {
-					if got(g) != want {
-						t.Errorf("%s (quotient %v): engine found %v, oracle %v", what, g.Quotient(), !want, want)
-					}
+				if got(g) != want {
+					t.Errorf("%s: engine found %v, oracle %v", what, !want, want)
 				}
 			}
 

@@ -100,7 +100,7 @@ func CheckBoundedRefinement(impl, spec *gcl.Prog, opts RefinementOptions) (*Refi
 		return nil, err
 	}
 	r := &refiner{impl: impl, spec: spec, opts: opts,
-		beliefIDs: map[string]int{}, memo: newStateStore(impl, plan)}
+		beliefIDs: map[string]int{}, memo: newSeqStore(plan.Store)}
 	res := &RefinementResult{}
 
 	initBelief := r.tauClosure([]gcl.State{spec.InitState()})
@@ -188,16 +188,20 @@ type refiner struct {
 	beliefs    [][]gcl.State
 	beliefIDs  map[string]int
 	// memo maps (impl state, belief id) to the largest remaining event
-	// budget already explored, via the shared StateStore (the belief id
-	// rides as an extra key word). Refinement relates concrete pids on
-	// both sides, so the non-symmetric store is the right one.
-	memo StateStore
+	// budget already explored, keyed on the state with the belief id as
+	// one more word; memoKey is the buffer the key is built in, reused
+	// since Insert copies. Refinement relates concrete pids on both sides,
+	// so keys are concrete states.
+	memo    *seqStore
+	memoKey gcl.State
 }
 
 // memoize records the visit and reports whether exploration should proceed
 // (i.e. this pair was never seen with at least this much event budget).
 func (r *refiner) memoize(implState gcl.State, belief, remaining int) bool {
-	fp, key := r.memo.Prepare(implState, int32(belief))
+	key := append(append(r.memoKey[:0], implState...), int32(belief))
+	r.memoKey = key
+	fp := key.Fingerprint()
 	if prev, ok := r.memo.Lookup(fp, key); ok && int(prev) >= remaining {
 		return false
 	}
@@ -218,13 +222,13 @@ func (r *refiner) withinCeiling(s gcl.State) bool {
 // tauClosure expands a set of spec states with every state reachable by
 // internal (non-event) transitions, pruning above the ceiling.
 func (r *refiner) tauClosure(seed []gcl.State) []gcl.State {
-	seen := newStateStore(r.spec, Plan{})
+	seen := newSeqStore(StoreOptions{})
 	var out []gcl.State
 	var queue []gcl.State
 	push := func(s gcl.State) {
-		fp, key := seen.Prepare(s)
-		if _, dup := seen.Lookup(fp, key); !dup {
-			seen.Insert(fp, key, int32(len(out)))
+		fp := s.Fingerprint()
+		if _, dup := seen.Lookup(fp, s); !dup {
+			seen.Insert(fp, s, int32(len(out)))
 			out = append(out, s)
 			queue = append(queue, s)
 		}
@@ -252,16 +256,16 @@ func (r *refiner) tauClosure(seed []gcl.State) []gcl.State {
 // by exactly one occurrence of event ev.
 func (r *refiner) move(belief []gcl.State, ev string) []gcl.State {
 	var landed []gcl.State
-	seen := newStateStore(r.spec, Plan{})
+	seen := newSeqStore(StoreOptions{})
 	for _, s := range belief {
 		for _, sc := range r.spec.AllSuccs(s, gcl.ModeUnbounded) {
 			got := eventOf(r.spec, sc.Pid, r.spec.PCLabel(s, sc.Pid), r.spec.PCLabel(sc.State, sc.Pid))
 			if got != ev || !r.withinCeiling(sc.State) {
 				continue
 			}
-			fp, key := seen.Prepare(sc.State)
-			if _, dup := seen.Lookup(fp, key); !dup {
-				seen.Insert(fp, key, int32(len(landed)))
+			fp := sc.State.Fingerprint()
+			if _, dup := seen.Lookup(fp, sc.State); !dup {
+				seen.Insert(fp, sc.State, int32(len(landed)))
 				landed = append(landed, sc.State)
 			}
 		}

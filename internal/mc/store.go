@@ -1,45 +1,24 @@
 package mc
 
-// StateStore is the visited-set abstraction the product searches in this
-// package — the FCFS monitor product and the bounded-refinement memo —
-// route through. States are keyed by a 64-bit fingerprint and the rare
-// fingerprint collisions are resolved by comparing full key vectors, so
-// membership stays exact (unlike TLC's default trust-the-fingerprint
-// mode).
-//
-// The exact store (seqStore) is one open-addressed linear-probe table
-// (fpTable) of 8-byte slots free of Go pointers, each a fingerprint tag and
-// an index into a keySlab (keyslab.go) that holds the key vectors at a
+// The visited sets. The exact store is an fpTable (extendible hashing over
+// segments of 8-byte slots free of Go pointers, each a fingerprint tag and
+// an index) over a keySlab (keyslab.go) that holds the key vectors at a
 // fixed stride per block, headerless, packed four bits or one byte per word
 // while every word allows; a probe compares the unpacked key against the
-// packed entry. Under spill the slab's blocks are mapped from an mmap
-// arena (spill.go); nothing else changes. Check and BuildGraph do not go
-// through StateStore: they number their states in a keySlab of their own —
-// a state's number is its slab index — and probe an fpTable over it
-// directly, or, in the bitstate tier, the bit array (bitstateStore), so
-// each state is stored once in every tier. The store keeps a value column
-// for callers whose values are payloads. Fingerprints are computed over the
-// unpacked words, so packing changes no fingerprint in any tier. The exact
-// store takes no locks: every exploration loop uses its store from one
-// goroutine — in Check and BuildGraph the single-threaded merge, which
-// makes every lookup and insert, also in parallel mode, whose pre-pass
-// workers never touch the store. Its keying variants:
-//
-//   - symmetry-aware (Plan.Symmetry): Prepare canonicalizes the state
-//     before probing, so all states of one process-permutation orbit
-//     collapse onto a single entry. The store compares canonical keys; the
-//     engine keeps and expands the concrete, first-encountered
-//     representative, which is what keeps counterexample traces concrete
-//     and replayable — see docs/model-checking.md, "Symmetry reduction".
-//     That representative is not stored beside its key: the engine's slab
-//     entry carries the canonical key plus a tail with the witness
-//     permutation and the raw scan-cursor values, and the engine decodes
-//     the concrete state from them (gcl.Prog.Restore).
-//   - pinned-symmetry (Plan.Pinned): Prepare canonicalizes over the
-//     subgroup of permutations that fix the pinned pids, the keying the
-//     FCFS monitor product uses — the monitor distinguishes its (first,
-//     second) pair but is symmetric in everyone else. Extra key words (the
-//     monitor phase) are appended after the pinned-canonical state.
+// packed entry, so membership stays exact (unlike TLC's default
+// trust-the-fingerprint mode). Under spill the slab's blocks are mapped
+// from an mmap arena (spill.go); nothing else changes. Check and BuildGraph
+// number their states in a keySlab of their own — a state's number is its
+// slab index — and probe an fpTable over it directly, or, in the bitstate
+// tier, the bit array (bitstateStore), so each state is stored once in
+// every tier; under symmetry the key is the state's canonical
+// representative (see explorer). seqStore is the same table and slab with
+// a value column, the memo and dedup sets of the refinement search.
+// Fingerprints are computed over the unpacked words, so packing changes no
+// fingerprint in any tier. The exact store takes no locks: every user
+// probes it from one goroutine — in Check and BuildGraph the
+// single-threaded merge, which makes every lookup and insert, also in
+// parallel mode, whose pre-pass workers never touch the store.
 
 import (
 	"fmt"
@@ -48,67 +27,6 @@ import (
 
 	"bakerypp/internal/gcl"
 )
-
-// StateStore maps key states to int32 values (monitor/memo payloads for
-// the product searches) with fingerprint+Equal exactness.
-type StateStore interface {
-	// Prepare computes the probe for s: a fingerprint and the key state it
-	// was computed from. Non-symmetric stores key on s itself (no copy);
-	// the symmetry-aware store keys on the canonical representative of s's
-	// orbit. Optional extra words (a monitor phase, a belief id) are
-	// appended to the key; they are rejected by symmetry-aware stores.
-	// A store keys on one length: every caller passes the same number of
-	// extra words to a store (the exact store panics on a key of another
-	// length, and its Lookup misses one).
-	Prepare(s gcl.State, extra ...int32) (uint64, gcl.State)
-	// Lookup returns the value stored under key, if present. The exact
-	// store must be used from one goroutine; the bitstate store also
-	// tolerates concurrent Lookups and Inserts.
-	Lookup(fp uint64, key gcl.State) (int32, bool)
-	// Insert stores val under key, replacing any previous value. Stores
-	// that keep keys copy them, so the caller may reuse or overwrite key
-	// as soon as Insert returns.
-	Insert(fp uint64, key gcl.State, val int32)
-}
-
-// newStateStore builds the store variant a product search's plan needs.
-// Plan.Symmetry requires p.CanCanonicalize() and Plan.Pinned requires
-// p.CanTrackPerms(); planFor gates on those and falls back to the full
-// search otherwise. Plan.Store selects the tier: exact, with its slab on
-// the heap or spilled, or bitstate; planFor has already refused the lossy
-// tier for analyses that need exactness.
-func newStateStore(p *gcl.Prog, plan Plan) StateStore {
-	if plan.Store.Mode == StoreBitstate {
-		return newBitstateStore(p, plan)
-	}
-	return newSeqStore(p, plan)
-}
-
-// prepare implements Prepare's key derivation for every store tier. A
-// derived key (canonical, or carrying extra words) is a fresh allocation,
-// so callers may hold several prepared keys at once. The engines' hot paths do not come here:
-// they prepare probes in batches into per-worker scratch (prepSuccs), which
-// is safe because Insert copies whatever it keeps.
-func prepare(p *gcl.Prog, plan Plan, s gcl.State, extra []int32) (uint64, gcl.State) {
-	switch {
-	case plan.Symmetry:
-		if len(extra) > 0 {
-			panic("mc: symmetry-aware store cannot key on extra words")
-		}
-		c := p.Canonicalize(s)
-		return c.Fingerprint(), c
-	case plan.Pinned != nil:
-		c := p.CanonicalizePinned(s, plan.Pinned)
-		key := append(c, extra...)
-		return key.Fingerprint(), key
-	case len(extra) == 0:
-		return s.Fingerprint(), s
-	}
-	key := make(gcl.State, len(s)+len(extra))
-	copy(key, s)
-	copy(key[len(s):], extra)
-	return key.Fingerprint(), key
-}
 
 // fpEntry is one fpTable slot, 8 bytes with no Go pointers — eight slots
 // per cache line, and nothing for the collector to scan. The high 32 bits
@@ -308,20 +226,20 @@ func (seg fpSegment) place(e fpEntry) {
 	}
 }
 
-// seqStore is the exact store: one table, no locks. Its keys are of one
-// length (the keySlab's shape): Insert panics on a key of another length,
-// and Lookup misses it. vals holds the value of each slab entry.
+// seqStore maps keys to int32 values through one exact table, no locks.
+// Its keys are of one length (the keySlab's shape): Insert panics on a key
+// of another length, and Lookup misses it. vals holds the value of each
+// slab entry.
 type seqStore struct {
-	p    *gcl.Prog
-	plan Plan
 	slab keySlab
 	t    fpTable
 	vals []int32
 }
 
-func newSeqStore(p *gcl.Prog, plan Plan) *seqStore {
-	st := &seqStore{p: p, plan: plan}
-	st.slab.ar = spillArena(plan.Store)
+// newSeqStore returns an empty store whose slab spills as so says.
+func newSeqStore(so StoreOptions) *seqStore {
+	st := &seqStore{}
+	st.slab.ar = spillArena(so)
 	st.t.slab = &st.slab
 	return st
 }
@@ -340,10 +258,7 @@ func spillArena(so StoreOptions) *arena {
 	return ar
 }
 
-func (st *seqStore) Prepare(s gcl.State, extra ...int32) (uint64, gcl.State) {
-	return prepare(st.p, st.plan, s, extra)
-}
-
+// Lookup returns the value stored under key, if present.
 func (st *seqStore) Lookup(fp uint64, key gcl.State) (int32, bool) {
 	if !st.slab.fits(len(key), 0) {
 		return -1, false
@@ -354,6 +269,8 @@ func (st *seqStore) Lookup(fp uint64, key gcl.State) (int32, bool) {
 	return -1, false
 }
 
+// Insert stores val under key, replacing any previous value. It copies
+// key, so the caller may reuse it as soon as Insert returns.
 func (st *seqStore) Insert(fp uint64, key gcl.State, val int32) {
 	st.slab.mustFit(len(key), 0)
 	w := widthOf(key)
@@ -382,8 +299,6 @@ const hiSeedBase = 0x243f6a8885a308d3
 // bit sets use CAS, probes use atomic loads, so it is concurrent-safe for
 // any engine phase discipline.
 type bitstateStore struct {
-	p       *gcl.Prog
-	plan    Plan
 	seed    uint64
 	k       int
 	mask    uint64
@@ -393,14 +308,11 @@ type bitstateStore struct {
 	entries atomic.Int64
 }
 
-func newBitstateStore(p *gcl.Prog, plan Plan) *bitstateStore {
-	bits := uint64(1) << plan.Store.BitstateLog2
-	return &bitstateStore{p: p, plan: plan, seed: plan.Store.Seed,
-		k: plan.Store.BitstateHashes, mask: bits - 1, words: make([]uint64, bits/64)}
-}
-
-func (st *bitstateStore) Prepare(s gcl.State, extra ...int32) (uint64, gcl.State) {
-	return prepare(st.p, st.plan, s, extra)
+// newBitstateStore returns an empty bit array sized and seeded as so says.
+func newBitstateStore(so StoreOptions) *bitstateStore {
+	bits := uint64(1) << so.BitstateLog2
+	return &bitstateStore{seed: so.Seed, k: so.BitstateHashes, mask: bits - 1,
+		words: make([]uint64, bits/64)}
 }
 
 // indices yields the k bit positions for a probe via double hashing:
@@ -420,6 +332,8 @@ func (st *bitstateStore) indices(fp uint64, key gcl.State, visit func(word, bit 
 	}
 }
 
+// Lookup reports whether every bit of key is set; the value is always -1.
+// Safe to race with Lookup and Insert.
 func (st *bitstateStore) Lookup(fp uint64, key gcl.State) (int32, bool) {
 	st.probes.Add(1)
 	all := true
@@ -436,6 +350,8 @@ func (st *bitstateStore) Lookup(fp uint64, key gcl.State) (int32, bool) {
 	return -1, true
 }
 
+// Insert sets key's bits; the value is dropped. Safe to race with Lookup
+// and Insert.
 func (st *bitstateStore) Insert(fp uint64, key gcl.State, _ int32) {
 	fresh := int64(0)
 	st.indices(fp, key, func(word, bit uint64) bool {

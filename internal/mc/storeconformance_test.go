@@ -1,13 +1,15 @@
 package mc
 
-// The store-conformance suite: every StateStore implementation behind
-// newStateStore — seq, symmetry-keyed, pinned-keyed, spill, bitstate — is
-// pushed through one shared contract (insert/lookup idempotence, value
-// stability, Insert copying the caller's key, concurrent lookups and, for
-// the lock-free bitstate tier, concurrent inserts under -race) and, at the
-// engine level, through a verdict-parity matrix against the exact store on
-// every registered specification. The companion fuzz target lives in
-// storefuzz_test.go, the lossy-refusal tests in storegate_test.go.
+// The store-conformance suite: both store types — the exact seqStore, in
+// the heap and spilled, and the lossy bitstateStore — are pushed through
+// one shared contract (insert/lookup idempotence, value stability, Insert
+// copying the caller's key, concurrent lookups and, for the lock-free
+// bitstate tier, concurrent inserts under -race), the exact store also
+// under the canonical keys the engine probes with under Plan.Symmetry and
+// Plan.Pinned; and, at the engine level, through a verdict-parity matrix
+// against the exact store on every registered specification. The companion
+// fuzz targets live in storefuzz_test.go, the lossy-refusal tests in
+// storegate_test.go.
 
 import (
 	"fmt"
@@ -20,22 +22,42 @@ import (
 	"bakerypp/internal/specs"
 )
 
-// storeVariant is one conformance row: how to build the store and which
-// optional contract clauses apply to it.
+// visitedSet is the probe surface both store types offer.
+type visitedSet interface {
+	Lookup(fp uint64, key gcl.State) (int32, bool)
+	Insert(fp uint64, key gcl.State, val int32)
+}
+
+// storeVariant is one conformance row: the store's tier, how a state
+// becomes its key, and which optional contract clauses apply.
 type storeVariant struct {
 	name string
-	plan Plan
+	so   StoreOptions
+	// key returns s's store key, a fresh vector: s itself, or its
+	// canonical representative as the engine keys it under symmetry. Safe
+	// for concurrent use.
+	key func(s gcl.State) gcl.State
 	// values: Lookup returns the inserted value (false for bitstate,
 	// which answers membership only).
 	values bool
-	// extras: Prepare accepts extra key words (false for the full-orbit
-	// symmetry store, which panics on them by contract). A store keys on
-	// one length, so the contract feeds extras to a store of their own.
-	extras bool
 	// concurrent: Insert may race with Insert/Lookup (false for the exact
-	// store and its keyings, spilled or not, which take no locks; every
-	// variant takes racing Lookups).
+	// store, spilled or not, which takes no locks; every variant takes
+	// racing Lookups).
 	concurrent bool
+}
+
+// newStore builds an empty store of v's tier.
+func (v storeVariant) newStore() visitedSet {
+	if v.so.Mode == StoreBitstate {
+		return newBitstateStore(v.so)
+	}
+	return newSeqStore(v.so)
+}
+
+// probe returns the fingerprint and key v's store is probed with for s.
+func (v storeVariant) probe(s gcl.State) (uint64, gcl.State) {
+	k := v.key(s)
+	return k.Fingerprint(), k
 }
 
 // mustStore parses a -store spec into normalized StoreOptions.
@@ -48,15 +70,18 @@ func mustStore(t *testing.T, spec string) StoreOptions {
 	return so
 }
 
-func storeVariants(t *testing.T) []storeVariant {
+func storeVariants(t *testing.T, p *gcl.Prog) []storeVariant {
 	t.Helper()
 	exact := mustStore(t, "exact")
+	concrete := func(s gcl.State) gcl.State { return p.Clone(s) }
 	return []storeVariant{
-		{"seq", Plan{Store: exact}, true, true, false},
-		{"symmetry", Plan{Symmetry: true, Store: exact}, true, false, false},
-		{"pinned", Plan{Pinned: []int{0, 1}, Store: exact}, true, true, false},
-		{"spill", Plan{Store: mustStore(t, "exact,spill")}, true, true, false},
-		{"bitstate", Plan{Store: mustStore(t, "bitstate")}, false, true, true},
+		{"seq", exact, concrete, true, false},
+		{"symmetry", exact, p.Canonicalize, true, false},
+		{"pinned", exact, func(s gcl.State) gcl.State {
+			return p.Clone(p.NewPinnedCanonicalizer([]int{0, 1}).Canonicalize(s))
+		}, true, false},
+		{"spill", mustStore(t, "exact,spill"), concrete, true, false},
+		{"bitstate", mustStore(t, "bitstate"), concrete, false, true},
 	}
 }
 
@@ -69,7 +94,7 @@ func conformanceProg() *gcl.Prog {
 
 // reachableStates collects up to limit distinct reachable states of p by
 // breadth-first search — real, well-formed key material for every store
-// variant (the canonicalizing stores reject arbitrary word vectors).
+// variant (canonicalization rejects arbitrary word vectors).
 func reachableStates(p *gcl.Prog, limit int) []gcl.State {
 	key := func(s gcl.State) string { return fmt.Sprint([]int32(s)) }
 	init := p.InitState()
@@ -93,16 +118,15 @@ func reachableStates(p *gcl.Prog, limit int) []gcl.State {
 	return out
 }
 
-// dedupeByKey filters states down to one representative per prepared
-// key, under st's own keying. The symmetry-aware variants merge whole
-// orbits onto one key by design, so contract clauses about per-key value
-// stability must not feed them two orbit-mates and expect two entries.
-func dedupeByKey(st StateStore, states []gcl.State) []gcl.State {
+// dedupeByKey filters states down to one representative per key under
+// v's keying. The orbit-keyed variants merge whole orbits onto one key by
+// design, so contract clauses about per-key value stability must not feed
+// them two orbit-mates and expect two entries.
+func dedupeByKey(v storeVariant, states []gcl.State) []gcl.State {
 	seen := map[string]bool{}
 	out := make([]gcl.State, 0, len(states))
 	for _, s := range states {
-		_, key := st.Prepare(s)
-		k := fmt.Sprint([]int32(key))
+		k := fmt.Sprint([]int32(v.key(s)))
 		if seen[k] {
 			continue
 		}
@@ -112,28 +136,34 @@ func dedupeByKey(st StateStore, states []gcl.State) []gcl.State {
 	return out
 }
 
+// withWord returns key with one more word, a fresh vector: the shape of
+// the refinement memo's keys, a state plus its belief id.
+func withWord(key gcl.State, w int32) gcl.State {
+	return append(key[:len(key):len(key)], w)
+}
+
 // TestStoreConformanceContract runs the single-threaded contract clauses
 // against every variant: a fresh store misses, Insert does not keep the
-// caller's key buffer, Prepare is a pure function of the state,
+// caller's key buffer, the keying is a pure function of the state,
 // insert→lookup round-trips, re-insert is idempotent, value replacement
-// sticks, and on a store keyed with extras, distinct extra words open
-// separate key spaces. Lossy stores must satisfy all of it too — their failure mode is
-// false HITS across distinct states (covered probabilistically by the
-// parity matrix and the fuzz target), never a false miss of an inserted
-// key.
+// sticks, and on a store of keys carrying one more word, distinct words
+// open separate key spaces. Lossy stores must satisfy all of it too —
+// their failure mode is false HITS across distinct states (covered
+// probabilistically by the parity matrix and the fuzz target), never a
+// false miss of an inserted key.
 func TestStoreConformanceContract(t *testing.T) {
 	p := conformanceProg()
 	allStates := reachableStates(p, 512)
 	if len(allStates) < 512 {
 		t.Fatalf("key source too small: %d reachable states", len(allStates))
 	}
-	for _, v := range storeVariants(t) {
+	for _, v := range storeVariants(t, p) {
 		t.Run(v.name, func(t *testing.T) {
-			st := newStateStore(p, v.plan)
-			states := dedupeByKey(st, allStates)
+			st := v.newStore()
+			states := dedupeByKey(v, allStates)
 			// Empty store: every probe misses.
 			for _, s := range states[:32] {
-				fp, key := st.Prepare(s)
+				fp, key := v.probe(s)
 				if _, ok := st.Lookup(fp, key); ok {
 					t.Fatalf("empty store reported a hit for %v", s)
 				}
@@ -142,9 +172,9 @@ func TestStoreConformanceContract(t *testing.T) {
 			// after which the original content still hits and the new one
 			// misses (checked on a fresh store, so nothing else is in it).
 			{
-				own := newStateStore(p, v.plan)
-				fpA, keyA := own.Prepare(states[0])
-				fpB, keyB := own.Prepare(states[1])
+				own := v.newStore()
+				fpA, keyA := v.probe(states[0])
+				fpB, keyB := v.probe(states[1])
 				buf := append(gcl.State(nil), keyA...)
 				own.Insert(fpA, buf, 1)
 				copy(buf, keyB)
@@ -155,19 +185,19 @@ func TestStoreConformanceContract(t *testing.T) {
 					t.Fatal("overwriting the caller's key after Insert made its new content hit")
 				}
 			}
-			// Prepare is deterministic: same state, same probe.
-			fp0, key0 := st.Prepare(states[0])
-			fp1, key1 := st.Prepare(states[0])
+			// The keying is deterministic: same state, same probe.
+			fp0, key0 := v.probe(states[0])
+			fp1, key1 := v.probe(states[0])
 			if fp0 != fp1 || !key0.Equal(key1) {
-				t.Fatal("Prepare is not a pure function of the state")
+				t.Fatal("the key is not a pure function of the state")
 			}
 			// Insert → lookup, for every state, with per-state values.
 			for i, s := range states {
-				fp, key := st.Prepare(s)
+				fp, key := v.probe(s)
 				st.Insert(fp, key, int32(i))
 			}
 			for i, s := range states {
-				fp, key := st.Prepare(s)
+				fp, key := v.probe(s)
 				val, ok := st.Lookup(fp, key)
 				if !ok {
 					t.Fatalf("state %d missing after insert (false miss)", i)
@@ -177,12 +207,12 @@ func TestStoreConformanceContract(t *testing.T) {
 				}
 			}
 			// Re-insert with the same value is idempotent.
-			fp, key := st.Prepare(states[7])
+			fp, key := v.probe(states[7])
 			st.Insert(fp, key, 7)
 			if val, ok := st.Lookup(fp, key); !ok || (v.values && val != 7) {
 				t.Fatalf("re-insert broke the entry: (%d, %v)", val, ok)
 			}
-			// Insert replaces the previous value (interface contract).
+			// Insert replaces the previous value.
 			if v.values {
 				st.Insert(fp, key, 9001)
 				if val, _ := st.Lookup(fp, key); val != 9001 {
@@ -191,26 +221,20 @@ func TestStoreConformanceContract(t *testing.T) {
 				st.Insert(fp, key, 7) // restore
 			}
 			// Distinct extra key words address disjoint key spaces, on a
-			// store keyed with extras throughout (a store keys on one
-			// length).
-			if v.extras {
-				xs := newStateStore(p, v.plan)
-				fpX, keyX := xs.Prepare(states[7], 42)
-				fpY, keyY := xs.Prepare(states[7], 43)
-				if fpX == fpY && keyX.Equal(keyY) {
-					t.Fatal("probes under extra words 42 and 43 are one key")
-				}
-				xs.Insert(fpX, keyX, 1042)
-				if _, ok := xs.Lookup(fpY, keyY); ok {
-					t.Fatal("extra-word key hit before its own insert")
-				}
-				xs.Insert(fpY, keyY, 1043)
-				if val, ok := xs.Lookup(fpX, keyX); !ok || (v.values && val != 1042) {
-					t.Fatalf("entry under extra word 42 lost or disturbed: (%d, %v)", val, ok)
-				}
-				if val, ok := xs.Lookup(fpY, keyY); !ok || (v.values && val != 1043) {
-					t.Fatalf("entry under extra word 43 lost: (%d, %v)", val, ok)
-				}
+			// store of such keys throughout (a store keys on one length).
+			xs := v.newStore()
+			keyX, keyY := withWord(key, 42), withWord(key, 43)
+			fpX, fpY := keyX.Fingerprint(), keyY.Fingerprint()
+			xs.Insert(fpX, keyX, 1042)
+			if _, ok := xs.Lookup(fpY, keyY); ok {
+				t.Fatal("extra-word key hit before its own insert")
+			}
+			xs.Insert(fpY, keyY, 1043)
+			if val, ok := xs.Lookup(fpX, keyX); !ok || (v.values && val != 1042) {
+				t.Fatalf("entry under extra word 42 lost or disturbed: (%d, %v)", val, ok)
+			}
+			if val, ok := xs.Lookup(fpY, keyY); !ok || (v.values && val != 1043) {
+				t.Fatalf("entry under extra word 43 lost: (%d, %v)", val, ok)
 			}
 		})
 	}
@@ -222,10 +246,12 @@ func TestStoreConformanceContract(t *testing.T) {
 // it rather than reading a neighbouring entry.
 func TestSeqStoreOneKeyLength(t *testing.T) {
 	p := conformanceProg()
-	st := newStateStore(p, Plan{})
-	fp, key := st.Prepare(p.InitState())
+	st := newSeqStore(StoreOptions{})
+	key := p.InitState()
+	fp := key.Fingerprint()
 	st.Insert(fp, key, 1)
-	fpX, keyX := st.Prepare(p.InitState(), 42)
+	keyX := withWord(key, 42)
+	fpX := keyX.Fingerprint()
 	if _, ok := st.Lookup(fpX, keyX); ok {
 		t.Fatal("lookup of a longer key hit")
 	}
@@ -242,10 +268,10 @@ func TestSeqStoreOneKeyLength(t *testing.T) {
 	st.Insert(fpX, keyX, 2)
 }
 
-// TestStoreConformanceOrbitKeying pins the symmetry variants' defining
-// property on top of the shared contract: orbit-mates prepare to one key
-// (full symmetry), while the pinned variant keeps the pinned pids
-// distinct and only merges the rest.
+// TestStoreConformanceOrbitKeying pins the keys the engine probes its
+// store with under the two symmetry plans: orbit-mates canonicalize to
+// one key under full symmetry, while the pinned canonicalizer keeps the
+// pinned pids distinct and only merges the rest.
 func TestStoreConformanceOrbitKeying(t *testing.T) {
 	p := conformanceProg()
 	base := p.InitState()
@@ -254,20 +280,15 @@ func TestStoreConformanceOrbitKeying(t *testing.T) {
 	b := p.Clone(base)
 	p.SetShared(b, "number", 2, 2) // orbit-mate: process 2 holds it
 
-	sym := newStateStore(p, Plan{Symmetry: true, Store: StoreOptions{}})
-	fpA, keyA := sym.Prepare(a)
-	fpB, keyB := sym.Prepare(b)
-	if fpA != fpB || !keyA.Equal(keyB) {
-		t.Fatal("full-symmetry store must merge orbit-mates onto one key")
+	if !p.Canonicalize(a).Equal(p.Canonicalize(b)) {
+		t.Fatal("full symmetry must merge orbit-mates onto one key")
 	}
 
 	// Pinning 1 and 2 keeps them apart: swapping their roles is no longer
-	// in the subgroup the pinned store canonicalizes over.
-	pinned := newStateStore(p, Plan{Pinned: []int{1, 2}, Store: StoreOptions{}})
-	fpA, keyA = pinned.Prepare(a)
-	fpB, keyB = pinned.Prepare(b)
-	if fpA == fpB && keyA.Equal(keyB) {
-		t.Fatal("pinned store merged states that differ on a pinned pid")
+	// in the subgroup the pinned canonicalizer works over.
+	pinned := p.NewPinnedCanonicalizer([]int{1, 2})
+	if keyA := p.Clone(pinned.Canonicalize(a)); keyA.Equal(pinned.Canonicalize(b)) {
+		t.Fatal("pinned canonicalization merged states that differ on a pinned pid")
 	}
 }
 
@@ -283,16 +304,16 @@ func TestStoreConformanceConcurrent(t *testing.T) {
 	p := conformanceProg()
 	allStates := reachableStates(p, 1024)
 	const writers = 8
-	for _, v := range storeVariants(t) {
+	for _, v := range storeVariants(t, p) {
 		t.Run(v.name, func(t *testing.T) {
-			st := newStateStore(p, v.plan)
-			states := dedupeByKey(st, allStates)
+			st := v.newStore()
+			states := dedupeByKey(v, allStates)
 			// Phase 0: racing readers of a store nobody writes, holding the
 			// even-indexed states. Inserted states must hit with their
 			// values; the others must miss, except in the lossy tiers,
 			// whose false hits the parity matrix and fuzz target bound.
 			for i := 0; i < len(states); i += 2 {
-				fp, key := st.Prepare(states[i])
+				fp, key := v.probe(states[i])
 				st.Insert(fp, key, int32(i))
 			}
 			var wg sync.WaitGroup
@@ -301,13 +322,13 @@ func TestStoreConformanceConcurrent(t *testing.T) {
 				go func(r int) {
 					defer wg.Done()
 					for i := range states {
-						fp, key := st.Prepare(states[i])
+						fp, key := v.probe(states[i])
 						val, ok := st.Lookup(fp, key)
 						if i%2 == 0 && (!ok || (v.values && val != int32(i))) {
 							t.Errorf("reader %d: inserted state %d reads (%d, %v)", r, i, val, ok)
 							return
 						}
-						if i%2 == 1 && ok && !v.plan.Store.Lossy() {
+						if i%2 == 1 && ok && !v.so.Lossy() {
 							t.Errorf("reader %d: state %d hit before its insert", r, i)
 							return
 						}
@@ -324,7 +345,7 @@ func TestStoreConformanceConcurrent(t *testing.T) {
 				go func(w int) {
 					defer wg.Done()
 					for i := w; i < len(states); i += writers {
-						fp, key := st.Prepare(states[i])
+						fp, key := v.probe(states[i])
 						st.Insert(fp, key, int32(i))
 						if val, ok := st.Lookup(fp, key); !ok || (v.values && val != int32(i)) {
 							t.Errorf("writer %d: own insert of state %d not visible: (%d, %v)", w, i, val, ok)
@@ -336,7 +357,7 @@ func TestStoreConformanceConcurrent(t *testing.T) {
 				go func(w int) {
 					defer wg.Done()
 					for i := range states {
-						fp, key := st.Prepare(states[i])
+						fp, key := v.probe(states[i])
 						if val, ok := st.Lookup(fp, key); ok && v.values && val != int32(i) {
 							t.Errorf("reader %d: state %d present with foreign value %d", w, i, val)
 							return
@@ -356,14 +377,14 @@ func TestStoreConformanceConcurrent(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for i, s := range states[:128] {
-						fp, key := st.Prepare(s)
+						fp, key := v.probe(s)
 						st.Insert(fp, key, int32(i))
 					}
 				}()
 			}
 			wg.Wait()
 			for i, s := range states {
-				fp, key := st.Prepare(s)
+				fp, key := v.probe(s)
 				val, ok := st.Lookup(fp, key)
 				if !ok {
 					t.Fatalf("state %d lost after concurrent phase", i)

@@ -77,7 +77,7 @@ func FuzzBitstateCoverageBound(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := newBitstateStore(conformanceProg(), Plan{Store: so})
+		st := newBitstateStore(so)
 		// Insert the first half; the second half stays fresh so observed
 		// false hits (the omission mechanism) can be counted against the
 		// reported bound.
@@ -85,13 +85,13 @@ func FuzzBitstateCoverageBound(f *testing.F) {
 		fresh := keys[(len(keys)+1)/2:]
 		probes := 0
 		for i, key := range ins {
-			fp, pk := st.Prepare(key)
+			fp, pk := key.Fingerprint(), key
 			st.Lookup(fp, pk) // engines probe before inserting
 			probes++
 			st.Insert(fp, pk, int32(i))
 		}
 		for i, key := range ins {
-			fp, pk := st.Prepare(key)
+			fp, pk := key.Fingerprint(), key
 			if _, ok := st.Lookup(fp, pk); !ok {
 				t.Fatalf("false miss: key %d (%v) inserted but not found (seed %d, w %d, k %d)",
 					i, key, seed, so.BitstateLog2, so.BitstateHashes)
@@ -100,7 +100,7 @@ func FuzzBitstateCoverageBound(f *testing.F) {
 		}
 		falseHits := 0
 		for _, key := range fresh {
-			fp, pk := st.Prepare(key)
+			fp, pk := key.Fingerprint(), key
 			if _, ok := st.Lookup(fp, pk); ok {
 				falseHits++
 			}
@@ -168,7 +168,7 @@ func FuzzFpTableSplits(f *testing.F) {
 		}
 		key := func(j int) gcl.State { return gcl.State{int32(j & 0xff), int32(j >> 8)} }
 		distinct := max(count*3/4, 1)
-		st := newSeqStore(nil, Plan{})
+		st := newSeqStore(StoreOptions{})
 		oracle := map[int]int32{}
 		for i := 0; i < count; i++ {
 			j := i % distinct

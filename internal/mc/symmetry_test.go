@@ -252,48 +252,3 @@ func TestSymmetryCrashHandling(t *testing.T) {
 		t.Fatalf("disabled reduction must match the full search: %d vs %d", sub.States, fullSub.States)
 	}
 }
-
-// TestStateStoreBasics exercises the store implementations directly:
-// fingerprint+Equal exactness, overwrite semantics, extra key words, and
-// the canonical keying of the symmetry-aware variant.
-func TestStateStoreBasics(t *testing.T) {
-	p := specs.BakeryPP(specs.Config{N: 3, M: 2})
-	s1 := p.InitState()
-	s2 := p.Clone(s1)
-	p.SetShared(s2, "number", 1, 2)
-	s3 := p.Clone(s1)
-	p.SetShared(s3, "number", 2, 2) // orbit-mate of s2
-	st := newStateStore(p, Plan{})
-	fp1, k1 := st.Prepare(s1)
-	if _, ok := st.Lookup(fp1, k1); ok {
-		t.Fatal("empty store reported a hit")
-	}
-	st.Insert(fp1, k1, 0)
-	if v, ok := st.Lookup(fp1, k1); !ok || v != 0 {
-		t.Fatalf("lookup after insert = (%d, %v)", v, ok)
-	}
-	st.Insert(fp1, k1, 7) // overwrite
-	if v, _ := st.Lookup(fp1, k1); v != 7 {
-		t.Fatalf("overwrite did not take: %d", v)
-	}
-	fp2, k2 := st.Prepare(s2)
-	if _, ok := st.Lookup(fp2, k2); ok {
-		t.Fatal("distinct state reported present")
-	}
-	// Extra key words distinguish otherwise-equal states.
-	fpA, kA := st.Prepare(s1, 1)
-	if _, ok := st.Lookup(fpA, kA); ok {
-		t.Fatal("extra-word key collided with the bare key")
-	}
-
-	sym := newStateStore(p, Plan{Symmetry: true})
-	fpS2, kS2 := sym.Prepare(s2)
-	fpS3, kS3 := sym.Prepare(s3)
-	if fpS2 != fpS3 || !kS2.Equal(kS3) {
-		t.Fatal("orbit-mates must prepare to the same canonical key")
-	}
-	sym.Insert(fpS2, kS2, 4)
-	if v, ok := sym.Lookup(fpS3, kS3); !ok || v != 4 {
-		t.Fatal("orbit-mate lookup missed")
-	}
-}

@@ -169,7 +169,7 @@ func TestCanonicalizeAgainstOracle(t *testing.T) {
 			for _, s := range states {
 				for _, pinned := range [][]int{nil, {0}, {n - 1}, {0, n - 1}} {
 					best, witness := oracleCanon(p, s, pinned)
-					if got := p.CanonicalizePinned(s, pinned); !got.Equal(best) {
+					if got := p.NewPinnedCanonicalizer(pinned).Canonicalize(s); !got.Equal(best) {
 						t.Fatalf("%s N=%d pinned %v: canonical of %s is %v, want %v",
 							b.name, n, pinned, p.Format(s), got, best)
 					}
