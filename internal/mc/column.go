@@ -1,7 +1,8 @@
 package mc
 
-// column is an append-only per-state column of the engine (the parents):
-// entries sit in fixed pages of columnPage entries, each allocated once and never copied.
+// column is an append-only column of the engine (a graph's edges and
+// offsets, the parent column's stream words and samples): entries sit in
+// fixed pages of columnPage entries, each allocated once and never copied.
 // A growing column therefore costs one page allocation per columnPage
 // entries instead of a growslice copy of everything stored so far, and
 // never holds two copies of itself at once. Indexing masks into a fixed-size

@@ -34,16 +34,17 @@ import (
 // Blocks grow geometrically and are never copied. Block 0 holds 2^first
 // entries, about keySlabFirst words at byte width, and block b holds
 // 2^(first+b), each doubling the one before, up to 2^shift entries, the
-// most that fit keySlabBlock words (1 MiB) at byte width — a nibble block
-// takes about half of that and a raw one up to four times it; every later
-// block holds 2^shift too. locate finds an index's block from its bit
-// length. The many short-lived stores of the refinement search so cost
-// kilobytes, not a megabyte each, and the open block's unused capacity is
-// at most 2^first more than the entries stored before it, and never more
-// than a full block. Whoever holds indices (table slots,
-// the engine's parent column) holds no Go pointers, and the collector sees
-// one pointer per block instead of one per vector. The table keeps index+1
-// in 32 bits, so no index exceeds 2^32-2.
+// most that fit keySlabBlock words (128 KiB) at byte width — a nibble
+// block takes about half of that and a raw one up to four times it; every
+// later block holds 2^shift too. locate finds an index's block from its
+// bit length. The many short-lived stores of the refinement search so
+// cost kilobytes each, and the open block's unused capacity is at most
+// 2^first more than the entries stored before it, and never more than a
+// full block: 64 KiB for the two-word nibble entries of N=4, all of it
+// counted as heap. Whoever holds indices (table slots, the engine's
+// parent column) holds no Go pointers, and the collector sees one pointer
+// per block instead of one per vector. The table keeps index+1 in 32
+// bits, so no index exceeds 2^32-2.
 //
 // A block, once opened, keeps its memory: only a widening builds a new
 // block, at most twice per slab, and it leaves the old one as it is, so a
@@ -92,9 +93,14 @@ const (
 )
 
 const (
-	// keySlabBlockLog2 sizes a full block at byte width: at most 2^18
-	// words = 1 MiB.
-	keySlabBlockLog2 = 18
+	// keySlabBlockLog2 sizes a full block at byte width: at most 2^15
+	// words = 128 KiB. Smaller caps shave the open block's slack further
+	// (perfbench safety-full peak heap 4.03 MB at 2^17, 3.90 at 2^16, 3.84
+	// at 2^15, 3.81 at 2^14, 3.78 at 2^13) at more, smaller blocks; 2^15
+	// keeps the nibble blocks of N=4 and N=5 at 64 and 48 KiB, large
+	// objects of their own, and the unreduced N=5 slab (69.4M states) at
+	// about 17,000 blocks.
+	keySlabBlockLog2 = 15
 	keySlabBlock     = 1 << keySlabBlockLog2
 	// keySlabMaxEntries bounds the entry count: indices run to 2^32-2.
 	keySlabMaxEntries = 1<<32 - 1

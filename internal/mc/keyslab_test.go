@@ -164,8 +164,9 @@ func checkSlabBlocks(t *testing.T, s *keySlab) {
 // TestKeySlabBlockBoundary fills past several full blocks, at each width:
 // entry i sits at its position in its block (locate) × the block's stride,
 // so none straddles; the blocks grow geometrically from about keySlabFirst
-// words to 2^shift entries, the most a power of two fits in 1 MiB at byte
-// width, and are never copied; and indices address the right block.
+// words to 2^shift entries, the most a power of two fits in keySlabBlock
+// words (128 KiB) at byte width, and are never copied; and indices address
+// the right block.
 func TestKeySlabBlockBoundary(t *testing.T) {
 	const n = 37
 	for w, key := range []func(i, n int) gcl.State{nibbleKey, byteKey, slabKey} {
@@ -204,8 +205,9 @@ func TestKeySlabBlockBoundary(t *testing.T) {
 }
 
 // presetFull makes every block of s before the one holding index i share
-// one full-size block, so a test reaches the top indices allocating 1 MiB,
-// not 16 GiB; the blocks hold nothing a test reads. It returns that block.
+// one full-size block, so a test reaches the top indices allocating
+// 128 KiB, not 16 GiB; the blocks hold nothing a test reads. It returns
+// that block.
 func presetFull(s *keySlab, i uint32) []int32 {
 	full := make([]int32, s.stride<<s.shift)
 	b, j := s.locate(i)
@@ -382,8 +384,9 @@ func TestSymmetricSlabFootprint(t *testing.T) {
 // through eight rounds of splits under chosen fingerprints. Keys come in
 // groups of four that share one tag and so one home slot: two of them
 // share the whole 64-bit fingerprint, the other two differ from it in the
-// low 32 bits. The slab is preset so that every block but its last two is
-// taken (presetFull), and the last key lands at the top index, 2^32-2,
+// low 32 bits. The slab is preset so that every block before the one
+// holding index 2^32-2-2^18 is taken (presetFull), so at least 2^18 keys go
+// in, whatever the block size, and the last lands at the top index, 2^32-2,
 // under fingerprint 0, the slot word closest to the empty one. Every key
 // must come back with its index, and absent keys — byte keys past every
 // inserted one, and wide keys, which a byte slab cannot hold — must miss
@@ -393,7 +396,7 @@ func TestSymmetricSlabFootprint(t *testing.T) {
 func TestFpTableAdversarialFingerprints(t *testing.T) {
 	slab := &keySlab{shaped: true, keyLen: 3}
 	slab.layout()
-	presetFull(slab, keySlabMaxEntries-1-1<<slab.shift)
+	presetFull(slab, keySlabMaxEntries-1-1<<18)
 	tab := &fpTable{slab: slab}
 	fp := func(i int) uint64 {
 		base := gcl.State{int32(i / 4)}.Fingerprint()
@@ -668,6 +671,24 @@ func TestStoreGrowthCopiesNothing(t *testing.T) {
 	}
 }
 
+// TestStoreBytesPerState caps the exact store's capacity on bakery N=4
+// M=4, run to its overflow at 197,655 states: slab blocks, table and
+// parent column (storeBytes) take at most 20 bytes per state. They take
+// about 19.4: the slab 8.3 (two-word nibble entries plus the open block's
+// slack), the table 10.7 and the parent column 0.4. Parents at one int32
+// each (23.0) or slab blocks of up to 2^18 words (21.7) fail the cap.
+func TestStoreBytesPerState(t *testing.T) {
+	e := exploreToStop(t, specs.Bakery(specs.Config{N: 4, M: 4}), Options{})
+	n, store := e.numStates(), storeBytes(e)
+	t.Logf("%d states, store %d bytes, %.2f per state", n, store, float64(store)/float64(n))
+	if n != 197655 {
+		t.Fatalf("stopped at %d states, want the overflow at 197655", n)
+	}
+	if store > 20*n {
+		t.Errorf("store of %d bytes for %d states: %.2f per state, over 20", store, n, float64(store)/float64(n))
+	}
+}
+
 // storeBytes returns the capacity of e's store in bytes: its slab blocks,
 // its table's segments, segment records, directory and scratch, and its
 // parent column.
@@ -683,7 +704,7 @@ func storeBytes(e *explorer) int {
 			n += 8 * fpSegSlots
 		}
 	}
-	return n + len(e.parent.pages)*columnPage*4
+	return n + len(e.parent.words.pages)*columnPage*8 + len(e.parent.samples.pages)*columnPage*4
 }
 
 // exploreToStop runs a safety check of p (mutual exclusion, no overflow)
@@ -841,11 +862,12 @@ func TestArenaBlocks(t *testing.T) {
 	ar.block(chunk + 1)
 }
 
-// testKeySlabMixedBlocks fills a slab whose long tails leave 128 entries
-// per block with nibble vectors for a block and a half, then byte vectors,
-// then raw ones, each width arriving partway into a block. The open block
-// is re-encoded at each widening and every full block keeps the width it
-// opened at, so the slab ends with nibble, byte and raw blocks. Every
+// testKeySlabMixedBlocks fills a slab whose long tails leave 16 entries
+// per block with nibble vectors for fourteen blocks and most of a
+// fifteenth, then byte vectors, then raw ones, each width arriving partway
+// into a block. The open block is re-encoded at each widening and every
+// full block keeps the width it opened at, so the slab ends with nibble,
+// byte and raw blocks. Every
 // entry must decode, with its tail, through the slab and through the entry
 // taken when it was appended, and match exactly the vectors Equal to it,
 // in blocks of every width.
@@ -873,13 +895,15 @@ func testKeySlabMixedBlocks(t *testing.T, s *keySlab) {
 		tl[0], tl[tail-1] = int32(i), int32(-i)
 		early = append(early, s.packed(j))
 	}
-	if per := 1 << s.shift; per != 128 {
-		t.Fatalf("%d entries per block, want 128", per)
+	if per := 1 << s.shift; per != 16 {
+		t.Fatalf("%d entries per block, want 16", per)
 	}
-	// The geometric blocks hold 1, 2, ..., 64 entries up to index 126 and
-	// were full before any widening; the full-size blocks start at 127,
-	// 255 and 383, and the first two were open at a widening.
-	for i, w := range map[uint32]keyWidth{0: nibbleWidth, 126: nibbleWidth, 127: byteWidth, 254: byteWidth, 255: rawWidth, 383: rawWidth} {
+	// The geometric blocks hold 1, 2, 4 and 8 entries up to index 14 and
+	// were full before any widening; the full-size blocks start at 15, 31,
+	// ..., 447, and the two holding 175..190 and 319..334 were open at a
+	// widening (at 190 and 330), so the blocks before them keep the
+	// narrower width.
+	for i, w := range map[uint32]keyWidth{0: nibbleWidth, 14: nibbleWidth, 174: nibbleWidth, 175: byteWidth, 318: byteWidth, 319: rawWidth, 459: rawWidth} {
 		if b, _ := s.locate(i); s.blockWidth(b) != w {
 			t.Errorf("entry %d's block %d has width %d, want %d", i, b, s.blockWidth(b), w)
 		}
@@ -894,7 +918,7 @@ func testKeySlabMixedBlocks(t *testing.T, s *keySlab) {
 			}
 		}
 	}
-	probes := []int{0, 1, 127, 128, 150, 189, 190, 255, 256, 300, 329, 330, 459}
+	probes := []int{0, 1, 14, 15, 127, 128, 150, 174, 175, 189, 190, 255, 256, 300, 318, 319, 329, 330, 459}
 	for _, i := range probes {
 		for _, j := range probes {
 			u := vec(j)
@@ -913,9 +937,10 @@ func testKeySlabMixedBlocks(t *testing.T, s *keySlab) {
 // second), one word per byte (1) or one little-endian int32 per four bytes
 // (2 or 3), so all three widths, and pairs that share their payload bits
 // but not their width, come up; a slab holds one key length, so the longer
-// vector is cut to the shorter one's length. Long tails leave four entries
-// per full block, and the geometric blocks before them hold one and two
-// entries. The run appends the pair into the first blocks, then again
+// vector is cut to the shorter one's length, and both to keySlabBlock/2
+// words, which leaves the tail at least keySlabBlock/8. Long tails leave
+// four entries per full block, and the geometric blocks before them hold
+// one and two entries. The run appends the pair into the first blocks, then again
 // before a vector holding 16 and again before one holding 256, each of
 // which widens the open block partway, so the slab ends with blocks of
 // every width the pair allows: entries from every block, and the entries
@@ -956,7 +981,7 @@ func FuzzKeySlabPacked(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, a, b []byte, mode byte) {
 		va, vb := vec(a, mode), vec(b, mode>>2)
-		n := min(len(va), len(vb))
+		n := min(len(va), len(vb), keySlabBlock/2)
 		va, vb = va[:n], vb[:n]
 		var s keySlab
 		tail := keySlabBlock/4 - payLen(n, byteWidth)

@@ -402,16 +402,19 @@ type explorer struct {
 	// answers membership: the exact tier through table, an fpTable over
 	// the slab, the bitstate tier through bits (table nil).
 	//
-	// One per-state column remains, parent, paged so it is never copied as
-	// it grows (column.go). BFS numbers states in nondecreasing depth, so
-	// levels[d], the number of the first state at depth d, gives every
-	// depth (depthOf); and the action that produced a state is re-derived
-	// from its parent when a trace needs it (producer).
+	// One per-state column remains, parent. The merge numbers states in
+	// head order, so the parents never decrease, and parentColumn keeps
+	// them as unary gaps in at most two and a half bits per state
+	// (parents.go), paged so nothing is copied as it grows. BFS numbers
+	// states in nondecreasing depth, so levels[d], the number of the first
+	// state at depth d, gives every depth (depthOf); and the action that
+	// produced a state is re-derived from its parent when a trace needs it
+	// (producer).
 	slab     *keySlab
 	table    *fpTable
 	bits     *bitstateStore
 	tailLen  int
-	parent   column[int32]
+	parent   parentColumn
 	levels   []int32
 	crashers []int
 	// wc and seq expand the heads the explorer expands alone: every head in
